@@ -41,11 +41,10 @@ from .estimator import (
     geometric_margin,
     interior_check,
     poly_basis,
-    reduction_basis,
     vectorfield_margin,
     worm_reduction_basis,
 )
-from .fields import ChartDomainError, ScalarField, complex_hessian, eval_jet, wirtinger
+from .fields import ChartDomainError, ScalarField, complex_hessian, wirtinger
 from .forms import (
     SubmanifoldPatch,
     alpha,
@@ -60,7 +59,6 @@ from .geometry import (
     CTVector,
     MetricField,
     VectorField,
-    chern_symbols,
     covariant_derivative,
     curvature,
     curvature_contraction,

@@ -329,6 +329,14 @@ class LeviData:
     null_basis: list       # CTVector null directions in coordinate frame
     eps_null: float
 
+    def check_null(self, zvec, tol=1e-6):
+        """Raise ValueError unless Z lies in the Levi null space (relative ``tol``)."""
+        fr = self.frame
+        scale = float(np.max(np.abs(fr.hr))) + 1.0
+        resid = max(abs(fr.levi(zvec.h, b.h)) for b in self.basis)
+        if resid > tol * scale * max(np.sqrt(fr.norm2(zvec)), 1e-12):
+            raise ValueError(f"Z is not in the Levi null space at {fr.z} (residual {resid:.2e})")
+
 
 def levi_data(domain, p, eps_null=1e-7):
     """Orthonormal tangent basis, Levi matrix, eigenvalues, and null space."""

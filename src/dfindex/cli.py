@@ -129,8 +129,12 @@ def load_config(path=None, overrides=None):
 
 
 def _domain_of(cfg):
+    params = dict(cfg.domain_params)
+    if "metric" in params and cfg.metric != "euclidean":
+        raise ConfigError(f"metric {cfg.metric!r} conflicts with the metric in domain_params")
+    metric = params.pop("metric", cfg.metric)
     try:
-        return make_domain(cfg.domain, metric=cfg.metric, **cfg.domain_params)
+        return make_domain(cfg.domain, metric=metric, **params)
     except ValueError as err:
         raise ConfigError(f"{err}; known registry keys: {REGISTRY_KEYS}")
 
@@ -149,10 +153,17 @@ def _basis_of(cfg, domain):
     raise ConfigError(f"unknown basis {cfg.basis!r} (auto | reduction | poly)")
 
 
-def _boundary_points(cfg, domain):
+def _boundary_points(cfg, domain, basis=None):
+    """Random boundary sample plus the domain's degenerate-set sample.
+
+    For margin constraints (``basis`` given) the feasibility program needs
+    enough sites to pin down the basis: at least 8 degenerate-set points per
+    basis coefficient are drawn regardless of the configured special count.
+    """
     points = sample_boundary(domain, cfg.samples, cfg.seed)
-    if cfg.special_samples > 0 and domain.special_sampler is not None:
-        points += list(domain.special_sampler(cfg.special_samples, cfg.seed + 1))
+    count = cfg.special_samples if basis is None else max(cfg.special_samples, 8 * basis.m)
+    if count > 0 and domain.special_sampler is not None:
+        points += list(domain.special_sampler(count, cfg.seed + 1))
     return points
 
 
@@ -263,24 +274,10 @@ def cmd_levi(cfg):
     return cmd_forms(cfg, eigen_only=True)
 
 
-def _constraint_points(cfg, domain, basis):
-    """Boundary sample for margin constraints.
-
-    When the domain provides a degenerate-set sampler, the feasibility
-    program needs enough sites to pin down the basis: at least 8 per basis
-    coefficient are drawn regardless of the configured special count.
-    """
-    points = sample_boundary(domain, cfg.samples, cfg.seed)
-    if domain.special_sampler is not None:
-        count = max(cfg.special_samples, 8 * basis.m)
-        points += list(domain.special_sampler(count, cfg.seed + 1))
-    return points
-
-
 def cmd_check(cfg):
     domain = _domain_of(cfg)
     basis = _basis_of(cfg, domain)
-    points = _constraint_points(cfg, domain, basis)
+    points = _boundary_points(cfg, domain, basis)
     wp = domain.params.get("worm")
     if wp is not None:
         # guard ring over the full degenerate range so the certified h is
@@ -309,7 +306,7 @@ def cmd_check(cfg):
 def cmd_estimate(cfg):
     domain = _domain_of(cfg)
     basis = _basis_of(cfg, domain)
-    points = _constraint_points(cfg, domain, basis)
+    points = _boundary_points(cfg, domain, basis)
     sites, min_pc = collect_sites(domain, points, basis, eps_null=cfg.eps_null)
     est = estimate_index(domain, basis, sites=sites, eta_cap=cfg.eta_cap, tol_eta=cfg.tol_eta,
                          C_floor=cfg.c_floor, box_radius=cfg.box_radius)
@@ -320,7 +317,7 @@ def cmd_estimate(cfg):
         "summary": est.summary(),
         "n_sites": len(sites),
         "warnings": est.warnings,
-        "min_strictly_pc_eigenvalue": None if min_pc is None or min_pc == math.inf else min_pc,
+        "min_strictly_pc_eigenvalue": None if min_pc == math.inf else min_pc,
         "certificates": {f"{k:.6f}": c.to_json_dict(seed=cfg.seed)
                          for k, c in sorted(est.certificates.items())},
     }

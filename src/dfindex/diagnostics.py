@@ -21,7 +21,7 @@ from .boundary import (
 )
 from .domains import ball_domain
 from .estimator import geometric_margin, vectorfield_margin
-from .fields import ScalarField, eval_jet, wirtinger_table
+from .fields import ScalarField, wirtinger_table
 from .geometry import (
     CTVector,
     MetricField,
@@ -155,7 +155,7 @@ def jets_suite(count=200, seed=0, n=2):
     max_asym = 0.0
     for _ in range(count):
         f = random_scalar_field(n, rng)
-        jet = eval_jet(f, _random_point(n, rng), 3)
+        jet = f.jet(_random_point(n, rng), 3)
         h_asym = float(np.max(np.abs(jet.hess - jet.hess.T)))
         t = jet.third
         t_asym = max(float(np.max(np.abs(t - np.transpose(t, p))))
@@ -167,7 +167,7 @@ def jets_suite(count=200, seed=0, n=2):
     for _ in range(10):
         f = random_scalar_field(n, rng)
         z = _random_point(n, rng)
-        jet = eval_jet(f, z, 2)
+        jet = f.jet(z, 2)
         from .fields import complex_point, real_coords
 
         x0 = real_coords(z)
@@ -191,8 +191,8 @@ def jets_suite(count=200, seed=0, n=2):
         g = random_scalar_field(n, rng)
         field = ScalarField(n, lambda zs, f=f, g=g: f.fn(zs) + 1j * g.fn(zs))
         z = _random_point(n, rng)
-        jet = eval_jet(field, z, 3)
-        cjet = eval_jet(ScalarField(n, lambda zs, fl=field: fl.fn(zs).conj()), z, 3)
+        jet = field.jet(z, 3)
+        cjet = ScalarField(n, lambda zs, fl=field: fl.fn(zs).conj()).jet(z, 3)
         ta, tb = wirtinger_table(jet, n), wirtinger_table(cjet, n)
         worst = max(worst, float(np.max(np.abs(tb.w2 - np.roll(ta.w2.conj(), n, axis=(0, 1))))))
     out.append(_rec("jets", "conjugation_swaps_wirtinger_indices", worst, 1e-13))

@@ -74,7 +74,17 @@ def ellipsoid_domain(axes, metric=None):
     )
 
 
-def _user_domain(params):
+def _user_metric(spec, n):
+    """Hermitian metric from ``{"entries": n x n expression trees for g_{j kbar}}``."""
+    entries = spec.get("entries") if isinstance(spec, dict) else None
+    if not (isinstance(entries, list) and len(entries) == n
+            and all(isinstance(row, list) and len(row) == n for row in entries)):
+        raise ValueError(f"user metric must be {{\"entries\": {n}x{n} expression trees}}, got {spec!r}")
+    return MetricField(n, [[expr.build_field(entries[j][k], n, name=f"g[{j}{k}]")
+                            for k in range(n)] for j in range(n)], name="user_metric")
+
+
+def _user_domain(params, metric):
     try:
         n = int(params["n"])
         tree = params["r"]
@@ -86,13 +96,7 @@ def _user_domain(params):
     if box.shape != (2 * n, 2):
         raise ValueError(f"user chart box must have shape ({2 * n}, 2), got {box.shape}")
     r = expr.build_field(tree, n, name="user_r")
-    metric_spec = params.get("metric")
-    if metric_spec is None:
-        metric = MetricField.euclidean(n)
-    else:
-        entries = [[expr.build_field(metric_spec["entries"][j][k], n, name=f"g[{j}{k}]")
-                    for k in range(n)] for j in range(n)]
-        metric = MetricField(n, entries, name="user_metric")
+    metric = MetricField.euclidean(n) if metric == "euclidean" else _user_metric(metric, n)
     return DomainSpec(name="user", n=n, r=r, metric=metric, box=box,
                       interior_point=interior, params=dict(params))
 
@@ -109,13 +113,23 @@ def parse_domain_key(key):
     return name, args
 
 
+# metric names each registry key implements
+_METRICS = {"ball": ("euclidean",), "ellipsoid": ("euclidean",),
+            "worm": ("euclidean", "worm_kahler"), "user": ("euclidean",)}
+
+
 def make_domain(key, metric="euclidean", **params):
     """Instantiate a registered domain.
 
     ``key`` is one of ``ball``, ``ellipsoid(a1..an)``, ``worm(gamma)``, or
     ``user``; parenthesized numbers may also be given through ``params``.
+    ``metric`` names a metric the key implements (see ``_METRICS``); a
+    ``user`` domain also takes a metric spec ``{"entries": [[tree, ..], ..]}``.
     """
     name, args = parse_domain_key(key) if isinstance(key, str) else (key, [])
+    if (name in _METRICS and metric not in _METRICS[name]
+            and not (name == "user" and isinstance(metric, dict))):
+        raise ValueError(f"{name} supports metrics {list(_METRICS[name])}, got {metric!r}")
     if name == "ball":
         n = int(args[0]) if args else int(params.get("n", 2))
         return ball_domain(n=n, signed=bool(params.get("signed", False)))
@@ -130,9 +144,7 @@ def make_domain(key, metric="euclidean", **params):
             raise ValueError("worm needs gamma: worm(gamma)")
         lam = {k: params[k] for k in ("lam_c", "lam_p") if params.get(k) is not None}
         wp = WormParams(gamma=float(gamma), t=params.get("t"), s=params.get("s"), **lam)
-        if metric not in ("euclidean", "worm_kahler"):
-            raise ValueError(f"worm supports metrics 'euclidean' and 'worm_kahler', got {metric!r}")
         return worm_domain(wp, metric=metric)
     if name == "user":
-        return _user_domain(params)
+        return _user_domain(params, metric)
     raise ValueError(f"unknown domain key {key!r}; known keys: {REGISTRY_KEYS}")

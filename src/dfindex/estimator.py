@@ -28,13 +28,13 @@ from scipy.optimize import linprog
 
 from . import jets
 from .boundary import frame_at, levi_data, normal_frame, point_at_depth, sample_boundary
-from .fields import ScalarField, wirtinger_table
+from .fields import ScalarField, seed_coordinate_jets, wirtinger_table
 from .forms import alpha, beta_mixed
 from .geometry import CTVector, curvature_contraction
 
 __all__ = [
     "HBasis",
-    "reduction_basis",
+    "worm_reduction_basis",
     "poly_basis",
     "MarginSite",
     "SiteSet",
@@ -59,33 +59,27 @@ NO_CONSTRAINT = math.inf
 
 @dataclass
 class HBasis:
-    """Finite real basis for h(z) = sum_i c_i phi_i(z)."""
+    """Finite real basis for h(z) = sum_i c_i phi_i(z).
+
+    ``rows`` maps the coordinate jets z_1 .. z_n of one point to the jets of
+    phi_1 .. phi_m there; it is the basis' only evaluator.
+    """
 
     n: int
-    fields: list
+    m: int
     name: str
-    row_evaluator: object = None   # optional shared evaluator: zs -> [jets]
-
-    @property
-    def m(self):
-        return len(self.fields)
-
-    def eval_jets(self, zs):
-        if self.row_evaluator is not None:
-            return self.row_evaluator(zs)
-        return [f.fn(zs) for f in self.fields]
+    rows: object
 
     def h_field(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.m,):
             raise ValueError(f"basis {self.name!r} needs {self.m} coefficients")
-        fns = [f.fn for f in self.fields]
 
         def fn(zs):
             out = jets.Jet.constant(0.0, 2 * self.n, zs[0].order)
-            for c, f in zip(coeffs, fns):
+            for c, phi in zip(coeffs, self.rows(zs)):
                 if c != 0.0:
-                    out = out + c * f(zs)
+                    out = out + c * phi
             return out
 
         return ScalarField(self.n, fn, name=f"h[{self.name}]")
@@ -113,78 +107,41 @@ def _soft_clamp(u, width=0.005):
     return sgn * (1.0 + width * jets.tanh((u * sgn - 1.0) * (1.0 / width)))
 
 
-def reduction_basis(n, coord_fn, degree=20, harmonics=(1.0,), x_scale=1.0,
-                    clamp_width=0.005, name="reduction"):
-    """Polynomials and trig functions of a scalar reduction coordinate.
+def worm_reduction_basis(gamma, degree=20, spread=0.97):
+    """Polynomials and one harmonic of the worm reduction coordinate x = log|z_2|^2.
 
-    ``coord_fn`` maps coordinate jets to the jet of the reduction coordinate
-    (for the worm family: log|z_2|^2).  The polynomial part is expressed in
-    Chebyshev polynomials of the rescaled coordinate u = x / x_scale: the
-    span equals plain monomials of the same degree, but smooth candidates
-    have O(1) coefficients, which keeps the feasibility program well
-    conditioned; cos(w x) and sin(w x) are appended for each harmonic w.
+    The polynomial part is expressed in Chebyshev polynomials T_0 .. T_degree
+    of u = x / x_scale, with x_scale = ``spread * (gamma - pi/2)`` the
+    sampled range of x: the span equals plain monomials of the same degree,
+    but smooth candidates have O(1) coefficients, which keeps the
+    feasibility program well conditioned; cos x and sin x are appended.
     Outside |u| <= 1 the polynomial argument saturates smoothly
     (:func:`_soft_clamp`), so the fields and their derivatives stay bounded
     on the whole chart.
     """
+    x_scale = spread * (gamma - math.pi / 2)
     inv = 1.0 / x_scale
 
-    def argument(zs):
-        return _soft_clamp(coord_fn(zs) * inv, clamp_width)
-
-    fields = []
-    for p in range(degree + 1):
-        def fn(zs, p=p):
-            if p == 0:
-                return jets.Jet.constant(1.0, 2 * n, zs[0].order)
-            return _chebyshev_jets(argument(zs), p)[p]
-
-        fields.append(ScalarField(n, fn, name=f"T{p}(u)"))
-    for w in harmonics:
-        fields.append(ScalarField(n, lambda zs, w=w: jets.cos(coord_fn(zs) * w), name=f"cos({w:g}x)"))
-        fields.append(ScalarField(n, lambda zs, w=w: jets.sin(coord_fn(zs) * w), name=f"sin({w:g}x)"))
-
     def rows(zs):
-        x = coord_fn(zs)
-        out = _chebyshev_jets(_soft_clamp(x * inv, clamp_width), degree)
-        for w in harmonics:
-            out.append(jets.cos(x * w))
-            out.append(jets.sin(x * w))
-        return out
+        x = jets.log(jets.abs2(zs[1]))
+        return _chebyshev_jets(_soft_clamp(x * inv), degree) + [jets.cos(x), jets.sin(x)]
 
-    return HBasis(n=n, fields=fields, row_evaluator=rows,
-                  name=f"{name}(deg={degree},harmonics={len(harmonics)},scale={x_scale:g})")
-
-
-def worm_reduction_basis(gamma=None, degree=20, harmonics=(1.0,), spread=0.97, x_scale=None):
-    """The reduction basis in x = log|z_2|^2 used for the worm family.
-
-    The polynomial part is scaled to the sampled range
-    ``spread * (gamma - pi/2)`` of the reduction coordinate.
-    """
-    if x_scale is None:
-        if gamma is None:
-            raise ValueError("worm_reduction_basis needs gamma (or an explicit x_scale)")
-        x_scale = spread * (gamma - math.pi / 2)
-    return reduction_basis(2, lambda zs: jets.log(jets.abs2(zs[1])), degree=degree,
-                           harmonics=harmonics, x_scale=x_scale, name="log|z2|^2")
+    return HBasis(n=2, m=degree + 3, rows=rows,
+                  name=f"log|z2|^2(deg={degree},harmonics=1,scale={x_scale:g})")
 
 
 def poly_basis(n, degree=2):
-    """Real polynomials in Re z_j, Im z_j up to total degree ``degree``."""
-    fields = [ScalarField(n, lambda zs: jets.Jet.constant(1.0, 2 * n, zs[0].order), name="1")]
-    coords = []
-    for j in range(n):
-        coords.append((f"Re z{j + 1}", lambda zs, j=j: zs[j].real()))
-        coords.append((f"Im z{j + 1}", lambda zs, j=j: zs[j].imag()))
-    for tag, fn in coords:
-        fields.append(ScalarField(n, lambda zs, fn=fn: fn(zs), name=tag))
-    if degree >= 2:
-        for i, (tag_i, fn_i) in enumerate(coords):
-            for tag_j, fn_j in coords[i:]:
-                fields.append(ScalarField(
-                    n, lambda zs, fi=fn_i, fj=fn_j: fi(zs) * fj(zs), name=f"{tag_i}*{tag_j}"))
-    return HBasis(n=n, fields=fields, name=f"poly(deg={degree})")
+    """Real polynomials in Re z_j, Im z_j up to total degree ``degree`` (at most 2)."""
+
+    def rows(zs):
+        coords = [part for z in zs for part in (z.real(), z.imag())]
+        out = [jets.Jet.constant(1.0, 2 * n, zs[0].order)] + coords
+        if degree >= 2:
+            out += [a * b for i, a in enumerate(coords) for b in coords[i:]]
+        return out
+
+    m = 1 + 2 * n + (n * (2 * n + 1) if degree >= 2 else 0)
+    return HBasis(n=n, m=m, rows=rows, name=f"poly(deg={degree})")
 
 
 # ----------------------------------------------------------------------
@@ -234,10 +191,8 @@ def _basis_rows(basis, frame, zvec):
     n = frame.n
     hess_row = np.empty(basis.m)
     grad_row = np.empty(basis.m, dtype=complex)
-    from .fields import seed_coordinate_jets
-
     zs = seed_coordinate_jets(frame.z, 2)
-    for i, jet in enumerate(basis.eval_jets(zs)):
+    for i, jet in enumerate(basis.rows(zs)):
         table = wirtinger_table(jet, n)
         grad_row[i] = zvec.h @ table.w1[:n]
         hess_row[i] = float(np.real(zvec.h @ table.mixed_hessian @ zvec.h.conj()))
@@ -301,16 +256,12 @@ def boundary_margin(domain, p, zvec, basis, coeffs, eta, frame=None):
                  - k * abs(site.alpha_val - site.basis_grad @ coeffs) ** 2)
 
 
-def _null_checked(domain, p, zvec, frame, null_tol=1e-6):
+def _null_checked(domain, p, zvec, frame):
     ld = levi_data(domain, frame if frame is not None else p)
     if not ld.null_basis:
         return ld, None
-    fr = ld.frame
-    scale = float(np.max(np.abs(fr.hr))) + 1.0
-    resid = max(abs(fr.levi(zvec.h, b.h)) for b in ld.basis)
-    if resid > null_tol * scale * max(math.sqrt(fr.norm2(zvec)), 1e-12):
-        raise ValueError(f"Z is not in the Levi null space at {fr.z} (residual {resid:.2e})")
-    return ld, fr
+    ld.check_null(zvec)
+    return ld, ld.frame
 
 
 def geometric_margin(domain, p, zvec, eta, frame=None):
@@ -381,7 +332,6 @@ class EtaCertificate:
     feasible: bool
     status: str
     iterations: int
-    min_pc_eig: float | None = None
 
     def to_json_dict(self, seed=None):
         return {
@@ -408,8 +358,6 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, tol=1e-6,
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    if not isinstance(sites, SiteSet):
-        sites = SiteSet(sites=list(sites), basis=basis)
     m = basis.m
     if len(sites) == 0:
         return EtaCertificate(eta=eta, basis_id=basis.name, coeffs=np.zeros(m),
@@ -523,7 +471,6 @@ class DFEstimate:
     records: list
     certificates: dict
     warnings: list
-    min_pc_eig: float | None = None
 
     def summary(self):
         if self.eta_hi >= 1.0:
@@ -531,24 +478,14 @@ class DFEstimate:
         return f"DF in [{self.eta_lo:.2f}, {self.eta_hi:.2f}]"
 
 
-def estimate_index(domain, basis, sites=None, points=None, eta_cap=0.99, tol_eta=0.01,
-                   C_floor=1e-4, seed=0, n_boundary=100, n_special=40, box_radius=100.0):
+def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-4,
+                   box_radius=100.0):
     """Bisection over eta with per-eta feasibility certificates.
 
-    ``sites`` may be precomputed; otherwise boundary points are sampled
-    (plus the domain's degenerate-set sampler when available) and near-null
-    sites collected.  Feasibility at each eta is decided by
-    :func:`feasibility_search`, seeding each stage with the previous
-    certificate's coefficients.
+    ``sites`` come from :func:`collect_sites`.  Feasibility at each eta is
+    decided by :func:`feasibility_search`, seeding each stage with the
+    previous certificate's coefficients.
     """
-    min_pc = None
-    if sites is None:
-        if points is None:
-            points = sample_boundary(domain, n_boundary, seed)
-            if domain.special_sampler is not None and n_special > 0:
-                points = points + list(domain.special_sampler(n_special, seed + 1))
-        sites, min_pc = collect_sites(domain, points, basis)
-
     records, certificates, warnings = [], {}, []
 
     def run(eta, c_seed):
@@ -563,12 +500,12 @@ def estimate_index(domain, basis, sites=None, points=None, eta_cap=0.99, tol_eta
     if len(sites) == 0:
         cert = run(eta_cap, None)
         return DFEstimate(eta_lo=eta_cap, eta_hi=1.0, records=records,
-                          certificates=certificates, warnings=warnings, min_pc_eig=min_pc)
+                          certificates=certificates, warnings=warnings)
 
     cert_cap = run(eta_cap, None)
     if cert_cap.feasible:
         return DFEstimate(eta_lo=eta_cap, eta_hi=1.0, records=records,
-                          certificates=certificates, warnings=warnings, min_pc_eig=min_pc)
+                          certificates=certificates, warnings=warnings)
     lo, hi = 0.0, eta_cap
     cert_lo = run(0.0, None)
     c_seed = cert_lo.coeffs if cert_lo.feasible else None
@@ -587,7 +524,7 @@ def estimate_index(domain, basis, sites=None, points=None, eta_cap=0.99, tol_eta
         if (not f1) and f2:
             warnings.append(f"non-monotone feasibility between eta = {e1} and {e2} (sampling noise)")
     return DFEstimate(eta_lo=lo, eta_hi=hi, records=records, certificates=certificates,
-                      warnings=warnings, min_pc_eig=min_pc)
+                      warnings=warnings)
 
 
 # ----------------------------------------------------------------------

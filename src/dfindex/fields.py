@@ -3,8 +3,8 @@
 A :class:`ScalarField` wraps a deterministic evaluator that maps the complex
 coordinate jets ``z_1 .. z_n`` (built over the ``2n`` underlying real
 variables ``x_1 .. x_n, y_1 .. y_n``) to a jet of the field value.  All
-geometric code downstream consumes fields through :func:`eval_jet` and the
-complexified derivative tables produced by :func:`wirtinger_table`.
+geometric code downstream consumes fields through :meth:`ScalarField.jet` and
+the complexified derivative tables produced by :func:`wirtinger_table`.
 
 Complexified direction indices are ordered ``0..n-1`` for the holomorphic
 directions d/dz_j and ``n..2n-1`` for the antiholomorphic d/dzbar_j.
@@ -23,7 +23,6 @@ __all__ = [
     "ChartDomainError",
     "ScalarField",
     "WirtingerTable",
-    "eval_jet",
     "wirtinger",
     "wirtinger_table",
     "complex_hessian",
@@ -114,11 +113,6 @@ class ScalarField:
 
     def __call__(self, z):
         return self.jet(z, 0).value
-
-
-def eval_jet(field, z, order):
-    """All partial derivatives of ``field`` at ``z`` through ``order``."""
-    return field.jet(z, order)
 
 
 def _wirtinger_matrix(n):

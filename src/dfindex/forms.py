@@ -148,11 +148,7 @@ def beta_geometric(domain, p, zvec, frame=None, null_tol=1e-6):
 
     fr = _frame(domain, p, frame)
     ld = levi_data(domain, fr)
-    scale = float(np.max(np.abs(fr.hr))) + 1.0
-    resid = max(abs(fr.levi(zvec.h, b.h)) for b in ld.basis)
-    znorm = np.sqrt(fr.norm2(zvec))
-    if resid > null_tol * scale * max(znorm, 1e-12):
-        raise ValueError(f"Z is not in the Levi null space at {fr.z} (residual {resid:.2e})")
+    ld.check_null(zvec, null_tol)
     if domain.grad_norm_field is None:
         raise ValueError("no |dr| field available for the geometric beta formula")
 

@@ -31,9 +31,7 @@ __all__ = [
     "MetricError",
     "MetricField",
     "VectorField",
-    "ChernSymbols",
     "chern_frame",
-    "chern_symbols",
     "metric_compat_residual",
     "kahler_defect",
     "covariant_derivative",
@@ -344,18 +342,6 @@ def chern_frame(metric, z, order=2):
 
     return ChernFrame(z=z, n=n, g=g, ginv=ginv, gamma=gamma,
                       dgamma_h=dgamma_h, dgamma_a=dgamma_a, dG_h=dG_h)
-
-
-@dataclass
-class ChernSymbols:
-    z: np.ndarray
-    gamma: np.ndarray
-
-
-def chern_symbols(metric, z):
-    """Gamma^i_{jk} = sum_m g^{i mbar} d g_{k mbar} / dz_j at ``z``."""
-    frame = chern_frame(metric, z, order=1)
-    return ChernSymbols(z=frame.z, gamma=frame.gamma)
 
 
 def metric_compat_residual(metric, z):

@@ -63,16 +63,21 @@ def test_forms_alpha_pattern_on_worm_fiber(tmp_path):
         assert abs(alpha) == pytest.approx(1.0 / abs(z2), rel=1e-9)
 
 
+# check on worm(pi) with a small basis: sites, a certificate and the interior
+# verification of the certified h
+WORM_CHECK = {"domain": f"worm({math.pi!r})", "basis_degree": 8, "eta": 0.3, "samples": 4}
+
+
 def test_reports_are_byte_identical(tmp_path):
-    argv = ["forms", "--domain", "ball", "--samples", "4", "--seed", "3",
-            "--out", str(tmp_path / "a")]
-    assert run_cli(argv) == 0
-    argv2 = ["forms", "--domain", "ball", "--samples", "4", "--seed", "3",
-             "--out", str(tmp_path / "b")]
-    assert run_cli(argv2) == 0
-    a = (tmp_path / "a" / "forms.json").read_bytes()
-    b = (tmp_path / "b" / "forms.json").read_bytes()
-    assert a == b
+    check_cfg = tmp_path / "check.json"
+    check_cfg.write_text(json.dumps(WORM_CHECK))
+    for command, args in (("forms", ["--domain", "ball", "--samples", "4", "--seed", "3"]),
+                          ("check", ["--config", str(check_cfg)])):
+        for run in ("a", "b"):
+            assert run_cli([command, *args, "--out", str(tmp_path / command / run)]) == 0
+        a = (tmp_path / command / "a" / f"{command}.json").read_bytes()
+        b = (tmp_path / command / "b" / f"{command}.json").read_bytes()
+        assert a == b
 
 
 def test_unknown_domain_key_exits_2(tmp_path, capsys):
@@ -120,3 +125,74 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])
     assert exc.value.code == 0
+
+
+def test_check_command_on_worm_runs_interior_check(tmp_path):
+    cfg = load_config(None, dict(WORM_CHECK, out=str(tmp_path)))
+    report = cmd_check(cfg)
+    summary = report["summary"]
+    assert summary["feasible"] is True and summary["n_sites"] > 0
+    assert summary["interior_positive"] is True
+    interior = [r for r in report["records"] if "depth" in r]
+    assert interior and all(r["min_eig"] > 0 for r in interior)
+
+
+# r = |z1|^2 + |z2|^2 - 1 as a user expression tree
+BALL_TREE = {"op": "add", "args": [{"op": "abs2", "arg": {"op": "coord", "index": 0}},
+                                   {"op": "abs2", "arg": {"op": "coord", "index": 1}},
+                                   {"op": "const", "value": -1.0}]}
+
+
+def _user_params(metric=None):
+    params = {"n": 2, "r": BALL_TREE, "box": [[-1.5, 1.5]] * 4,
+              "interior": [[0.0, 0.0], [0.0, 0.0]]}
+    if metric is not None:
+        params["metric"] = metric
+    return params
+
+
+def _const(value):
+    return {"op": "const", "value": value}
+
+
+def test_user_domain_with_custom_metric(tmp_path):
+    doubled = {"entries": [[_const(2.0), _const(0.0)], [_const(0.0), _const(2.0)]]}
+    eigs = {}
+    for label, metric in (("euclidean", None), ("doubled", doubled)):
+        cfg_path = tmp_path / f"{label}.json"
+        cfg_path.write_text(json.dumps({"domain": "user", "domain_params": _user_params(metric)}))
+        out = tmp_path / label
+        assert run_cli(["levi", "--config", str(cfg_path), "--samples", "3", "--out", str(out)]) == 0
+        report = json.loads((out / "levi.json").read_text())
+        eigs[label] = [r["levi_eigenvalues"][0] for r in report["records"]]
+    # g = 2 delta halves the Levi eigenvalues on unit tangent vectors
+    assert eigs["doubled"] == pytest.approx([0.5 * e for e in eigs["euclidean"]], rel=1e-9)
+    # a metric name next to a metric spec is ambiguous
+    assert run_cli(["levi", "--config", str(cfg_path), "--metric", "worm_kahler",
+                    "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("metric", [
+    {"entries": [[_const(1.0)]]},
+    {"rows": [[_const(1.0), _const(0.0)], [_const(0.0), _const(1.0)]]},
+    {"entries": [[_const(1.0), {"op": "nope"}], [_const(0.0), _const(1.0)]]},
+    "worm_kahler",
+])
+def test_user_domain_with_bad_metric_exits_2(tmp_path, capsys, metric):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": "user", "domain_params": _user_params(metric)}))
+    assert run_cli(["levi", "--config", str(cfg_path), "--samples", "3", "--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain", ["ball", "ellipsoid(1,2)", "user"])
+def test_unsupported_metric_name_exits_2(tmp_path, capsys, domain):
+    cfg_path = tmp_path / "cfg.json"
+    params = _user_params() if domain == "user" else {}
+    cfg_path.write_text(json.dumps({"domain": domain, "domain_params": params}))
+    code = run_cli(["levi", "--config", str(cfg_path), "--metric", "worm_kahler",
+                    "--samples", "3", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "supports metrics ['euclidean']" in err
+    assert not (tmp_path / "levi.json").exists()

@@ -17,7 +17,7 @@ from dfindex.estimator import (
     vectorfield_margin,
     worm_reduction_basis,
 )
-from dfindex.fields import ScalarField
+from dfindex.fields import ScalarField, seed_coordinate_jets
 from dfindex.geometry import CTVector
 from dfindex.worm import sgamma_points
 
@@ -26,8 +26,76 @@ Z_FIBER = CTVector.holo([0.0, 1.0])
 
 def tan_profile_basis(k):
     """Single-field basis holding the extremal profile h with h' = tan(k x)."""
-    fn = lambda zs: (-1.0 / k) * jets.log(jets.cos(jets.log(jets.abs2(zs[1])) * k))
-    return HBasis(2, [ScalarField(2, fn, name="tan-profile")], "tan-profile")
+    rows = lambda zs: [(-1.0 / k) * jets.log(jets.cos(jets.log(jets.abs2(zs[1])) * k))]
+    return HBasis(n=2, m=1, name="tan-profile", rows=rows)
+
+
+def test_reduction_basis_rows_match_chebyshev_and_harmonics():
+    from numpy.polynomial import chebyshev
+
+    degree, spread = 10, 0.95
+    basis = worm_reduction_basis(gamma=math.pi, degree=degree, spread=spread)
+    assert basis.m == degree + 3
+    x_scale = spread * math.pi / 2
+    for x in (-0.99 * x_scale, -0.8, 0.0, 0.31, 0.99 * x_scale):
+        z2 = math.exp(x / 2.0)
+        rows = basis.rows(seed_coordinate_jets([0.2 + 0.1j, z2], 1))
+        assert len(rows) == basis.m
+        dx = 2.0 / z2    # dx / d(Re z2) at a positive real z2; Re z2 is variable 1
+        u = x / x_scale
+        for p in range(degree + 1):
+            e_p = np.eye(degree + 1)[p]
+            assert rows[p].value == pytest.approx(chebyshev.chebval(u, e_p), abs=1e-12)
+            assert rows[p].grad[1] == pytest.approx(
+                chebyshev.chebval(u, chebyshev.chebder(e_p)) * dx / x_scale, rel=1e-10, abs=1e-10)
+        cos_row, sin_row = rows[-2:]
+        assert cos_row.value == pytest.approx(math.cos(x), abs=1e-14)
+        assert sin_row.value == pytest.approx(math.sin(x), abs=1e-14)
+        assert cos_row.grad[1] == pytest.approx(-math.sin(x) * dx, abs=1e-13)
+        assert sin_row.grad[1] == pytest.approx(math.cos(x) * dx, abs=1e-13)
+
+
+def test_poly_basis_rows_are_monomials():
+    basis = poly_basis(2, degree=2)
+    a, b, c, d = 0.3, -0.7, 1.1, 0.4      # z = (a + ib, c + id)
+    coords = {"1": 1.0, "a": a, "b": b, "c": c, "d": d}
+    # jet variables are (Re z1, Re z2, Im z1, Im z2)
+    var = {"a": 0, "c": 1, "b": 2, "d": 3}
+    monomials = ["1", "a", "b", "c", "d", "aa", "ab", "ac", "ad", "bb", "bc", "bd", "cc", "cd", "dd"]
+    rows = basis.rows(seed_coordinate_jets([a + 1j * b, c + 1j * d], 1))
+    assert basis.m == len(rows) == len(monomials)
+    for row, mono in zip(rows, monomials):
+        grad = np.zeros(4)
+        if mono != "1":
+            for i, ch in enumerate(mono):
+                rest = mono[:i] + mono[i + 1:]
+                grad[var[ch]] += math.prod(coords[r] for r in rest)
+        assert row.value == math.prod(coords[ch] for ch in mono)
+        assert np.array_equal(row.grad, grad)
+    assert poly_basis(3, degree=1).m == len(poly_basis(3, degree=1).rows(
+        seed_coordinate_jets([0.1, 0.2, 0.3], 0))) == 7
+
+
+@pytest.mark.parametrize("basis", [worm_reduction_basis(gamma=math.pi, degree=8, spread=0.95),
+                                   poly_basis(2, degree=2)], ids=["reduction", "poly"])
+def test_h_field_is_the_sum_of_rows(basis):
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(basis.m)
+    coeffs[::3] = 0.0
+    z = np.array([0.3 - 0.2j, 0.8 + 0.5j])
+    h = basis.h_field(coeffs)
+    for k in range(4):
+        zs = seed_coordinate_jets(z, k)
+        want = jets.Jet.constant(0.0, 4, k)
+        for c, phi in zip(coeffs, basis.rows(zs)):
+            if c != 0.0:
+                want = want + c * phi
+        got = h.jet(z, k)
+        assert got.value == want.value
+        for name in ("grad", "hess", "third")[:k]:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    with pytest.raises(ValueError, match="coefficients"):
+        basis.h_field(np.zeros(basis.m + 1))
 
 
 def small_worm_sites(domain, basis, count=60, spread=0.95):
@@ -132,8 +200,8 @@ def test_feasibility_monotone_in_eta(worm_euclid):
 
 def test_scaling_invariance_of_feasible_set(worm_euclid):
     base = worm_reduction_basis(gamma=math.pi, degree=12, spread=0.95)
-    scaled = HBasis(2, [ScalarField(2, lambda zs, f=f.fn: 3.0 * f(zs), name=f.name)
-                        for f in base.fields], "scaled")
+    scaled = HBasis(n=2, m=base.m, name="scaled",
+                    rows=lambda zs: [3.0 * phi for phi in base.rows(zs)])
     sites_base = small_worm_sites(worm_euclid, base, count=50)
     sites_scaled = small_worm_sites(worm_euclid, scaled, count=50)
     for eta in (0.30, 0.70):

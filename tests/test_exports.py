@@ -1,0 +1,33 @@
+"""Public names: every export must resolve, so a deletion cannot leave a stale one."""
+
+import ast
+import importlib
+import pkgutil
+
+import pytest
+
+import dfindex
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(dfindex.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"dfindex.{name}")
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), f"duplicate names in dfindex.{name}.__all__"
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert not missing, f"dfindex.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_reexports_resolve():
+    tree = ast.parse(open(dfindex.__file__).read())
+    reexports = [(node.module, alias.name) for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names]
+    assert reexports
+    for module_name, attr in reexports:
+        module = importlib.import_module(f"dfindex.{module_name}")
+        assert getattr(dfindex, attr) is getattr(module, attr)
+        assert attr in getattr(module, "__all__", [attr]), \
+            f"dfindex re-exports {attr} but dfindex.{module_name}.__all__ does not list it"

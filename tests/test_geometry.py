@@ -16,7 +16,6 @@ from dfindex.geometry import (
     MetricField,
     VectorField,
     chern_frame,
-    chern_symbols,
     covariant_derivative,
     curvature,
     curvature_contraction,
@@ -32,8 +31,8 @@ from dfindex.worm import s_gamma_reference
 
 def test_euclidean_christoffels_vanish():
     metric = MetricField.euclidean(2)
-    sym = chern_symbols(metric, np.array([0.3 + 0.1j, -0.7 + 0.2j]))
-    assert np.max(np.abs(sym.gamma)) == 0.0
+    gamma = chern_frame(metric, np.array([0.3 + 0.1j, -0.7 + 0.2j]), order=1).gamma
+    assert np.max(np.abs(gamma)) == 0.0
 
 
 def test_conformal_metric_christoffels():
@@ -41,13 +40,13 @@ def test_conformal_metric_christoffels():
     u = ScalarField(2, lambda zs: zs[0].real() * 0.7 + jets.sin(zs[1].imag()) * 0.3)
     metric = MetricField.conformal(2, u)
     z = np.array([0.4 - 0.2j, 0.1 + 0.5j])
-    sym = chern_symbols(metric, z)
+    gamma = chern_frame(metric, z, order=1).gamma
     du = wirtinger_table(u.jet(z, 1), 2).w1[:2]
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 expected = du[j] if i == k else 0.0
-                assert sym.gamma[i, j, k] == pytest.approx(expected, abs=1e-12)
+                assert gamma[i, j, k] == pytest.approx(expected, abs=1e-12)
 
 
 def test_metric_compatibility_residual(worm_kahler):

@@ -11,7 +11,6 @@ from dfindex.fields import (
     ScalarField,
     complex_hessian,
     complex_point,
-    eval_jet,
     real_coords,
     wirtinger,
     wirtinger_table,
@@ -35,7 +34,7 @@ def messy_field():
 
 def test_quadratic_norm_has_identity_complex_hessian():
     f = field_ball_plus()
-    j = eval_jet(f, [1.0, 0.0], 2)
+    j = f.jet([1.0, 0.0], 2)
     assert wirtinger(j, (1, 0), (1, 0)) == pytest.approx(1.0)
     assert wirtinger(j, (0, 1), (0, 1)) == pytest.approx(1.0)
     assert wirtinger(j, (1, 0), (0, 1)) == pytest.approx(0.0)
@@ -44,34 +43,34 @@ def test_quadratic_norm_has_identity_complex_hessian():
 
 def test_constant_field_has_zero_derivatives():
     f = ScalarField(2, lambda zs: Jet.constant(5.0, 4, zs[0].order))
-    j = eval_jet(f, [0.3 + 0.1j, -0.2j], 3)
+    j = f.jet([0.3 + 0.1j, -0.2j], 3)
     assert j.value == 5.0
     assert np.all(j.grad == 0) and np.all(j.hess == 0) and np.all(j.third == 0)
 
 
 def test_re_z1_cubed_third_partial():
     f = ScalarField(1, lambda zs: (zs[0] ** 3).real())
-    j = eval_jet(f, [1.0 + 0.0j], 3)
+    j = f.jet([1.0 + 0.0j], 3)
     assert j.third[0, 0, 0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_wirtinger_of_holomorphic_coordinate():
     f = ScalarField(1, lambda zs: zs[0])
-    j = eval_jet(f, [0.7 - 0.2j], 1)
+    j = f.jet([0.7 - 0.2j], 1)
     assert wirtinger(j, (1,), (0,)) == pytest.approx(1.0)
     assert wirtinger(j, (0,), (1,)) == pytest.approx(0.0)
 
 
 def test_wirtinger_of_abs_square():
     f = ScalarField(1, lambda zs: jets.abs2(zs[0]))
-    j = eval_jet(f, [0.4 + 0.9j], 2)
+    j = f.jet([0.4 + 0.9j], 2)
     assert wirtinger(j, (1,), (1,)) == pytest.approx(1.0)
 
 
 def test_log_abs_square_is_pluriharmonic_off_zero():
     f = ScalarField(1, lambda zs: jets.log(jets.abs2(zs[0])))
     for z in (1.0, 0.3 + 0.8j, -1.2 + 0.4j):
-        j = eval_jet(f, [z], 2)
+        j = f.jet([z], 2)
         assert abs(wirtinger(j, (1,), (1,))) < 1e-13
 
 
@@ -82,7 +81,7 @@ def test_pluriharmonic_re_z_squared_has_zero_complex_hessian():
 
 def test_exact_symmetry_on_messy_field():
     f = messy_field()
-    j = eval_jet(f, [0.3 + 0.4j, -0.2 + 0.9j], 3)
+    j = f.jet([0.3 + 0.4j, -0.2 + 0.9j], 3)
     assert np.max(np.abs(j.hess - j.hess.T)) == 0.0
     for perm in itertools.permutations(range(3)):
         assert np.max(np.abs(j.third - np.transpose(j.third, perm))) == 0.0
@@ -101,7 +100,7 @@ def test_symmetry_exact_on_random_products(seed):
 
     f = ScalarField(2, fn)
     z = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    j = eval_jet(f, z, 3)
+    j = f.jet(z, 3)
     assert np.max(np.abs(j.hess - j.hess.T)) == 0.0
     for perm in itertools.permutations(range(3)):
         assert np.max(np.abs(j.third - np.transpose(j.third, perm))) == 0.0
@@ -117,7 +116,7 @@ def test_symmetry_exact_over_thousand_polynomial_fields():
             x, y = zs[0].real(), zs[1].imag()
             return float(c[0]) * x * x * y + float(c[1]) * (x * y) * (x + 2.0) + float(c[2]) * y ** 3
 
-        j = eval_jet(ScalarField(2, fn), 0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)), 3)
+        j = ScalarField(2, fn).jet(0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)), 3)
         worst = max(worst, np.max(np.abs(j.hess - j.hess.T)))
         for perm in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
             worst = max(worst, np.max(np.abs(j.third - np.transpose(j.third, perm))))
@@ -127,7 +126,7 @@ def test_symmetry_exact_over_thousand_polynomial_fields():
 def test_finite_difference_oracle():
     f = messy_field()
     z = np.array([0.3 + 0.4j, -0.2 + 0.9j])
-    j = eval_jet(f, z, 2)
+    j = f.jet(z, 2)
     x0 = real_coords(z)
     h = 1e-4
     for i in range(4):
@@ -146,15 +145,15 @@ def test_conjugation_swaps_multi_indices():
     f = ScalarField(2, fn)
     fc = ScalarField(2, lambda zs: fn(zs).conj())
     z = [0.2 + 0.5j, 0.8 - 0.1j]
-    j, jc = eval_jet(f, z, 3), eval_jet(fc, z, 3)
+    j, jc = f.jet(z, 3), fc.jet(z, 3)
     for a, b in (((1, 0), (0, 1)), ((2, 0), (0, 0)), ((1, 1), (1, 0))):
         assert wirtinger(jc, a, b) == pytest.approx(np.conj(wirtinger(j, b, a)), abs=1e-13)
 
 
 def test_repeated_evaluation_bit_identical():
     f = messy_field()
-    j1 = eval_jet(f, [0.3 + 0.4j, -0.2 + 0.9j], 3)
-    j2 = eval_jet(f, [0.3 + 0.4j, -0.2 + 0.9j], 3)
+    j1 = f.jet([0.3 + 0.4j, -0.2 + 0.9j], 3)
+    j2 = f.jet([0.3 + 0.4j, -0.2 + 0.9j], 3)
     assert j1.value == j2.value
     assert np.array_equal(j1.grad, j2.grad)
     assert np.array_equal(j1.hess, j2.hess)
@@ -164,13 +163,13 @@ def test_repeated_evaluation_bit_identical():
 def test_order_and_chart_errors():
     f = ScalarField(1, lambda zs: zs[0], box=[[-1, 1], [-1, 1]])
     with pytest.raises(JetOrderError):
-        eval_jet(f, [0.0], 4)
+        f.jet([0.0], 4)
     with pytest.raises(ChartDomainError):
-        eval_jet(f, [2.0 + 0.0j], 1)
+        f.jet([2.0 + 0.0j], 1)
     with pytest.raises(JetOrderError):
-        wirtinger(eval_jet(f, [0.0], 1), (1,), (1,))
+        wirtinger(f.jet([0.0], 1), (1,), (1,))
     with pytest.raises(ValueError):
-        wirtinger(eval_jet(f, [0.0], 1), (1, 0), (0,))
+        wirtinger(f.jet([0.0], 1), (1, 0), (0,))
 
 
 def test_complex_hessian_rejects_non_real_field():
@@ -207,7 +206,7 @@ def test_integer_powers_match_repeated_multiplication():
 
 def test_shift_extracts_derivative_jets():
     f = messy_field()
-    j3 = eval_jet(f, [0.3 + 0.4j, -0.2 + 0.9j], 3)
+    j3 = f.jet([0.3 + 0.4j, -0.2 + 0.9j], 3)
     shifted = j3.shift(1)
     assert shifted.order == 2
     assert shifted.value == j3.grad[1]
@@ -220,9 +219,9 @@ def test_evaluators_are_thread_safe():
 
     f = messy_field()
     z = [0.3 + 0.4j, -0.2 + 0.9j]
-    reference = eval_jet(f, z, 3)
+    reference = f.jet(z, 3)
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: eval_jet(f, z, 3), range(64)))
+        results = list(pool.map(lambda _: f.jet(z, 3), range(64)))
     for j in results:
         assert j.value == reference.value
         assert np.array_equal(j.third, reference.third)
@@ -230,6 +229,6 @@ def test_evaluators_are_thread_safe():
 
 def test_wirtinger_table_symmetry():
     f = messy_field()
-    t = wirtinger_table(eval_jet(f, [0.1 + 0.2j, 0.5 - 0.3j], 3), 2)
+    t = wirtinger_table(f.jet([0.1 + 0.2j, 0.5 - 0.3j], 3), 2)
     np.testing.assert_allclose(t.w2, t.w2.T, atol=0)
     np.testing.assert_allclose(t.w3, np.transpose(t.w3, (2, 1, 0)), atol=0)
