@@ -136,7 +136,8 @@ def _domain_of(cfg):
     try:
         return make_domain(cfg.domain, metric=metric, **params)
     except ValueError as err:
-        raise ConfigError(f"{err}; known registry keys: {REGISTRY_KEYS}")
+        # an unknown or malformed key's message already lists the registry keys
+        raise ConfigError(str(err)) from err
 
 
 def _basis_of(cfg, domain):
@@ -331,8 +332,11 @@ def cmd_worm_bench(cfg):
 
         key, key_args = parse_domain_key(cfg.domain)
         gamma = key_args[0] if key == "worm" and key_args else math.pi
-    params = WormParams(gamma=float(gamma), t=cfg.domain_params.get("t"))
-    domain = make_domain("worm", metric="worm_kahler", gamma=params.gamma, t=params.t)
+    try:
+        params = WormParams(gamma=float(gamma), t=cfg.domain_params.get("t"))
+        domain = make_domain("worm", metric="worm_kahler", gamma=params.gamma, t=params.t)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     wp = domain.params["worm"]
     records = []
     worst = 0.0

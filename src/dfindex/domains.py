@@ -109,7 +109,10 @@ def parse_domain_key(key):
     name = m.group(1).lower()
     args = []
     if m.group(2):
-        args = [float(tok) for tok in m.group(2).split(",") if tok.strip()]
+        try:
+            args = [float(tok) for tok in m.group(2).split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError(f"malformed domain key {key!r}; known keys: {REGISTRY_KEYS}") from None
     return name, args
 
 

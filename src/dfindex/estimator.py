@@ -7,10 +7,11 @@ For a fixed exponent eta the boundary inequality at a site (P, Z) reads
 
 and with h = sum_i c_i phi_i over a finite basis each site imposes a concave
 quadratic constraint on c, so maximizing the worst margin is a convex
-program.  It is solved by Kelley cutting planes with LP subproblems
-(scipy HiGHS); linearizations of concave margins over-estimate them, so the
-LP value is a true upper bound and certifies infeasibility for the given
-basis and sample set when it drops below the required floor.
+program.  It is solved by Kelley cutting planes with LP subproblems (one
+warm-started HiGHS model per search); linearizations of concave margins
+over-estimate them, so the LP value is a true upper bound and certifies
+infeasibility for the given basis and sample set when it drops below the
+required floor.
 
 Bisection over eta assumes feasibility is monotone, which holds whenever a
 single h works across exponents (eta/(1-eta) is increasing); each stage is
@@ -25,6 +26,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.optimize import linprog
+
+try:
+    # private binding, already loaded by scipy.optimize; SciPy releases
+    # without it solve each Kelley LP from scratch through linprog
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+except ImportError:
+    _Highs = None
 
 from . import jets
 from .boundary import frame_at, levi_data, normal_frame, point_at_depth, sample_boundary
@@ -131,16 +139,18 @@ def worm_reduction_basis(gamma, degree=20, spread=0.97):
 
 
 def poly_basis(n, degree=2):
-    """Real polynomials in Re z_j, Im z_j up to total degree ``degree`` (at most 2)."""
+    """Real polynomials in Re z_j, Im z_j up to total degree ``degree`` (1 or 2)."""
+    if degree not in (1, 2):
+        raise ValueError(f"poly_basis builds degree 1 or 2, got {degree!r}")
 
     def rows(zs):
         coords = [part for z in zs for part in (z.real(), z.imag())]
         out = [jets.Jet.constant(1.0, 2 * n, zs[0].order)] + coords
-        if degree >= 2:
+        if degree == 2:
             out += [a * b for i, a in enumerate(coords) for b in coords[i:]]
         return out
 
-    m = 1 + 2 * n + (n * (2 * n + 1) if degree >= 2 else 0)
+    m = 1 + 2 * n + (n * (2 * n + 1) if degree == 2 else 0)
     return HBasis(n=n, m=m, rows=rows, name=f"poly(deg={degree})")
 
 
@@ -334,16 +344,77 @@ class EtaCertificate:
     iterations: int
 
     def to_json_dict(self, seed=None):
+        """Plain JSON fields; a non-finite margin, bound or gap becomes None."""
+
+        def finite(x):
+            return float(x) if math.isfinite(x) else None
+
         return {
             "eta": self.eta,
             "basis_id": self.basis_id,
             "coeffs": [float(c) for c in np.atleast_1d(self.coeffs)],
-            "min_margin": self.min_margin,
+            "min_margin": finite(self.min_margin),
+            "upper_bound": finite(self.upper_bound),
+            "gap": finite(self.upper_bound - self.min_margin),
+            "iterations": self.iterations,
             "n_sites": self.n_sites,
             "feasible": self.feasible,
             "status": self.status,
             "seed": seed,
         }
+
+    @property
+    def decided(self):
+        """Feasible, or infeasible with a cutting-plane bound below the floor."""
+        return self.feasible or self.status == "infeasible_certified"
+
+
+class _CutModel:
+    """The Kelley LP of one search: max t s.t. each cut row . (c, t) <= rhs, |c_i| <= box.
+
+    With SciPy's HiGHS binding the model lives for the whole search: each
+    block of cuts joins it through ``addRows`` and every solve restarts the
+    dual simplex from the previous optimal basis.  Without the binding each
+    solve hands all cuts so far to ``linprog``.
+    """
+
+    def __init__(self, m, box_radius):
+        self.m = m
+        self.bound = np.append(np.full(m, float(box_radius)), np.inf)
+        self.highs = None if _Highs is None else _Highs()
+        if self.highs is None:
+            self.rows, self.rhs = np.empty((0, m + 1)), np.empty(0)
+            return
+        self.highs.setOptionValue("output_flag", False)
+        self.highs.addVars(m + 1, -self.bound, self.bound)
+        self.highs.changeColCost(m, -1.0)
+
+    def add(self, rows, rhs):
+        """Append the cuts ``rows @ (c, t) <= rhs``; ``rows`` has shape (k, m + 1)."""
+        if self.highs is None:
+            self.rows = np.vstack([self.rows, rows])
+            self.rhs = np.concatenate([self.rhs, rhs])
+            return
+        k, width = rows.shape
+        self.highs.addRows(k, np.full(k, -np.inf), rhs, rows.size,
+                           np.arange(0, k * width, width, dtype=np.int32),
+                           np.tile(np.arange(width, dtype=np.int32), k), rows.ravel())
+
+    def solve(self):
+        """The optimal (c, t), or None when the LP is not solved to optimality."""
+        if self.highs is None:
+            res = linprog(np.append(np.zeros(self.m), -1.0), A_ub=self.rows, b_ub=self.rhs,
+                          bounds=list(zip(-self.bound, self.bound)), method="highs")
+            return res.x if res.success else None
+        self.highs.run()
+        if self.highs.getModelStatus() != HighsModelStatus.kOptimal:
+            # a hot start can end short of optimal on an ill-conditioned
+            # basis (seen at degree 40); solve once more without the basis
+            self.highs.clearSolver()
+            self.highs.run()
+            if self.highs.getModelStatus() != HighsModelStatus.kOptimal:
+                return None
+        return np.array(self.highs.getSolution().col_value)
 
 
 def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, tol=1e-6,
@@ -367,25 +438,23 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, tol=1e-6,
         max_iter = max(60, min(10 * m * len(sites), 400))
     k = eta / (1.0 - eta)
     c = np.zeros(m) if c0 is None else np.asarray(c0, dtype=float).copy()
-    cuts_g, cuts_b = [], []
+    model = _CutModel(m, box_radius)
     best_c, best_val = c.copy(), -math.inf
     ub = math.inf
     status = "iteration_cap"
-    bounds = [(-box_radius, box_radius)] * m + [(None, None)]
-    cost = np.concatenate([np.zeros(m), [-1.0]])
     decision_slack = max(10.0 * C_floor, C_floor + 1e-3)
     iterations = 0
 
     def add_cuts(at, vals):
+        # linearize the concave margins of the worst sites at ``at``
         worst = np.argsort(vals)[: min(8, len(vals))]
-        for i in worst:
-            resid = sites.E[i] - sites.D[i] @ at
-            g = sites.A[i] + 2.0 * k * np.real(np.conj(resid) * sites.D[i])
-            b = float(vals[i]) - float(g @ at)
-            # normalize the whole row (t - g.c <= b) so the LP stays well scaled
-            scale = 1.0 / max(1.0, float(np.max(np.abs(g))), abs(b))
-            cuts_g.append(np.concatenate([-g * scale, [scale]]))
-            cuts_b.append(b * scale)
+        D = sites.D[worst]
+        resid = sites.E[worst] - D @ at
+        g = sites.A[worst] + 2.0 * k * np.real(np.conj(resid)[:, None] * D)
+        b = vals[worst] - g @ at
+        # normalize each row (t - g.c <= b) so the LP stays well scaled
+        scale = 1.0 / np.maximum(np.maximum(1.0, np.abs(g).max(axis=1)), np.abs(b))
+        model.add(np.column_stack([-g * scale[:, None], scale]), b * scale)
 
     for iterations in range(1, max_iter + 1):
         vals = sites.margins(c, eta)
@@ -396,15 +465,12 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, tol=1e-6,
             status = "feasible_early_exit"
             break
         add_cuts(c, vals)
-        if len(cuts_b) > 2400:
-            cuts_g, cuts_b = cuts_g[-1800:], cuts_b[-1800:]
-        res = linprog(cost, A_ub=np.array(cuts_g), b_ub=np.array(cuts_b),
-                      bounds=bounds, method="highs")
-        if not res.success:
+        x = model.solve()
+        if x is None:
             status = "lp_failure"
             break
-        ub = float(res.x[-1])
-        c_lp = res.x[:m]
+        ub = float(x[-1])
+        c_lp = x[:m]
         # in-out step: the margins are concave, so scan the segment from the
         # incumbent to the LP point and keep the best interpolate
         if np.isfinite(best_val):
@@ -416,11 +482,11 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, tol=1e-6,
                 best_val = float(cand_vals[pick])
                 best_c = cands[pick].copy()
         c = c_lp
-        if ub - best_val <= tol:
-            status = "converged"
-            break
         if ub < C_floor - tol:
             status = "infeasible_certified"
+            break
+        if ub - best_val <= tol:
+            status = "converged"
             break
         if best_val >= decision_slack:
             status = "feasible_early_exit"
@@ -484,7 +550,9 @@ def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-
 
     ``sites`` come from :func:`collect_sites`.  Feasibility at each eta is
     decided by :func:`feasibility_search`, seeding each stage with the
-    previous certificate's coefficients.
+    previous certificate's coefficients.  A stage that ends neither feasible
+    nor certified infeasible (iteration cap, LP failure) is recorded with a
+    warning and ends the bisection without moving the bracket.
     """
     records, certificates, warnings = [], {}, []
 
@@ -495,6 +563,9 @@ def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-
                         "min_margin": None if cert.min_margin == NO_CONSTRAINT else float(cert.min_margin),
                         "status": cert.status})
         certificates[float(eta)] = cert
+        if not cert.decided:
+            warnings.append(f"eta = {eta} undecided ({cert.status}); it moves neither end "
+                            "of the bracket")
         return cert
 
     if len(sites) == 0:
@@ -509,15 +580,17 @@ def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-
     lo, hi = 0.0, eta_cap
     cert_lo = run(0.0, None)
     c_seed = cert_lo.coeffs if cert_lo.feasible else None
-    if not cert_lo.feasible:
+    if cert_lo.status == "infeasible_certified":
         warnings.append("eta = 0 infeasible for this basis and sample set")
     while hi - lo > tol_eta:
         mid = 0.5 * (lo + hi)
         cert = run(mid, c_seed)
         if cert.feasible:
             lo, c_seed = mid, cert.coeffs
-        else:
+        elif cert.decided:
             hi = mid
+        else:
+            break       # without a certificate no later midpoint is sound
 
     feas_by_eta = sorted((r["eta"], r["feasible"]) for r in records)
     for (e1, f1), (e2, f2) in zip(feas_by_eta, feas_by_eta[1:]):

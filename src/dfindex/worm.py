@@ -237,7 +237,8 @@ def worm_metric(params, box=None, positivity_floor=1e-3, seed=1234):
             params.s = s_try
             return m
         s_try *= 2.0
-    raise ValueError("no positive-definite s found by doubling")
+    raise ValueError(f"no positive-definite s found by doubling at t = {params.t:g}; "
+                     "raise t (domain_params.t)")
 
 
 # ----------------------------------------------------------------------

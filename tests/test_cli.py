@@ -121,6 +121,16 @@ def test_worm_bench_command(tmp_path):
     assert report["summary"]["riccati_thresholds"][key] == pytest.approx(0.5, abs=1e-3)
 
 
+def test_worm_bench_without_kahler_metric_exits_2(tmp_path, capsys):
+    # at worm(2 pi) the default t admits no positive-definite Kaehler metric
+    code = run_cli(["worm-bench", "--domain", f"worm({2 * math.pi!r})", "--samples", "3",
+                    "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "raise t" in err
+    assert not (tmp_path / "worm-bench.json").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])
@@ -182,7 +192,10 @@ def test_user_domain_with_bad_metric_exits_2(tmp_path, capsys, metric):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"domain": "user", "domain_params": _user_params(metric)}))
     assert run_cli(["levi", "--config", str(cfg_path), "--samples", "3", "--out", str(tmp_path)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    # the registry keys belong to unknown-key errors only
+    assert "known keys" not in err and "registry keys" not in err
 
 
 @pytest.mark.parametrize("domain", ["ball", "ellipsoid(1,2)", "user"])

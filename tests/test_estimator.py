@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from dfindex import jets
+from dfindex import estimator, jets
 from dfindex.boundary import sample_boundary
 from dfindex.estimator import (
     NO_CONSTRAINT,
@@ -74,6 +75,14 @@ def test_poly_basis_rows_are_monomials():
         assert np.array_equal(row.grad, grad)
     assert poly_basis(3, degree=1).m == len(poly_basis(3, degree=1).rows(
         seed_coordinate_jets([0.1, 0.2, 0.3], 0))) == 7
+
+
+def test_poly_basis_names_only_degrees_it_builds():
+    linear = poly_basis(2, degree=1)
+    assert linear.m == 1 + 2 * 2 and linear.name == "poly(deg=1)"
+    for degree in (0, 3):
+        with pytest.raises(ValueError, match="degree 1 or 2"):
+            poly_basis(2, degree=degree)
 
 
 @pytest.mark.parametrize("basis", [worm_reduction_basis(gamma=math.pi, degree=8, spread=0.95),
@@ -253,3 +262,86 @@ def test_certificate_serialization_roundtrip(worm_euclid):
     assert len(blob["coeffs"]) == basis.m
     assert blob["seed"] == 7
     assert blob["n_sites"] == len(sites)
+    assert blob["upper_bound"] == cert.upper_bound and math.isfinite(cert.upper_bound)
+    assert blob["iterations"] == cert.iterations > 0
+    assert blob["gap"] == cert.upper_bound - cert.min_margin >= 0.0
+    # seeded with a certificate the search exits before any LP: no bound yet
+    early = feasibility_search(worm_euclid, 0.3, basis, sites, c0=cert.coeffs)
+    assert early.status == "feasible_early_exit" and early.upper_bound == math.inf
+    blob = early.to_json_dict()
+    assert blob["upper_bound"] is None and blob["gap"] is None
+    assert blob["iterations"] == 1 and blob["min_margin"] == early.min_margin
+    assert json.loads(json.dumps(blob, allow_nan=False)) == blob
+
+
+def test_undecided_stage_moves_no_bracket_end(worm_euclid, monkeypatch):
+    basis = worm_reduction_basis(gamma=math.pi, degree=12, spread=0.95)
+    sites = small_worm_sites(worm_euclid, basis, count=40)
+    search = estimator.feasibility_search
+    monkeypatch.setattr(estimator, "feasibility_search",
+                        lambda *args, **kwargs: search(*args, max_iter=2, **kwargs))
+    est = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99)
+    assert (est.eta_lo, est.eta_hi) == (0.0, 0.99)
+    # cap, eta = 0, then the first midpoint, which ends the bisection
+    assert [r["eta"] for r in est.records] == [0.99, 0.0, 0.495]
+    assert [r["status"] for r in est.records] == ["iteration_cap"] * 3
+    assert len(est.warnings) == 3 and all("undecided" in w for w in est.warnings)
+
+
+def test_lp_not_optimal_is_solved_again_then_fails(worm_euclid, monkeypatch):
+    if estimator._Highs is None:
+        pytest.skip("this SciPy has no HiGHS binding; only the linprog path runs")
+    from scipy.optimize._highspy._core import HighsModelStatus
+
+    real = estimator._Highs
+
+    class Stalling:
+        """HiGHS whose solves from a kept basis end short of optimal from the third run on."""
+
+        recovers = True     # whether solving again after clearSolver reaches optimal
+
+        def __init__(self):
+            self.highs, self.runs, self.cold = real(), 0, False
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def run(self):
+            self.runs += 1
+            return self.highs.run()
+
+        def clearSolver(self):
+            self.cold = self.recovers
+            return self.highs.clearSolver()
+
+        def getModelStatus(self):
+            if self.runs >= 3 and not self.cold:
+                return HighsModelStatus.kUnknown
+            return self.highs.getModelStatus()
+
+    basis = worm_reduction_basis(gamma=math.pi, degree=12, spread=0.95)
+    sites = small_worm_sites(worm_euclid, basis, count=40)
+    want = feasibility_search(worm_euclid, 0.7, basis, sites)
+    monkeypatch.setattr(estimator, "_Highs", Stalling)
+    got = feasibility_search(worm_euclid, 0.7, basis, sites)
+    assert (got.status, got.feasible) == (want.status, want.feasible) == ("infeasible_certified", False)
+    monkeypatch.setattr(Stalling, "recovers", False)
+    cert = feasibility_search(worm_euclid, 0.7, basis, sites)
+    assert (cert.status, cert.iterations, cert.feasible) == ("lp_failure", 3, False)
+
+
+@pytest.mark.parametrize("eta", [0.30, 0.70])
+def test_lp_backends_agree(worm_euclid, monkeypatch, eta):
+    if estimator._Highs is None:
+        pytest.skip("this SciPy has no HiGHS binding; only the linprog path runs")
+    basis = worm_reduction_basis(gamma=math.pi, degree=16, spread=0.95)
+    sites = small_worm_sites(worm_euclid, basis, count=80)
+    certs = [feasibility_search(worm_euclid, eta, basis, sites)]
+    monkeypatch.setattr(estimator, "_Highs", None)
+    certs.append(feasibility_search(worm_euclid, eta, basis, sites))
+    persistent, fallback = certs
+    assert persistent.feasible == fallback.feasible
+    assert persistent.status == fallback.status
+    for cert in certs:
+        if cert.feasible:
+            assert sites.margins(cert.coeffs, eta).min() >= 1e-4
