@@ -4,10 +4,12 @@ A :class:`DomainSpec` couples a defining function (order-3 jets), a metric,
 and a chart box.  :class:`NormalFrame` is the per-point bundle of the dual
 frame ``L_r`` / ``X_r`` / unit normals together with lazily built derivative
 tables, and is shared by the form and margin evaluators so each point is
-differentiated once.
+differentiated once.  Its order-2 core (``G``, ``u``, ``L``, ``X``, the
+normals and norms, ``hr`` and the pairings built on them) is also computed
+for a batch of points (B, n) at once, stacked along a leading batch axis;
+the order-3 data (connection, ``h3t``, ``L_jets``) stays per point.
 
-Everything here is pure given ``(domain, seed)``; frames may be computed for
-many points in parallel by callers.
+Everything here is pure given ``(domain, seed)``.
 """
 
 from __future__ import annotations
@@ -118,7 +120,27 @@ class BoundaryPoint:
 
 
 def _point_of(p):
-    return p.z if isinstance(p, BoundaryPoint) else np.asarray(p, dtype=complex).ravel()
+    if isinstance(p, BoundaryPoint):
+        return p.z
+    z = np.asarray(p, dtype=complex)
+    return z if z.ndim == 2 else z.ravel()
+
+
+def _col(s):
+    """A per-point scalar (or batch of them) as a column that scales vectors."""
+    return np.asarray(s)[..., None]
+
+
+def _dot(a, b):
+    """sum_k a_k b_k per point (stacked ``@``); a complex for one point."""
+    out = (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return complex(out) if out.ndim == 0 else out
+
+
+def _pair(a, mat, b):
+    """a^T mat b per point (stacked ``@``); a complex for one point."""
+    out = (a[..., None, :] @ mat @ b[..., :, None])[..., 0, 0]
+    return complex(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +211,14 @@ class NormalFrame:
     Exposes ``L`` (the (1,0) field value with d r(L) = 1), ``X`` (its real
     part), unit normals ``nu_C`` / ``nu_R``, and the gradient norms.  Jets of
     r, the connection data, and coefficient jets of ``L`` are cached and
-    built on demand.
+    built on demand.  For a batch of points ``z`` (B, n) the order-2 data
+    carry a leading batch axis (``u`` (B, n), ``G`` and ``hr`` (B, n, n),
+    the norms (B,)).
     """
 
     def __init__(self, domain, z, r_order=3):
         self.domain = domain
-        self.z = np.asarray(z, dtype=complex).ravel()
+        self.z = _point_of(z)
         self.n = domain.n
         self._tables = {}
         self._chern = {}
@@ -204,19 +228,21 @@ class NormalFrame:
 
         table = self.table(min(r_order, 2))
         self.G = domain.metric.matrix(self.z)
-        self.u = table.holo_grad.copy()
-        x = np.linalg.solve(self.G, self.u)
-        s = float(np.real(self.u.conj() @ x))
-        if s <= TOL_GRAD**2:
-            raise ProjectionError(f"|d r| below tolerance at {self.z} (|dbar r|^2 = {s:.2e})")
+        self.u = np.moveaxis(table.holo_grad, 0, -1).copy()
+        x = np.linalg.solve(self.G, self.u[..., None])[..., 0]
+        s = np.real(_dot(self.u.conj(), x))
+        low = s <= TOL_GRAD**2
+        if np.any(low):
+            at, val = (self.z, s) if self.z.ndim == 1 else (self.z[low][0], s[low][0])
+            raise ProjectionError(f"|d r| below tolerance at {at} (|dbar r|^2 = {val:.2e})")
         self.dbar_norm_sq = s
         self.dbar_norm = np.sqrt(s)            # |del r|
         self.grad_norm = np.sqrt(2.0 * s)      # |d r|
-        lh = x.conj() / s
+        lh = x.conj() / _col(s)
         self.L = CTVector.holo(lh)
         self.X = CTVector(0.5 * lh, 0.5 * lh.conj())
-        self.nu_C = CTVector.holo(lh * self.dbar_norm)
-        self.nu_R = self.X * np.sqrt(2.0) * self.dbar_norm
+        self.nu_C = CTVector.holo(lh * _col(self.dbar_norm))
+        self.nu_R = self.X * np.sqrt(2.0) * _col(self.dbar_norm)
 
     # -- cached derivative data ---------------------------------------
     def table(self, order):
@@ -236,8 +262,8 @@ class NormalFrame:
 
     @property
     def hr(self):
-        """Mixed complex Hessian of r: [d^2 r / dz_j dzbar_k]."""
-        return self.table(2).mixed_hessian
+        """Mixed complex Hessian of r: [d^2 r / dz_j dzbar_k] (batch axis first)."""
+        return np.ascontiguousarray(np.moveaxis(self.table(2).mixed_hessian, (0, 1), (-2, -1)))
 
     def hess2n(self):
         if self._hess2n is None:
@@ -268,15 +294,15 @@ class NormalFrame:
     # -- evaluators ----------------------------------------------------
     def dr(self, v):
         """d r(V) for a complexified vector (= del r(V_h) + delbar r(V_a))."""
-        return complex(self.u @ v.h + self.u.conj() @ v.a)
+        return _dot(self.u, v.h) + _dot(self.u.conj(), v.a)
 
     def mixed_pairing(self, a, b):
         """del-delbar r(A, B) for A of type (1,0) and B of type (0,1)."""
-        return complex(a.h @ self.hr @ b.a)
+        return _pair(a.h, self.hr, b.a)
 
     def levi(self, zvec, wvec):
         """del-delbar r(Z, Wbar) for (1,0) vectors given by holomorphic coefficients."""
-        return complex(zvec @ self.hr @ np.conj(wvec))
+        return _pair(np.asarray(zvec), self.hr, np.conj(wvec))
 
     def hess_r(self, x, y):
         return complex(x.coeffs @ self.hess2n() @ y.coeffs)

@@ -339,7 +339,7 @@ def cmd_worm_bench(cfg):
         raise ConfigError(str(err)) from err
     wp = domain.params["worm"]
     records = []
-    worst = 0.0
+    errors = []
     zvec = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
     from .estimator import geometric_margin
 
@@ -348,9 +348,8 @@ def cmd_worm_bench(cfg):
         fr = normal_frame(domain, p)
         a_val = complex(forms.alpha(domain, p, zvec, frame=fr))
         margin = geometric_margin(domain, p, zvec, cfg.eta, frame=fr)
-        rel = abs(a_val - ref.alpha) / (1 + abs(ref.alpha))
-        rel = max(rel, abs(margin - ref.margin(cfg.eta)) / (1 + abs(ref.margin(cfg.eta))))
-        worst = max(worst, rel)
+        errors.append(abs(a_val - ref.alpha) / (1 + abs(ref.alpha)))
+        errors.append(abs(margin - ref.margin(cfg.eta)) / (1 + abs(ref.margin(cfg.eta))))
         records.append({
             "z2": complex(p.z[1]),
             "x": ref.x,
@@ -366,7 +365,8 @@ def cmd_worm_bench(cfg):
         "gamma": params.gamma,
         "t": wp.t,
         "s": wp.s,
-        "max_relative_error": worst,
+        # np.max keeps a NaN error, which ``max`` would drop
+        "max_relative_error": float(np.max(errors, initial=0.0)),
         "riccati_thresholds": thresholds,
         "known_index": math.pi / (2 * params.gamma),
     }

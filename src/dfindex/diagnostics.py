@@ -74,6 +74,13 @@ class CheckRecord:
         }
 
 
+def _worst(*values):
+    """The largest residual, or NaN if any is NaN (``max`` drops a NaN after its first item)."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values)
+
+
 def _rec(suite, name, residual, tol, detail=""):
     return CheckRecord(suite=suite, name=name, passed=bool(residual <= tol),
                        residual=float(residual), tol=float(tol), detail=detail)
@@ -158,9 +165,9 @@ def jets_suite(count=200, seed=0, n=2):
         jet = f.jet(_random_point(n, rng), 3)
         h_asym = float(np.max(np.abs(jet.hess - jet.hess.T)))
         t = jet.third
-        t_asym = max(float(np.max(np.abs(t - np.transpose(t, p))))
-                     for p in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
-        max_asym = max(max_asym, h_asym, t_asym)
+        t_asym = _worst(*(float(np.max(np.abs(t - np.transpose(t, p))))
+                          for p in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))))
+        max_asym = _worst(max_asym, h_asym, t_asym)
     out.append(_rec("jets", "mixed_partial_symmetry_exact", max_asym, 0.0))
 
     worst_g, worst_h = 0.0, 0.0
@@ -178,10 +185,10 @@ def jets_suite(count=200, seed=0, n=2):
             fp, fm = f(complex_point(x0 + e)), f(complex_point(x0 - e))
             fd = (fp - fm) / (2 * h)
             scale = 1.0 + abs(jet.grad[i])
-            worst_g = max(worst_g, abs(fd - jet.grad[i]) / scale)
+            worst_g = _worst(worst_g, abs(fd - jet.grad[i]) / scale)
             f0 = f(complex_point(x0))
             fd2 = (fp - 2 * f0 + fm) / h**2
-            worst_h = max(worst_h, abs(fd2 - jet.hess[i, i]) / (1.0 + abs(jet.hess[i, i])))
+            worst_h = _worst(worst_h, abs(fd2 - jet.hess[i, i]) / (1.0 + abs(jet.hess[i, i])))
     out.append(_rec("jets", "finite_difference_gradient", worst_g, 1e-8))
     out.append(_rec("jets", "finite_difference_hessian", worst_h, 1e-5))
 
@@ -194,7 +201,7 @@ def jets_suite(count=200, seed=0, n=2):
         jet = field.jet(z, 3)
         cjet = ScalarField(n, lambda zs, fl=field: fl.fn(zs).conj()).jet(z, 3)
         ta, tb = wirtinger_table(jet, n), wirtinger_table(cjet, n)
-        worst = max(worst, float(np.max(np.abs(tb.w2 - np.roll(ta.w2.conj(), n, axis=(0, 1))))))
+        worst = _worst(worst, float(np.max(np.abs(tb.w2 - np.roll(ta.w2.conj(), n, axis=(0, 1))))))
     out.append(_rec("jets", "conjugation_swaps_wirtinger_indices", worst, 1e-13))
     return out
 
@@ -231,7 +238,7 @@ def h3_identity_suite(count=200, seed=1, n=2, tol=1e-8):
                   + 0.5 * (hess(wbar, t_zl) + _apply_vec(rc, table)
                            + hess(zvec, torsion(metric, z, wbar, lvec.conj(), frame=fr))))
         for key, val in zip(worst, (r1, r2, r3, r4, cyc)):
-            worst[key] = max(worst[key], val)
+            worst[key] = _worst(worst[key], val)
     return [_rec("h3", f"identity_{k}", v, tol) for k, v in worst.items()]
 
 
@@ -249,19 +256,19 @@ def structural_suite(count=50, seed=2, n=2):
         zvec, wvec = _random_vec(n, rng), _random_vec(n, rng)
 
         tv = torsion(metric, z, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()), frame=fr)
-        worst_t = max(worst_t, float(np.max(np.abs(tv.coeffs))))
+        worst_t = _worst(worst_t, float(np.max(np.abs(tv.coeffs))))
 
         lhs = (hess_op(metric, z, f, zvec, wvec, frame=fr, table=table)
                - hess_op(metric, z, f, wvec, zvec, frame=fr, table=table))
         tzw = torsion(metric, z, zvec, wvec, frame=fr)
-        worst_hsym = max(worst_hsym, abs(lhs + _apply_vec(tzw, table)))
+        worst_hsym = _worst(worst_hsym, abs(lhs + _apply_vec(tzw, table)))
 
         mixed = hess_op(metric, z, f, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()),
                         frame=fr, table=table)
         direct = complex(zvec.h @ table.mixed_hessian @ wvec.h.conj())
-        worst_ch = max(worst_ch, abs(mixed - direct))
+        worst_ch = _worst(worst_ch, abs(mixed - direct))
 
-        worst_compat = max(worst_compat, metric_compat_residual(metric, z))
+        worst_compat = _worst(worst_compat, metric_compat_residual(metric, z))
 
         hf = VectorField.from_holo([random_scalar_field(n, rng, terms=2) for _ in range(n)])
         sf = random_scalar_field(n, rng, terms=2)
@@ -276,13 +283,13 @@ def structural_suite(count=50, seed=2, n=2):
         sval = stab.value
         xs = complex(direction.coeffs @ stab.w1)
         rhsv = sval * covariant_derivative(metric, z, direction, hf, frame=fr) + xs * hf.value(z)
-        worst_leib = max(worst_leib, float(np.max(np.abs((lhsv - rhsv).coeffs))))
+        worst_leib = _worst(worst_leib, float(np.max(np.abs((lhsv - rhsv).coeffs))))
 
         xfield = VectorField.from_holo([random_scalar_field(n, rng, terms=2) for _ in range(n)])
         yfield = VectorField.from_holo([random_scalar_field(n, rng, terms=2) for _ in range(n)])
         tdef = torsion_from_fields(metric, z, xfield, yfield)
         tten = torsion(metric, z, xfield.value(z), yfield.value(z), frame=fr)
-        worst_tdef = max(worst_tdef, float(np.max(np.abs((tdef - tten).coeffs))))
+        worst_tdef = _worst(worst_tdef, float(np.max(np.abs((tdef - tten).coeffs))))
 
         curvature_contraction(metric, z, zvec, wvec, frame=fr)  # raises if not real
     out.append(_rec("structural", "torsion_mixed_type_vanishes", worst_t, 1e-10))
@@ -305,18 +312,18 @@ def boundary_suite(samples=20, seed=3, gamma=math.pi):
         pts = sample_boundary(domain, samples, seed)
         for p in pts:
             fr = normal_frame(domain, p)
-            worst_frame = max(worst_frame,
-                              abs(fr.dr(fr.L) - 1.0),
-                              abs(math.sqrt(fr.norm2(fr.L)) - 1.0 / fr.dbar_norm))
+            worst_frame = _worst(worst_frame,
+                                 abs(fr.dr(fr.L) - 1.0),
+                                 abs(math.sqrt(fr.norm2(fr.L)) - 1.0 / fr.dbar_norm))
             ld = levi_data(domain, fr)
-            worst_levi_neg = max(worst_levi_neg, max(0.0, -float(ld.eigenvalues[0])))
+            worst_levi_neg = _worst(worst_levi_neg, 0.0, -float(ld.eigenvalues[0]))
             for zv in ld.null_basis:
                 for _ in range(20):
                     w = _random_vec(domain.n, rng)
                     resid = abs(fr.levi(zv.h, w.h)
                                 - forms.alpha(domain, p, zv, frame=fr) * np.conj(fr.u @ w.h))
                     scale = math.sqrt(fr.norm2(zv)) * math.sqrt(fr.norm2(w))
-                    worst_null = max(worst_null, resid / max(scale, 1e-12))
+                    worst_null = _worst(worst_null, resid / max(scale, 1e-12))
     out.append(_rec("boundary", "frame_identities", worst_frame, 1e-10))
     out.append(_rec("boundary", "null_space_identity", worst_null, 1e-6))
     out.append(_rec("boundary", "pseudoconvexity_monitor", worst_levi_neg, 1e-7))
@@ -345,15 +352,15 @@ def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
         a_k = forms.alpha(worm_k, p, zv)
         b_e = forms.beta_mixed(worm_e, p, zv, zv)
         b_k = forms.beta_mixed(worm_k, p, zv, zv)
-        worst_inv_a = max(worst_inv_a, abs(a_e - a_k))
-        worst_inv_b = max(worst_inv_b, abs((1j * b_e).real - (1j * b_k).real))
-        worst_real = max(worst_real, abs((1j * b_e).imag),
-                         abs(forms.alpha(worm_e, p, zv.conj()) - np.conj(a_e)))
-        worst_cross_a = max(worst_cross_a, abs(a_e - forms.alpha_geometric(worm_e, p, zv)))
-        worst_nullf = max(worst_nullf, abs(b_e - forms.beta_mixed_nullspace(worm_e, p, zv, zv)))
+        worst_inv_a = _worst(worst_inv_a, abs(a_e - a_k))
+        worst_inv_b = _worst(worst_inv_b, abs((1j * b_e).real - (1j * b_k).real))
+        worst_real = _worst(worst_real, abs((1j * b_e).imag),
+                            abs(forms.alpha(worm_e, p, zv.conj()) - np.conj(a_e)))
+        worst_cross_a = _worst(worst_cross_a, abs(a_e - forms.alpha_geometric(worm_e, p, zv)))
+        worst_nullf = _worst(worst_nullf, abs(b_e - forms.beta_mixed_nullspace(worm_e, p, zv, zv)))
         wv = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        worst_unm = max(worst_unm, abs(forms.beta_unmixed(worm_e, p, zv, zv)))
-        worst_geo = max(worst_geo, abs(forms.beta_geometric(worm_k, p, zv) - (-1j * b_k).real))
+        worst_unm = _worst(worst_unm, abs(forms.beta_unmixed(worm_e, p, zv, zv)))
+        worst_geo = _worst(worst_geo, abs(forms.beta_geometric(worm_k, p, zv) - (-1j * b_k).real))
     out.append(_rec("forms", "alpha_metric_invariance", worst_inv_a, 1e-6))
     out.append(_rec("forms", "beta_metric_invariance", worst_inv_b, 1e-6))
     out.append(_rec("forms", "reality", worst_real, 1e-10))
@@ -369,11 +376,11 @@ def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
         zv = ldb.basis[0]
         wv = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         ru, rm = forms.beta_weak_residual(ball, p, zv, wv)
-        worst_weak = max(worst_weak, ru, rm)
+        worst_weak = _worst(worst_weak, ru, rm)
     for p in sgamma_points(params, 2, spread=0.5):
         zv = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
         ru, rm = forms.beta_weak_residual(worm_e, p, zv, zv)
-        worst_weak = max(worst_weak, ru, rm)
+        worst_weak = _worst(worst_weak, ru, rm)
     out.append(_rec("forms", "weak_identity_beta_vs_grid_dalpha", worst_weak, 1e-5))
 
     patch = forms.sgamma_patch_tangent(worm_e)
@@ -383,7 +390,7 @@ def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
     out.append(_rec("forms", "loop_period_vs_oracle", abs(period - (-4.0 * math.pi)), 1e-6,
                     detail=f"period={period:.9f}"))
 
-    kd = max(kahler_defect(worm_k.metric, z) for z in _annulus_points(params, 100, seed))
+    kd = _worst(*(kahler_defect(worm_k.metric, z) for z in _annulus_points(params, 100, seed)))
     out.append(_rec("forms", "kahler_d_omega_zero", kd, 1e-8))
     return out
 
@@ -409,18 +416,20 @@ def worm_reference_suite(count=50, seed=5, gamma=math.pi, t=1.2, tol=1e-6):
         ref = s_gamma_reference(wp, p.z[1])
         fr = normal_frame(domain, p)
         rel = lambda a, b: abs(a - b) / (1.0 + abs(b))
-        worst["alpha"] = max(worst["alpha"], rel(forms.alpha(domain, p, zvec, frame=fr), ref.alpha))
+        worst["alpha"] = _worst(worst["alpha"],
+                                rel(forms.alpha(domain, p, zvec, frame=fr), ref.alpha))
         curv = curvature_contraction(domain.metric, fr.z, zvec, fr.nu_C, frame=fr.chern(2))
-        worst["curvature"] = max(worst["curvature"], rel(curv, ref.curvature))
+        worst["curvature"] = _worst(worst["curvature"], rel(curv, ref.curvature))
         sff_j = abs(fr.hess_r(zvec, fr.nu_R.J())) ** 2 * fr.norm2(fr.X)
-        worst["sff_j"] = max(worst["sff_j"], rel(sff_j, ref.sff_JnuR_sq))
-        worst["sff_zz"] = max(worst["sff_zz"], abs(fr.hess_r(zvec, zvec)) * fr.norm2(fr.X))
-        worst["margin"] = max(worst["margin"],
-                              rel(geometric_margin(domain, p, zvec, eta, frame=fr), ref.margin(eta)))
+        worst["sff_j"] = _worst(worst["sff_j"], rel(sff_j, ref.sff_JnuR_sq))
+        worst["sff_zz"] = _worst(worst["sff_zz"], abs(fr.hess_r(zvec, zvec)) * fr.norm2(fr.X))
+        worst["margin"] = _worst(worst["margin"], rel(geometric_margin(domain, p, zvec, eta, frame=fr),
+                                                      ref.margin(eta)))
         nb = fr.nabla_L(CTVector.anti(np.array([0.0, 1.0], dtype=complex)))
-        worst["nabla_bar"] = max(worst["nabla_bar"], rel(nb.h[0] / fr.L.h[0], ref.nabla_bar_factor))
+        worst["nabla_bar"] = _worst(worst["nabla_bar"],
+                                    rel(nb.h[0] / fr.L.h[0], ref.nabla_bar_factor))
         nl = fr.nabla_L(zvec)
-        worst["nabla"] = max(worst["nabla"], rel(nl.h[0] / fr.L.h[0], ref.nabla_factor))
+        worst["nabla"] = _worst(worst["nabla"], rel(nl.h[0] / fr.L.h[0], ref.nabla_factor))
     return [_rec("worm_reference", k, v, tol) for k, v in worst.items()]
 
 
@@ -434,7 +443,7 @@ def margin_equivalence_suite(count=30, seed=6, gamma=math.pi, t=1.2):
         for eta in (0.0, 0.25, 0.4):
             gm = geometric_margin(domain, p, zvec, eta, frame=fr)
             vm = vectorfield_margin(domain, p, zvec, eta, frame=fr)
-            worst = max(worst, abs(gm - vm))
+            worst = _worst(worst, abs(gm - vm))
     return [_rec("margins", "geometric_equals_vectorfield", worst, 1e-8)]
 
 

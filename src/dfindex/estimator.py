@@ -626,7 +626,6 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
         points = sample_boundary(domain, n_points, seed)
     n = domain.n
     rows = []
-    min_eig = math.inf
     for p in points:
         for depth in depths:
             z = point_at_depth(domain, p, depth)
@@ -653,8 +652,10 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
                 mat = hr / (-rv) + (u @ u.conj().T) / rv**2 + hh
             mat = mat - C * fr.G
             mat = 0.5 * (mat + mat.conj().T)
-            eig = float(np.linalg.eigvalsh(mat)[0])
-            min_eig = min(min_eig, eig)
+            # eigvalsh can return finite numbers for a matrix holding a NaN
+            eig = float(np.linalg.eigvalsh(mat)[0]) if np.isfinite(mat).all() else math.nan
             rows.append({"z": fr.z, "depth": float(depth), "min_eig": eig})
+    # np.min keeps a NaN sample, which ``min`` would drop
+    min_eig = float(np.min([r["min_eig"] for r in rows], initial=math.inf))
     return {"eta": float(eta), "C": float(C), "min_eig": min_eig, "rows": rows,
             "positive": bool(min_eig > 0.0)}

@@ -8,6 +8,10 @@ the complexified derivative tables produced by :func:`wirtinger_table`.
 
 Complexified direction indices are ordered ``0..n-1`` for the holomorphic
 directions d/dz_j and ``n..2n-1`` for the antiholomorphic d/dzbar_j.
+
+A chart point has shape ``(n,)``; a batch of points has shape ``(B, n)``
+and gives batch jets and tables (see :mod:`dfindex.jets`), whose columns
+equal the one-point results bit for bit.
 """
 
 from __future__ import annotations
@@ -35,10 +39,16 @@ class ChartDomainError(ValueError):
     """Evaluation point is outside the field's declared chart region."""
 
 
+def _points(z):
+    """A chart point as shape (n,), or a batch of points as (B, n)."""
+    z = np.asarray(z, dtype=complex)
+    return z if z.ndim == 2 else z.ravel()
+
+
 def real_coords(z):
-    """Real coordinates [Re z; Im z] of a complex chart point."""
-    z = np.asarray(z, dtype=complex).ravel()
-    return np.concatenate([z.real, z.imag])
+    """Real coordinates [Re z; Im z] of a complex chart point (or of each point of a batch)."""
+    z = _points(z)
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def complex_point(x):
@@ -49,14 +59,17 @@ def complex_point(x):
 
 
 def seed_coordinate_jets(z, order):
-    """Complex coordinate jets z_j = x_j + i*y_j over the 2n real variables."""
-    z = np.asarray(z, dtype=complex).ravel()
-    n = z.size
+    """Complex coordinate jets z_j = x_j + i*y_j over the 2n real variables.
+
+    ``z`` is one point (n,) or a batch (B, n); a batch gives jets of batch shape (B,).
+    """
+    z = _points(z)
+    n = z.shape[-1]
     m = 2 * n
     out = []
     for j in range(n):
-        xj = Jet.variable(z[j].real, j, m, order)
-        yj = Jet.variable(z[j].imag, n + j, m, order)
+        xj = Jet.variable(z[..., j].real.copy(), j, m, order)
+        yj = Jet.variable(z[..., j].imag.copy(), n + j, m, order)
         out.append(xj + 1j * yj)
     return out
 
@@ -92,24 +105,29 @@ class ScalarField:
         self.max_order = max_order
 
     def check_point(self, z):
-        z = np.asarray(z, dtype=complex).ravel()
-        if z.size != self.n:
+        """``z`` as one point (n,) or a batch (B, n); raises if any point is outside."""
+        z = _points(z)
+        if z.shape[-1] != self.n:
             raise ValueError(f"field {self.name!r} expects {self.n} complex coordinates")
         if self.box is not None:
             x = real_coords(z)
-            if np.any(x < self.box[:, 0]) or np.any(x > self.box[:, 1]):
-                raise ChartDomainError(f"point {z} outside chart box of field {self.name!r}")
+            out = np.any((x < self.box[:, 0]) | (x > self.box[:, 1]), axis=-1)
+            if np.any(out):
+                bad = z if z.ndim == 1 else z[out][0]
+                raise ChartDomainError(f"point {bad} outside chart box of field {self.name!r}")
         if self.guard is not None:
             self.guard(z)
         return z
 
     def jet(self, z, order):
+        """Jet of the field at one point, or batch jet over a batch of points."""
         if not 0 <= order <= self.max_order:
             raise JetOrderError(
                 f"field {self.name!r} supports jet orders 0..{self.max_order}, got {order}"
             )
         z = self.check_point(z)
-        return self.fn(seed_coordinate_jets(z, order))
+        # a field that ignores its coordinates (a constant) returns a one-point jet
+        return self.fn(seed_coordinate_jets(z, order)).broadcast(z.shape[:-1])
 
     def __call__(self, z):
         return self.jet(z, 0).value
@@ -132,7 +150,8 @@ class WirtingerTable:
 
     ``w1[a]``, ``w2[a, b]``, ``w3[a, b, c]`` are the derivatives along the
     complexified directions; indices < n are holomorphic, >= n conjugate.
-    Tables are fully symmetric.
+    Tables are fully symmetric.  A table of a batch jet carries the batch
+    axes last, as the jet does.
     """
 
     n: int
@@ -172,9 +191,9 @@ def wirtinger_table(jet, n):
     if jet.order >= 1:
         w1 = q @ jet.grad
     if jet.order >= 2:
-        w2 = np.einsum("ap,bq,pq->ab", q, q, jet.hess)
+        w2 = np.einsum("ap,bq,pq...->ab...", q, q, jet.hess)
     if jet.order >= 3:
-        w3 = np.einsum("ap,bq,cr,pqr->abc", q, q, q, jet.third)
+        w3 = np.einsum("ap,bq,cr,pqr...->abc...", q, q, q, jet.third)
     return WirtingerTable(n=n, order=jet.order, value=jet.value, w1=w1, w2=w2, w3=w3)
 
 

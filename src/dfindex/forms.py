@@ -44,7 +44,9 @@ def alpha(domain, p, v, frame=None):
     """alpha_r(V) = del-delbar r(V, Lbar) extended to complexified vectors.
 
     Real-valued as a 1-form: alpha(Vbar) = conj(alpha(V)).  Defined on the
-    whole frame neighborhood, not only on the boundary.
+    whole frame neighborhood, not only on the boundary.  ``p`` may be a
+    batch of points (B, n) with ``v`` of coefficients (B, n); the result is
+    then an array (B,).
     """
     fr = _frame(domain, p, frame)
     lbar = fr.L.conj()
@@ -53,7 +55,7 @@ def alpha(domain, p, v, frame=None):
         out += fr.mixed_pairing(CTVector.holo(v.h), lbar)
     if np.any(v.a):
         out += fr.mixed_pairing(fr.L, CTVector.anti(v.a))
-    return complex(out)
+    return out
 
 
 def alpha_geometric(domain, p, zvec, frame=None):
@@ -171,9 +173,10 @@ def beta_geometric(domain, p, zvec, frame=None, null_tol=1e-6):
 class SubmanifoldPatch:
     """Holomorphically parametrized complex curve S inside the boundary.
 
-    ``chart(u)`` maps a complex parameter to a chart point; ``tangent(u)``
-    returns dz/du, the (1,0) tangent coefficients.  ``u_range`` /``v_range``
-    bound the real and imaginary parts of the parameter grid.
+    ``chart(u)`` maps complex parameters of any shape to chart points (one
+    more axis of length n); ``tangent(u)`` returns dz/du, the (1,0) tangent
+    coefficients, in the same layout.  ``u_range`` /``v_range`` bound the
+    real and imaginary parts of the parameter grid.
     """
 
     domain: object
@@ -209,10 +212,12 @@ def sgamma_patch_tangent(domain):
     a = domain.params["gamma"] - np.pi / 2
 
     def chart(u):
-        return np.array([0.0, np.exp(u / 2.0)], dtype=complex)
+        z2 = np.exp(np.asarray(u) / 2.0)
+        return np.stack([np.zeros_like(z2), z2], axis=-1)
 
     def tangent(u):
-        return np.array([0.0, np.exp(u / 2.0) / 2.0], dtype=complex)
+        z2 = np.exp(np.asarray(u) / 2.0)
+        return np.stack([np.zeros_like(z2), z2 / 2.0], axis=-1)
 
     return SubmanifoldPatch(
         domain=domain,
@@ -228,49 +233,54 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 def _alpha_on_patch(domain, patch):
     def a_of(u):
-        z = patch.chart(u)
-        t = CTVector.holo(np.asarray(patch.tangent(u), dtype=complex))
-        return alpha(domain, z, t)
+        return alpha(domain, patch.chart(u), CTVector.holo(patch.tangent(u)))
 
     return a_of
 
 
-def _edge_integral(a_of, u0, u1):
-    """Integral of the real 1-form (A du + conj(A) dubar) along a straight edge."""
+def _complex(re, im):
+    """Complex array with exactly the given real and imaginary parts."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _edge_integrals(a_of, u0, u1):
+    """Integrals of the real 1-form (A du + conj(A) dubar) along straight edges u0[k] -> u1[k].
+
+    One ``a_of`` call evaluates the Gauss-Legendre nodes of every edge; the
+    node terms of each edge are added in node order.
+    """
     mid, half = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
+    values = a_of((mid + _GL_NODES[:, None] * half).ravel()).reshape(len(_GL_NODES), -1)
     total = 0.0
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        u = mid + node * half
-        total += weight * 2.0 * np.real(a_of(u) * half)
+    for weight, a_node in zip(_GL_WEIGHTS, values):
+        # Re(a_node * half), rounded as the scalar complex product rounds
+        total += weight * 2.0 * (a_node.real * half.real - a_node.imag * half.imag)
     return total
 
 
 def max_circulation_density(a_of, patch, grid):
     """Max per-cell Stokes circulation density of a pulled-back 1-form.
 
-    ``a_of(u)`` is the (1,0) component of the form in the patch parameter;
-    every grid cell is integrated with Gauss-Legendre edge quadrature (each
-    interior edge evaluated once) and the largest |circulation| / area is
-    returned.
+    ``a_of(u)`` is the (1,0) component of the form at an array of patch
+    parameters; every grid cell is integrated with Gauss-Legendre edge
+    quadrature (each interior edge evaluated once, one ``a_of`` call per
+    grid line) and the largest |circulation| / area is returned.  A NaN
+    anywhere gives NaN.
     """
     nu, nv = grid
     us = np.linspace(*patch.u_range, nu + 1)
     vs = np.linspace(*patch.v_range, nv + 1)
     horiz = np.empty((nu, nv + 1))
     vert = np.empty((nu + 1, nv))
-    for i in range(nu):
-        for j in range(nv + 1):
-            horiz[i, j] = _edge_integral(a_of, complex(us[i], vs[j]), complex(us[i + 1], vs[j]))
+    for j in range(nv + 1):
+        horiz[:, j] = _edge_integrals(a_of, _complex(us[:-1], vs[j]), _complex(us[1:], vs[j]))
     for i in range(nu + 1):
-        for j in range(nv):
-            vert[i, j] = _edge_integral(a_of, complex(us[i], vs[j]), complex(us[i], vs[j + 1]))
-    worst = 0.0
-    for i in range(nu):
-        for j in range(nv):
-            circ = horiz[i, j] + vert[i + 1, j] - horiz[i, j + 1] - vert[i, j]
-            area = (us[i + 1] - us[i]) * (vs[j + 1] - vs[j])
-            worst = max(worst, abs(circ) / area)
-    return worst
+        vert[i, :] = _edge_integrals(a_of, _complex(us[i], vs[:-1]), _complex(us[i], vs[1:]))
+    circ = horiz[:, :-1] + vert[1:, :] - horiz[:, 1:] - vert[:-1, :]
+    area = np.diff(us)[:, None] * np.diff(vs)[None, :]
+    return float(np.max(np.abs(circ) / area))
 
 
 def pullback_alpha_dclosed(domain, patch, grid=(32, 32)):
@@ -284,12 +294,10 @@ def pullback_alpha_dclosed(domain, patch, grid=(32, 32)):
 
 def loop_alpha_integral(domain, patch, u_fixed=0.0, v_span=(0.0, 2.0 * np.pi), segments=96):
     """Line integral of the pulled-back alpha along u = const, v in v_span."""
-    a_of = _alpha_on_patch(domain, patch)
     vs = np.linspace(*v_span, segments + 1)
-    return sum(
-        _edge_integral(a_of, complex(u_fixed, vs[k]), complex(u_fixed, vs[k + 1]))
-        for k in range(segments)
-    )
+    edges = _edge_integrals(_alpha_on_patch(domain, patch),
+                            _complex(u_fixed, vs[:-1]), _complex(u_fixed, vs[1:]))
+    return sum(edges)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fields as flds
 from .fields import ScalarField, dz_jet, seed_coordinate_jets, wirtinger_table
 from .jets import Jet
 
@@ -100,7 +99,7 @@ class CTVector:
     @property
     def coeffs(self):
         """Concatenated coefficients over the 2n complexified directions."""
-        return np.concatenate([self.h, self.a])
+        return np.concatenate([self.h, self.a], axis=-1)
 
     def is_real(self, tol=1e-12):
         return bool(np.max(np.abs(self.a - self.h.conj())) <= tol * (1.0 + np.max(np.abs(self.h))))
@@ -158,35 +157,20 @@ class MetricField:
         return [[self.entries[j][k].fn(zs) for k in range(self.n)] for j in range(self.n)]
 
     def matrix(self, z, tol=1e-12):
-        zs = seed_coordinate_jets(np.asarray(z, dtype=complex).ravel(), 0)
-        m = np.array([[self.entries[j][k].fn(zs).value for k in range(self.n)]
-                      for j in range(self.n)], dtype=complex)
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > tol * (1.0 + np.max(np.abs(m))):
-            raise MetricError(f"metric {self.name!r} not Hermitian at {z} (defect {herm:.3e})")
-        return 0.5 * (m + m.conj().T)
-
-    def min_eigenvalue_sample(self, box, count=200, seed=0):
-        """Smallest metric eigenvalue over ``count`` points sampled in ``box``."""
-        rng = np.random.default_rng(seed)
-        box = np.asarray(box, dtype=float)
-        lo, hi = box[:, 0], box[:, 1]
-        worst = np.inf
-        found = 0
-        trials = 0
-        while found < count and trials < 50 * count:
-            trials += 1
-            x = lo + (hi - lo) * rng.random(box.shape[0])
-            z = flds.complex_point(x)
-            try:
-                m = self.matrix(z)
-            except (flds.ChartDomainError, ValueError, ZeroDivisionError):
-                continue
-            found += 1
-            worst = min(worst, float(np.linalg.eigvalsh(m)[0]))
-        if found == 0:
-            raise MetricError("no admissible sample points when checking positivity")
-        return worst
+        """Hermitian matrix at one point (n, n), or stacked over a batch of points (B, n, n)."""
+        zs = seed_coordinate_jets(z, 0)
+        batch = zs[0].shape
+        m = np.empty(batch + (self.n, self.n), dtype=complex)
+        for j in range(self.n):
+            for k in range(self.n):
+                m[..., j, k] = self.entries[j][k].fn(zs).value
+        mh = np.swapaxes(m.conj(), -1, -2)
+        herm = np.max(np.abs(m - mh), axis=(-2, -1))
+        bad = herm > tol * (1.0 + np.max(np.abs(m), axis=(-2, -1)))
+        if np.any(bad):
+            at, defect = (z, herm) if not batch else (np.asarray(z)[bad][0], herm[bad][0])
+            raise MetricError(f"metric {self.name!r} not Hermitian at {at} (defect {defect:.3e})")
+        return 0.5 * (m + mh)
 
 
 # ----------------------------------------------------------------------

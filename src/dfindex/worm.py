@@ -91,27 +91,37 @@ class WormParams:
 
 def _lambda_jet(x, params):
     u = x * x - params.a**2
-    if np.real(u.value) <= 0.0:
-        return jets.Jet.constant(0.0, x.m, x.order)
-    return params.lam_c * u**params.lam_p
+    return jets.branch(np.real(u.value) <= 0.0,
+                       lambda u: jets.Jet.constant(0.0, u.m, u.order),
+                       lambda u: params.lam_c * u**params.lam_p, u)
 
 
 def _f_jets(x, params):
     """Jets of f, f', f'' at a real jet x; branchwise analytic."""
     t = params.t
-    if abs(np.real(x.value)) <= params.x_cut:
+
+    def cosine(x):
         c = jets.cos(x * (1.0 / t))
         f = jets.power(c, 2.0 * t)
         tn = jets.sin(x * (1.0 / t)) / c
         f1 = -2.0 * f * tn
         f2 = f * (4.0 * tn * tn - (2.0 / t) * (1.0 + tn * tn))
         return f, f1, f2
-    sgn = 1.0 if np.real(x.value) > 0 else -1.0
-    f0, b, cq = params.extension_coeffs()
-    u = x * sgn - params.x_cut
-    slope = b + (2.0 * cq) * u
-    e = f0 * jets.exp(u * b + u * u * cq)
-    return e, sgn * slope * e, (slope * slope + 2.0 * cq) * e
+
+    def extension(sgn):
+        def ext(x):
+            f0, b, cq = params.extension_coeffs()
+            u = x * sgn - params.x_cut
+            slope = b + (2.0 * cq) * u
+            e = f0 * jets.exp(u * b + u * u * cq)
+            return e, sgn * slope * e, (slope * slope + 2.0 * cq) * e
+
+        return ext
+
+    def outside(x):
+        return jets.branch(np.real(x.value) > 0, extension(1.0), extension(-1.0), x)
+
+    return jets.branch(abs(np.real(x.value)) <= params.x_cut, cosine, outside, x)
 
 
 def _log_abs2(z2):
@@ -126,7 +136,7 @@ def worm_domain(params, metric="euclidean", name=None):
     r2_lo = 0.95 * math.exp(-params.x_max / 2.0)
 
     def guard(z):
-        if abs(z[1]) < r2_lo:
+        if np.any(np.abs(z[..., 1]) < r2_lo):
             raise ChartDomainError(f"worm chart excludes |z_2| < {r2_lo:.3g} (removed fiber z_2 = 0)")
 
     def r_fn(zs):
@@ -212,7 +222,8 @@ def worm_metric(params, box=None, positivity_floor=1e-3, seed=1234):
 
     def min_eig(s_value):
         m = MetricField(2, entries_for(s_value), name=f"omega_worm(s={s_value:g})")
-        worst = min(float(np.linalg.eigvalsh(m.matrix(z))[0]) for z in sample)
+        # one batch over the sample; a NaN eigenvalue makes the sample fail
+        worst = float(np.min(np.linalg.eigvalsh(m.matrix(sample))[:, 0]))
         return m, worst
 
     if params.s is not None:

@@ -1,3 +1,5 @@
+import math
+
 from dfindex.diagnostics import (
     _corrupted_metric_check,
     boundary_suite,
@@ -29,3 +31,19 @@ def test_injected_nonhermitian_metric_fails_invariant():
     assert len(records) == 1
     assert not records[0].passed
     assert "rejected" in records[0].detail
+
+
+def test_nan_residual_fails_its_check(monkeypatch):
+    from dfindex import diagnostics
+
+    real = diagnostics.vectorfield_margin
+    calls = []
+
+    def nan_once(*args, **kwargs):
+        calls.append(1)
+        return math.nan if len(calls) == 2 else real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "vectorfield_margin", nan_once)
+    (record,) = diagnostics.margin_equivalence_suite(count=2)
+    assert math.isnan(record.residual)
+    assert not record.passed

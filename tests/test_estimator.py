@@ -345,3 +345,23 @@ def test_lp_backends_agree(worm_euclid, monkeypatch, eta):
     for cert in certs:
         if cert.feasible:
             assert sites.margins(cert.coeffs, eta).min() >= 1e-4
+
+
+def test_interior_check_does_not_certify_over_a_nan_sample(ball, monkeypatch):
+    real = estimator.wirtinger_table
+    calls = []
+
+    def nan_hessian_once(jet, n):
+        table = real(jet, n)
+        calls.append(1)
+        if len(calls) == 2:
+            table.w2 = np.full_like(table.w2, np.nan)
+        return table
+
+    monkeypatch.setattr(estimator, "wirtinger_table", nan_hessian_once)
+    h_field = ScalarField(2, lambda zs: zs[0].real() * 0.1)
+    rep = interior_check(ball, h_field, 0.3, depths=[1e-3, 1e-2], n_points=2)
+    assert len(rep["rows"]) == 4
+    assert math.isnan(rep["rows"][1]["min_eig"])
+    assert all(r["min_eig"] > 0 for i, r in enumerate(rep["rows"]) if i != 1)
+    assert math.isnan(rep["min_eig"]) and rep["positive"] is False

@@ -150,12 +150,13 @@ def test_pullback_alpha_stokes_and_period(worm_euclid):
 def test_exact_form_pullback_has_tiny_circulation(worm_euclid):
     patch = forms.sgamma_patch_tangent(worm_euclid)
 
-    # dh for h = Re(z2) + 0.3 log|z2|^2: (1,0) component at the patch tangent
+    # dh for h = Re(z2) + 0.3 log|z2|^2: (1,0) component at the patch tangent,
+    # for an array of patch parameters
     def a_of(u):
         z = patch.chart(u)
         t = patch.tangent(u)
-        dh = 0.5 + 0.3 / z[1]          # d(Re z2)/dz2 = 1/2, d(log|z2|^2)/dz2 = 1/z2
-        return dh * t[1]
+        dh = 0.5 + 0.3 / z[..., 1]     # d(Re z2)/dz2 = 1/2, d(log|z2|^2)/dz2 = 1/z2
+        return dh * t[..., 1]
 
     resid = forms.max_circulation_density(a_of, patch, grid=(32, 32))
     assert resid < 1e-8
@@ -171,3 +172,19 @@ def test_patch_validation_rejects_off_boundary(ball):
     )
     with pytest.raises(ValueError, match="boundary"):
         bad.validate()
+
+
+def test_one_nan_node_makes_the_circulation_density_nan(worm_euclid):
+    patch = forms.sgamma_patch_tangent(worm_euclid)
+    batches = []
+
+    def a_of(u):
+        out = 0.5 * patch.tangent(u)[..., 1]      # d(Re z2) pulled back: exact
+        if not batches:
+            out[5] = np.nan
+        batches.append(len(u))
+        return out
+
+    assert math.isnan(forms.max_circulation_density(a_of, patch, grid=(32, 32)))
+    # one call per grid line, each edge's 6 nodes evaluated once
+    assert len(batches) == 33 + 33 and sum(batches) == 6 * 2 * 32 * 33
