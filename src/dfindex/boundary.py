@@ -1,13 +1,13 @@
 """Boundary machinery: frames, Levi forms, sampling, and normal transport.
 
 A :class:`DomainSpec` couples a defining function (order-3 jets), a metric,
-and a chart box.  :class:`NormalFrame` is the per-point bundle of the dual
-frame ``L_r`` / ``X_r`` / unit normals together with lazily built derivative
-tables, and is shared by the form and margin evaluators so each point is
-differentiated once.  Its order-2 core (``G``, ``u``, ``L``, ``X``, the
-normals and norms, ``hr`` and the pairings built on them) is also computed
-for a batch of points (B, n) at once, stacked along a leading batch axis;
-the order-3 data (connection, ``h3t``, ``L_jets``) stays per point.
+and a chart box.  :class:`NormalFrame` is the bundle of the dual frame
+``L_r`` / ``X_r`` / unit normals together with cached derivative tables, and
+is shared by the form and margin evaluators so each point is differentiated
+once.  A frame, its order-3 data (connection, ``h3t``, ``L_jets``) and the
+Levi data are computed for one point (n,) or for a batch of points (B, n)
+by the same code, stacked along a leading batch axis; each row equals the
+one-point result bit for bit.
 
 Everything here is pure given ``(domain, seed)``.
 """
@@ -32,6 +32,9 @@ from .fields import (
 from .geometry import (
     CTVector,
     MetricField,
+    _dot,
+    _lead,
+    _pair,
     chern_frame,
     h3_tensor,
     hess_tensor,
@@ -120,8 +123,11 @@ class BoundaryPoint:
 
 
 def _point_of(p):
+    """One chart point (n,), or a batch (B, n) from an array or a list of points."""
     if isinstance(p, BoundaryPoint):
         return p.z
+    if isinstance(p, list):
+        p = [q.z if isinstance(q, BoundaryPoint) else q for q in p]
     z = np.asarray(p, dtype=complex)
     return z if z.ndim == 2 else z.ravel()
 
@@ -129,18 +135,6 @@ def _point_of(p):
 def _col(s):
     """A per-point scalar (or batch of them) as a column that scales vectors."""
     return np.asarray(s)[..., None]
-
-
-def _dot(a, b):
-    """sum_k a_k b_k per point (stacked ``@``); a complex for one point."""
-    out = (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-    return complex(out) if out.ndim == 0 else out
-
-
-def _pair(a, mat, b):
-    """a^T mat b per point (stacked ``@``); a complex for one point."""
-    out = (a[..., None, :] @ mat @ b[..., :, None])[..., 0, 0]
-    return complex(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -209,24 +203,28 @@ class NormalFrame:
     """Dual frame of an admissible defining function at a chart point.
 
     Exposes ``L`` (the (1,0) field value with d r(L) = 1), ``X`` (its real
-    part), unit normals ``nu_C`` / ``nu_R``, and the gradient norms.  Jets of
-    r, the connection data, and coefficient jets of ``L`` are cached and
-    built on demand.  For a batch of points ``z`` (B, n) the order-2 data
-    carry a leading batch axis (``u`` (B, n), ``G`` and ``hr`` (B, n, n),
-    the norms (B,)).
+    part), unit normals ``nu_C`` / ``nu_R``, and the gradient norms.  The jet
+    of r through ``r_order`` is computed once, when the frame is built, and
+    every table, ``h3t`` and ``L_jets`` reuse it; the metric's entry jets are
+    shared by the connection and ``L_jets``; all of them are cached.  For a
+    batch of points ``z`` (B, n) every frame quantity carries a leading batch
+    axis (``u`` (B, n), ``G`` and ``hr`` (B, n, n), the connection, ``h3t``
+    (B, 2n, 2n, 2n), the norms (B,)) and each row equals the frame at that
+    point alone bit for bit.
     """
 
     def __init__(self, domain, z, r_order=3):
         self.domain = domain
         self.z = _point_of(z)
         self.n = domain.n
-        self._tables = {}
+        self._r = {}
         self._chern = {}
+        self._mjets = None
         self._L_jets = None
         self._hess2n = None
         self._h3t = None
 
-        table = self.table(min(r_order, 2))
+        table = self.table(r_order)
         self.G = domain.metric.matrix(self.z)
         self.u = np.moveaxis(table.holo_grad, 0, -1).copy()
         x = np.linalg.solve(self.G, self.u[..., None])[..., 0]
@@ -245,18 +243,31 @@ class NormalFrame:
         self.nu_R = self.X * np.sqrt(2.0) * _col(self.dbar_norm)
 
     # -- cached derivative data ---------------------------------------
-    def table(self, order):
-        best = max([o for o in self._tables if o >= order], default=None)
+    def _r_data(self, order):
+        best = max([o for o in self._r if o >= order], default=None)
         if best is None:
             jet = self.domain.r.jet(self.z, order)
-            self._tables[order] = wirtinger_table(jet, self.n)
-            return self._tables[order]
-        return self._tables[best]
+            best, self._r[order] = order, (jet, wirtinger_table(jet, self.n))
+        return self._r[best]
+
+    def r_jet(self, order):
+        """Jet of r of at least ``order`` at the frame's point(s)."""
+        return self._r_data(order)[0]
+
+    def table(self, order):
+        return self._r_data(order)[1]
+
+    def metric_jets(self):
+        """Order-2 entry jets of the metric, shared by ``chern(2)`` and ``L_jets``."""
+        if self._mjets is None:
+            self._mjets = self.domain.metric.jets(self.z, 2)
+        return self._mjets
 
     def chern(self, order=2):
         best = max([o for o in self._chern if o >= order], default=None)
         if best is None:
-            self._chern[order] = chern_frame(self.domain.metric, self.z, order=order)
+            mjets = self.metric_jets() if order == 2 else None
+            self._chern[order] = chern_frame(self.domain.metric, self.z, order=order, mjets=mjets)
             return self._chern[order]
         return self._chern[best]
 
@@ -278,18 +289,18 @@ class NormalFrame:
     def L_jets(self):
         """Order-2 coefficient jets of L = g^{-1} conj(del r) / |del r|^2."""
         if self._L_jets is None:
-            rjet = self.domain.r.jet(self.z, 3)
+            rjet = self.r_jet(3)
             u_jets = [dz_jet(rjet, j, self.n) for j in range(self.n)]
-            mjets = self.domain.metric.jets(self.z, 2)
-            x = jet_matrix_solve(mjets, u_jets)
+            x = jet_matrix_solve(self.metric_jets(), u_jets)
             s = sum((u_jets[i].conj() * x[i] for i in range(self.n)),
                     jets.Jet.constant(0.0, 2 * self.n, 2))
             self._L_jets = [x[i].conj() / s for i in range(self.n)]
         return self._L_jets
 
     def L_w1(self):
-        """First Wirtinger derivatives of the coefficients of L: array (n, 2n)."""
-        return np.array([wirtinger_table(j, self.n).w1 for j in self.L_jets()])
+        """First Wirtinger derivatives of the coefficients of L: array (n, 2n) per point."""
+        w1 = np.array([wirtinger_table(j, self.n).w1 for j in self.L_jets()])
+        return np.ascontiguousarray(_lead(w1, 2))
 
     # -- evaluators ----------------------------------------------------
     def dr(self, v):
@@ -305,18 +316,16 @@ class NormalFrame:
         return _pair(np.asarray(zvec), self.hr, np.conj(wvec))
 
     def hess_r(self, x, y):
-        return complex(x.coeffs @ self.hess2n() @ y.coeffs)
+        return _pair(x.coeffs, self.hess2n(), y.coeffs)
 
     def h3_r(self, x1, x2, x3):
-        t3 = self.h3t()
-        return complex(np.einsum("abc,a,b,c->", t3, x1.coeffs, x2.coeffs, x3.coeffs))
+        out = np.einsum("...abc,...a,...b,...c->...", self.h3t(), x1.coeffs, x2.coeffs, x3.coeffs)
+        return complex(out) if out.ndim == 0 else out
 
     def nabla_L(self, direction):
         """Chern covariant derivative of the field L along a complexified direction."""
-        w1 = self.L_w1()
-        lh = self.L.h
-        out = w1 @ direction.coeffs
-        out = out + np.einsum("ijk,j,k->i", self.chern(1).gamma, direction.h, lh)
+        out = (self.L_w1() @ direction.coeffs[..., None])[..., 0]
+        out = out + np.einsum("...ijk,...j,...k->...i", self.chern(1).gamma, direction.h, self.L.h)
         return CTVector.holo(out)
 
     def norm2(self, v):
@@ -331,13 +340,15 @@ def frame_at(domain, z, r_order=3):
     return NormalFrame(domain, _point_of(z), r_order=r_order)
 
 
-def normal_frame(domain, p, tol_bnd=1e-8):
-    """Frame at a boundary point; validates the defining-function residual."""
+def normal_frame(domain, p, tol_bnd=1e-8, r_order=3):
+    """Frame at a boundary point (or a batch); validates the defining-function residual."""
     z = _point_of(p)
-    frame = NormalFrame(domain, z)
+    frame = NormalFrame(domain, z, r_order=r_order)
     rv = frame.table(2).value
-    if abs(np.real(rv)) > tol_bnd:
-        raise ValueError(f"point {z} is not on the boundary (r = {rv})")
+    off = np.abs(np.real(rv)) > tol_bnd
+    if np.any(off):
+        at, val = (z, rv) if z.ndim == 1 else (z[off][0], rv[off][0])
+        raise ValueError(f"point {at} is not on the boundary (r = {val})")
     return frame
 
 
@@ -347,16 +358,33 @@ def normal_frame(domain, p, tol_bnd=1e-8):
 
 @dataclass
 class LeviData:
+    """Levi data at one point, or at each point of a batch (leading batch axis).
+
+    ``basis`` holds the n - 1 metric-orthonormal (1,0) tangent vectors and
+    ``directions`` the eigendirections of the Levi matrix over that basis
+    (unnormalized; each a CTVector whose coefficients carry the batch axis);
+    ``null`` marks the eigenvalues below the null cutoff.
+    """
+
     frame: NormalFrame
-    basis: list            # metric-orthonormal (1,0) tangent vectors (CTVector)
-    levi: np.ndarray       # Hermitian (n-1, n-1)
+    basis: list            # n - 1 CTVectors, orthonormal at each point
+    levi: np.ndarray       # Hermitian (..., n-1, n-1)
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    null_basis: list       # CTVector null directions in coordinate frame
+    directions: list       # n - 1 CTVectors: sum_j eigenvectors[j, idx] basis[j]
+    null: np.ndarray       # (..., n-1) bool: eigenvalue below the null cutoff
     eps_null: float
 
+    @property
+    def null_basis(self):
+        """The null directions: a list of CTVectors, or one such list per point of a batch."""
+        if self.null.ndim == 1:
+            return [d for d, keep in zip(self.directions, self.null) if keep]
+        return [[CTVector.holo(d.h[b]) for d, keep in zip(self.directions, row) if keep]
+                for b, row in enumerate(self.null)]
+
     def check_null(self, zvec, tol=1e-6):
-        """Raise ValueError unless Z lies in the Levi null space (relative ``tol``)."""
+        """Raise ValueError unless Z lies in the Levi null space (relative ``tol``); one point."""
         fr = self.frame
         scale = float(np.max(np.abs(fr.hr))) + 1.0
         resid = max(abs(fr.levi(zvec.h, b.h)) for b in self.basis)
@@ -365,38 +393,57 @@ class LeviData:
 
 
 def levi_data(domain, p, eps_null=1e-7):
-    """Orthonormal tangent basis, Levi matrix, eigenvalues, and null space."""
-    frame = p if isinstance(p, NormalFrame) else normal_frame(domain, p)
+    """Orthonormal tangent basis, Levi matrix, eigenvalues, and null space.
+
+    ``p`` is a boundary point, a batch of them (B, n), or a frame.  Over a
+    batch, Gram-Schmidt keeps the vectors found at each point in slots and
+    skips a degenerate raw vector at that point only, so every point follows
+    its own one-point sequence of operations.
+    """
+    frame = p if isinstance(p, NormalFrame) else normal_frame(domain, p, r_order=2)
     n, G = frame.n, frame.G
-    raw = [np.eye(n, dtype=complex)[k] - frame.u[k] * frame.L.h for k in range(n)]
-    basis = []
-    for v in raw:
-        w = v.copy()
-        for b in basis:
-            w = w - complex(w @ G @ b.conj()) * b
-        nrm2 = float(np.real(w @ G @ w.conj()))
-        if nrm2 > 1e-18:
-            basis.append(w / np.sqrt(nrm2))
-    if len(basis) != n - 1:
+    batch = frame.u.shape[:-1]
+    raw = np.eye(n, dtype=complex) - frame.u[..., :, None] * frame.L.h[..., None, :]
+    slots = np.zeros(batch + (n, n), dtype=complex)
+    found = np.zeros(batch, dtype=int)
+    for k in range(n):
+        w = raw[..., k, :].copy()
+        for j in range(k):
+            b = np.ascontiguousarray(slots[..., j, :])
+            proj = w - _col(_pair(w, G, b.conj())) * b
+            w = np.where(_col(j < found), proj, w)
+        nrm2 = np.real(_pair(w, G, w.conj()))
+        keep = nrm2 > 1e-18
+        unit = w / _col(np.sqrt(np.where(keep, nrm2, 1.0)))
+        for j in range(n):
+            slots[..., j, :] = np.where(_col(keep & (found == j)), unit, slots[..., j, :])
+        found = found + keep
+    bad = found != n - 1
+    if np.any(bad):
+        at, count = (frame.z, found) if not batch else (frame.z[bad][0], found[bad][0])
         raise ValueError(
-            f"tangent Gram-Schmidt produced {len(basis)} vectors (metric degenerate at {frame.z})"
+            f"tangent Gram-Schmidt produced {count} vectors (metric degenerate at {at})"
         )
-    levi = np.array([[frame.levi(basis[j], basis[k]) for k in range(n - 1)] for j in range(n - 1)])
-    levi = 0.5 * (levi + levi.conj().T)
+    basis = [np.ascontiguousarray(slots[..., j, :]) for j in range(n - 1)]
+    levi = np.stack([np.stack([frame.levi(basis[j], basis[k]) for k in range(n - 1)], axis=-1)
+                     for j in range(n - 1)], axis=-2)
+    levi = 0.5 * (levi + np.swapaxes(levi.conj(), -1, -2))
     eigvals, eigvecs = np.linalg.eigh(levi)
-    cutoff = eps_null * (float(eigvals[-1]) + 1.0)
-    null_basis = []
+    cutoff = eps_null * (eigvals[..., -1] + 1.0)
+    directions = []
     for idx in range(n - 1):
-        if eigvals[idx] < cutoff:
-            coeffs = sum(eigvecs[j, idx] * basis[j] for j in range(n - 1))
-            null_basis.append(CTVector.holo(coeffs))
+        coeffs = 0
+        for j in range(n - 1):
+            coeffs = coeffs + _col(eigvecs[..., j, idx]) * basis[j]
+        directions.append(CTVector.holo(coeffs))
     return LeviData(
         frame=frame,
         basis=[CTVector.holo(b) for b in basis],
         levi=levi,
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
-        null_basis=null_basis,
+        directions=directions,
+        null=eigvals < _col(cutoff),
         eps_null=eps_null,
     )
 
@@ -518,8 +565,9 @@ def collar_levi_compare(domain, p, z0_vec, delta, eps, steps=10):
             "lower_defect": float(lower_defect),
             "upper_defect": float(upper_defect),
         })
-    min_lower = min(r["lower_defect"] for r in rows)
-    min_upper = min(r["upper_defect"] for r in rows)
+    # np.min keeps a NaN defect, which ``min`` would drop after the first row
+    min_lower = float(np.min([r["lower_defect"] for r in rows]))
+    min_upper = float(np.min([r["upper_defect"] for r in rows]))
     return {
         "delta": float(delta),
         "eps": float(eps),
@@ -581,7 +629,7 @@ def make_grad_norm_field(domain):
 
     def fn(zs):
         order = zs[0].order
-        z = np.array([w.value for w in zs], dtype=complex)
+        z = np.stack([w.value for w in zs], axis=-1).astype(complex)
         seeds = seed_coordinate_jets(z, order + 1)
         rjet = domain.r.fn(seeds)
         u = [dz_jet(rjet, j, n) for j in range(n)]

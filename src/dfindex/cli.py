@@ -240,33 +240,35 @@ def write_report(report, out_dir, fmt="json", stem=None):
 def cmd_forms(cfg, eigen_only=False):
     domain = _domain_of(cfg)
     points = _boundary_points(cfg, domain)
+    ld = levi_data(domain, normal_frame(domain, points, r_order=2), eps_null=cfg.eps_null)
+    fr = ld.frame
     records = []
     strictly_pc = True
-    for p in points:
-        fr = normal_frame(domain, p)
-        ld = levi_data(domain, fr, eps_null=cfg.eps_null)
+    for b, (p, null_basis) in enumerate(zip(points, ld.null_basis)):
         rec = {
-            "z": [complex(c) for c in fr.z],
+            "z": [complex(c) for c in fr.z[b]],
             "r_residual": float(p.residual),
-            "grad_norm": fr.grad_norm,
-            "levi_eigenvalues": [float(e) for e in ld.eigenvalues],
-            "null_dim": len(ld.null_basis),
+            "grad_norm": fr.grad_norm[b],
+            "levi_eigenvalues": [float(e) for e in ld.eigenvalues[b]],
+            "null_dim": len(null_basis),
         }
         if not eigen_only:
             alphas, betas = [], []
-            for zv in ld.null_basis:
-                alphas.append(complex(forms.alpha(domain, p, zv, frame=fr)))
-                betas.append(float(np.real(1j * forms.beta_mixed(domain, p, zv, zv, frame=fr))))
+            one = normal_frame(domain, p) if null_basis else None
+            for zv in null_basis:
+                alphas.append(complex(forms.alpha(domain, p, zv, frame=one)))
+                betas.append(float(np.real(1j * forms.beta_mixed(domain, p, zv, zv, frame=one))))
             rec["alpha_null"] = alphas
             rec["i_beta_null"] = betas
-        strictly_pc = strictly_pc and not ld.null_basis
+        strictly_pc = strictly_pc and not null_basis
         records.append(rec)
     records.sort(key=lambda r: tuple((c["re"], c["im"]) if isinstance(c, dict) else (c.real, c.imag)
                                      for c in r["z"]))
     summary = {
         "n_points": len(records),
         "note": "strictly pseudoconvex sample (no null directions)" if strictly_pc else "",
-        "min_levi_eigenvalue": min(r["levi_eigenvalues"][0] for r in records),
+        # np.min keeps a NaN eigenvalue, which ``min`` would drop after the first record
+        "min_levi_eigenvalue": float(np.min([r["levi_eigenvalues"][0] for r in records])),
     }
     return make_report("levi" if eigen_only else "forms", cfg, records, summary)
 

@@ -35,10 +35,16 @@ except ImportError:
     _Highs = None
 
 from . import jets
-from .boundary import frame_at, levi_data, normal_frame, point_at_depth, sample_boundary
+from .boundary import (
+    frame_at,
+    levi_data,
+    normal_frame,
+    point_at_depth,
+    sample_boundary,
+)
 from .fields import ScalarField, seed_coordinate_jets, wirtinger_table
 from .forms import alpha, beta_mixed
-from .geometry import CTVector, curvature_contraction
+from .geometry import CTVector, _dot, _lead, _pair, curvature_contraction, norm2
 
 __all__ = [
     "HBasis",
@@ -108,11 +114,13 @@ def _soft_clamp(u, width=0.005):
     basis fields bounded on the whole chart so a certified h stays tame far
     from the constraint sites.
     """
+    def saturate(sgn):
+        return lambda x: sgn * (1.0 + width * jets.tanh((x * sgn - 1.0) * (1.0 / width)))
+
     v = np.real(u.value)
-    if abs(v) <= 1.0:
-        return u
-    sgn = 1.0 if v > 0 else -1.0
-    return sgn * (1.0 + width * jets.tanh((u * sgn - 1.0) * (1.0 / width)))
+    return jets.branch(np.abs(v) <= 1.0, lambda x: x,
+                       lambda x: jets.branch(np.real(x.value) > 0, saturate(1.0), saturate(-1.0), x),
+                       u)
 
 
 def worm_reduction_basis(gamma, degree=20, spread=0.97):
@@ -198,24 +206,43 @@ class SiteSet:
 
 
 def _basis_rows(basis, frame, zvec):
+    """ddbar phi_i(Z, Zbar) and del phi_i(Z) for every basis field, per point: (..., m) each."""
     n = frame.n
-    hess_row = np.empty(basis.m)
-    grad_row = np.empty(basis.m, dtype=complex)
     zs = seed_coordinate_jets(frame.z, 2)
-    for i, jet in enumerate(basis.rows(zs)):
-        table = wirtinger_table(jet, n)
-        grad_row[i] = zvec.h @ table.w1[:n]
-        hess_row[i] = float(np.real(zvec.h @ table.mixed_hessian @ zvec.h.conj()))
-    return hess_row, grad_row
+    batch = zs[0].shape
+    rows = [jet.broadcast(batch) for jet in basis.rows(zs)]
+    shape = batch + (len(rows),)
+
+    def stack(parts, rank):
+        # the m rows side by side, as one batch axis of length (points x m)
+        out = np.stack(parts, axis=-1)
+        return out.reshape(out.shape[:rank] + (-1,)) if batch else out
+
+    # one Wirtinger table for all rows of all points
+    table = wirtinger_table(jets.Jet(rows[0].m, 2, stack([r.value for r in rows], 0),
+                                     stack([r.grad for r in rows], 1),
+                                     stack([r.hess for r in rows], 2)), n)
+    w1 = table.w1[:n].reshape((n,) + shape)
+    mixed = table.mixed_hessian.reshape((n, n) + shape)
+    zh = zvec.h[..., None, :]
+    grad = _dot(zh, np.ascontiguousarray(_lead(w1, 1)))
+    hess = np.real(_pair(zh, np.ascontiguousarray(_lead(mixed, 2)), zh.conj()))
+    return hess, grad
 
 
 def make_site(domain, frame, zvec, basis, levi_eig=0.0):
-    """Assemble the eta-independent margin data of one (P, Z) site."""
+    """Assemble the eta-independent margin data of one (P, Z) site, or of a batch of them.
+
+    Over a batch frame (and Z of coefficients (B, n)) every field carries a
+    leading site axis.
+    """
     b = beta_mixed(domain, frame.z, zvec, zvec, frame=frame)
-    beta_term = float(np.real(-1j * b))
+    beta_term = np.real(jets._vmul(-1j, b))
     a = alpha(domain, frame.z, zvec, frame=frame)
     hess_row, grad_row = _basis_rows(basis, frame, zvec)
-    return MarginSite(z=frame.z, zvec=zvec, levi_eig=float(levi_eig), beta_term=beta_term,
+    if not np.ndim(beta_term):
+        beta_term, levi_eig = float(beta_term), float(levi_eig)
+    return MarginSite(z=frame.z, zvec=zvec, levi_eig=levi_eig, beta_term=beta_term,
                       alpha_val=a, basis_hess=hess_row, basis_grad=grad_row)
 
 
@@ -226,22 +253,31 @@ def collect_sites(domain, points, basis, eps_null=1e-7, relaxed_cutoff=1e-3):
     cutoff ``relaxed_cutoff * max_eigenvalue`` (plus the absolute null
     cutoff), with Z normalized to unit metric length.  Also returns the
     smallest strictly-pseudoconvex eigenvalue seen, for reporting when no
-    site constrains the search.
+    site constrains the search.  The Levi data of all points and the sites
+    are each assembled in one batched pass.
     """
-    sites = []
-    min_pc_eig = math.inf
-    for p in points:
-        ld = levi_data(domain, p, eps_null=eps_null)
-        lam_max = float(ld.eigenvalues[-1])
-        cutoff = max(relaxed_cutoff * lam_max, eps_null * (lam_max + 1.0))
-        for idx, eig in enumerate(ld.eigenvalues):
-            coeffs = sum(ld.eigenvectors[j, idx] * ld.basis[j].h for j in range(len(ld.basis)))
-            zvec = CTVector.holo(coeffs)
-            zvec = zvec * (1.0 / math.sqrt(ld.frame.norm2(zvec)))
-            if eig < cutoff:
-                sites.append(make_site(domain, ld.frame, zvec, basis, levi_eig=eig))
-            else:
-                min_pc_eig = min(min_pc_eig, float(eig))
+    points = list(points)
+    if not points:
+        return SiteSet(sites=[], basis=basis), math.inf
+    ld = levi_data(domain, normal_frame(domain, points, r_order=2), eps_null=eps_null)
+    eigs = ld.eigenvalues
+    lam_max = eigs[:, -1]
+    cutoff = np.maximum(relaxed_cutoff * lam_max, eps_null * (lam_max + 1.0))
+    near_null = eigs < cutoff[:, None]
+    # np.min keeps a NaN eigenvalue, which ``min`` would drop
+    min_pc_eig = float(np.min(eigs[~near_null], initial=math.inf))
+    at, idx = np.nonzero(near_null)
+    if not len(at):
+        return SiteSet(sites=[], basis=basis), min_pc_eig
+    dirs = np.stack([d.h for d in ld.directions], axis=1)[at, idx]
+    zvec = CTVector.holo(dirs)
+    zvec = zvec * (1.0 / np.sqrt(norm2(ld.frame.G[at], zvec)))[:, None]
+    site = make_site(domain, frame_at(domain, ld.frame.z[at]), zvec, basis, levi_eig=eigs[at, idx])
+    sites = [MarginSite(z=site.z[i], zvec=CTVector(site.zvec.h[i], site.zvec.a[i]),
+                        levi_eig=float(site.levi_eig[i]), beta_term=float(site.beta_term[i]),
+                        alpha_val=complex(site.alpha_val[i]), basis_hess=site.basis_hess[i],
+                        basis_grad=site.basis_grad[i])
+             for i in range(len(at))]
     return SiteSet(sites=sites, basis=basis), min_pc_eig
 
 
@@ -490,6 +526,10 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, tol=1e-6,
             break
         if best_val >= decision_slack:
             status = "feasible_early_exit"
+            break
+        if best_val >= C_floor and ub < decision_slack:
+            # feasible, and the bound shows the early-exit slack is out of reach
+            status = "feasible_bounded"
             break
     feasible = bool(best_val >= C_floor)
     if feasible:

@@ -19,6 +19,7 @@ import numpy as np
 from .boundary import frame_at
 from .fields import complex_point, real_coords
 from .geometry import CTVector, curvature_contraction
+from .jets import _vmul
 
 __all__ = [
     "alpha",
@@ -36,8 +37,8 @@ __all__ = [
 ]
 
 
-def _frame(domain, p, frame):
-    return frame if frame is not None else frame_at(domain, p)
+def _frame(domain, p, frame, r_order=3):
+    return frame if frame is not None else frame_at(domain, p, r_order=r_order)
 
 
 def alpha(domain, p, v, frame=None):
@@ -48,7 +49,7 @@ def alpha(domain, p, v, frame=None):
     batch of points (B, n) with ``v`` of coefficients (B, n); the result is
     then an array (B,).
     """
-    fr = _frame(domain, p, frame)
+    fr = _frame(domain, p, frame, r_order=2)
     lbar = fr.L.conj()
     out = 0.0 + 0.0j
     if np.any(v.h):
@@ -64,7 +65,7 @@ def alpha_geometric(domain, p, zvec, frame=None):
     Requires the domain's gradient-norm field.  With the sff identity the
     second term is + i Hess(Z, J X_r) r.  ``zvec`` must be of type (1,0).
     """
-    fr = _frame(domain, p, frame)
+    fr = _frame(domain, p, frame, r_order=2)
     if domain.grad_norm_field is None:
         raise ValueError("no |dr| field available for the geometric alpha formula")
     gjet = domain.grad_norm_field.jet(fr.z, 1)
@@ -92,8 +93,8 @@ def beta_unmixed(domain, p, zvec, wvec, frame=None):
 
 def _torsion_vec(fr, x, y):
     gamma = fr.chern(1).gamma
-    anti = gamma - gamma.transpose(0, 2, 1)
-    return CTVector.holo(np.einsum("ijk,j,k->i", anti, x.h, y.h))
+    anti = gamma - np.swapaxes(gamma, -1, -2)
+    return CTVector.holo(np.einsum("...ijk,...j,...k->...i", anti, x.h, y.h))
 
 
 def beta_mixed(domain, p, zvec, wvec, frame=None):
@@ -102,6 +103,10 @@ def beta_mixed(domain, p, zvec, wvec, frame=None):
     -i H^3(X_r, Z, Wbar) r + (i/2) ddbar r(T(Z, L), Wbar)
     - (i/2) ddbar r(nabla_Z L, Wbar) + (i/2) ddbar r(Z, T(Wbar, Lbar))
     - (i/2) ddbar r(Z, nabla_{Wbar} Lbar).
+
+    Over a batch of points (a batch frame, Z and W of coefficients (B, n))
+    the result is an array (B,); the scalar products are rounded as one
+    point's Python complex products are (:func:`dfindex.jets._vmul`).
     """
     fr = _frame(domain, p, frame)
     wbar = wvec.conj()
@@ -110,12 +115,12 @@ def beta_mixed(domain, p, zvec, wvec, frame=None):
     nabla_z_l = fr.nabla_L(zvec)
     tau_w_bar = _torsion_vec(fr, wvec, fr.L).conj()
     nabla_wbar_lbar = fr.nabla_L(wvec).conj()
-    out = -1j * h3
-    out += 0.5j * fr.mixed_pairing(tau_z, wbar)
-    out += -0.5j * fr.mixed_pairing(nabla_z_l, wbar)
-    out += 0.5j * fr.mixed_pairing(zvec, tau_w_bar)
-    out += -0.5j * fr.mixed_pairing(zvec, nabla_wbar_lbar)
-    return complex(out)
+    out = _vmul(-1j, h3)
+    out = out + _vmul(0.5j, fr.mixed_pairing(tau_z, wbar))
+    out = out + _vmul(-0.5j, fr.mixed_pairing(nabla_z_l, wbar))
+    out = out + _vmul(0.5j, fr.mixed_pairing(zvec, tau_w_bar))
+    out = out + _vmul(-0.5j, fr.mixed_pairing(zvec, nabla_wbar_lbar))
+    return complex(out) if out.ndim == 0 else out
 
 
 def beta_mixed_nullspace(domain, p, zvec, wvec, frame=None):
@@ -148,7 +153,7 @@ def beta_geometric(domain, p, zvec, frame=None, null_tol=1e-6):
     from .fields import wirtinger_table
     from . import jets
 
-    fr = _frame(domain, p, frame)
+    fr = _frame(domain, p, frame, r_order=2)
     ld = levi_data(domain, fr)
     ld.check_null(zvec, null_tol)
     if domain.grad_norm_field is None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ScalarField, dz_jet, seed_coordinate_jets, wirtinger_table
-from .jets import Jet
+from .jets import Jet, branch
 
 __all__ = [
     "CTVector",
@@ -105,14 +105,32 @@ class CTVector:
         return bool(np.max(np.abs(self.a - self.h.conj())) <= tol * (1.0 + np.max(np.abs(self.h))))
 
 
+def _lead(a, rank):
+    """A table array of derivative rank ``rank`` with its trailing batch axes moved first."""
+    batch = a.ndim - rank
+    return np.moveaxis(a, tuple(range(rank, a.ndim)), tuple(range(batch))) if batch else a
+
+
+def _dot(a, b):
+    """sum_k a_k b_k per point (stacked ``@``); a complex for one point."""
+    out = (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return complex(out) if out.ndim == 0 else out
+
+
+def _pair(a, mat, b):
+    """a^T mat b per point (stacked ``@``); a complex for one point."""
+    out = (a[..., None, :] @ mat @ b[..., :, None])[..., 0, 0]
+    return complex(out) if out.ndim == 0 else out
+
+
 def inner(g, v, w):
-    """Hermitian inner product of complexified vectors for metric matrix ``g``."""
-    return complex(v.h @ g @ w.h.conj() + v.a @ g.T @ w.a.conj())
+    """Hermitian inner product of complexified vectors for metric matrix ``g`` (per point)."""
+    return _pair(v.h, g, w.h.conj()) + _pair(v.a, np.swapaxes(g, -1, -2), w.a.conj())
 
 
 def norm2(g, v):
-    value = inner(g, v, v)
-    return float(value.real)
+    value = np.real(inner(g, v, v))
+    return float(value) if np.ndim(value) == 0 else value
 
 
 # ----------------------------------------------------------------------
@@ -152,25 +170,32 @@ class MetricField:
         return cls(n, [[make(j, k) for k in range(n)] for j in range(n)], name=name)
 
     def jets(self, z, order):
-        """(n, n) nested list of entry jets sharing one coordinate seed."""
-        zs = seed_coordinate_jets(np.asarray(z, dtype=complex).ravel(), order)
-        return [[self.entries[j][k].fn(zs) for k in range(self.n)] for j in range(self.n)]
+        """(n, n) nested list of entry jets sharing one coordinate seed (at one point or a batch)."""
+        zs = seed_coordinate_jets(z, order)
+        batch = zs[0].shape
+        return [[self.entries[j][k].fn(zs).broadcast(batch) for k in range(self.n)]
+                for j in range(self.n)]
 
     def matrix(self, z, tol=1e-12):
         """Hermitian matrix at one point (n, n), or stacked over a batch of points (B, n, n)."""
         zs = seed_coordinate_jets(z, 0)
-        batch = zs[0].shape
-        m = np.empty(batch + (self.n, self.n), dtype=complex)
+        m = np.empty(zs[0].shape + (self.n, self.n), dtype=complex)
         for j in range(self.n):
             for k in range(self.n):
                 m[..., j, k] = self.entries[j][k].fn(zs).value
-        mh = np.swapaxes(m.conj(), -1, -2)
-        herm = np.max(np.abs(m - mh), axis=(-2, -1))
-        bad = herm > tol * (1.0 + np.max(np.abs(m), axis=(-2, -1)))
-        if np.any(bad):
-            at, defect = (z, herm) if not batch else (np.asarray(z)[bad][0], herm[bad][0])
-            raise MetricError(f"metric {self.name!r} not Hermitian at {at} (defect {defect:.3e})")
+        mh = _check_hermitian(m, self.name, z, tol)
         return 0.5 * (m + mh)
+
+
+def _check_hermitian(m, name, z, tol=1e-12):
+    """The conjugate transpose of ``m`` (one matrix or a stack); raises unless each is Hermitian."""
+    mh = np.swapaxes(m.conj(), -1, -2)
+    herm = np.max(np.abs(m - mh), axis=(-2, -1))
+    bad = herm > tol * (1.0 + np.max(np.abs(m), axis=(-2, -1)))
+    if np.any(bad):
+        at, defect = (z, herm) if not bad.ndim else (np.asarray(z)[bad][0], herm[bad][0])
+        raise MetricError(f"metric {name!r} not Hermitian at {at} (defect {defect:.3e})")
+    return mh
 
 
 # ----------------------------------------------------------------------
@@ -207,29 +232,46 @@ class VectorField:
 # ----------------------------------------------------------------------
 
 def jet_matrix_inverse(mat):
+    """Inverse of a matrix of jets by Gauss-Jordan elimination with partial pivoting.
+
+    Over a batch, points whose pivot rows differ go on with the elimination
+    on their own columns (:func:`dfindex.jets.branch`), so every column
+    follows its own point's steps.
+    """
     n = len(mat)
     m, order = mat[0][0].m, mat[0][0].order
-    a = [row[:] for row in mat]
     inv = [[Jet.constant(1.0 if i == j else 0.0, m, order) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if abs(a[piv][col].value) < 1e-14:
-            raise MetricError("singular metric (jet matrix inverse)")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col].reciprocal()
-        a[col] = [e * scale for e in a[col]]
-        inv[col] = [e * scale for e in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if factor.value == 0 and factor.order == 0:
-                continue
-            a[r] = [a[r][j] - factor * a[col][j] for j in range(n)]
-            inv[r] = [inv[r][j] - factor * inv[col][j] for j in range(n)]
-    return inv
+    return _eliminate([row[:] for row in mat], inv, 0)
+
+
+def _eliminate(a, inv, col):
+    """Gauss-Jordan steps on the rows ``a`` and ``inv`` from column ``col`` on; the inverse."""
+    n = len(a)
+    if col == n:
+        return inv
+    mags = np.array([np.abs(a[r][col].value) for r in range(col, n)])
+    piv = col + np.argmax(mags, axis=0)
+    if np.any(np.max(mags, axis=0) < 1e-14):
+        raise MetricError("singular metric (jet matrix inverse)")
+    first = piv == np.ravel(piv)[0]
+    if not first.all():
+        return branch(first, lambda s: _eliminate(*s, col), lambda s: _eliminate(*s, col), (a, inv))
+    piv = int(np.ravel(piv)[0])
+    if piv != col:
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+    scale = a[col][col].reciprocal()
+    a[col] = [e * scale for e in a[col]]
+    inv[col] = [e * scale for e in inv[col]]
+    for r in range(n):
+        if r == col:
+            continue
+        factor = a[r][col]
+        if factor.order == 0 and not np.any(factor.value):
+            continue
+        a[r] = [a[r][j] - factor * a[col][j] for j in range(n)]
+        inv[r] = [inv[r][j] - factor * inv[col][j] for j in range(n)]
+    return _eliminate(a, inv, col + 1)
 
 
 def jet_matrix_solve(mat, rhs):
@@ -246,12 +288,14 @@ def jet_matrix_solve(mat, rhs):
 
 @dataclass
 class ChernFrame:
-    """Metric, Christoffel symbols, and their first derivatives at a point."""
+    """Metric, Christoffel symbols, and their first derivatives at a point.
+
+    Over a batch of points every array carries a leading batch axis.
+    """
 
     z: np.ndarray
     n: int
     g: np.ndarray
-    ginv: np.ndarray
     gamma: np.ndarray            # gamma[i, j, k] = Gamma^i_{jk}
     dgamma_h: np.ndarray | None  # [p, i, j, k] = d/dz_p Gamma^i_{jk}
     dgamma_a: np.ndarray | None  # [p, i, j, k] = d/dzbar_p Gamma^i_{jk}
@@ -263,9 +307,9 @@ class ChernFrame:
     def gamma2n(self):
         if self._gamma2n is None:
             n = self.n
-            out = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
-            out[:n, :n, :n] = self.gamma
-            out[n:, n:, n:] = self.gamma.conj()
+            out = np.zeros(self.gamma.shape[:-3] + (2 * n, 2 * n, 2 * n), dtype=complex)
+            out[..., :n, :n, :n] = self.gamma
+            out[..., n:, n:, n:] = self.gamma.conj()
             self._gamma2n = out
         return self._gamma2n
 
@@ -275,56 +319,63 @@ class ChernFrame:
             if self.dgamma_h is None:
                 raise ValueError("connection derivatives unavailable (metric jets of order < 2)")
             n = self.n
-            out = np.zeros((2 * n, 2 * n, 2 * n, 2 * n), dtype=complex)
-            out[:n, :n, :n, :n] = self.dgamma_h
-            out[n:, :n, :n, :n] = self.dgamma_a
-            out[:n, n:, n:, n:] = self.dgamma_a.conj()
-            out[n:, n:, n:, n:] = self.dgamma_h.conj()
+            out = np.zeros(self.gamma.shape[:-3] + (2 * n,) * 4, dtype=complex)
+            out[..., :n, :n, :n, :n] = self.dgamma_h
+            out[..., n:, :n, :n, :n] = self.dgamma_a
+            out[..., :n, n:, n:, n:] = self.dgamma_a.conj()
+            out[..., n:, n:, n:, n:] = self.dgamma_h.conj()
             self._dgamma2n = out
         return self._dgamma2n
 
     @property
     def curvature_tensor(self):
         """R[j, k, i, l]: (R(d/dz_j, d/dzbar_k) d/dz_l)^i = -dzbar_k Gamma^i_{jl}."""
-        return -self.dgamma_a.transpose(2, 0, 1, 3)
+        return -np.moveaxis(self.dgamma_a, (-4, -3, -2, -1), (-3, -2, -4, -1))
 
 
-def chern_frame(metric, z, order=2):
-    """Connection data at ``z`` from metric entry jets of the given order."""
-    z = np.asarray(z, dtype=complex).ravel()
+def chern_frame(metric, z, order=2, mjets=None):
+    """Connection data at ``z`` (one point or a batch) from metric entry jets of the given order.
+
+    ``mjets`` are the metric's entry jets at ``z`` of order ``order``, when
+    already computed.
+    """
+    z = np.asarray(z, dtype=complex)
+    z = z if z.ndim == 2 else z.ravel()
     n = metric.n
-    mjets = metric.jets(z, order)
-    g = np.array([[mjets[j][k].value for k in range(n)] for j in range(n)], dtype=complex)
-    herm = np.max(np.abs(g - g.conj().T))
-    if herm > 1e-12 * (1.0 + np.max(np.abs(g))):
-        raise MetricError(f"metric {metric.name!r} not Hermitian at {z} (defect {herm:.3e})")
-    ginv = np.linalg.inv(g)
+    if mjets is None:
+        mjets = metric.jets(z, order)
+    batch = mjets[0][0].shape
+    g = np.empty(batch + (n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            g[..., j, k] = mjets[j][k].value
+    _check_hermitian(g, metric.name, z)
 
     minv_jets = jet_matrix_inverse(mjets)
     p_jets = [[minv_jets[i][m_].conj() for m_ in range(n)] for i in range(n)]
     dm = [[[dz_jet(mjets[k][m_], j, n) for m_ in range(n)] for k in range(n)] for j in range(n)]
 
     zero = Jet.constant(0.0, 2 * n, order - 1)
-    gamma = np.zeros((n, n, n), dtype=complex)
-    dgamma_h = np.zeros((n, n, n, n), dtype=complex) if order >= 2 else None
-    dgamma_a = np.zeros((n, n, n, n), dtype=complex) if order >= 2 else None
+    gamma = np.zeros(batch + (n, n, n), dtype=complex)
+    dgamma_h = np.zeros(batch + (n, n, n, n), dtype=complex) if order >= 2 else None
+    dgamma_a = np.zeros(batch + (n, n, n, n), dtype=complex) if order >= 2 else None
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 gjet = sum((p_jets[i][m_] * dm[j][k][m_] for m_ in range(n)), zero)
-                gamma[i, j, k] = gjet.value
+                gamma[..., i, j, k] = gjet.value
                 if order >= 2:
-                    w1 = wirtinger_table(gjet, n).w1
-                    dgamma_h[:, i, j, k] = w1[:n]
-                    dgamma_a[:, i, j, k] = w1[n:]
+                    w1 = _lead(wirtinger_table(gjet, n).w1, 1)
+                    dgamma_h[..., :, i, j, k] = w1[..., :n]
+                    dgamma_a[..., :, i, j, k] = w1[..., n:]
 
-    dG_h = np.zeros((n, n, n), dtype=complex)
+    dG_h = np.zeros(batch + (n, n, n), dtype=complex)
     for pidx in range(n):
         for j in range(n):
             for k in range(n):
-                dG_h[pidx, j, k] = dz_jet(mjets[j][k], pidx, n).value
+                dG_h[..., pidx, j, k] = dz_jet(mjets[j][k], pidx, n).value
 
-    return ChernFrame(z=z, n=n, g=g, ginv=ginv, gamma=gamma,
+    return ChernFrame(z=z, n=n, g=g, gamma=gamma,
                       dgamma_h=dgamma_h, dgamma_a=dgamma_a, dG_h=dG_h)
 
 
@@ -428,18 +479,20 @@ def curvature_contraction(metric, z, zvec, v, frame=None, tol=1e-9):
 
 
 def hess_tensor(table, frame):
-    """Hess(d_a, d_b) f over the 2n complexified directions."""
-    return table.w2 - np.einsum("eab,e->ab", frame.gamma2n, table.w1)
+    """Hess(d_a, d_b) f over the 2n complexified directions (batch axis first)."""
+    w1, w2 = _lead(table.w1, 1), _lead(table.w2, 2)
+    return w2 - np.einsum("...eab,...e->...ab", frame.gamma2n, w1)
 
 
 def h3_tensor(table, frame):
-    """H^3(d_a, d_b, d_c) f over the 2n complexified directions."""
+    """H^3(d_a, d_b, d_c) f over the 2n complexified directions (batch axis first)."""
     hc = hess_tensor(table, frame)
     g2 = frame.gamma2n
-    out = table.w3 - np.einsum("aebc,e->abc", frame.dgamma2n, table.w1)
-    out = out - np.einsum("ebc,ae->abc", g2, table.w2)
-    out = out - np.einsum("eab,ec->abc", g2, hc)
-    out = out - np.einsum("eac,be->abc", g2, hc)
+    w1, w2, w3 = _lead(table.w1, 1), _lead(table.w2, 2), _lead(table.w3, 3)
+    out = w3 - np.einsum("...aebc,...e->...abc", frame.dgamma2n, w1)
+    out = out - np.einsum("...ebc,...ae->...abc", g2, w2)
+    out = out - np.einsum("...eab,...ec->...abc", g2, hc)
+    out = out - np.einsum("...eac,...be->...abc", g2, hc)
     return out
 
 

@@ -389,9 +389,11 @@ def branch(cond, on_true, on_false, x):
     """``on_true(x)`` where ``cond`` holds and ``on_false(x)`` elsewhere.
 
     ``cond`` is a bool for a one-point jet and a bool array of the batch
-    shape for a batch.  Each side runs only on its own columns, so it may
-    rely on its condition; its result (a Jet or a tuple of Jets, possibly
-    one-point constants) is merged column by column.
+    shape for a batch.  ``x`` is a Jet or a list or tuple of them (nested at
+    will); each side runs only on its own columns, so it may rely on its
+    condition, and keeps the dtypes its points have alone.  Its result (a
+    Jet or a list or tuple of them, nested alike, possibly one-point
+    constants) is merged column by column.
     """
     if not isinstance(cond, np.ndarray):
         return on_true(x) if cond else on_false(x)
@@ -399,13 +401,18 @@ def branch(cond, on_true, on_false, x):
         return on_true(x)
     if not cond.any():
         return on_false(x)
-    hit, miss = on_true(x.take(cond)), on_false(x.take(~cond))
-    if isinstance(hit, Jet):
-        return _merge(cond, hit, miss)
-    return tuple(_merge(cond, h, f) for h, f in zip(hit, miss))
+    return _merge(cond, on_true(_take(x, cond)), on_false(_take(x, ~cond)))
+
+
+def _take(x, mask):
+    if isinstance(x, Jet):
+        return x.take(mask) if x.shape else x
+    return [_take(part, mask) for part in x]
 
 
 def _merge(cond, hit, miss):
+    if not isinstance(hit, Jet):
+        return type(hit)(_merge(cond, h, f) for h, f in zip(hit, miss))
     order = min(hit.order, miss.order)
 
     def put(rank, a, b):

@@ -15,14 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfindex import jets
-from dfindex.boundary import frame_at
+from dfindex.boundary import frame_at, levi_data, sample_boundary
 from dfindex.diagnostics import random_metric, random_scalar_field
-from dfindex.estimator import _soft_clamp
+from dfindex.domains import ball_domain
+from dfindex.estimator import (
+    _basis_rows,
+    _soft_clamp,
+    collect_sites,
+    make_site,
+    poly_basis,
+    worm_reduction_basis,
+)
 from dfindex.expr import build_field
-from dfindex.fields import seed_coordinate_jets, wirtinger_table
-from dfindex.forms import alpha
-from dfindex.geometry import CTVector, MetricField
-from dfindex.worm import WormParams, _f_jets, _lambda_jet, worm_domain
+from dfindex.fields import ScalarField, seed_coordinate_jets, wirtinger_table
+from dfindex.forms import alpha, beta_mixed
+from dfindex.geometry import CTVector, MetricField, chern_frame
+from dfindex.worm import WormParams, _f_jets, _lambda_jet, sgamma_points, worm_domain
 
 SEEDS = st.integers(0, 2**32 - 1)
 BATCH = settings(derandomize=True, deadline=None, max_examples=25)
@@ -142,9 +150,6 @@ def test_scalar_branch_on_a_batch_raises():
 
     with pytest.raises(ValueError, match="ambiguous"):
         one_point_only(zs[0])
-    # the Chebyshev clamp of the reduction basis branches per point
-    with pytest.raises(ValueError, match="ambiguous"):
-        _soft_clamp(zs[0].real() * 3.0)
 
 
 # ----------------------------------------------------------------------
@@ -318,3 +323,173 @@ def test_random_field_batch_matches_one_point():
     rng = np.random.default_rng(11)
     field = random_scalar_field(2, rng, terms=6)
     _assert_field_batch(field, random_points(rng, 5), 3)
+
+
+# ----------------------------------------------------------------------
+# order-3 frame data, Levi data and constraint sites
+# ----------------------------------------------------------------------
+
+def pivoting_metric():
+    """Hermitian metric whose first pivot row is 0 where Re z1 > 0 and 1 where Re z1 < -0.3."""
+    def entry(j, k):
+        def fn(zs):
+            if (j, k) == (0, 0):
+                return jets.exp(zs[0].real() * 0.8)
+            if (j, k) == (1, 1):
+                return jets.abs2(zs[1]) + 4.0
+            c = zs[1] * 0.2 + 1.0
+            return c if (j, k) == (0, 1) else c.conj()
+
+        return ScalarField(2, fn, name=f"g[{j}{k}]")
+
+    return MetricField(2, [[entry(j, k) for k in range(2)] for j in range(2)], name="pivoting")
+
+
+def _chern_rows(frame):
+    return {name: getattr(frame, name) for name in ("g", "gamma", "dgamma_h", "dgamma_a", "dG_h")}
+
+
+@BATCH
+@given(seed=SEEDS)
+def test_chern_frame_pivots_per_point_and_matches_one_point(seed):
+    rng = np.random.default_rng(seed)
+    points = random_points(rng, 8, scale=0.4)
+    points[:3, 0] = rng.uniform(0.1, 0.9, 3)
+    points[3:6, 0] = rng.uniform(-0.9, -0.4, 3)
+    for metric in (pivoting_metric(), random_metric(2, rng)):
+        batch = chern_frame(metric, points, order=2)
+        if metric.name == "pivoting":
+            g = batch.g
+            piv = np.abs(g[:, 1, 0]) > np.abs(g[:, 0, 0])
+            assert piv.any() and not piv.all()
+        singles = [chern_frame(metric, z, order=2) for z in points]
+        for name, rows in _chern_rows(batch).items():
+            assert_rows(rows, [_chern_rows(one)[name] for one in singles])
+        assert_rows(batch.curvature_tensor, [one.curvature_tensor for one in singles])
+
+
+def _worm_batch(rng, metric, count=6):
+    domain = worm_domain(WormParams(gamma=math.pi, t=1.2), metric=metric)
+    params = domain.params["worm"]
+    points = worm_points(rng, params, rng.uniform(-params.x_max, params.x_max, count))
+    return domain, points
+
+
+@BATCH
+@given(seed=SEEDS, metric=st.sampled_from(["euclidean", "worm_kahler"]))
+def test_h3t_L_jets_and_beta_match_one_point(seed, metric):
+    rng = np.random.default_rng(seed)
+    domain, points = _worm_batch(rng, metric)
+    batch = frame_at(domain, points)
+    singles = [frame_at(domain, z) for z in points]
+    assert_rows(batch.h3t(), [one.h3t() for one in singles])
+    assert_rows(batch.hess2n(), [one.hess2n() for one in singles])
+    assert_rows(batch.L_w1(), [one.L_w1() for one in singles])
+    assert_jet_columns(batch.r_jet(3), [one.r_jet(3) for one in singles])
+    for k in range(2):
+        assert_jet_columns(batch.L_jets()[k], [one.L_jets()[k] for one in singles])
+    z = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    w = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    zvec, wvec = CTVector.holo(z), CTVector.holo(w)
+    assert_rows(beta_mixed(domain, points, zvec, wvec, frame=batch),
+                [beta_mixed(domain, p, CTVector.holo(z[b]), CTVector.holo(w[b]), frame=one)
+                 for b, (p, one) in enumerate(zip(points, singles))])
+    assert_rows(batch.nabla_L(CTVector(z, w)).h,
+                [one.nabla_L(CTVector(z[b], w[b])).h for b, one in enumerate(singles)])
+
+
+def _levi_fields(ld):
+    out = {name: getattr(ld, name) for name in ("levi", "eigenvalues", "eigenvectors", "null")}
+    for j, (b, d) in enumerate(zip(ld.basis, ld.directions)):
+        out[f"basis{j}"], out[f"direction{j}"] = b.h, d.h
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(seed=SEEDS)
+def test_levi_data_matches_one_point(seed):
+    worm = worm_domain(WormParams(gamma=math.pi, t=1.2), metric="worm_kahler")
+    ball = ball_domain()
+    # worm: strictly pseudoconvex samples and Levi-null S_gamma points;
+    # ball: at (1, 0) the first raw tangent vector is degenerate, elsewhere not
+    cases = [(worm, sample_boundary(worm, 3, seed) + sgamma_points(worm.params["worm"], 3)),
+             (ball, [np.array([1.0, 0.0], dtype=complex)] + sample_boundary(ball, 3, seed))]
+    for domain, points in cases:
+        batch = levi_data(domain, points)
+        singles = [levi_data(domain, p) for p in points]
+        fields = _levi_fields(batch)
+        for name, rows in fields.items():
+            assert_rows(rows, [_levi_fields(one)[name] for one in singles])
+        counts = [len(one.null_basis) for one in singles]
+        assert [len(nb) for nb in batch.null_basis] == counts
+        if domain is worm:
+            assert 0 in counts and max(counts) > 0
+        for nb, one in zip(batch.null_basis, singles):
+            for v, w in zip(nb, one.null_basis):
+                assert_same(v.h, w.h)
+
+
+@BATCH
+@given(seed=SEEDS)
+def test_basis_rows_and_soft_clamp_match_one_point(seed):
+    rng = np.random.default_rng(seed)
+    params = WormParams(gamma=math.pi, t=1.2)
+    domain = worm_domain(params)
+    basis = worm_reduction_basis(math.pi, degree=6, spread=0.5)
+    scale = 0.5 * (math.pi / 2)
+    # u = x / scale on both sides of |u| = 1, with both signs outside
+    xs = np.concatenate([rng.uniform(-0.9, 0.9, 3) * scale, rng.uniform(1.1, 1.6, 2) * scale,
+                         -rng.uniform(1.1, 1.6, 2) * scale])
+    points = worm_points(rng, params, rng.permutation(xs))
+    u = jets.log(jets.abs2(seed_coordinate_jets(points, 3)[1])) * (1.0 / scale)
+    assert_jet_columns(_soft_clamp(u), [_soft_clamp(jets.log(jets.abs2(
+        seed_coordinate_jets(z, 3)[1])) * (1.0 / scale)) for z in points])
+    z = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    for base in (basis, poly_basis(2)):
+        hess, grad = _basis_rows(base, frame_at(domain, points, r_order=2), CTVector.holo(z))
+        singles = [_basis_rows(base, frame_at(domain, p, r_order=2), CTVector.holo(z[b]))
+                   for b, p in enumerate(points)]
+        assert hess.shape == grad.shape == (7, base.m)
+        assert_rows(hess, [one[0] for one in singles])
+        assert_rows(grad, [one[1] for one in singles])
+
+
+def test_make_site_matches_one_point(worm_kahler):
+    points = np.array([p.z for p in sgamma_points(worm_kahler.params["worm"], 4, spread=0.9)])
+    basis = worm_reduction_basis(math.pi, degree=5)
+    zvec = CTVector.holo(np.tile([0.0, 1.0], (4, 1)).astype(complex))
+    batch = make_site(worm_kahler, frame_at(worm_kahler, points), zvec, basis,
+                      levi_eig=np.zeros(4))
+    for b, z in enumerate(points):
+        one = make_site(worm_kahler, frame_at(worm_kahler, z), CTVector.holo([0.0, 1.0]), basis)
+        for name in ("beta_term", "alpha_val", "basis_hess", "basis_grad"):
+            assert_same(getattr(batch, name)[b], getattr(one, name))
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(seed=SEEDS)
+def test_collect_sites_matches_points_one_at_a_time(seed):
+    worm = worm_domain(WormParams(gamma=math.pi, t=1.2), metric="worm_kahler")
+    basis = worm_reduction_basis(math.pi, degree=6)
+    rng = np.random.default_rng(seed)
+    special = sgamma_points(worm.params["worm"], 8, spread=0.95)
+    points = sample_boundary(worm, 4, seed) + [special[i] for i in rng.choice(8, 4, replace=False)]
+    points = [points[i] for i in rng.permutation(len(points))]
+    sites, min_pc = collect_sites(worm, points, basis)
+    ones = [collect_sites(worm, [p], basis) for p in points]
+    assert 0 < len(sites) < len(points)
+    assert [len(s) for s, _ in ones].count(0) == len(points) - len(sites)
+    for name in ("B", "A", "E", "D"):
+        assert_same(getattr(sites, name),
+                    np.concatenate([getattr(s, name) for s, _ in ones if len(s)]))
+    assert_same(min_pc, min(m for _, m in ones))
+    none, inf = collect_sites(worm, [], basis)
+    assert len(none) == 0 and inf == math.inf
+
+
+@BATCH
+@given(seed=SEEDS, order=st.integers(0, 2), metric=st.sampled_from(["euclidean", "worm_kahler"]))
+def test_grad_norm_field_matches_one_point(seed, order, metric):
+    domain, points = _worm_batch(np.random.default_rng(seed), metric)
+    field = domain.grad_norm_field
+    assert_jet_columns(field.jet(points, order), [field.jet(z, order) for z in points])

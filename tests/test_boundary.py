@@ -163,6 +163,24 @@ def test_collar_compare_at_zero_depth_is_equality(ball):
     assert rep["rows"][0]["t"] > -0.01
 
 
+def test_collar_compare_does_not_hold_over_a_nan_defect(ball, monkeypatch):
+    from dfindex import forms
+
+    p = sample_boundary(ball, 1, 6)[0]
+    ld = levi_data(ball, p)
+    real, calls = forms.beta_mixed, []
+
+    def beta(*args, **kwargs):
+        calls.append(None)
+        return complex("nan") if len(calls) == 3 else real(*args, **kwargs)
+
+    monkeypatch.setattr(forms, "beta_mixed", beta)
+    rep = collar_levi_compare(ball, p, ld.basis[0], 0.04, eps=0.1, steps=6)
+    assert math.isnan(rep["rows"][2]["lower_defect"]) and math.isfinite(rep["rows"][0]["lower_defect"])
+    assert math.isnan(rep["min_lower_defect"]) and math.isnan(rep["min_upper_defect"])
+    assert not rep["holds"]
+
+
 def test_find_collar_depth(ball):
     sites = [(p, levi_data(ball, p).basis[0]) for p in sample_boundary(ball, 3, 8)]
     delta, reports = find_collar_depth(ball, sites, eps=0.1, delta0=0.05, steps=6)

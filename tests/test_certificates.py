@@ -77,3 +77,23 @@ def test_feasibility_is_monotone_in_eta_for_fixed_coefficients(seed, m, count, e
         assert sites.margins(c, eta_lo).min() >= sites.margins(c, eta_hi).min()
     if cert.feasible:
         assert sites.margins(cert.coeffs, eta_lo).min() >= C_FLOOR
+
+
+def test_a_stage_whose_bound_is_below_the_exit_slack_stops_feasible():
+    # every margin is 5e-4 - k |D_i . c|^2: the best is 5e-4, between C_floor
+    # and the early-exit slack 1.1e-3, so only the bound can end the stage
+    rng = np.random.default_rng(3)
+    m = 3
+    basis = HBasis(n=1, m=m, name="synthetic(m=3)", rows=None)
+    sites = SiteSet(sites=[MarginSite(z=np.zeros(1, dtype=complex), zvec=CTVector.holo([1.0]),
+                                      levi_eig=0.0, beta_term=5e-4, alpha_val=0j,
+                                      basis_hess=np.zeros(m),
+                                      basis_grad=rng.standard_normal(m) + 1j * rng.standard_normal(m))
+                           for _ in range(6)], basis=basis)
+    cert = feasibility_search(None, 0.5, basis, sites, C_floor=C_FLOOR, c0=np.ones(m),
+                              box_radius=BOX, max_iter=60)
+    assert cert.status == "feasible_bounded" and cert.feasible and cert.decided
+    assert cert.iterations < 60
+    slack = max(10.0 * C_FLOOR, C_FLOOR + 1e-3)
+    assert C_FLOOR <= cert.min_margin and cert.upper_bound < slack
+    assert sites.margins(cert.coeffs, 0.5).min() >= C_FLOOR

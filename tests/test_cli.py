@@ -209,3 +209,25 @@ def test_unsupported_metric_name_exits_2(tmp_path, capsys, domain):
     err = capsys.readouterr().err
     assert "config error:" in err and "supports metrics ['euclidean']" in err
     assert not (tmp_path / "levi.json").exists()
+
+
+def test_levi_minimum_keeps_a_nan_eigenvalue(tmp_path, monkeypatch):
+    import numpy as np
+
+    from dfindex import cli
+
+    real = cli.levi_data
+
+    def nan_where_re_z1_positive(domain, p, eps_null=1e-7):
+        ld = real(domain, p, eps_null=eps_null)
+        eigs = ld.eigenvalues.copy()
+        eigs[..., 0] = np.where(np.real(ld.frame.z[..., 0]) > 0, np.nan, eigs[..., 0])
+        ld.eigenvalues = eigs
+        return ld
+
+    monkeypatch.setattr(cli, "levi_data", nan_where_re_z1_positive)
+    report = cmd_levi(load_config(None, {"domain": "ball", "samples": 12, "out": str(tmp_path)}))
+    firsts = [r["levi_eigenvalues"][0] for r in report["records"]]
+    # records are sorted by z, so the first one (smallest Re z1) is finite
+    assert firsts[0] != "nan" and "nan" in firsts
+    assert report["summary"]["min_levi_eigenvalue"] == "nan"
