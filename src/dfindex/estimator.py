@@ -7,11 +7,11 @@ For a fixed exponent eta the boundary inequality at a site (P, Z) reads
 
 and with h = sum_i c_i phi_i over a finite basis each site imposes a concave
 quadratic constraint on c, so maximizing the worst margin is a convex
-program.  It is solved by Kelley cutting planes with LP subproblems (one
-warm-started HiGHS model per search); linearizations of concave margins
-over-estimate them, so the LP value is a true upper bound and certifies
-infeasibility for the given basis and sample set when it drops below the
-required floor.
+program.  A log-barrier Newton method solves it; the weights of its central
+path give a Lagrange dual bound on the achievable margin, which certifies
+infeasibility for the given basis, sample set and coefficient box when it
+drops below the required floor, and which anyone can recompute from the
+weights with one Cholesky solve (:func:`dual_bound`).
 
 Bisection over eta assumes feasibility is monotone, which holds whenever a
 single h works across exponents (eta/(1-eta) is increasing); each stage is
@@ -25,14 +25,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import linprog
-
-try:
-    # private binding, already loaded by scipy.optimize; SciPy releases
-    # without it solve each Kelley LP from scratch through linprog
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-except ImportError:
-    _Highs = None
 
 from . import jets
 from .boundary import (
@@ -57,6 +49,7 @@ __all__ = [
     "geometric_margin",
     "vectorfield_margin",
     "EtaCertificate",
+    "dual_bound",
     "feasibility_search",
     "DFEstimate",
     "estimate_index",
@@ -364,7 +357,7 @@ def vectorfield_margin(domain, p, zvec, eta, frame=None):
 
 
 # ----------------------------------------------------------------------
-# feasibility search (Kelley cutting planes over LP subproblems)
+# feasibility search (log-barrier Newton method with a Lagrange dual bound)
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -378,6 +371,7 @@ class EtaCertificate:
     feasible: bool
     status: str
     iterations: int
+    multipliers: tuple | None = None    # (site, box) weights giving a finite upper_bound
 
     def to_json_dict(self, seed=None):
         """Plain JSON fields; a non-finite margin, bound or gap becomes None."""
@@ -385,6 +379,7 @@ class EtaCertificate:
         def finite(x):
             return float(x) if math.isfinite(x) else None
 
+        lam_nu = self.multipliers
         return {
             "eta": self.eta,
             "basis_id": self.basis_id,
@@ -392,6 +387,8 @@ class EtaCertificate:
             "min_margin": finite(self.min_margin),
             "upper_bound": finite(self.upper_bound),
             "gap": finite(self.upper_bound - self.min_margin),
+            "multipliers": None if lam_nu is None else {"sites": lam_nu[0].tolist(),
+                                                         "box": lam_nu[1].tolist()},
             "iterations": self.iterations,
             "n_sites": self.n_sites,
             "feasible": self.feasible,
@@ -401,67 +398,51 @@ class EtaCertificate:
 
     @property
     def decided(self):
-        """Feasible, or infeasible with a cutting-plane bound below the floor."""
+        """Feasible, or infeasible with a dual bound below the floor."""
         return self.feasible or self.status == "infeasible_certified"
 
 
-class _CutModel:
-    """The Kelley LP of one search: max t s.t. each cut row . (c, t) <= rhs, |c_i| <= box.
+def dual_bound(sites, eta, lam, nu, box_radius):
+    """Lagrange dual bound on the best minimum site margin over the coefficient box.
 
-    With SciPy's HiGHS binding the model lives for the whole search: each
-    block of cuts joins it through ``addRows`` and every solve restarts the
-    dual simplex from the previous optimal basis.  Without the binding each
-    solve hands all cuts so far to ``linprog``.
+    For site weights ``lam`` >= 0 summing to 1 and box weights ``nu`` > 0,
+    weak duality gives for every c with |c_j| <= R = ``box_radius``
+
+        min_i margin_i(c) <= sum_i lam_i margin_i(c) + sum_j nu_j (R^2 - c_j^2)
+                          <= r + p^T Q^{-1} p / 4,
+
+    where Q = k Re(D* Lam D) + diag(nu), p = A^T lam + 2k Re(D* Lam E),
+    r = lam . B - k sum_i lam_i |E_i|^2 + R^2 sum_j nu_j and k = eta/(1-eta).
+    Returns +inf (no bound) when the Cholesky factorisation of Q fails or
+    the value is not finite.
     """
-
-    def __init__(self, m, box_radius):
-        self.m = m
-        self.bound = np.append(np.full(m, float(box_radius)), np.inf)
-        self.highs = None if _Highs is None else _Highs()
-        if self.highs is None:
-            self.rows, self.rhs = np.empty((0, m + 1)), np.empty(0)
-            return
-        self.highs.setOptionValue("output_flag", False)
-        self.highs.addVars(m + 1, -self.bound, self.bound)
-        self.highs.changeColCost(m, -1.0)
-
-    def add(self, rows, rhs):
-        """Append the cuts ``rows @ (c, t) <= rhs``; ``rows`` has shape (k, m + 1)."""
-        if self.highs is None:
-            self.rows = np.vstack([self.rows, rows])
-            self.rhs = np.concatenate([self.rhs, rhs])
-            return
-        k, width = rows.shape
-        self.highs.addRows(k, np.full(k, -np.inf), rhs, rows.size,
-                           np.arange(0, k * width, width, dtype=np.int32),
-                           np.tile(np.arange(width, dtype=np.int32), k), rows.ravel())
-
-    def solve(self):
-        """The optimal (c, t), or None when the LP is not solved to optimality."""
-        if self.highs is None:
-            res = linprog(np.append(np.zeros(self.m), -1.0), A_ub=self.rows, b_ub=self.rhs,
-                          bounds=list(zip(-self.bound, self.bound)), method="highs")
-            return res.x if res.success else None
-        self.highs.run()
-        if self.highs.getModelStatus() != HighsModelStatus.kOptimal:
-            # a hot start can end short of optimal on an ill-conditioned
-            # basis (seen at degree 40); solve once more without the basis
-            self.highs.clearSolver()
-            self.highs.run()
-            if self.highs.getModelStatus() != HighsModelStatus.kOptimal:
-                return None
-        return np.array(self.highs.getSolution().col_value)
+    k = eta / (1.0 - eta)
+    lam, nu = np.asarray(lam, dtype=float), np.asarray(nu, dtype=float)
+    weighted = sites.D * lam[:, None]
+    Q = k * np.real(sites.D.conj().T @ weighted) + np.diag(nu)
+    p = sites.A.T @ lam + 2.0 * k * np.real(weighted.conj().T @ sites.E)
+    r = lam @ sites.B - k * (lam @ np.abs(sites.E) ** 2) + box_radius**2 * nu.sum()
+    try:
+        y = np.linalg.solve(np.linalg.cholesky(Q), p)
+    except np.linalg.LinAlgError:
+        return math.inf
+    value = float(r + 0.25 * (y @ y))
+    return value if math.isfinite(value) else math.inf
 
 
 def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, tol=1e-6,
-                       c0=None, box_radius=100.0, max_iter=None):
+                       c0=None, box_radius=100.0, max_iter=400):
     """Maximize the minimum site margin over the basis coefficients.
 
     Returns a certificate; it is feasible iff the best minimum margin
-    reaches ``C_floor``.  The LP value bounds the achievable minimum margin
-    from above (within the coefficient box), so ``status ==
-    "infeasible_certified"`` means no h in this basis can satisfy the
-    sampled constraints.
+    reaches ``C_floor``.  Damped Newton steps from c = 0 follow the central
+    path of max t s.t. margin_i(c) >= t, |c_j| < R = ``box_radius``: they
+    minimize -t/mu - sum log(margin_i(c) - t) - sum log(R^2 - c_j^2), and mu
+    shrinks after each centring, where :func:`dual_bound` turns the central
+    weights into ``upper_bound``.  ``"infeasible_certified"`` means that
+    bound lies below the floor.  A step that is not finite, or a line search
+    that finds no point inside the barrier's domain with enough decrease,
+    ends the search as ``"newton_failure"``.  ``c0`` seeds the incumbent.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
@@ -470,73 +451,90 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, tol=1e-6,
         return EtaCertificate(eta=eta, basis_id=basis.name, coeffs=np.zeros(m),
                               min_margin=NO_CONSTRAINT, upper_bound=NO_CONSTRAINT,
                               n_sites=0, feasible=True, status="no_null_sites", iterations=0)
-    if max_iter is None:
-        max_iter = max(60, min(10 * m * len(sites), 400))
     k = eta / (1.0 - eta)
-    c = np.zeros(m) if c0 is None else np.asarray(c0, dtype=float).copy()
-    model = _CutModel(m, box_radius)
-    best_c, best_val = c.copy(), -math.inf
-    ub = math.inf
+    R2 = float(box_radius) ** 2
+    best_c = np.zeros(m) if c0 is None else np.asarray(c0, dtype=float).copy()
+    best_val = float(sites.margins(best_c, eta).min())
+    ub, multipliers = math.inf, None
     status = "iteration_cap"
     decision_slack = max(10.0 * C_floor, C_floor + 1e-3)
     iterations = 0
+    # the central path starts at c = 0, with t below every margin
+    c = np.zeros(m)
+    f = sites.margins(c, eta)
+    mu = max(1.0, abs(float(f.min())))
+    t = float(f.min()) - mu
 
-    def add_cuts(at, vals):
-        # linearize the concave margins of the worst sites at ``at``
-        worst = np.argsort(vals)[: min(8, len(vals))]
-        D = sites.D[worst]
-        resid = sites.E[worst] - D @ at
-        g = sites.A[worst] + 2.0 * k * np.real(np.conj(resid)[:, None] * D)
-        b = vals[worst] - g @ at
-        # normalize each row (t - g.c <= b) so the LP stays well scaled
-        scale = 1.0 / np.maximum(np.maximum(1.0, np.abs(g).max(axis=1)), np.abs(b))
-        model.add(np.column_stack([-g * scale[:, None], scale]), b * scale)
+    def barrier(c, t, f):
+        s, room = f - t, R2 - c**2
+        if not (np.all(s > 0.0) and np.all(room > 0.0)):
+            return math.inf
+        return -t / mu - np.log(s).sum() - np.log(room).sum()
+
+    def newton(H, grad):
+        try:
+            step = -np.linalg.solve(H, grad)
+        except np.linalg.LinAlgError:    # a singular Hessian
+            return None, math.nan
+        return step, -float(grad @ step)
 
     for iterations in range(1, max_iter + 1):
-        vals = sites.margins(c, eta)
-        fval = float(vals.min())
-        if fval > best_val:
-            best_val, best_c = fval, c.copy()
+        if f.min() > best_val:
+            best_val, best_c = float(f.min()), c.copy()
         if best_val >= decision_slack:
             status = "feasible_early_exit"
             break
-        add_cuts(c, vals)
-        x = model.solve()
-        if x is None:
-            status = "lp_failure"
-            break
-        ub = float(x[-1])
-        c_lp = x[:m]
-        # in-out step: the margins are concave, so scan the segment from the
-        # incumbent to the LP point and keep the best interpolate
-        if np.isfinite(best_val):
-            lam = np.linspace(0.0, 1.0, 9)[1:]
-            cands = best_c[None, :] + lam[:, None] * (c_lp - best_c)[None, :]
-            cand_vals = np.array([sites.margins(ci, eta).min() for ci in cands])
-            pick = int(np.argmax(cand_vals))
-            if float(cand_vals[pick]) > best_val:
-                best_val = float(cand_vals[pick])
-                best_c = cands[pick].copy()
-        c = c_lp
         if ub < C_floor - tol:
             status = "infeasible_certified"
             break
         if ub - best_val <= tol:
             status = "converged"
             break
-        if best_val >= decision_slack:
-            status = "feasible_early_exit"
-            break
         if best_val >= C_floor and ub < decision_slack:
             # feasible, and the bound shows the early-exit slack is out of reach
             status = "feasible_bounded"
             break
+        # Newton step for the barrier at (c, t); g_i is the gradient of margin_i
+        w = 1.0 / (f - t)
+        room = R2 - c**2
+        g = sites.A + 2.0 * k * np.real(np.conj(sites.E - sites.D @ c)[:, None] * sites.D)
+        J = np.column_stack([g, -np.ones(len(w))]) * w[:, None]
+        H = J.T @ J
+        H[:m, :m] += (2.0 * k * np.real(sites.D.conj().T @ (sites.D * w[:, None]))
+                      + np.diag(2.0 * (R2 + c**2) / room**2))
+        grad = np.append(2.0 * c / room - w @ g, w.sum() - 1.0 / mu)
+        step, decrement = newton(H, grad)
+        if decrement <= 1e-6:
+            # centred: the central weights give a dual bound; mu shrinks, and
+            # only the t entry of the gradient depends on it
+            lam, nu = w / w.sum(), (1.0 / room) / w.sum()
+            bound = dual_bound(sites, eta, lam, nu, box_radius)
+            if bound < ub:
+                ub, multipliers = bound, (lam, nu)
+            mu *= 0.2
+            grad[m] = w.sum() - 1.0 / mu
+            step, decrement = newton(H, grad)
+        if not math.isfinite(decrement):
+            status = "newton_failure"
+            break
+        # backtracking line search that stays strictly inside the domain
+        phi, alpha = barrier(c, t, f), 1.0
+        while alpha > 1e-12:
+            c_new, t_new = c + alpha * step[:m], t + alpha * step[m]
+            f_new = sites.margins(c_new, eta)
+            if barrier(c_new, t_new, f_new) <= phi - 0.25 * alpha * decrement:
+                break
+            alpha *= 0.5
+        else:
+            status = "newton_failure"
+            break
+        c, t, f = c_new, t_new, f_new
     feasible = bool(best_val >= C_floor)
     if feasible:
         best_c, best_val = _shrink_certificate(sites, eta, best_c, C_floor)
     return EtaCertificate(eta=eta, basis_id=basis.name, coeffs=best_c, min_margin=best_val,
                           upper_bound=ub, n_sites=len(sites), feasible=feasible,
-                          status=status, iterations=iterations)
+                          status=status, iterations=iterations, multipliers=multipliers)
 
 
 def _shrink_certificate(sites, eta, coeffs, C_floor, steps=40):
@@ -591,7 +589,7 @@ def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-
     ``sites`` come from :func:`collect_sites`.  Feasibility at each eta is
     decided by :func:`feasibility_search`, seeding each stage with the
     previous certificate's coefficients.  A stage that ends neither feasible
-    nor certified infeasible (iteration cap, LP failure) is recorded with a
+    nor certified infeasible (iteration cap, Newton failure) is recorded with a
     warning and ends the bisection without moving the bracket.
     """
     records, certificates, warnings = [], {}, []

@@ -101,9 +101,6 @@ class CTVector:
         """Concatenated coefficients over the 2n complexified directions."""
         return np.concatenate([self.h, self.a], axis=-1)
 
-    def is_real(self, tol=1e-12):
-        return bool(np.max(np.abs(self.a - self.h.conj())) <= tol * (1.0 + np.max(np.abs(self.h))))
-
 
 def _lead(a, rank):
     """A table array of derivative rank ``rank`` with its trailing batch axes moved first."""
@@ -395,11 +392,6 @@ def kahler_defect(metric, z):
 # ----------------------------------------------------------------------
 # operators
 # ----------------------------------------------------------------------
-
-def _direction_derivative(table, x):
-    """X f from a Wirtinger table and a complexified vector."""
-    return complex(x.coeffs @ table.w1)
-
 
 def covariant_derivative(metric, z, direction, v, frame=None):
     """Chern covariant derivative of vector field ``v`` along ``direction`` at ``z``.

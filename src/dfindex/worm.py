@@ -8,6 +8,7 @@ reduction of the boundary inequality reproduces the known index pi/(2 gamma).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -359,6 +360,15 @@ def riccati_feasibility(gamma, eta):
     if k == 0.0:
         xs = np.linspace(0.0, a, 33)
         return RiccatiResult(gamma, eta, True, "feasible", None, xs, np.zeros_like(xs))
+    sol = _shoot(k, a)
+    if sol.t_events[0].size:
+        return RiccatiResult(gamma, eta, False, "infeasible", float(sol.t_events[0][0]))
+    xs = np.linspace(0.0, a, 65)
+    return RiccatiResult(gamma, eta, True, "feasible", None, xs, sol.sol(xs)[0])
+
+
+def _shoot(k, a):
+    """Solve u' = k (1 + u^2), u(0) = 0 on [0, a], stopping where u reaches _U_MAX."""
 
     def rhs(_, u):
         return [k * (1.0 + u[0] ** 2)]
@@ -368,26 +378,25 @@ def riccati_feasibility(gamma, eta):
 
     blow_up.terminal = True
     blow_up.direction = 1.0
-    sol = solve_ivp(rhs, (0.0, a), [0.0], method="RK45", rtol=1e-10, atol=1e-12,
-                    events=blow_up, dense_output=True, max_step=a / 50.0)
-    if sol.t_events[0].size:
-        return RiccatiResult(gamma, eta, False, "infeasible", float(sol.t_events[0][0]))
-    xs = np.linspace(0.0, a, 65)
-    return RiccatiResult(gamma, eta, True, "feasible", None, xs, sol.sol(xs)[0])
+    return solve_ivp(rhs, (0.0, a), [0.0], method="RK45", rtol=1e-10, atol=1e-12,
+                     events=blow_up, dense_output=True, max_step=a / 50.0)
 
 
-def riccati_threshold(gamma, tol=1e-4):
-    """Empirical feasibility threshold in eta, bisected with the shooter."""
-    lo, hi = 0.0, 1.0 - 1e-9
-    if riccati_feasibility(gamma, hi).status == "feasible":
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        res = riccati_feasibility(gamma, mid)
-        if res.status == "indeterminate":
-            return mid
-        if res.feasible:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+@functools.cache
+def _blow_up_point():
+    """Where v' = 1 + v^2, v(0) = 0 reaches _U_MAX, by one shooting."""
+    return float(_shoot(1.0, math.pi).t_events[0][0])
+
+
+def riccati_threshold(gamma):
+    """Feasibility threshold in eta of the Riccati reduction, from one shooting.
+
+    The extremal profile is u(x; k) = v(k x) with v' = 1 + v^2, v(0) = 0, so
+    u stays finite on [0, a], a = gamma - pi/2, exactly when k < X / a, where
+    X is the blow-up point of v; the threshold is eta* = k*/(1 + k*) with
+    k* = X / a.
+    """
+    if gamma <= math.pi / 2:
+        raise ValueError("gamma must exceed pi/2")
+    k_star = _blow_up_point() / (gamma - math.pi / 2)
+    return k_star / (1.0 + k_star)

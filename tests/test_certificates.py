@@ -1,4 +1,4 @@
-"""Soundness of the Kelley certificates on small random site sets.
+"""Soundness of the barrier search's certificates on small random site sets.
 
 The sites are synthetic: each carries the eta-independent margin data of
 one (P, Z) pair (beta term, alpha value, basis Hessian and gradient rows),
@@ -7,14 +7,20 @@ so the margin of a site at coefficients c is
     B + A . c - eta/(1-eta) |E - D . c|^2,
 
 concave in c.  The properties hold for any such data, not only for data
-that come from a domain.
+that come from a domain.  A feasible certificate is checked on the true
+margins; an upper bound is the Lagrange dual bound of the multipliers the
+certificate carries, which ``dual_bound`` recomputes from them alone.
 """
 
+import json
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfindex.estimator import HBasis, MarginSite, SiteSet, feasibility_search
+from dfindex.estimator import HBasis, MarginSite, SiteSet, dual_bound, feasibility_search
 from dfindex.geometry import CTVector
 
 C_FLOOR = 1e-4
@@ -77,6 +83,31 @@ def test_feasibility_is_monotone_in_eta_for_fixed_coefficients(seed, m, count, e
         assert sites.margins(c, eta_lo).min() >= sites.margins(c, eta_hi).min()
     if cert.feasible:
         assert sites.margins(cert.coeffs, eta_lo).min() >= C_FLOOR
+
+
+@PROPERTY
+@given(eta=st.floats(0.0, 0.95), **SITE_SETS)
+def test_the_certificate_multipliers_give_back_its_upper_bound(seed, m, count, eta):
+    basis, sites = random_sites(np.random.default_rng(seed), m, count)
+    cert = search(basis, sites, eta)
+    blob = json.loads(json.dumps(cert.to_json_dict()))
+    if cert.multipliers is None:
+        assert cert.upper_bound == math.inf and blob["multipliers"] is None
+        return
+    lam, nu = (np.array(blob["multipliers"][key]) for key in ("sites", "box"))
+    assert lam.shape == (count,) and nu.shape == (m,)
+    assert np.all(lam >= 0.0) and np.all(nu > 0.0) and lam.sum() == pytest.approx(1.0)
+    assert dual_bound(sites, eta, lam, nu, BOX) == cert.upper_bound == blob["upper_bound"]
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
+def test_a_nan_site_ends_the_search_undecided(eta):
+    basis, sites = random_sites(np.random.default_rng(11), 3, 5)
+    sites.sites[2].beta_term = math.nan
+    sites = SiteSet(sites=sites.sites, basis=basis)
+    cert = search(basis, sites, eta)
+    assert cert.status == "newton_failure" and cert.iterations <= 2
+    assert not cert.feasible and not cert.decided
 
 
 def test_a_stage_whose_bound_is_below_the_exit_slack_stops_feasible():

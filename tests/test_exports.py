@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +32,21 @@ def test_package_reexports_resolve():
         assert getattr(dfindex, attr) is getattr(module, attr)
         assert attr in getattr(module, "__all__", [attr]), \
             f"dfindex re-exports {attr} but dfindex.{module_name}.__all__ does not list it"
+
+
+def test_no_private_scipy_module_is_imported():
+    # a private binding (a dotted segment under scipy. that starts with _)
+    # can change or vanish in any SciPy release
+    private = []
+    for path in sorted(Path(dfindex.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            private += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] == "scipy"
+                        and any(part.startswith("_") for part in name.split(".")[1:])]
+    assert not private, f"private SciPy imports: {private}"

@@ -119,6 +119,17 @@ def test_riccati_thresholds_match_index_formula():
         assert riccati_threshold(gamma) == pytest.approx(math.pi / (2 * gamma), abs=1e-3)
 
 
+def test_riccati_threshold_from_one_shooting_is_pi_over_two_gamma():
+    for gamma in (0.6 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi):
+        th = riccati_threshold(gamma)
+        assert abs(th - math.pi / (2 * gamma)) <= 1e-6
+        # the shooter of the feasibility test agrees on both sides
+        assert riccati_feasibility(gamma, th - 1e-3).status == "feasible"
+        assert riccati_feasibility(gamma, th + 1e-3).status == "infeasible"
+    with pytest.raises(ValueError):
+        riccati_threshold(1.0)
+
+
 def test_riccati_witness_profile_is_tan():
     res = riccati_feasibility(math.pi, 0.4)
     assert isinstance(res, RiccatiResult)
