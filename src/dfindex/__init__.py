@@ -36,6 +36,7 @@ from .estimator import (
     HBasis,
     boundary_margin,
     collect_sites,
+    dual_bound,
     estimate_index,
     feasibility_search,
     geometric_margin,

@@ -141,27 +141,34 @@ def _col(s):
 # projection and sampling
 # ----------------------------------------------------------------------
 
-def _real_gradient(domain, z):
-    jet = domain.r.jet(z, 1)
-    return float(np.real(jet.value)), np.real(jet.grad)
+def _newton_to_level(domain, z0, target, tol, max_iter):
+    """Newton steps along the gradient of r from ``z0`` to the level set r = ``target``.
 
-
-def project_to_boundary(domain, z0, tol_bnd=TOL_BND, tol_grad=TOL_GRAD, max_iter=50):
-    """Newton iteration along the gradient of r onto the zero level set."""
+    Stops once |r - target| <= tol (1 + |target|) and returns the point with
+    that residual; raises :class:`ProjectionError` where the gradient
+    vanishes, a step leaves the chart, or ``max_iter`` steps do not converge.
+    """
     x = real_coords(z0)
-    domain.check_chart(complex_point(x))
     for _ in range(max_iter):
         z = complex_point(x)
-        rv, grad = _real_gradient(domain, z)
+        jet = domain.r.jet(z, 1)
+        rv, grad = float(np.real(jet.value)) - target, np.real(jet.grad)
         gnorm2 = float(grad @ grad)
-        if gnorm2 < tol_grad**2:
+        if gnorm2 < TOL_GRAD**2:
             raise ProjectionError(f"vanishing gradient of r at {z} (|grad| = {np.sqrt(gnorm2):.2e})")
-        if abs(rv) <= tol_bnd:
-            return BoundaryPoint(z=z, residual=abs(rv))
+        if abs(rv) <= tol * (1.0 + abs(target)):
+            return z, abs(rv)
         x = x - rv * grad / gnorm2
         if not domain.in_chart(complex_point(x)):
-            raise ProjectionError(f"projection from {z0} left the chart box")
-    raise ProjectionError(f"projection from {z0} did not converge in {max_iter} iterations")
+            raise ProjectionError(f"Newton from {z0} to r = {target} left the chart box")
+    raise ProjectionError(f"Newton from {z0} did not converge to r = {target} in {max_iter} iterations")
+
+
+def project_to_boundary(domain, z0, tol_bnd=TOL_BND, max_iter=50):
+    """Newton iteration along the gradient of r onto the zero level set."""
+    domain.check_chart(z0)
+    z, residual = _newton_to_level(domain, z0, 0.0, tol_bnd, max_iter)
+    return BoundaryPoint(z=z, residual=residual)
 
 
 def sample_boundary(domain, count, seed, tol_bnd=TOL_BND, max_trials_factor=100):
@@ -600,18 +607,7 @@ def find_collar_depth(domain, sites, eps, delta0=0.05, min_delta=1e-4, steps=10)
 
 def point_at_depth(domain, p, depth, tol=1e-12, max_iter=60):
     """Interior point with r = -depth reached by Newton from a boundary point."""
-    x = real_coords(_point_of(p))
-    target = -float(depth)
-    for _ in range(max_iter):
-        z = complex_point(x)
-        rv, grad = _real_gradient(domain, z)
-        if abs(rv - target) <= tol * (1.0 + abs(target)):
-            return z
-        gnorm2 = float(grad @ grad)
-        if gnorm2 < TOL_GRAD**2:
-            raise ProjectionError(f"vanishing gradient while descending to depth {depth}")
-        x = x - (rv - target) * grad / gnorm2
-    raise ProjectionError(f"depth Newton did not converge to r = {target}")
+    return _newton_to_level(domain, _point_of(p), -float(depth), tol, max_iter)[0]
 
 
 # ----------------------------------------------------------------------

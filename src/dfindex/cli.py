@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -84,25 +84,10 @@ class RunConfig:
         return self
 
     def to_dict(self):
-        return {
-            "domain": self.domain,
-            "domain_params": self.domain_params,
-            "metric": self.metric,
-            "samples": self.samples,
-            "special_samples": self.special_samples,
-            "seed": self.seed,
-            "eps_null": self.eps_null,
-            "tol_bnd": self.tol_bnd,
-            "tol_eta": self.tol_eta,
-            "c_floor": self.c_floor,
-            "eta": self.eta,
-            "eta_cap": self.eta_cap,
-            "basis": self.basis,
-            "basis_degree": self.basis_degree,
-            "basis_spread": self.basis_spread,
-            "box_radius": self.box_radius,
-            "version": __version__,
-        }
+        """Every field but the output options ``out`` and ``format``, plus the version."""
+        fields = asdict(self)
+        del fields["out"], fields["format"]
+        return {**fields, "version": __version__}
 
 
 _CONFIG_FIELDS = set(RunConfig().__dict__)

@@ -22,7 +22,7 @@ practice, and the recorded grid is checked for violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "HBasis",
     "worm_reduction_basis",
     "poly_basis",
-    "MarginSite",
     "SiteSet",
     "collect_sites",
     "boundary_margin",
@@ -160,38 +159,36 @@ def poly_basis(n, degree=2):
 # ----------------------------------------------------------------------
 
 @dataclass
-class MarginSite:
-    z: np.ndarray
-    zvec: CTVector          # unit null (or near-null) direction
-    levi_eig: float
-    beta_term: float        # -i beta(Z, Zbar)
-    alpha_val: complex
-    basis_hess: np.ndarray  # ddbar phi_i(Z, Zbar), real
-    basis_grad: np.ndarray  # del phi_i(Z), complex
-
-
-@dataclass
 class SiteSet:
-    sites: list
+    """The eta-independent margin data of N sites (P, Z), one row per site.
+
+    ``B`` (N,) holds -i beta(Z, Zbar), ``A`` (N, m) the rows ddbar phi_j(Z, Zbar),
+    ``E`` (N,) alpha(Z) and ``D`` (N, m) the rows del phi_j(Z), so that the
+    margin of site i at coefficients c is B_i + A_i . c - eta/(1-eta) |E_i - D_i . c|^2
+    (:meth:`margins`, the only place that formula is evaluated).
+    """
+
     basis: HBasis
-    B: np.ndarray = dc_field(init=False)
-    A: np.ndarray = dc_field(init=False)
-    E: np.ndarray = dc_field(init=False)
-    D: np.ndarray = dc_field(init=False)
+    B: np.ndarray
+    A: np.ndarray
+    E: np.ndarray
+    D: np.ndarray
 
     def __post_init__(self):
-        count = len(self.sites)
-        self.B = np.array([s.beta_term for s in self.sites], dtype=float)
-        self.E = np.array([s.alpha_val for s in self.sites], dtype=complex)
-        if count:
-            self.A = np.array([s.basis_hess for s in self.sites], dtype=float)
-            self.D = np.array([s.basis_grad for s in self.sites], dtype=complex)
-        else:
-            self.A = np.zeros((0, self.basis.m))
-            self.D = np.zeros((0, self.basis.m), dtype=complex)
+        # np.real of a complex array is a strided view, and ``A @ c`` on a
+        # strided A takes another BLAS path whose last bits differ, so every
+        # array is stored C-contiguous
+        self.B = np.ascontiguousarray(self.B, dtype=float)
+        self.A = np.ascontiguousarray(self.A, dtype=float)
+        self.E = np.ascontiguousarray(self.E, dtype=complex)
+        self.D = np.ascontiguousarray(self.D, dtype=complex)
+
+    @classmethod
+    def empty(cls, basis):
+        return cls(basis, np.zeros(0), np.zeros((0, basis.m)), np.zeros(0), np.zeros((0, basis.m)))
 
     def __len__(self):
-        return len(self.sites)
+        return len(self.B)
 
     def margins(self, coeffs, eta):
         k = eta / (1.0 - eta)
@@ -223,27 +220,23 @@ def _basis_rows(basis, frame, zvec):
     return hess, grad
 
 
-def make_site(domain, frame, zvec, basis, levi_eig=0.0):
-    """Assemble the eta-independent margin data of one (P, Z) site, or of a batch of them.
+def make_site(domain, frame, zvec, basis):
+    """The eta-independent margin data of a batch of (P, Z) sites, as a :class:`SiteSet`.
 
-    Over a batch frame (and Z of coefficients (B, n)) every field carries a
-    leading site axis.
+    ``frame`` is a batch frame over the points P (B, n) and ``zvec`` carries
+    the directions Z as coefficients (B, n).
     """
     b = beta_mixed(domain, frame.z, zvec, zvec, frame=frame)
-    beta_term = np.real(jets._vmul(-1j, b))
     a = alpha(domain, frame.z, zvec, frame=frame)
-    hess_row, grad_row = _basis_rows(basis, frame, zvec)
-    if not np.ndim(beta_term):
-        beta_term, levi_eig = float(beta_term), float(levi_eig)
-    return MarginSite(z=frame.z, zvec=zvec, levi_eig=levi_eig, beta_term=beta_term,
-                      alpha_val=a, basis_hess=hess_row, basis_grad=grad_row)
+    hess, grad = _basis_rows(basis, frame, zvec)
+    return SiteSet(basis, np.real(jets._vmul(-1j, b)), hess, a, grad)
 
 
-def collect_sites(domain, points, basis, eps_null=1e-7, relaxed_cutoff=1e-3):
+def collect_sites(domain, points, basis, eps_null=1e-7):
     """Null and near-null constraint sites over a boundary sample.
 
     Includes every (P, Z) whose Levi eigenvalue falls below the relaxed
-    cutoff ``relaxed_cutoff * max_eigenvalue`` (plus the absolute null
+    cutoff 1e-3 times the largest eigenvalue at P (or below the absolute null
     cutoff), with Z normalized to unit metric length.  Also returns the
     smallest strictly-pseudoconvex eigenvalue seen, for reporting when no
     site constrains the search.  The Levi data of all points and the sites
@@ -251,34 +244,28 @@ def collect_sites(domain, points, basis, eps_null=1e-7, relaxed_cutoff=1e-3):
     """
     points = list(points)
     if not points:
-        return SiteSet(sites=[], basis=basis), math.inf
+        return SiteSet.empty(basis), math.inf
     ld = levi_data(domain, normal_frame(domain, points, r_order=2), eps_null=eps_null)
     eigs = ld.eigenvalues
     lam_max = eigs[:, -1]
-    cutoff = np.maximum(relaxed_cutoff * lam_max, eps_null * (lam_max + 1.0))
+    cutoff = np.maximum(1e-3 * lam_max, eps_null * (lam_max + 1.0))
     near_null = eigs < cutoff[:, None]
     # np.min keeps a NaN eigenvalue, which ``min`` would drop
     min_pc_eig = float(np.min(eigs[~near_null], initial=math.inf))
     at, idx = np.nonzero(near_null)
     if not len(at):
-        return SiteSet(sites=[], basis=basis), min_pc_eig
+        return SiteSet.empty(basis), min_pc_eig
     dirs = np.stack([d.h for d in ld.directions], axis=1)[at, idx]
     zvec = CTVector.holo(dirs)
     zvec = zvec * (1.0 / np.sqrt(norm2(ld.frame.G[at], zvec)))[:, None]
-    site = make_site(domain, frame_at(domain, ld.frame.z[at]), zvec, basis, levi_eig=eigs[at, idx])
-    sites = [MarginSite(z=site.z[i], zvec=CTVector(site.zvec.h[i], site.zvec.a[i]),
-                        levi_eig=float(site.levi_eig[i]), beta_term=float(site.beta_term[i]),
-                        alpha_val=complex(site.alpha_val[i]), basis_hess=site.basis_hess[i],
-                        basis_grad=site.basis_grad[i])
-             for i in range(len(at))]
-    return SiteSet(sites=sites, basis=basis), min_pc_eig
+    return make_site(domain, frame_at(domain, ld.frame.z[at]), zvec, basis), min_pc_eig
 
 
 # ----------------------------------------------------------------------
 # margin evaluators
 # ----------------------------------------------------------------------
 
-def boundary_margin(domain, p, zvec, basis, coeffs, eta, frame=None):
+def boundary_margin(domain, p, zvec, basis, coeffs, eta):
     """Margin of the h-form boundary inequality at (P, Z) with C = 0.
 
     Returns [-i beta(Z, Zbar) + ddbar h(Z, Zbar)]
@@ -287,12 +274,8 @@ def boundary_margin(domain, p, zvec, basis, coeffs, eta, frame=None):
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    fr = frame if frame is not None else normal_frame(domain, p)
-    site = make_site(domain, fr, zvec, basis)
-    coeffs = np.asarray(coeffs, dtype=float)
-    k = eta / (1.0 - eta)
-    return float(site.beta_term + site.basis_hess @ coeffs
-                 - k * abs(site.alpha_val - site.basis_grad @ coeffs) ** 2)
+    site = make_site(domain, normal_frame(domain, [p]), CTVector(zvec.h[None], zvec.a[None]), basis)
+    return float(site.margins(np.asarray(coeffs, dtype=float), eta)[0])
 
 
 def _null_checked(domain, p, zvec, frame):
@@ -572,9 +555,16 @@ def _shrink_certificate(sites, eta, coeffs, C_floor, steps=40):
 class DFEstimate:
     eta_lo: float
     eta_hi: float
-    records: list
-    certificates: dict
+    certificates: dict      # eta -> EtaCertificate, in the order the stages ran
     warnings: list
+
+    @property
+    def records(self):
+        """One row per stage, in the order the stages ran."""
+        return [{"eta": eta, "feasible": cert.feasible,
+                 "min_margin": None if cert.min_margin == NO_CONSTRAINT else float(cert.min_margin),
+                 "status": cert.status}
+                for eta, cert in self.certificates.items()]
 
     def summary(self):
         if self.eta_hi >= 1.0:
@@ -588,33 +578,26 @@ def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-
 
     ``sites`` come from :func:`collect_sites`.  Feasibility at each eta is
     decided by :func:`feasibility_search`, seeding each stage with the
-    previous certificate's coefficients.  A stage that ends neither feasible
-    nor certified infeasible (iteration cap, Newton failure) is recorded with a
-    warning and ends the bisection without moving the bracket.
+    previous certificate's coefficients.  Without sites the cap stage is
+    feasible (``no_null_sites``) and ends the estimate.  A stage that ends
+    neither feasible nor certified infeasible (iteration cap, Newton failure)
+    is recorded with a warning and ends the bisection without moving the
+    bracket.
     """
-    records, certificates, warnings = [], {}, []
+    certificates, warnings = {}, []
 
     def run(eta, c_seed):
         cert = feasibility_search(domain, eta, basis, sites, C_floor=C_floor,
                                   c0=c_seed, box_radius=box_radius)
-        records.append({"eta": float(eta), "feasible": cert.feasible,
-                        "min_margin": None if cert.min_margin == NO_CONSTRAINT else float(cert.min_margin),
-                        "status": cert.status})
         certificates[float(eta)] = cert
         if not cert.decided:
             warnings.append(f"eta = {eta} undecided ({cert.status}); it moves neither end "
                             "of the bracket")
         return cert
 
-    if len(sites) == 0:
-        cert = run(eta_cap, None)
-        return DFEstimate(eta_lo=eta_cap, eta_hi=1.0, records=records,
-                          certificates=certificates, warnings=warnings)
-
-    cert_cap = run(eta_cap, None)
-    if cert_cap.feasible:
-        return DFEstimate(eta_lo=eta_cap, eta_hi=1.0, records=records,
-                          certificates=certificates, warnings=warnings)
+    if run(eta_cap, None).feasible:
+        return DFEstimate(eta_lo=eta_cap, eta_hi=1.0, certificates=certificates,
+                          warnings=warnings)
     lo, hi = 0.0, eta_cap
     cert_lo = run(0.0, None)
     c_seed = cert_lo.coeffs if cert_lo.feasible else None
@@ -630,12 +613,11 @@ def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-
         else:
             break       # without a certificate no later midpoint is sound
 
-    feas_by_eta = sorted((r["eta"], r["feasible"]) for r in records)
+    feas_by_eta = sorted((eta, cert.feasible) for eta, cert in certificates.items())
     for (e1, f1), (e2, f2) in zip(feas_by_eta, feas_by_eta[1:]):
         if (not f1) and f2:
             warnings.append(f"non-monotone feasibility between eta = {e1} and {e2} (sampling noise)")
-    return DFEstimate(eta_lo=lo, eta_hi=hi, records=records, certificates=certificates,
-                      warnings=warnings)
+    return DFEstimate(eta_lo=lo, eta_hi=hi, certificates=certificates, warnings=warnings)
 
 
 # ----------------------------------------------------------------------

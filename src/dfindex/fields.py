@@ -31,7 +31,6 @@ __all__ = [
     "wirtinger_table",
     "complex_hessian",
     "dz_jet",
-    "dzbar_jet",
 ]
 
 
@@ -238,8 +237,3 @@ def complex_hessian(field, z, tol=1e-10):
 def dz_jet(jet, j, n):
     """Jet of d f / dz_j (one order lower than ``jet``)."""
     return (jet.shift(j) - 1j * jet.shift(n + j)) * 0.5
-
-
-def dzbar_jet(jet, j, n):
-    """Jet of d f / dzbar_j (one order lower than ``jet``)."""
-    return (jet.shift(j) + 1j * jet.shift(n + j)) * 0.5

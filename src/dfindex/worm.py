@@ -298,7 +298,7 @@ def s_gamma_reference(params, z2):
     )
 
 
-def sgamma_points(params, count, spread=0.97, clustered=True):
+def sgamma_points(params, count, spread=0.97):
     """Deterministic boundary points on the degenerate annulus.
 
     Log-moduli sweep |x| <= spread * a, clustered toward the ends of the
@@ -308,10 +308,7 @@ def sgamma_points(params, count, spread=0.97, clustered=True):
     if not isinstance(params, WormParams):
         params = WormParams(**params)
     half = spread * params.a
-    if clustered:
-        xs = half * np.cos(np.pi * (2.0 * np.arange(count) + 1.0) / (2.0 * count))
-    else:
-        xs = np.linspace(-half, half, count)
+    xs = half * np.cos(np.pi * (2.0 * np.arange(count) + 1.0) / (2.0 * count))
     golden = math.pi * (3.0 - math.sqrt(5.0))
     points = []
     for k, x in enumerate(xs):
@@ -322,7 +319,7 @@ def sgamma_points(params, count, spread=0.97, clustered=True):
 
 def _sgamma_sampler(domain, params, count, seed):
     del seed  # deterministic clustered nodes serve every seed identically
-    return sgamma_points(params, count, spread=0.99, clustered=True)
+    return sgamma_points(params, count, spread=0.99)
 
 
 # ----------------------------------------------------------------------

@@ -458,12 +458,14 @@ def test_make_site_matches_one_point(worm_kahler):
     points = np.array([p.z for p in sgamma_points(worm_kahler.params["worm"], 4, spread=0.9)])
     basis = worm_reduction_basis(math.pi, degree=5)
     zvec = CTVector.holo(np.tile([0.0, 1.0], (4, 1)).astype(complex))
-    batch = make_site(worm_kahler, frame_at(worm_kahler, points), zvec, basis,
-                      levi_eig=np.zeros(4))
+    batch = make_site(worm_kahler, frame_at(worm_kahler, points), zvec, basis)
+    assert len(batch) == 4
     for b, z in enumerate(points):
-        one = make_site(worm_kahler, frame_at(worm_kahler, z), CTVector.holo([0.0, 1.0]), basis)
-        for name in ("beta_term", "alpha_val", "basis_hess", "basis_grad"):
-            assert_same(getattr(batch, name)[b], getattr(one, name))
+        one = make_site(worm_kahler, frame_at(worm_kahler, z[None]),
+                        CTVector.holo([[0.0, 1.0]]), basis)
+        assert len(one) == 1
+        for name in ("B", "A", "E", "D"):
+            assert_same(getattr(batch, name)[b], getattr(one, name)[0])
 
 
 @settings(derandomize=True, deadline=None, max_examples=6)
@@ -485,6 +487,16 @@ def test_collect_sites_matches_points_one_at_a_time(seed):
     assert_same(min_pc, min(m for _, m in ones))
     none, inf = collect_sites(worm, [], basis)
     assert len(none) == 0 and inf == math.inf
+
+
+def test_collect_sites_stores_c_contiguous_arrays():
+    # ``A @ c`` on a strided A takes another BLAS path, with other last bits
+    worm = worm_domain(WormParams(gamma=math.pi, t=1.2))
+    basis = worm_reduction_basis(math.pi, degree=6)
+    sites, _ = collect_sites(worm, sgamma_points(worm.params["worm"], 8, spread=0.95), basis)
+    assert len(sites) == 8
+    for name in ("B", "A", "E", "D"):
+        assert getattr(sites, name).flags["C_CONTIGUOUS"], name
 
 
 @BATCH

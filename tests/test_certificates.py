@@ -20,8 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfindex.estimator import HBasis, MarginSite, SiteSet, dual_bound, feasibility_search
-from dfindex.geometry import CTVector
+from dfindex.estimator import HBasis, SiteSet, dual_bound, feasibility_search
 
 C_FLOOR = 1e-4
 BOX = 5.0
@@ -30,13 +29,11 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
 def random_sites(rng, m, count):
     basis = HBasis(n=1, m=m, name=f"synthetic(m={m})", rows=None)
-    sites = [MarginSite(z=np.zeros(1, dtype=complex), zvec=CTVector.holo([1.0]), levi_eig=0.0,
-                        beta_term=float(rng.uniform(-1.0, 1.0)),
-                        alpha_val=complex(rng.standard_normal(), rng.standard_normal()),
-                        basis_hess=rng.standard_normal(m),
-                        basis_grad=rng.standard_normal(m) + 1j * rng.standard_normal(m))
-             for _ in range(count)]
-    return basis, SiteSet(sites=sites, basis=basis)
+    rows = [(rng.uniform(-1.0, 1.0), complex(rng.standard_normal(), rng.standard_normal()),
+             rng.standard_normal(m), rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            for _ in range(count)]
+    B, E, A, D = (np.array(column) for column in zip(*rows))
+    return basis, SiteSet(basis, B, A, E, D)
 
 
 def search(basis, sites, eta):
@@ -103,8 +100,7 @@ def test_the_certificate_multipliers_give_back_its_upper_bound(seed, m, count, e
 @pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
 def test_a_nan_site_ends_the_search_undecided(eta):
     basis, sites = random_sites(np.random.default_rng(11), 3, 5)
-    sites.sites[2].beta_term = math.nan
-    sites = SiteSet(sites=sites.sites, basis=basis)
+    sites.B[2] = math.nan
     cert = search(basis, sites, eta)
     assert cert.status == "newton_failure" and cert.iterations <= 2
     assert not cert.feasible and not cert.decided
@@ -116,11 +112,8 @@ def test_a_stage_whose_bound_is_below_the_exit_slack_stops_feasible():
     rng = np.random.default_rng(3)
     m = 3
     basis = HBasis(n=1, m=m, name="synthetic(m=3)", rows=None)
-    sites = SiteSet(sites=[MarginSite(z=np.zeros(1, dtype=complex), zvec=CTVector.holo([1.0]),
-                                      levi_eig=0.0, beta_term=5e-4, alpha_val=0j,
-                                      basis_hess=np.zeros(m),
-                                      basis_grad=rng.standard_normal(m) + 1j * rng.standard_normal(m))
-                           for _ in range(6)], basis=basis)
+    D = np.array([rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(6)])
+    sites = SiteSet(basis, np.full(6, 5e-4), np.zeros((6, m)), np.zeros(6, dtype=complex), D)
     cert = feasibility_search(None, 0.5, basis, sites, C_floor=C_FLOOR, c0=np.ones(m),
                               box_radius=BOX, max_iter=60)
     assert cert.status == "feasible_bounded" and cert.feasible and cert.decided

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 
 from dfindex.cli import (
     ConfigError,
+    RunConfig,
     cmd_check,
     cmd_estimate,
     cmd_forms,
@@ -49,6 +51,14 @@ def test_forms_command_on_ball(tmp_path):
     assert len(paths) == 2
     header = paths[1].read_text().splitlines()[0]
     assert "levi_eigenvalues" in header
+
+
+def test_report_config_holds_every_field_but_the_output_options(tmp_path):
+    cfg = load_config(None, {"domain": "ball", "samples": 3, "seed": 2, "out": str(tmp_path)})
+    paths = write_report(cmd_levi(cfg), tmp_path)
+    config = json.loads(paths[0].read_text())["config"]
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(config) == fields - {"out", "format"} | {"version"}
 
 
 def test_forms_alpha_pattern_on_worm_fiber(tmp_path):

@@ -34,6 +34,13 @@ def test_package_reexports_resolve():
             f"dfindex re-exports {attr} but dfindex.{module_name}.__all__ does not list it"
 
 
+def test_dual_bound_is_importable_from_the_package():
+    from dfindex import dual_bound
+    from dfindex.estimator import dual_bound as estimator_dual_bound
+
+    assert dual_bound is estimator_dual_bound
+
+
 def test_no_private_scipy_module_is_imported():
     # a private binding (a dotted segment under scipy. that starts with _)
     # can change or vanish in any SciPy release
