@@ -20,7 +20,6 @@ from .boundary import (
     ProjectionError,
     collar_levi_compare,
     find_collar_depth,
-    frame_at,
     levi_data,
     normal_frame,
     point_at_depth,

@@ -2,12 +2,15 @@
 
 A :class:`DomainSpec` couples a defining function (order-3 jets), a metric,
 and a chart box.  :class:`NormalFrame` is the bundle of the dual frame
-``L_r`` / ``X_r`` / unit normals together with cached derivative tables, and
-is shared by the form and margin evaluators so each point is differentiated
-once.  A frame, its order-3 data (connection, ``h3t``, ``L_jets``) and the
-Levi data are computed for one point (n,) or for a batch of points (B, n)
-by the same code, stacked along a leading batch axis; each row equals the
-one-point result bit for bit.
+``L_r`` / ``X_r`` / unit normals together with cached derivative tables.
+Every pointwise evaluator of the forms, the margins and the boundary
+geometry takes a frame as its first argument, so a caller builds one frame
+per point and each point is differentiated once; :func:`normal_frame` is the
+constructor that also checks that the point lies on the boundary.  A frame,
+its order-3 data (connection, ``h3t``, ``L_jets``) and the Levi data are
+computed for one point (n,) or for a batch of points (B, n) by the same
+code, stacked along a leading batch axis; each row equals the one-point
+result bit for bit.
 
 Everything here is pure given ``(domain, seed)``.
 """
@@ -55,7 +58,6 @@ __all__ = [
     "project_to_boundary",
     "sample_boundary",
     "normal_frame",
-    "frame_at",
     "levi_data",
     "second_fundamental_form",
     "transport_along_normal",
@@ -84,7 +86,7 @@ class DomainSpec:
     metric: MetricField
     box: np.ndarray
     interior_point: np.ndarray
-    grad_norm_field: ScalarField | None = None
+    grad_norm_field: ScalarField = dc_field(init=False)
     min_abs_coord: dict = dc_field(default_factory=dict)
     special_sampler: object = None
     params: dict = dc_field(default_factory=dict)
@@ -98,8 +100,7 @@ class DomainSpec:
         witness = self.r.jet(self.interior_point, 0).value
         if not np.real(witness) < 0:
             raise ValueError(f"interior witness {self.interior_point} has r = {witness} >= 0")
-        if self.grad_norm_field is None:
-            self.grad_norm_field = make_grad_norm_field(self)
+        self.grad_norm_field = make_grad_norm_field(self)
 
     def in_chart(self, z):
         x = real_coords(z)
@@ -342,11 +343,6 @@ class NormalFrame:
         return inner(self.G, v, w)
 
 
-def frame_at(domain, z, r_order=3):
-    """Frame at an arbitrary chart point (no boundary-residual requirement)."""
-    return NormalFrame(domain, _point_of(z), r_order=r_order)
-
-
 def normal_frame(domain, p, tol_bnd=1e-8, r_order=3):
     """Frame at a boundary point (or a batch); validates the defining-function residual."""
     z = _point_of(p)
@@ -399,15 +395,14 @@ class LeviData:
             raise ValueError(f"Z is not in the Levi null space at {fr.z} (residual {resid:.2e})")
 
 
-def levi_data(domain, p, eps_null=1e-7):
+def levi_data(frame, eps_null=1e-7):
     """Orthonormal tangent basis, Levi matrix, eigenvalues, and null space.
 
-    ``p`` is a boundary point, a batch of them (B, n), or a frame.  Over a
+    ``frame`` is at one point or at a batch of points (B, n).  Over a
     batch, Gram-Schmidt keeps the vectors found at each point in slots and
     skips a degenerate raw vector at that point only, so every point follows
     its own one-point sequence of operations.
     """
-    frame = p if isinstance(p, NormalFrame) else normal_frame(domain, p, r_order=2)
     n, G = frame.n, frame.G
     batch = frame.u.shape[:-1]
     raw = np.eye(n, dtype=complex) - frame.u[..., :, None] * frame.L.h[..., None, :]
@@ -455,14 +450,12 @@ def levi_data(domain, p, eps_null=1e-7):
     )
 
 
-def second_fundamental_form(domain, p, x, y, frame=None, tol=1e-8):
+def second_fundamental_form(frame, x, y, tol=1e-8):
     """sff(X, Y) = -(Hess(X, Y) r) X_r, the normal-valued extrinsic curvature.
 
     Accepts real tangent vectors or their complexifications; inputs must
     annihilate d r at the point.
     """
-    if frame is None:
-        frame = p if isinstance(p, NormalFrame) else normal_frame(domain, p)
     scale = 1.0 + float(np.max(np.abs(x.coeffs))) + float(np.max(np.abs(y.coeffs)))
     for v, tag in ((x, "X"), (y, "Y")):
         if abs(frame.dr(v)) > tol * scale * frame.dbar_norm:
@@ -485,14 +478,13 @@ class CollarPath:
     norm_drift: np.ndarray    # | |Z(t)| - |Z(0)| |
 
 
-def transport_along_normal(domain, p, z0_vec, delta, steps=24, rtol=1e-11, atol=1e-12):
-    """Flow of X_r from a boundary point with the tangential transport of Z.
+def transport_along_normal(base, z0_vec, delta, steps=24, rtol=1e-11, atol=1e-12):
+    """Flow of X_r from the point of the frame ``base``, with the tangential transport of Z.
 
     Z solves nabla_{X_r} Z = -(Hess(X_r, Z) r) L_r along the inward flow,
     which preserves del r(Z) = 0 and |Z|.
     """
-    base = p if isinstance(p, NormalFrame) else normal_frame(domain, p)
-    n = domain.n
+    domain, n = base.domain, base.n
     z0 = np.asarray(z0_vec.h if isinstance(z0_vec, CTVector) else z0_vec, dtype=complex)
     if abs(complex(base.u @ z0)) > 1e-8 * (1.0 + np.max(np.abs(z0))) * base.dbar_norm:
         raise ValueError("Z0 must be tangent: del r(Z0) != 0 at the base point")
@@ -511,10 +503,7 @@ def transport_along_normal(domain, p, z0_vec, delta, steps=24, rtol=1e-11, atol=
 
     y0 = np.concatenate([real_coords(base.z), z0.real, z0.imag])
     t_eval = np.linspace(0.0, -delta, steps + 1)
-    try:
-        sol = solve_ivp(rhs, (0.0, -delta), y0, method="RK45", rtol=rtol, atol=atol, t_eval=t_eval)
-    except ChartDomainError:
-        raise
+    sol = solve_ivp(rhs, (0.0, -delta), y0, method="RK45", rtol=rtol, atol=atol, t_eval=t_eval)
     if not sol.success:
         raise ProjectionError(f"normal transport failed: {sol.message}")
 
@@ -538,7 +527,7 @@ def transport_along_normal(domain, p, z0_vec, delta, steps=24, rtol=1e-11, atol=
     )
 
 
-def collar_levi_compare(domain, p, z0_vec, delta, eps, steps=10):
+def collar_levi_compare(base, z0_vec, delta, eps, steps=10):
     """Two-sided defect of the collar Levi-form bounds along one transport path.
 
     At depth t < 0 the Levi form at z is bounded below and above by
@@ -547,19 +536,18 @@ def collar_levi_compare(domain, p, z0_vec, delta, eps, steps=10):
     """
     from .forms import alpha, beta_mixed
 
-    path = transport_along_normal(domain, p, z0_vec, delta, steps=steps)
-    base = path.base
+    path = transport_along_normal(base, z0_vec, delta, steps=steps)
     z0 = CTVector.holo(path.vectors[0])
     levi_base = float(np.real(base.levi(z0.h, z0.h)))
     rows = []
     for t, zp, zv in zip(path.times, path.points, path.vectors):
         if t == 0.0:
             continue
-        fr = frame_at(domain, zp)
+        fr = NormalFrame(base.domain, zp)
         zvec = CTVector.holo(zv)
         levi_here = float(np.real(fr.levi(zv, zv)))
-        a = alpha(domain, zp, zvec, frame=fr)
-        b = beta_mixed(domain, zp, zvec, zvec, frame=fr)
+        a = alpha(fr, zvec)
+        b = beta_mixed(fr, zvec, zvec)
         correction = t * float(np.real(1j * b) - abs(a) ** 2)
         znorm2 = fr.norm2(zvec)
         slack = eps * znorm2 * (-t)
@@ -585,18 +573,18 @@ def collar_levi_compare(domain, p, z0_vec, delta, eps, steps=10):
     }
 
 
-def find_collar_depth(domain, sites, eps, delta0=0.05, min_delta=1e-4, steps=10):
+def find_collar_depth(sites, eps, delta0=0.05, min_delta=1e-4, steps=10):
     """Halve the collar depth until both Levi bounds hold at every site.
 
-    ``sites`` is a list of (boundary point, (1,0) tangent CTVector).  Returns
+    ``sites`` is a list of (boundary frame, (1,0) tangent CTVector).  Returns
     the empirically found depth delta(eps) and the per-site reports.
     """
     delta = delta0
     while delta >= min_delta:
         reports = []
         ok = True
-        for p, zvec in sites:
-            rep = collar_levi_compare(domain, p, zvec, delta, eps, steps=steps)
+        for base, zvec in sites:
+            rep = collar_levi_compare(base, zvec, delta, eps, steps=steps)
             reports.append(rep)
             ok = ok and rep["holds"]
         if ok:

@@ -34,6 +34,7 @@ from .estimator import (
     collect_sites,
     estimate_index,
     feasibility_search,
+    geometric_margin,
     interior_check,
     poly_basis,
     worm_reduction_basis,
@@ -59,7 +60,6 @@ class RunConfig:
     special_samples: int = 10
     seed: int = 0
     eps_null: float = 1e-7
-    tol_bnd: float = 1e-10
     tol_eta: float = 0.01
     c_floor: float = 1e-4
     eta: float = 0.4
@@ -72,7 +72,7 @@ class RunConfig:
     format: str = "json"
 
     def validate(self):
-        for name in ("eps_null", "tol_bnd", "tol_eta", "c_floor"):
+        for name in ("eps_null", "tol_eta", "c_floor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"tolerance {name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.eta < 1.0:
@@ -225,7 +225,7 @@ def write_report(report, out_dir, fmt="json", stem=None):
 def cmd_forms(cfg, eigen_only=False):
     domain = _domain_of(cfg)
     points = _boundary_points(cfg, domain)
-    ld = levi_data(domain, normal_frame(domain, points, r_order=2), eps_null=cfg.eps_null)
+    ld = levi_data(normal_frame(domain, points, r_order=2), eps_null=cfg.eps_null)
     fr = ld.frame
     records = []
     strictly_pc = True
@@ -241,8 +241,8 @@ def cmd_forms(cfg, eigen_only=False):
             alphas, betas = [], []
             one = normal_frame(domain, p) if null_basis else None
             for zv in null_basis:
-                alphas.append(complex(forms.alpha(domain, p, zv, frame=one)))
-                betas.append(float(np.real(1j * forms.beta_mixed(domain, p, zv, zv, frame=one))))
+                alphas.append(complex(forms.alpha(one, zv)))
+                betas.append(float(np.real(1j * forms.beta_mixed(one, zv, zv))))
             rec["alpha_null"] = alphas
             rec["i_beta_null"] = betas
         strictly_pc = strictly_pc and not null_basis
@@ -328,13 +328,11 @@ def cmd_worm_bench(cfg):
     records = []
     errors = []
     zvec = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
-    from .estimator import geometric_margin
-
     for p in sgamma_points(wp, cfg.samples, spread=0.9):
         ref = s_gamma_reference(wp, p.z[1])
         fr = normal_frame(domain, p)
-        a_val = complex(forms.alpha(domain, p, zvec, frame=fr))
-        margin = geometric_margin(domain, p, zvec, cfg.eta, frame=fr)
+        a_val = complex(forms.alpha(fr, zvec))
+        margin = geometric_margin(fr, zvec, cfg.eta)
         errors.append(abs(a_val - ref.alpha) / (1 + abs(ref.alpha)))
         errors.append(abs(margin - ref.margin(cfg.eta)) / (1 + abs(ref.margin(cfg.eta))))
         records.append({

@@ -27,10 +27,12 @@ from .geometry import (
     MetricField,
     VectorField,
     chern_frame,
+    covariant_derivative,
     curvature,
     curvature_contraction,
     h3_op,
     hess_op,
+    inner,
     kahler_defect,
     metric_compat_residual,
     torsion,
@@ -220,23 +222,23 @@ def h3_identity_suite(count=200, seed=1, n=2, tol=1e-8):
         table = wirtinger_table(f.jet(z, 3), n)
 
         def h3(a, b, c):
-            return h3_op(metric, z, f, a, b, c, frame=fr, table=table)
+            return h3_op(fr, table, a, b, c)
 
         def hess(a, b):
-            return hess_op(metric, z, f, a, b, frame=fr, table=table)
+            return hess_op(fr, table, a, b)
 
-        t_lz = torsion(metric, z, lvec, zvec, frame=fr)
+        t_lz = torsion(fr, lvec, zvec)
         r1 = abs(h3(lvec, zvec, wbar) - h3(zvec, lvec, wbar) + hess(t_lz, wbar))
-        rw = curvature(metric, z, wbar, zvec, lvec, frame=fr)
+        rw = curvature(fr, wbar, zvec, lvec)
         r2 = abs(h3(wbar, zvec, lvec) - h3(zvec, wbar, lvec) + _apply_vec(rw, table))
         r3 = abs(h3(lvec, zvec, wbar) - h3(lvec, wbar, zvec))
-        t_zl = torsion(metric, z, zvec, lvec, frame=fr)
+        t_zl = torsion(fr, zvec, lvec)
         r4 = abs(h3(zvec, wbar, lvec) - h3(lvec, wbar, zvec) + hess(wbar, t_zl))
         xvec = 0.5 * (lvec + lvec.conj())
-        rc = curvature(metric, z, zvec, wbar, lvec.conj(), frame=fr)
+        rc = curvature(fr, zvec, wbar, lvec.conj())
         cyc = abs(h3(zvec, wbar, xvec) - h3(xvec, zvec, wbar)
                   + 0.5 * (hess(wbar, t_zl) + _apply_vec(rc, table)
-                           + hess(zvec, torsion(metric, z, wbar, lvec.conj(), frame=fr))))
+                           + hess(zvec, torsion(fr, wbar, lvec.conj()))))
         for key, val in zip(worst, (r1, r2, r3, r4, cyc)):
             worst[key] = _worst(worst[key], val)
     return [_rec("h3", f"identity_{k}", v, tol) for k, v in worst.items()]
@@ -255,16 +257,14 @@ def structural_suite(count=50, seed=2, n=2):
         table = wirtinger_table(f.jet(z, 3), n)
         zvec, wvec = _random_vec(n, rng), _random_vec(n, rng)
 
-        tv = torsion(metric, z, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()), frame=fr)
+        tv = torsion(fr, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()))
         worst_t = _worst(worst_t, float(np.max(np.abs(tv.coeffs))))
 
-        lhs = (hess_op(metric, z, f, zvec, wvec, frame=fr, table=table)
-               - hess_op(metric, z, f, wvec, zvec, frame=fr, table=table))
-        tzw = torsion(metric, z, zvec, wvec, frame=fr)
+        lhs = hess_op(fr, table, zvec, wvec) - hess_op(fr, table, wvec, zvec)
+        tzw = torsion(fr, zvec, wvec)
         worst_hsym = _worst(worst_hsym, abs(lhs + _apply_vec(tzw, table)))
 
-        mixed = hess_op(metric, z, f, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()),
-                        frame=fr, table=table)
+        mixed = hess_op(fr, table, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()))
         direct = complex(zvec.h @ table.mixed_hessian @ wvec.h.conj())
         worst_ch = _worst(worst_ch, abs(mixed - direct))
 
@@ -272,26 +272,26 @@ def structural_suite(count=50, seed=2, n=2):
 
         hf = VectorField.from_holo([random_scalar_field(n, rng, terms=2) for _ in range(n)])
         sf = random_scalar_field(n, rng, terms=2)
-        from .geometry import covariant_derivative
-
         direction = _random_vec(n, rng)
         scaled = VectorField(n, h_fields=[
             ScalarField(n, lambda zs, hfi=hfield, s=sf: s.fn(zs) * hfi.fn(zs))
             for hfield in hf.h_fields])
-        lhsv = covariant_derivative(metric, z, direction, scaled, frame=fr)
+        lhsv = covariant_derivative(fr, direction, scaled)
         stab = wirtinger_table(sf.jet(z, 1), n)
         sval = stab.value
         xs = complex(direction.coeffs @ stab.w1)
-        rhsv = sval * covariant_derivative(metric, z, direction, hf, frame=fr) + xs * hf.value(z)
+        rhsv = sval * covariant_derivative(fr, direction, hf) + xs * hf.value(z)
         worst_leib = _worst(worst_leib, float(np.max(np.abs((lhsv - rhsv).coeffs))))
 
         xfield = VectorField.from_holo([random_scalar_field(n, rng, terms=2) for _ in range(n)])
         yfield = VectorField.from_holo([random_scalar_field(n, rng, terms=2) for _ in range(n)])
-        tdef = torsion_from_fields(metric, z, xfield, yfield)
-        tten = torsion(metric, z, xfield.value(z), yfield.value(z), frame=fr)
+        tdef = torsion_from_fields(fr, xfield, yfield)
+        tten = torsion(fr, xfield.value(z), yfield.value(z))
         worst_tdef = _worst(worst_tdef, float(np.max(np.abs((tdef - tten).coeffs))))
 
-        curvature_contraction(metric, z, zvec, wvec, frame=fr)  # raises if not real
+        # <R(Z, Zbar)W, W> is real by Hermitian symmetry
+        val = inner(fr.g, curvature(fr, zvec, CTVector.anti(zvec.h.conj()), wvec), wvec)
+        worst_curv_im = _worst(worst_curv_im, abs(val.imag) / (1.0 + abs(val.real)))
     out.append(_rec("structural", "torsion_mixed_type_vanishes", worst_t, 1e-10))
     out.append(_rec("structural", "hessian_antisymmetry_is_torsion", worst_hsym, 1e-9))
     out.append(_rec("structural", "complex_hessians_equal", worst_ch, 1e-10))
@@ -315,22 +315,21 @@ def boundary_suite(samples=20, seed=3, gamma=math.pi):
             worst_frame = _worst(worst_frame,
                                  abs(fr.dr(fr.L) - 1.0),
                                  abs(math.sqrt(fr.norm2(fr.L)) - 1.0 / fr.dbar_norm))
-            ld = levi_data(domain, fr)
+            ld = levi_data(fr)
             worst_levi_neg = _worst(worst_levi_neg, 0.0, -float(ld.eigenvalues[0]))
             for zv in ld.null_basis:
                 for _ in range(20):
                     w = _random_vec(domain.n, rng)
                     resid = abs(fr.levi(zv.h, w.h)
-                                - forms.alpha(domain, p, zv, frame=fr) * np.conj(fr.u @ w.h))
+                                - forms.alpha(fr, zv) * np.conj(fr.u @ w.h))
                     scale = math.sqrt(fr.norm2(zv)) * math.sqrt(fr.norm2(w))
                     worst_null = _worst(worst_null, resid / max(scale, 1e-12))
     out.append(_rec("boundary", "frame_identities", worst_frame, 1e-10))
     out.append(_rec("boundary", "null_space_identity", worst_null, 1e-6))
     out.append(_rec("boundary", "pseudoconvexity_monitor", worst_levi_neg, 1e-7))
 
-    p = sample_boundary(ball, 1, seed)[0]
-    ld = levi_data(ball, p)
-    path = transport_along_normal(ball, p, ld.basis[0], 0.1, steps=16)
+    base = normal_frame(ball, sample_boundary(ball, 1, seed)[0])
+    path = transport_along_normal(base, levi_data(base).basis[0], 0.1, steps=16)
     out.append(_rec("boundary", "transport_r_residual", float(np.max(np.abs(path.r_residual))), 1e-8))
     out.append(_rec("boundary", "transport_tangency", float(np.max(path.tangency)), 1e-8))
     out.append(_rec("boundary", "transport_norm_preserved", float(np.max(path.norm_drift)), 1e-8))
@@ -346,21 +345,20 @@ def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
 
     worst_inv_a, worst_inv_b, worst_real, worst_cross_a = 0.0, 0.0, 0.0, 0.0
     worst_nullf, worst_unm, worst_geo = 0.0, 0.0, 0.0
+    zv = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
     for p in sgamma_points(params, 12, spread=0.85):
-        zv = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
-        a_e = forms.alpha(worm_e, p, zv)
-        a_k = forms.alpha(worm_k, p, zv)
-        b_e = forms.beta_mixed(worm_e, p, zv, zv)
-        b_k = forms.beta_mixed(worm_k, p, zv, zv)
+        fe, fk = normal_frame(worm_e, p), normal_frame(worm_k, p)
+        a_e, a_k = forms.alpha(fe, zv), forms.alpha(fk, zv)
+        b_e, b_k = forms.beta_mixed(fe, zv, zv), forms.beta_mixed(fk, zv, zv)
         worst_inv_a = _worst(worst_inv_a, abs(a_e - a_k))
         worst_inv_b = _worst(worst_inv_b, abs((1j * b_e).real - (1j * b_k).real))
         worst_real = _worst(worst_real, abs((1j * b_e).imag),
-                            abs(forms.alpha(worm_e, p, zv.conj()) - np.conj(a_e)))
-        worst_cross_a = _worst(worst_cross_a, abs(a_e - forms.alpha_geometric(worm_e, p, zv)))
-        worst_nullf = _worst(worst_nullf, abs(b_e - forms.beta_mixed_nullspace(worm_e, p, zv, zv)))
-        wv = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        worst_unm = _worst(worst_unm, abs(forms.beta_unmixed(worm_e, p, zv, zv)))
-        worst_geo = _worst(worst_geo, abs(forms.beta_geometric(worm_k, p, zv) - (-1j * b_k).real))
+                            abs(forms.alpha(fe, zv.conj()) - np.conj(a_e)))
+        worst_cross_a = _worst(worst_cross_a, abs(a_e - forms.alpha_geometric(fe, zv)))
+        worst_nullf = _worst(worst_nullf, abs(b_e - forms.beta_mixed_nullspace(fe, zv, zv)))
+        rng.standard_normal(4)  # unused draws that fix the random stream of the checks below
+        worst_unm = _worst(worst_unm, abs(forms.beta_unmixed(fe, zv, zv)))
+        worst_geo = _worst(worst_geo, abs(forms.beta_geometric(fk, zv) - (-1j * b_k).real))
     out.append(_rec("forms", "alpha_metric_invariance", worst_inv_a, 1e-6))
     out.append(_rec("forms", "beta_metric_invariance", worst_inv_b, 1e-6))
     out.append(_rec("forms", "reality", worst_real, 1e-10))
@@ -372,14 +370,12 @@ def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
     ball = ball_domain()
     worst_weak = 0.0
     for p in sample_boundary(ball, 3, seed):
-        ldb = levi_data(ball, p)
-        zv = ldb.basis[0]
+        fb = normal_frame(ball, p)
         wv = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        ru, rm = forms.beta_weak_residual(ball, p, zv, wv)
+        ru, rm = forms.beta_weak_residual(fb, levi_data(fb).basis[0], wv)
         worst_weak = _worst(worst_weak, ru, rm)
     for p in sgamma_points(params, 2, spread=0.5):
-        zv = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
-        ru, rm = forms.beta_weak_residual(worm_e, p, zv, zv)
+        ru, rm = forms.beta_weak_residual(normal_frame(worm_e, p), zv, zv)
         worst_weak = _worst(worst_weak, ru, rm)
     out.append(_rec("forms", "weak_identity_beta_vs_grid_dalpha", worst_weak, 1e-5))
 
@@ -417,14 +413,14 @@ def worm_reference_suite(count=50, seed=5, gamma=math.pi, t=1.2, tol=1e-6):
         fr = normal_frame(domain, p)
         rel = lambda a, b: abs(a - b) / (1.0 + abs(b))
         worst["alpha"] = _worst(worst["alpha"],
-                                rel(forms.alpha(domain, p, zvec, frame=fr), ref.alpha))
-        curv = curvature_contraction(domain.metric, fr.z, zvec, fr.nu_C, frame=fr.chern(2))
+                                rel(forms.alpha(fr, zvec), ref.alpha))
+        curv = curvature_contraction(fr.chern(2), zvec, fr.nu_C)
         worst["curvature"] = _worst(worst["curvature"], rel(curv, ref.curvature))
         sff_j = abs(fr.hess_r(zvec, fr.nu_R.J())) ** 2 * fr.norm2(fr.X)
         worst["sff_j"] = _worst(worst["sff_j"], rel(sff_j, ref.sff_JnuR_sq))
         worst["sff_zz"] = _worst(worst["sff_zz"], abs(fr.hess_r(zvec, zvec)) * fr.norm2(fr.X))
-        worst["margin"] = _worst(worst["margin"], rel(geometric_margin(domain, p, zvec, eta, frame=fr),
-                                                      ref.margin(eta)))
+        worst["margin"] = _worst(worst["margin"],
+                                 rel(geometric_margin(fr, zvec, eta), ref.margin(eta)))
         nb = fr.nabla_L(CTVector.anti(np.array([0.0, 1.0], dtype=complex)))
         worst["nabla_bar"] = _worst(worst["nabla_bar"],
                                     rel(nb.h[0] / fr.L.h[0], ref.nabla_bar_factor))
@@ -441,8 +437,8 @@ def margin_equivalence_suite(count=30, seed=6, gamma=math.pi, t=1.2):
     for p in sgamma_points(domain.params["worm"], count, spread=0.9):
         fr = normal_frame(domain, p)
         for eta in (0.0, 0.25, 0.4):
-            gm = geometric_margin(domain, p, zvec, eta, frame=fr)
-            vm = vectorfield_margin(domain, p, zvec, eta, frame=fr)
+            gm = geometric_margin(fr, zvec, eta)
+            vm = vectorfield_margin(fr, zvec, eta)
             worst = _worst(worst, abs(gm - vm))
     return [_rec("margins", "geometric_equals_vectorfield", worst, 1e-8)]
 

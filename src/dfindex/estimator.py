@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jets
 from .boundary import (
-    frame_at,
+    NormalFrame,
     levi_data,
     normal_frame,
     point_at_depth,
@@ -220,14 +220,14 @@ def _basis_rows(basis, frame, zvec):
     return hess, grad
 
 
-def make_site(domain, frame, zvec, basis):
+def make_site(frame, zvec, basis):
     """The eta-independent margin data of a batch of (P, Z) sites, as a :class:`SiteSet`.
 
     ``frame`` is a batch frame over the points P (B, n) and ``zvec`` carries
     the directions Z as coefficients (B, n).
     """
-    b = beta_mixed(domain, frame.z, zvec, zvec, frame=frame)
-    a = alpha(domain, frame.z, zvec, frame=frame)
+    b = beta_mixed(frame, zvec, zvec)
+    a = alpha(frame, zvec)
     hess, grad = _basis_rows(basis, frame, zvec)
     return SiteSet(basis, np.real(jets._vmul(-1j, b)), hess, a, grad)
 
@@ -245,7 +245,7 @@ def collect_sites(domain, points, basis, eps_null=1e-7):
     points = list(points)
     if not points:
         return SiteSet.empty(basis), math.inf
-    ld = levi_data(domain, normal_frame(domain, points, r_order=2), eps_null=eps_null)
+    ld = levi_data(normal_frame(domain, points, r_order=2), eps_null=eps_null)
     eigs = ld.eigenvalues
     lam_max = eigs[:, -1]
     cutoff = np.maximum(1e-3 * lam_max, eps_null * (lam_max + 1.0))
@@ -258,7 +258,7 @@ def collect_sites(domain, points, basis, eps_null=1e-7):
     dirs = np.stack([d.h for d in ld.directions], axis=1)[at, idx]
     zvec = CTVector.holo(dirs)
     zvec = zvec * (1.0 / np.sqrt(norm2(ld.frame.G[at], zvec)))[:, None]
-    return make_site(domain, frame_at(domain, ld.frame.z[at]), zvec, basis), min_pc_eig
+    return make_site(NormalFrame(domain, ld.frame.z[at]), zvec, basis), min_pc_eig
 
 
 # ----------------------------------------------------------------------
@@ -274,19 +274,20 @@ def boundary_margin(domain, p, zvec, basis, coeffs, eta):
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    site = make_site(domain, normal_frame(domain, [p]), CTVector(zvec.h[None], zvec.a[None]), basis)
+    site = make_site(normal_frame(domain, [p]), CTVector(zvec.h[None], zvec.a[None]), basis)
     return float(site.margins(np.asarray(coeffs, dtype=float), eta)[0])
 
 
-def _null_checked(domain, p, zvec, frame):
-    ld = levi_data(domain, frame if frame is not None else p)
+def _null_checked(fr, zvec):
+    """Levi data at the frame's point after checking that Z is null; None where no direction is."""
+    ld = levi_data(fr)
     if not ld.null_basis:
-        return ld, None
+        return None
     ld.check_null(zvec)
-    return ld, ld.frame
+    return ld
 
 
-def geometric_margin(domain, p, zvec, eta, frame=None):
+def geometric_margin(fr, zvec, eta):
     """Margin of the extrinsic-curvature inequality at a null site:
 
     sum_j |sff(Z, W_j)|^2 + (1/2) <R(Z, Zbar) nu_C, nu_C>
@@ -296,19 +297,19 @@ def geometric_margin(domain, p, zvec, eta, frame=None):
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    ld, fr = _null_checked(domain, p, zvec, frame)
-    if fr is None:
+    ld = _null_checked(fr, zvec)
+    if ld is None:
         return NO_CONSTRAINT
     xnorm2 = fr.norm2(fr.X)
     sff_sum = sum(abs(fr.hess_r(zvec, wj)) ** 2 for wj in ld.basis) * xnorm2
-    curv = curvature_contraction(domain.metric, fr.z, zvec, fr.nu_C, frame=fr.chern(2))
+    curv = curvature_contraction(fr.chern(2), zvec, fr.nu_C)
     j_nu = fr.nu_R.J()
     sff_j = abs(fr.hess_r(zvec, j_nu)) ** 2 * xnorm2
     k = eta / (1.0 - eta)
     return float(sff_sum + 0.5 * curv - k * sff_j)
 
 
-def vectorfield_margin(domain, p, zvec, eta, frame=None):
+def vectorfield_margin(fr, zvec, eta):
     """Margin of the normal-field inequality at a null site:
 
     (1/2) |nabla_{Zbar} nu_C - <nabla_{Zbar} nu_C, nu_C> nu_C|^2
@@ -320,12 +321,11 @@ def vectorfield_margin(domain, p, zvec, eta, frame=None):
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    ld, fr = _null_checked(domain, p, zvec, frame)
-    if fr is None:
+    if _null_checked(fr, zvec) is None:
         return NO_CONSTRAINT
-    n = domain.n
+    n = fr.n
     l_jets = fr.L_jets()
-    mjets = domain.metric.jets(fr.z, 2)
+    mjets = fr.metric_jets()
     len2 = sum((mjets[j][k] * l_jets[j] * l_jets[k].conj() for j in range(n) for k in range(n)),
                jets.Jet.constant(0.0, 2 * n, 2)).real()
     scale = jets.power(len2, -0.5)
@@ -334,7 +334,7 @@ def vectorfield_margin(domain, p, zvec, eta, frame=None):
     d_nu = CTVector.holo(w1[:, n:] @ zvec.h.conj())   # nabla_{Zbar} nu_C, plain derivative
     proj = fr.inner(d_nu, fr.nu_C)
     tangential = d_nu - proj * fr.nu_C
-    curv = curvature_contraction(domain.metric, fr.z, zvec, fr.nu_C, frame=fr.chern(2))
+    curv = curvature_contraction(fr.chern(2), zvec, fr.nu_C)
     k = eta / (1.0 - eta)
     return float(0.5 * fr.norm2(tangential) + 0.5 * curv - k * abs(proj) ** 2)
 
@@ -649,7 +649,7 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
     for p in points:
         for depth in depths:
             z = point_at_depth(domain, p, depth)
-            fr = frame_at(domain, z, r_order=2)
+            fr = NormalFrame(domain, z, r_order=2)
             rv = float(np.real(fr.table(2).value))
             if rv >= 0.0:
                 raise ValueError(f"interior sample has rho >= 0 at {z} (r = {rv})")

@@ -188,7 +188,10 @@ def wirtinger_table(jet, n):
     q = _wirtinger_matrix(n)
     w1 = w2 = w3 = None
     if jet.order >= 1:
-        w1 = q @ jet.grad
+        # one point (matrix @ vector) and a batch (matrix @ matrix) run
+        # different BLAS kernels, which can disagree in the sign of a zero;
+        # adding +0.0 turns -0.0 into +0.0 and leaves every other value as is
+        w1 = q @ jet.grad + 0.0
     if jet.order >= 2:
         w2 = np.einsum("ap,bq,pq...->ab...", q, q, jet.hess)
     if jet.order >= 3:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import frame_at
-from .fields import complex_point, real_coords
-from .geometry import CTVector, curvature_contraction
+from . import jets
+from .boundary import NormalFrame, levi_data
+from .fields import complex_point, real_coords, wirtinger_table
+from .geometry import CTVector, curvature_contraction, torsion
 from .jets import _vmul
 
 __all__ = [
@@ -37,19 +38,14 @@ __all__ = [
 ]
 
 
-def _frame(domain, p, frame, r_order=3):
-    return frame if frame is not None else frame_at(domain, p, r_order=r_order)
-
-
-def alpha(domain, p, v, frame=None):
+def alpha(fr, v):
     """alpha_r(V) = del-delbar r(V, Lbar) extended to complexified vectors.
 
     Real-valued as a 1-form: alpha(Vbar) = conj(alpha(V)).  Defined on the
-    whole frame neighborhood, not only on the boundary.  ``p`` may be a
-    batch of points (B, n) with ``v`` of coefficients (B, n); the result is
-    then an array (B,).
+    whole frame neighborhood, not only on the boundary.  ``fr`` may be a
+    batch frame over points (B, n) with ``v`` of coefficients (B, n); the
+    result is then an array (B,).
     """
-    fr = _frame(domain, p, frame, r_order=2)
     lbar = fr.L.conj()
     out = 0.0 + 0.0j
     if np.any(v.h):
@@ -59,20 +55,15 @@ def alpha(domain, p, v, frame=None):
     return out
 
 
-def alpha_geometric(domain, p, zvec, frame=None):
+def alpha_geometric(fr, zvec):
     """alpha via the geometric split: Z log|dr| - i |X_r|^{-2} <sff(Z, J X_r), X_r>.
 
-    Requires the domain's gradient-norm field.  With the sff identity the
+    Uses the domain's gradient-norm field.  With the sff identity the
     second term is + i Hess(Z, J X_r) r.  ``zvec`` must be of type (1,0).
     """
-    fr = _frame(domain, p, frame, r_order=2)
-    if domain.grad_norm_field is None:
-        raise ValueError("no |dr| field available for the geometric alpha formula")
-    gjet = domain.grad_norm_field.jet(fr.z, 1)
-    from .fields import wirtinger_table
-
-    w1 = wirtinger_table(gjet, domain.n).w1
-    z_log_norm = complex(zvec.h @ w1[: domain.n]) / gjet.value
+    gjet = fr.domain.grad_norm_field.jet(fr.z, 1)
+    w1 = wirtinger_table(gjet, fr.n).w1
+    z_log_norm = complex(zvec.h @ w1[: fr.n]) / gjet.value
     return z_log_norm + 1j * fr.hess_r(zvec, fr.X.J())
 
 
@@ -83,21 +74,14 @@ def _nabla_Lbar_along(fr, zvec):
     return CTVector.anti(dl.conj())
 
 
-def beta_unmixed(domain, p, zvec, wvec, frame=None):
+def beta_unmixed(fr, zvec, wvec):
     """beta_r(Z, W) = -(i/2) (ddbar r(W, nabla_Z Lbar) - ddbar r(Z, nabla_W Lbar))."""
-    fr = _frame(domain, p, frame)
     term_w = fr.mixed_pairing(wvec, _nabla_Lbar_along(fr, zvec))
     term_z = fr.mixed_pairing(zvec, _nabla_Lbar_along(fr, wvec))
     return complex(-0.5j * (term_w - term_z))
 
 
-def _torsion_vec(fr, x, y):
-    gamma = fr.chern(1).gamma
-    anti = gamma - np.swapaxes(gamma, -1, -2)
-    return CTVector.holo(np.einsum("...ijk,...j,...k->...i", anti, x.h, y.h))
-
-
-def beta_mixed(domain, p, zvec, wvec, frame=None):
+def beta_mixed(fr, zvec, wvec):
     """beta_r(Z, Wbar) from the continuous pointwise formula.
 
     -i H^3(X_r, Z, Wbar) r + (i/2) ddbar r(T(Z, L), Wbar)
@@ -108,12 +92,11 @@ def beta_mixed(domain, p, zvec, wvec, frame=None):
     the result is an array (B,); the scalar products are rounded as one
     point's Python complex products are (:func:`dfindex.jets._vmul`).
     """
-    fr = _frame(domain, p, frame)
     wbar = wvec.conj()
     h3 = fr.h3_r(fr.X, zvec, wbar)
-    tau_z = _torsion_vec(fr, zvec, fr.L)
+    tau_z = torsion(fr.chern(1), zvec, fr.L)
     nabla_z_l = fr.nabla_L(zvec)
-    tau_w_bar = _torsion_vec(fr, wvec, fr.L).conj()
+    tau_w_bar = torsion(fr.chern(1), wvec, fr.L).conj()
     nabla_wbar_lbar = fr.nabla_L(wvec).conj()
     out = _vmul(-1j, h3)
     out = out + _vmul(0.5j, fr.mixed_pairing(tau_z, wbar))
@@ -123,7 +106,7 @@ def beta_mixed(domain, p, zvec, wvec, frame=None):
     return complex(out) if out.ndim == 0 else out
 
 
-def beta_mixed_nullspace(domain, p, zvec, wvec, frame=None):
+def beta_mixed_nullspace(fr, zvec, wvec):
     """Null-space form of beta(Z, Wbar):
 
     -i H^3(X_r, Z, Wbar) r - i alpha(Z) alpha(Wbar)
@@ -131,17 +114,16 @@ def beta_mixed_nullspace(domain, p, zvec, wvec, frame=None):
 
     Valid for Z, W in the Levi null space; used as an independent route.
     """
-    fr = _frame(domain, p, frame)
     wbar = wvec.conj()
     h3 = fr.h3_r(fr.X, zvec, wbar)
-    a_z = alpha(domain, p, zvec, frame=fr)
-    a_wbar = alpha(domain, p, wbar, frame=fr)
+    a_z = alpha(fr, zvec)
+    a_wbar = alpha(fr, wbar)
     hx_z = fr.hess_r(fr.X, zvec)
     hx_wbar = fr.hess_r(fr.X, wbar)
     return complex(-1j * h3 - 1j * a_z * a_wbar + 1j * hx_z * a_wbar + 1j * a_z * hx_wbar)
 
 
-def beta_geometric(domain, p, zvec, frame=None, null_tol=1e-6):
+def beta_geometric(fr, zvec, null_tol=1e-6):
     """-i beta_r(Z, Zbar) from boundary geometry, for Z in the Levi null space:
 
     - (ddbar log|dr|)(Z, Zbar) + sum_j |sff(Z, W_j)|^2
@@ -149,24 +131,16 @@ def beta_geometric(domain, p, zvec, frame=None, null_tol=1e-6):
 
     Returns the real number entering the margin inequalities.
     """
-    from .boundary import levi_data
-    from .fields import wirtinger_table
-    from . import jets
-
-    fr = _frame(domain, p, frame, r_order=2)
-    ld = levi_data(domain, fr)
+    ld = levi_data(fr)
     ld.check_null(zvec, null_tol)
-    if domain.grad_norm_field is None:
-        raise ValueError("no |dr| field available for the geometric beta formula")
-
-    gjet = domain.grad_norm_field.jet(fr.z, 2)
+    gjet = fr.domain.grad_norm_field.jet(fr.z, 2)
     log_jet = jets.log(gjet)
-    w2 = wirtinger_table(log_jet, domain.n).mixed_hessian
+    w2 = wirtinger_table(log_jet, fr.n).mixed_hessian
     log_term = float(np.real(zvec.h @ w2 @ zvec.h.conj()))
 
     xnorm2 = fr.norm2(fr.X)
     sff_sum = sum(abs(fr.hess_r(zvec, wj)) ** 2 for wj in ld.basis) * xnorm2
-    curv = curvature_contraction(domain.metric, fr.z, zvec, fr.nu_C, frame=fr.chern(2))
+    curv = curvature_contraction(fr.chern(2), zvec, fr.nu_C)
     return float(-log_term + sff_sum + 0.5 * curv)
 
 
@@ -200,7 +174,7 @@ class SubmanifoldPatch:
                 rv = self.domain.r.jet(z, 1).value
                 if abs(np.real(rv)) > tol_bnd:
                     raise ValueError(f"patch leaves the boundary at u = {u}: r = {rv}")
-                fr = frame_at(self.domain, z, r_order=2)
+                fr = NormalFrame(self.domain, z, r_order=2)
                 t = np.asarray(self.tangent(u), dtype=complex)
                 if abs(complex(fr.u @ t)) > 1e-8 * (1.0 + np.max(np.abs(t))):
                     raise ValueError(f"patch tangent not annihilated by del r at u = {u}")
@@ -238,7 +212,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 def _alpha_on_patch(domain, patch):
     def a_of(u):
-        return alpha(domain, patch.chart(u), CTVector.holo(patch.tangent(u)))
+        fr = NormalFrame(domain, patch.chart(u), r_order=2)
+        return alpha(fr, CTVector.holo(patch.tangent(u)))
 
     return a_of
 
@@ -310,13 +285,12 @@ def loop_alpha_integral(domain, patch, u_fixed=0.0, v_span=(0.0, 2.0 * np.pi), s
 # ----------------------------------------------------------------------
 
 def _alpha_components(domain, z):
-    fr = frame_at(domain, z, r_order=2)
-    n = domain.n
-    eye = np.eye(n, dtype=complex)
-    return np.array([alpha(domain, z, CTVector.holo(eye[j]), frame=fr) for j in range(n)])
+    fr = NormalFrame(domain, z, r_order=2)
+    eye = np.eye(domain.n, dtype=complex)
+    return np.array([alpha(fr, CTVector.holo(eye[j])) for j in range(domain.n)])
 
 
-def beta_weak_residual(domain, p, zvec, wvec, step=1e-4, frame=None):
+def beta_weak_residual(fr, zvec, wvec, step=1e-4):
     """Residuals of beta against grid-differentiated alpha.
 
     Computes d alpha by central differences of the component functions
@@ -324,10 +298,8 @@ def beta_weak_residual(domain, p, zvec, wvec, step=1e-4, frame=None):
     -(i/2)(d'alpha - d''alpha) with the pointwise beta formulas.  Returns
     ``(unmixed_residual, mixed_residual)``.
     """
-    fr = _frame(domain, p, frame)
-    z = fr.z
-    n = domain.n
-    x0 = real_coords(z)
+    domain, n = fr.domain, fr.n
+    x0 = real_coords(fr.z)
     da = np.empty((2 * n, n), dtype=complex)  # real-direction derivatives of A_j
     for i in range(2 * n):
         e = np.zeros_like(x0)
@@ -341,12 +313,12 @@ def beta_weak_residual(domain, p, zvec, wvec, step=1e-4, frame=None):
     # (2,0) part: partial alpha(Z, W) = Z^k W^j dz_k A_j - W^k Z^j dz_k A_j
     d_alpha_zw = complex(zc @ dz_a @ wc - wc @ dz_a @ zc)
     fd_unmixed = -0.5j * d_alpha_zw
-    pt_unmixed = beta_unmixed(domain, p, zvec, wvec, frame=fr)
+    pt_unmixed = beta_unmixed(fr, zvec, wvec)
 
     # (1,1) part on (Z, Wbar): -(i/2)[ Z^k conj(W^j) dz_k(conj A_j)
     #                                  + conj(W^k) Z^j dzbar_k A_j ]
     # with dz_k(conj A_j) = conj(dzbar_k A_j) for functions of real variables.
     term = complex(zc @ dzbar_a.conj() @ wc.conj() + wc.conj() @ dzbar_a @ zc)
     fd_mixed = -0.5j * term
-    pt_mixed = beta_mixed(domain, p, zvec, wvec, frame=fr)
+    pt_mixed = beta_mixed(fr, zvec, wvec)
     return abs(fd_unmixed - pt_unmixed), abs(fd_mixed - pt_mixed)

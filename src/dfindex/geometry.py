@@ -10,10 +10,13 @@ The Hermitian inner product is sesquilinear with the holomorphic and
 antiholomorphic subbundles orthogonal, so ``<V, W> = V.h G W.h* + V.a G^T
 W.a*`` with ``G[j, k] = <d/dz_j, d/dz_k>``.
 
-All operators are tensorial in the sense established for the Hessian and
-its third-order extension: they depend only on pointwise values of their
-vector arguments, so constant test vectors suffice; vector fields enter only
-through :func:`covariant_derivative`, which consumes coefficient jets.
+Every operator takes the :class:`ChernFrame` it evaluates on first, then
+its vector arguments; the Hessian operators also take the Wirtinger table of
+the differentiated function.  All operators are tensorial in the sense
+established for the Hessian and its third-order extension: they depend only
+on pointwise values of their vector arguments, so constant test vectors
+suffice; vector fields enter only through :func:`covariant_derivative` and
+:func:`torsion_from_fields`, which consume coefficient jets.
 """
 
 from __future__ import annotations
@@ -393,17 +396,15 @@ def kahler_defect(metric, z):
 # operators
 # ----------------------------------------------------------------------
 
-def covariant_derivative(metric, z, direction, v, frame=None):
-    """Chern covariant derivative of vector field ``v`` along ``direction`` at ``z``.
+def covariant_derivative(frame, direction, v):
+    """Chern covariant derivative of vector field ``v`` along ``direction`` at ``frame.z``.
 
     ``v`` may be a :class:`VectorField` or a pair ``(h_jets, a_jets)`` of
     order->=1 coefficient jets.
     """
-    if frame is None:
-        frame = chern_frame(metric, z, order=1)
-    n = metric.n
+    n = frame.n
     if isinstance(v, VectorField):
-        hj, aj = v.jets(z, 1)
+        hj, aj = v.jets(frame.z, 1)
     else:
         hj, aj = v
     w1h = np.array([wirtinger_table(j, n).w1 for j in hj])  # (n, 2n)
@@ -415,27 +416,24 @@ def covariant_derivative(metric, z, direction, v, frame=None):
     return CTVector(out_h, out_a)
 
 
-def torsion(metric, z, x, y, frame=None):
-    """Torsion tensor T(X, Y) evaluated pointwise (tensorial in X, Y)."""
-    if frame is None:
-        frame = chern_frame(metric, z, order=1)
-    anti = frame.gamma - frame.gamma.transpose(0, 2, 1)
-    out_h = np.einsum("ijk,j,k->i", anti, x.h, y.h)
-    out_a = np.einsum("ijk,j,k->i", anti.conj(), x.a, y.a)
+def torsion(frame, x, y):
+    """Torsion tensor T(X, Y) evaluated pointwise (tensorial in X, Y), per point of a batch."""
+    anti = frame.gamma - np.swapaxes(frame.gamma, -1, -2)
+    out_h = np.einsum("...ijk,...j,...k->...i", anti, x.h, y.h)
+    out_a = np.einsum("...ijk,...j,...k->...i", anti.conj(), x.a, y.a)
     return CTVector(out_h, out_a)
 
 
-def torsion_from_fields(metric, z, xf, yf):
+def torsion_from_fields(frame, xf, yf):
     """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y] for coefficient-field inputs.
 
     Exists to validate that the pointwise tensor agrees with the defining
     formula; the commutator is assembled from the coefficient jets.
     """
-    n = metric.n
-    frame = chern_frame(metric, z, order=1)
+    n, z = frame.n, frame.z
     x0, y0 = xf.value(z), yf.value(z)
-    dxy = covariant_derivative(metric, z, x0, yf, frame=frame)
-    dyx = covariant_derivative(metric, z, y0, xf, frame=frame)
+    dxy = covariant_derivative(frame, x0, yf)
+    dyx = covariant_derivative(frame, y0, xf)
     xh, xa = xf.jets(z, 1)
     yh, ya = yf.jets(z, 1)
     w1 = lambda js: np.array([wirtinger_table(j, n).w1 for j in js])
@@ -445,10 +443,8 @@ def torsion_from_fields(metric, z, xf, yf):
     return dxy - dyx - lie
 
 
-def curvature(metric, z, x, y, v, frame=None):
+def curvature(frame, x, y, v):
     """R(X, Y)V for the Chern connection; curvature is of pure (1,1) type."""
-    if frame is None:
-        frame = chern_frame(metric, z, order=2)
     rt = frame.curvature_tensor  # R[j, k, i, l]
     pair = np.multiply.outer(x.h, y.a) - np.multiply.outer(y.h, x.a)  # [j, k]
     end_h = np.einsum("jkil,jk->il", rt, pair)
@@ -459,11 +455,9 @@ def curvature(metric, z, x, y, v, frame=None):
     return CTVector(out_h, out_a)
 
 
-def curvature_contraction(metric, z, zvec, v, frame=None, tol=1e-9):
+def curvature_contraction(frame, zvec, v, tol=1e-9):
     """<R(Z, Zbar)V, V> for a (1,0) vector Z; real by Hermitian symmetry."""
-    if frame is None:
-        frame = chern_frame(metric, z, order=2)
-    rv = curvature(metric, z, CTVector.holo(zvec.h), CTVector.anti(zvec.h.conj()), v, frame=frame)
+    rv = curvature(frame, CTVector.holo(zvec.h), CTVector.anti(zvec.h.conj()), v)
     val = inner(frame.g, rv, v)
     if abs(val.imag) > tol * (1.0 + abs(val.real)):
         raise MetricError(f"curvature contraction not real: {val}")
@@ -488,21 +482,13 @@ def h3_tensor(table, frame):
     return out
 
 
-def hess_op(metric, z, f, x, y, frame=None, table=None):
-    """Hess(X, Y) f = XYf - (nabla_X Y) f, tensorial in pointwise X, Y."""
-    if frame is None:
-        frame = chern_frame(metric, z, order=1)
-    if table is None:
-        table = wirtinger_table(f.jet(z, 2), metric.n)
+def hess_op(frame, table, x, y):
+    """Hess(X, Y) f = XYf - (nabla_X Y) f for the Wirtinger ``table`` of f, tensorial in X, Y."""
     hc = hess_tensor(table, frame)
     return complex(x.coeffs @ hc @ y.coeffs)
 
 
-def h3_op(metric, z, f, x1, x2, x3, frame=None, table=None):
+def h3_op(frame, table, x1, x2, x3):
     """Third-order Hessian H^3(X1, X2, X3) f, tensorial in pointwise values."""
-    if frame is None:
-        frame = chern_frame(metric, z, order=2)
-    if table is None:
-        table = wirtinger_table(f.jet(z, 3), metric.n)
     t3 = h3_tensor(table, frame)
     return complex(np.einsum("abc,a,b,c->", t3, x1.coeffs, x2.coeffs, x3.coeffs))

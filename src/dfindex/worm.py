@@ -160,7 +160,7 @@ def worm_domain(params, metric="euclidean", name=None):
     else:
         raise ValueError(f"unknown worm metric {metric!r}")
 
-    domain = DomainSpec(
+    return DomainSpec(
         name=name or f"worm(gamma={params.gamma:g}, metric={metric})",
         n=2,
         r=r_field,
@@ -168,10 +168,10 @@ def worm_domain(params, metric="euclidean", name=None):
         box=box,
         interior_point=np.array([-0.5, 1.0], dtype=complex),
         min_abs_coord={1: r2_lo},
+        # deterministic clustered nodes serve every seed identically
+        special_sampler=lambda count, seed: sgamma_points(params, count, spread=0.99),
         params={"gamma": params.gamma, "worm": params, "metric_key": metric},
     )
-    domain.special_sampler = lambda count, seed: _sgamma_sampler(domain, params, count, seed)
-    return domain
 
 
 def worm_metric(params, box=None, positivity_floor=1e-3, seed=1234):
@@ -315,11 +315,6 @@ def sgamma_points(params, count, spread=0.97):
         z2 = math.exp(x / 2.0) * np.exp(1j * golden * k)
         points.append(BoundaryPoint(z=np.array([0.0, z2], dtype=complex), residual=0.0))
     return points
-
-
-def _sgamma_sampler(domain, params, count, seed):
-    del seed  # deterministic clustered nodes serve every seed identically
-    return sgamma_points(params, count, spread=0.99)
 
 
 # ----------------------------------------------------------------------

@@ -112,14 +112,14 @@ def test_05_structural_identities(ball, worm_euclid, worm_kahler):
         zvec = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         wvec = CTVector.anti(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         worst_torsion = max(worst_torsion,
-                            float(np.max(np.abs(torsion(metric, z, zvec, wvec, frame=fr).coeffs))))
+                            float(np.max(np.abs(torsion(fr, zvec, wvec).coeffs))))
         f = random_scalar_field(2, rng)
         from dfindex.fields import wirtinger_table
         from dfindex.geometry import hess_op
 
         table = wirtinger_table(f.jet(z, 2), 2)
         w2 = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        mixed = hess_op(metric, z, f, zvec, w2.conj(), frame=fr, table=table)
+        mixed = hess_op(fr, table, zvec, w2.conj())
         direct = complex(zvec.h @ table.mixed_hessian @ w2.h.conj())
         worst_hess = max(worst_hess, abs(mixed - direct))
 
@@ -151,9 +151,10 @@ def test_06_margin_equivalence(worm_kahler):
     # also at randomly phased annulus sites with several exponents
     wp = worm_kahler.params["worm"]
     for p in sgamma_points(wp, 10, spread=0.85):
+        fr = normal_frame(worm_kahler, p)
         for eta in (0.1, 0.4):
-            gm = geometric_margin(worm_kahler, p, Z_FIBER, eta)
-            vm = vectorfield_margin(worm_kahler, p, Z_FIBER, eta)
+            gm = geometric_margin(fr, Z_FIBER, eta)
+            vm = vectorfield_margin(fr, Z_FIBER, eta)
             worst = max(worst, abs(gm - vm))
     _report(6, "extrinsic-curvature margin equals normal-field margin at null sites",
             worst <= 1e-8, f"worst difference {worst:.2e}")
@@ -176,21 +177,23 @@ def test_08_beta_consistency(worm_euclid, worm_kahler, ball):
     worst_unmixed = 0.0
     worst_geo = 0.0
     for p in sgamma_points(wp, 12, spread=0.85):
-        b = forms.beta_mixed(worm_euclid, p, Z_FIBER, Z_FIBER)
+        fe, fk = normal_frame(worm_euclid, p), normal_frame(worm_kahler, p)
+        b = forms.beta_mixed(fe, Z_FIBER, Z_FIBER)
         worst_null_route = max(worst_null_route,
-                               abs(b - forms.beta_mixed_nullspace(worm_euclid, p, Z_FIBER, Z_FIBER)))
-        worst_unmixed = max(worst_unmixed, abs(forms.beta_unmixed(worm_euclid, p, Z_FIBER, Z_FIBER)))
-        bk = forms.beta_mixed(worm_kahler, p, Z_FIBER, Z_FIBER)
-        worst_geo = max(worst_geo, abs(forms.beta_geometric(worm_kahler, p, Z_FIBER)
+                               abs(b - forms.beta_mixed_nullspace(fe, Z_FIBER, Z_FIBER)))
+        worst_unmixed = max(worst_unmixed, abs(forms.beta_unmixed(fe, Z_FIBER, Z_FIBER)))
+        bk = forms.beta_mixed(fk, Z_FIBER, Z_FIBER)
+        worst_geo = max(worst_geo, abs(forms.beta_geometric(fk, Z_FIBER)
                                        - float(np.real(-1j * bk))))
     worst_weak = 0.0
     for p in sample_boundary(ball, 3, 43):
-        zv = levi_data(ball, p).basis[0]
+        fr = normal_frame(ball, p)
+        zv = levi_data(fr).basis[0]
         wv = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        ru, rm = forms.beta_weak_residual(ball, p, zv, wv)
+        ru, rm = forms.beta_weak_residual(fr, zv, wv)
         worst_weak = max(worst_weak, ru, rm)
     for p in sgamma_points(wp, 3, spread=0.6):
-        ru, rm = forms.beta_weak_residual(worm_euclid, p, Z_FIBER, Z_FIBER)
+        ru, rm = forms.beta_weak_residual(normal_frame(worm_euclid, p), Z_FIBER, Z_FIBER)
         worst_weak = max(worst_weak, ru, rm)
     ok = (worst_null_route <= 1e-8 and worst_unmixed <= 1e-8
           and worst_geo <= 1e-7 and worst_weak <= 1e-5)
@@ -203,10 +206,11 @@ def test_09_metric_invariance(worm_euclid, worm_kahler):
     wp = worm_euclid.params["worm"]
     worst = 0.0
     for p in sgamma_points(wp, 25, spread=0.9):
-        a_e = forms.alpha(worm_euclid, p, Z_FIBER)
-        a_k = forms.alpha(worm_kahler, p, Z_FIBER)
-        b_e = 1j * forms.beta_mixed(worm_euclid, p, Z_FIBER, Z_FIBER)
-        b_k = 1j * forms.beta_mixed(worm_kahler, p, Z_FIBER, Z_FIBER)
+        fe, fk = normal_frame(worm_euclid, p), normal_frame(worm_kahler, p)
+        a_e = forms.alpha(fe, Z_FIBER)
+        a_k = forms.alpha(fk, Z_FIBER)
+        b_e = 1j * forms.beta_mixed(fe, Z_FIBER, Z_FIBER)
+        b_k = 1j * forms.beta_mixed(fk, Z_FIBER, Z_FIBER)
         worst = max(worst, abs(a_e - a_k), abs(complex(b_e).real - complex(b_k).real))
     _report(9, "alpha and i beta agree between metrics on the Levi null space",
             worst <= 1e-6, f"worst difference {worst:.2e}")
@@ -215,11 +219,11 @@ def test_09_metric_invariance(worm_euclid, worm_kahler):
 def test_10_collar_bounds(ball, worm_euclid):
     eps = 0.1
     wp = worm_euclid.params["worm"]
-    ball_sites = [(p, levi_data(ball, p).basis[0]) for p in sample_boundary(ball, 5, 47)]
-    delta_ball, reports_ball = find_collar_depth(ball, ball_sites, eps, delta0=0.05, steps=10)
-    worm_sites = [(p, Z_FIBER) for p in sgamma_points(wp, 5, spread=0.8)]
-    delta_worm, reports_worm = find_collar_depth(worm_euclid, worm_sites, eps,
-                                                 delta0=0.02, steps=10)
+    ball_frames = [normal_frame(ball, p) for p in sample_boundary(ball, 5, 47)]
+    ball_sites = [(fr, levi_data(fr).basis[0]) for fr in ball_frames]
+    delta_ball, reports_ball = find_collar_depth(ball_sites, eps, delta0=0.05, steps=10)
+    worm_sites = [(normal_frame(worm_euclid, p), Z_FIBER) for p in sgamma_points(wp, 5, spread=0.8)]
+    delta_worm, reports_worm = find_collar_depth(worm_sites, eps, delta0=0.02, steps=10)
     n_samples = sum(len(r["rows"]) for r in reports_ball + reports_worm)
     ok = (all(r["holds"] for r in reports_ball + reports_worm) and n_samples >= 100)
     _report(10, "collar Levi-form bounds hold two-sided at 100 sampled (P, Z, t)",

@@ -88,7 +88,7 @@ def test_frame_identities_on_samples(ball, worm_euclid):
 
 
 def test_levi_data_ball(ball):
-    ld = levi_data(ball, np.array([1.0, 0.0], dtype=complex))
+    ld = levi_data(normal_frame(ball, np.array([1.0, 0.0], dtype=complex)))
     assert ld.levi.shape == (1, 1)
     assert ld.levi[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert not ld.null_basis
@@ -97,7 +97,7 @@ def test_levi_data_ball(ball):
 def test_levi_data_worm_null_direction(worm_euclid, worm_kahler):
     P = np.array([0.0, math.exp(-0.2) * np.exp(0.3j)], dtype=complex)
     for domain in (worm_euclid, worm_kahler):
-        ld = levi_data(domain, P)
+        ld = levi_data(normal_frame(domain, P))
         assert len(ld.null_basis) == 1
         assert abs(ld.eigenvalues[0]) < 1e-10
         direction = ld.null_basis[0].h
@@ -113,12 +113,12 @@ def test_second_fundamental_form_contract(ball, rng):
         raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w = raw - (fr.u @ raw) * fr.L.h
         Y = CTVector.real_vector(w)
-        sff = second_fundamental_form(ball, p, Y, Y, frame=fr)
+        sff = second_fundamental_form(fr, Y, Y)
         lhs = fr.inner(sff, fr.X)
         rhs = -fr.norm2(fr.X) * fr.hess_r(Y, Y)
         assert lhs == pytest.approx(rhs, abs=1e-10)
     with pytest.raises(ValueError, match="not tangent"):
-        second_fundamental_form(ball, np.array([1.0, 0.0], dtype=complex),
+        second_fundamental_form(normal_frame(ball, np.array([1.0, 0.0], dtype=complex)),
                                 CTVector.holo([1.0, 0.0]), CTVector.holo([0.0, 1.0]))
 
 
@@ -129,35 +129,34 @@ def test_sff_worm_closed_forms(worm_kahler):
         P = np.array([0.0, z2], dtype=complex)
         fr = normal_frame(worm_kahler, P)
         x = math.log(abs(z2) ** 2)
-        sff_zz = second_fundamental_form(worm_kahler, P, Z, Z, frame=fr)
+        sff_zz = second_fundamental_form(fr, Z, Z)
         assert math.sqrt(max(fr.norm2(sff_zz), 0.0)) < 1e-10
-        sff_j = second_fundamental_form(worm_kahler, P, Z, fr.nu_R.J(), frame=fr)
+        sff_j = second_fundamental_form(fr, Z, fr.nu_R.J())
         expected = (1.0 / math.cos(x / wp.t) ** 2) / abs(z2) ** 2
         assert fr.norm2(sff_j) == pytest.approx(expected, rel=1e-10)
 
 
 def test_transport_invariants(ball, worm_euclid):
-    p = sample_boundary(ball, 1, 4)[0]
-    ld = levi_data(ball, p)
-    path = transport_along_normal(ball, p, ld.basis[0], 0.1, steps=20)
+    base = normal_frame(ball, sample_boundary(ball, 1, 4)[0])
+    ld = levi_data(base)
+    path = transport_along_normal(base, ld.basis[0], 0.1, steps=20)
     assert np.max(np.abs(path.r_residual)) < 1e-8
     assert np.max(path.tangency) < 1e-8
     assert np.max(path.norm_drift) < 1e-8
 
-    P = np.array([0.0, 1.0], dtype=complex)
-    path2 = transport_along_normal(worm_euclid, P, CTVector.holo([0.0, 1.0]), 0.02, steps=10)
+    base2 = normal_frame(worm_euclid, np.array([0.0, 1.0], dtype=complex))
+    path2 = transport_along_normal(base2, CTVector.holo([0.0, 1.0]), 0.02, steps=10)
     assert np.max(path2.tangency) < 1e-8
     assert np.max(path2.norm_drift) < 1e-8
 
     # too-deep collar: the flow degenerates (gradient tolerance) or leaves the chart
     with pytest.raises(Exception, match="chart|exits|tolerance"):
-        transport_along_normal(ball, p, ld.basis[0], 5.0)
+        transport_along_normal(base, ld.basis[0], 5.0)
 
 
 def test_collar_compare_at_zero_depth_is_equality(ball):
-    p = sample_boundary(ball, 1, 6)[0]
-    ld = levi_data(ball, p)
-    rep = collar_levi_compare(ball, p, ld.basis[0], 0.04, eps=0.1, steps=6)
+    base = normal_frame(ball, sample_boundary(ball, 1, 6)[0])
+    rep = collar_levi_compare(base, levi_data(base).basis[0], 0.04, eps=0.1, steps=6)
     # at t -> 0 both bounds approach the boundary Levi form; defects stay >= 0
     assert rep["holds"]
     assert rep["rows"][0]["t"] > -0.01
@@ -166,8 +165,7 @@ def test_collar_compare_at_zero_depth_is_equality(ball):
 def test_collar_compare_does_not_hold_over_a_nan_defect(ball, monkeypatch):
     from dfindex import forms
 
-    p = sample_boundary(ball, 1, 6)[0]
-    ld = levi_data(ball, p)
+    base = normal_frame(ball, sample_boundary(ball, 1, 6)[0])
     real, calls = forms.beta_mixed, []
 
     def beta(*args, **kwargs):
@@ -175,15 +173,16 @@ def test_collar_compare_does_not_hold_over_a_nan_defect(ball, monkeypatch):
         return complex("nan") if len(calls) == 3 else real(*args, **kwargs)
 
     monkeypatch.setattr(forms, "beta_mixed", beta)
-    rep = collar_levi_compare(ball, p, ld.basis[0], 0.04, eps=0.1, steps=6)
+    rep = collar_levi_compare(base, levi_data(base).basis[0], 0.04, eps=0.1, steps=6)
     assert math.isnan(rep["rows"][2]["lower_defect"]) and math.isfinite(rep["rows"][0]["lower_defect"])
     assert math.isnan(rep["min_lower_defect"]) and math.isnan(rep["min_upper_defect"])
     assert not rep["holds"]
 
 
 def test_find_collar_depth(ball):
-    sites = [(p, levi_data(ball, p).basis[0]) for p in sample_boundary(ball, 3, 8)]
-    delta, reports = find_collar_depth(ball, sites, eps=0.1, delta0=0.05, steps=6)
+    frames = [normal_frame(ball, p) for p in sample_boundary(ball, 3, 8)]
+    sites = [(fr, levi_data(fr).basis[0]) for fr in frames]
+    delta, reports = find_collar_depth(sites, eps=0.1, delta0=0.05, steps=6)
     assert delta > 0
     assert all(r["holds"] for r in reports)
 

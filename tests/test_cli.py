@@ -40,6 +40,15 @@ def test_config_loading_and_overrides(tmp_path):
         load_config(None, {"tol_eta": -1.0})
 
 
+def test_removed_tol_bnd_field_is_unknown(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tol_bnd": 0.01}))
+    with pytest.raises(ConfigError, match="config field 'tol_bnd' unknown"):
+        load_config(cfg_path)
+    assert run_cli(["levi", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "config field 'tol_bnd' unknown" in capsys.readouterr().err
+
+
 def test_forms_command_on_ball(tmp_path):
     cfg = load_config(None, {"domain": "ball", "samples": 5, "seed": 7, "out": str(tmp_path)})
     report = cmd_forms(cfg)
@@ -228,8 +237,8 @@ def test_levi_minimum_keeps_a_nan_eigenvalue(tmp_path, monkeypatch):
 
     real = cli.levi_data
 
-    def nan_where_re_z1_positive(domain, p, eps_null=1e-7):
-        ld = real(domain, p, eps_null=eps_null)
+    def nan_where_re_z1_positive(frame, eps_null=1e-7):
+        ld = real(frame, eps_null=eps_null)
         eigs = ld.eigenvalues.copy()
         eigs[..., 0] = np.where(np.real(ld.frame.z[..., 0]) > 0, np.nan, eigs[..., 0])
         ld.eigenvalues = eigs

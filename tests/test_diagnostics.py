@@ -47,3 +47,19 @@ def test_nan_residual_fails_its_check(monkeypatch):
     (record,) = diagnostics.margin_equivalence_suite(count=2)
     assert math.isnan(record.residual)
     assert not record.passed
+
+
+def test_curvature_contraction_that_is_not_real_fails_its_check(monkeypatch):
+    from dfindex import diagnostics
+
+    real = diagnostics.curvature
+
+    def with_anti_hermitian_part(frame, x, y, v):
+        # adds i 1e-3 times the identity, an anti-Hermitian endomorphism
+        return real(frame, x, y, v) + 1e-3j * v
+
+    monkeypatch.setattr(diagnostics, "curvature", with_anti_hermitian_part)
+    records = {r.name: r for r in diagnostics.structural_suite(count=3)}
+    assert not records["curvature_contraction_real"].passed
+    failed = [f"{r.suite}/{r.name}" for r in diagnostics.run_all() if not r.passed]
+    assert "structural/curvature_contraction_real" in failed

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dfindex import estimator, jets
-from dfindex.boundary import sample_boundary
+from dfindex.boundary import normal_frame, sample_boundary
 from dfindex.estimator import (
     NO_CONSTRAINT,
     HBasis,
@@ -142,35 +142,35 @@ def test_boundary_margin_with_zero_h(worm_euclid):
 
 def test_geometric_margin_values(worm_kahler):
     wp = worm_kahler.params["worm"]
-    P = np.array([0.0, 1.0], dtype=complex)
-    m = geometric_margin(worm_kahler, P, Z_FIBER, 0.4)
+    fr = normal_frame(worm_kahler, np.array([0.0, 1.0], dtype=complex))
+    m = geometric_margin(fr, Z_FIBER, 0.4)
     assert m == pytest.approx(1.0 / wp.t - 0.4 / 0.6, rel=1e-9)
-    m_threshold = geometric_margin(worm_kahler, P, Z_FIBER, 1.0 / (wp.t + 1.0))
+    m_threshold = geometric_margin(fr, Z_FIBER, 1.0 / (wp.t + 1.0))
     assert m_threshold == pytest.approx(0.0, abs=1e-10)
 
 
 def test_geometric_margin_sentinel_on_strictly_pseudoconvex(ball):
-    P = np.array([1.0, 0.0], dtype=complex)
-    assert geometric_margin(ball, P, CTVector.holo([0.0, 1.0]), 0.5) == NO_CONSTRAINT
-    assert vectorfield_margin(ball, P, CTVector.holo([0.0, 1.0]), 0.5) == NO_CONSTRAINT
+    fr = normal_frame(ball, np.array([1.0, 0.0], dtype=complex))
+    assert geometric_margin(fr, CTVector.holo([0.0, 1.0]), 0.5) == NO_CONSTRAINT
+    assert vectorfield_margin(fr, CTVector.holo([0.0, 1.0]), 0.5) == NO_CONSTRAINT
 
 
 def test_margins_agree_and_zero_vector(worm_kahler):
     for z2 in (1.0, math.exp(0.4) * np.exp(1.3j)):
-        P = np.array([0.0, z2], dtype=complex)
+        fr = normal_frame(worm_kahler, np.array([0.0, z2], dtype=complex))
         for eta in (0.0, 0.4):
-            gm = geometric_margin(worm_kahler, P, Z_FIBER, eta)
-            vm = vectorfield_margin(worm_kahler, P, Z_FIBER, eta)
+            gm = geometric_margin(fr, Z_FIBER, eta)
+            vm = vectorfield_margin(fr, Z_FIBER, eta)
             assert vm == pytest.approx(gm, abs=1e-8)
     zero = CTVector.holo([0.0, 0.0])
-    P = np.array([0.0, 1.0], dtype=complex)
-    assert vectorfield_margin(worm_kahler, P, zero, 0.4) == pytest.approx(0.0, abs=1e-12)
+    fr = normal_frame(worm_kahler, np.array([0.0, 1.0], dtype=complex))
+    assert vectorfield_margin(fr, zero, 0.4) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_margin_rejects_non_null_vector(worm_kahler):
-    P = np.array([0.0, 1.0], dtype=complex)
+    fr = normal_frame(worm_kahler, np.array([0.0, 1.0], dtype=complex))
     with pytest.raises(ValueError, match="null space"):
-        geometric_margin(worm_kahler, P, CTVector.holo([1.0, 0.0]), 0.4)
+        geometric_margin(fr, CTVector.holo([1.0, 0.0]), 0.4)
 
 
 def test_feasibility_without_null_sites_is_trivial(ball):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -32,6 +33,22 @@ def test_package_reexports_resolve():
         assert getattr(dfindex, attr) is getattr(module, attr)
         assert attr in getattr(module, "__all__", [attr]), \
             f"dfindex re-exports {attr} but dfindex.{module_name}.__all__ does not list it"
+
+
+def test_evaluators_take_a_frame():
+    # every pointwise evaluator takes the frame it evaluates on as a required argument
+    optional = []
+    for name in ("forms", "geometry", "boundary", "estimator"):
+        module = importlib.import_module(f"dfindex.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if not inspect.isfunction(obj):
+                continue
+            frame = inspect.signature(obj).parameters.get("frame")
+            if frame is not None and frame.default is not inspect.Parameter.empty:
+                optional.append(f"{name}.{attr}")
+    assert not optional, f"evaluators with an optional frame: {optional}"
+    assert not hasattr(importlib.import_module("dfindex.boundary"), "frame_at")
 
 
 def test_dual_bound_is_importable_from_the_package():

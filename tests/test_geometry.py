@@ -70,12 +70,13 @@ def test_torsion_trivial_cases(worm_kahler):
     z = np.array([0.2 + 0.1j, 0.5 - 0.3j])
     X = CTVector.holo([1.0, 2.0j])
     Y = CTVector.real_vector([0.3, -0.2 + 0.4j])
-    assert np.max(np.abs(torsion(metric, z, X, Y).coeffs)) == 0.0
+    assert np.max(np.abs(torsion(chern_frame(metric, z, order=1), X, Y).coeffs)) == 0.0
     # mixed-type inputs annihilate torsion for any metric
     zq = np.array([0.3 + 0.2j, 1.1 + 0.4j])
     Z = CTVector.holo([0.7, -0.1j])
     W = CTVector.anti([0.2 - 0.5j, 1.0])
-    assert np.max(np.abs(torsion(worm_kahler.metric, zq, Z, W).coeffs)) < 1e-10
+    fr = chern_frame(worm_kahler.metric, zq, order=1)
+    assert np.max(np.abs(torsion(fr, Z, W).coeffs)) < 1e-10
 
 
 def test_torsion_matches_christoffel_antisymmetrization(rng):
@@ -84,7 +85,7 @@ def test_torsion_matches_christoffel_antisymmetrization(rng):
     fr = chern_frame(metric, z, order=1)
     d1 = CTVector.holo([1.0, 0.0])
     d2 = CTVector.holo([0.0, 1.0])
-    t = torsion(metric, z, d1, d2, frame=fr)
+    t = torsion(fr, d1, d2)
     expected = fr.gamma[:, 0, 1] - fr.gamma[:, 1, 0]
     np.testing.assert_allclose(t.h, expected, atol=1e-13)
 
@@ -94,7 +95,7 @@ def test_curvature_euclidean_zero_and_worm_closed_form(worm_kahler):
     z = np.array([0.2 + 0.1j, 0.5 - 0.3j])
     Z = CTVector.holo([1.0, 0.5j])
     V = CTVector.holo([0.2, 1.0])
-    rv = curvature(metric, z, Z, Z.conj(), V)
+    rv = curvature(chern_frame(metric, z, order=2), Z, Z.conj(), V)
     assert np.max(np.abs(rv.coeffs)) == 0.0
 
     wp = worm_kahler.params["worm"]
@@ -105,11 +106,11 @@ def test_curvature_euclidean_zero_and_worm_closed_form(worm_kahler):
         P = np.array([0.0, z2], dtype=complex)
         fr = normal_frame(worm_kahler, P)
         Zt = CTVector.holo([0.0, 1.0])
-        rv = curvature(worm_kahler.metric, P, Zt, Zt.conj(), fr.L)
+        rv = curvature(fr.chern(2), Zt, Zt.conj(), fr.L)
         factor = rv.h[0] / fr.L.h[0]
         assert factor == pytest.approx(2.0 / wp.t / math.cos(ref.x / wp.t) ** 2 / abs(z2) ** 2,
                                        rel=1e-10)
-        contraction = curvature_contraction(worm_kahler.metric, P, Zt, fr.nu_C)
+        contraction = curvature_contraction(fr.chern(2), Zt, fr.nu_C)
         assert contraction == pytest.approx(ref.curvature, rel=1e-10)
 
 
@@ -119,7 +120,7 @@ def test_worm_curvature_value_at_unit_fiber(worm_kahler):
 
     P = np.array([0.0, 1.0], dtype=complex)
     fr = normal_frame(worm_kahler, P)
-    val = curvature_contraction(worm_kahler.metric, P, CTVector.holo([0.0, 1.0]), fr.nu_C)
+    val = curvature_contraction(fr.chern(2), CTVector.holo([0.0, 1.0]), fr.nu_C)
     assert val == pytest.approx(2.0 / 1.2, rel=1e-12)
 
 
@@ -128,7 +129,8 @@ def test_hess_op_examples(ball):
     f = ScalarField(2, lambda zs: jets.abs2(zs[0]) + jets.abs2(zs[1]))
     z = np.array([0.4 - 0.6j, 0.2 + 0.3j])
     d1 = CTVector.holo([1.0, 0.0])
-    assert hess_op(metric, z, f, d1, d1.conj()) == pytest.approx(1.0, abs=1e-13)
+    fr, table = chern_frame(metric, z, order=1), wirtinger_table(f.jet(z, 2), 2)
+    assert hess_op(fr, table, d1, d1.conj()) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_hessian_with_normal_direction_is_log_gradient_derivative(ball):
@@ -153,9 +155,8 @@ def test_hess_antisymmetrization_is_minus_torsion(rng):
     table = wirtinger_table(f.jet(z, 2), 2)
     X = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     Y = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    lhs = (hess_op(metric, z, f, X, Y, frame=fr, table=table)
-           - hess_op(metric, z, f, Y, X, frame=fr, table=table))
-    t = torsion(metric, z, X, Y, frame=fr)
+    lhs = hess_op(fr, table, X, Y) - hess_op(fr, table, Y, X)
+    t = torsion(fr, X, Y)
     rhs = -complex(t.coeffs @ table.w1)
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -165,7 +166,8 @@ def test_h3_vanishes_for_quadratic_euclidean():
     f = ScalarField(2, lambda zs: jets.abs2(zs[0]) + (zs[1] ** 2).real() * 0.5)
     z = np.array([0.7 + 0.2j, -0.4 + 0.1j])
     vecs = [CTVector.holo([1.0, 0.3j]), CTVector.holo([0.2, 1.0]), CTVector.anti([0.5, 1.0])]
-    assert abs(h3_op(metric, z, f, *vecs)) < 1e-13
+    fr, table = chern_frame(metric, z, order=2), wirtinger_table(f.jet(z, 3), 2)
+    assert abs(h3_op(fr, table, *vecs)) < 1e-13
 
 
 def test_h3_identities_random_sample():
@@ -186,12 +188,13 @@ def test_covariant_derivative_cases(worm_euclid):
         ScalarField(2, lambda zs: jets.Jet.constant(1.0, 4, zs[0].order)),
         ScalarField(2, lambda zs: jets.Jet.constant(0.5j, 4, zs[0].order)),
     ])
-    out = covariant_derivative(metric, z, CTVector.holo([1.0, 1.0]), const)
+    fr = chern_frame(metric, z, order=1)
+    out = covariant_derivative(fr, CTVector.holo([1.0, 1.0]), const)
     assert np.max(np.abs(out.coeffs)) == 0.0
     # holomorphic field along an antiholomorphic direction
     holo = VectorField.from_holo([ScalarField(2, lambda zs: zs[0] * zs[1]),
                                   ScalarField(2, lambda zs: zs[1] ** 2)])
-    out2 = covariant_derivative(metric, z, CTVector.anti([1.0, -0.5j]), holo)
+    out2 = covariant_derivative(fr, CTVector.anti([1.0, -0.5j]), holo)
     assert np.max(np.abs(out2.coeffs)) < 1e-13
 
     # nabla_{Zbar} L = (i / conj(z2)) L on the degenerate annulus (euclidean)
@@ -210,8 +213,8 @@ def test_curvature_contraction_is_real_and_conjugate_symmetric(rng):
     Z = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     W = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     V = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    val = curvature_contraction(metric, z, Z, V, frame=fr)
+    val = curvature_contraction(fr, Z, V)
     assert isinstance(val, float)
-    a = inner(fr.g, curvature(metric, z, Z, W.conj(), V, frame=fr), V)
-    b = inner(fr.g, curvature(metric, z, W, Z.conj(), V, frame=fr), V)
+    a = inner(fr.g, curvature(fr, Z, W.conj(), V), V)
+    b = inner(fr.g, curvature(fr, W, Z.conj(), V), V)
     assert a == pytest.approx(np.conj(b), abs=1e-10)

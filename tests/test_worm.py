@@ -61,7 +61,7 @@ def test_metric_positivity_error_reports_minimal_s():
 
 def test_pseudoconvexity_monitor(worm_euclid):
     pts = sample_boundary(worm_euclid, 500, 123)
-    worst = min(levi_data(worm_euclid, p).eigenvalues[0] for p in pts)
+    worst = min(levi_data(normal_frame(worm_euclid, p)).eigenvalues[0] for p in pts)
     assert worst >= -1e-8
 
 
@@ -89,10 +89,9 @@ def test_lambda_smoothing_isolation():
             fr = normal_frame(dom, p)
             from dfindex import forms
 
-            row.append(complex(forms.alpha(dom, p, zvec, frame=fr)))
-            row.append(complex(forms.beta_mixed(dom, p, zvec, zvec, frame=fr)))
-            row.append(curvature_contraction(dom.metric, fr.z, zvec, fr.nu_C,
-                                             frame=fr.chern(2)))
+            row.append(complex(forms.alpha(fr, zvec)))
+            row.append(complex(forms.beta_mixed(fr, zvec, zvec)))
+            row.append(curvature_contraction(fr.chern(2), zvec, fr.nu_C))
         values.append(np.array(row, dtype=complex))
     np.testing.assert_allclose(values[0], values[1], atol=1e-12)
 
