@@ -10,7 +10,10 @@ constructor that also checks that the point lies on the boundary.  A frame,
 its order-3 data (connection, ``h3t``, ``L_jets``) and the Levi data are
 computed for one point (n,) or for a batch of points (B, n) by the same
 code, stacked along a leading batch axis; each row equals the one-point
-result bit for bit.
+result bit for bit.  So is the Newton iteration onto a level set of r:
+:func:`sample_boundary` projects a block of candidates per batch, and
+:func:`project_to_boundary` and :func:`point_at_depth` are its batch-of-one
+and batch callers; a row that fails is rejected alone.
 
 Everything here is pure given ``(domain, seed)``.
 """
@@ -103,18 +106,19 @@ class DomainSpec:
         self.grad_norm_field = make_grad_norm_field(self)
 
     def in_chart(self, z):
+        """Whether a point (n,) lies in the chart: a bool, or a (B,) bool array for a batch (B, n)."""
+        z = _point_of(z)
         x = real_coords(z)
-        if np.any(x < self.box[:, 0]) or np.any(x > self.box[:, 1]):
-            return False
-        z = np.asarray(z, dtype=complex).ravel()
+        ok = ~np.any((x < self.box[:, 0]) | (x > self.box[:, 1]), axis=-1)
         for j, radius in self.min_abs_coord.items():
-            if abs(z[j]) < radius:
-                return False
-        return True
+            ok &= ~(np.abs(z[..., j]) < radius)
+        return bool(ok) if z.ndim == 1 else ok
 
     def check_chart(self, z):
-        if not self.in_chart(z):
-            raise ChartDomainError(f"point {np.asarray(z, dtype=complex)} outside chart of {self.name!r}")
+        z = _point_of(z)
+        out = np.logical_not(self.in_chart(z))
+        if np.any(out):
+            raise ChartDomainError(f"point {z if z.ndim == 1 else z[out][0]} outside chart of {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -142,64 +146,130 @@ def _col(s):
 # projection and sampling
 # ----------------------------------------------------------------------
 
-def _newton_to_level(domain, z0, target, tol, max_iter):
-    """Newton steps along the gradient of r from ``z0`` to the level set r = ``target``.
+_NEWTON_ITER = 50          # Newton steps allowed for a projection onto r = 0
+_ROW_ERRORS = (ValueError, ZeroDivisionError)   # what a jet of r raises at a bad point
 
-    Stops once |r - target| <= tol (1 + |target|) and returns the point with
-    that residual; raises :class:`ProjectionError` where the gradient
-    vanishes, a step leaves the chart, or ``max_iter`` steps do not converge.
+
+def _level_data(domain, z):
+    """Value and real gradient (2n, K) of r at each row of ``z`` (K, n), and each row's error.
+
+    One batch jet serves every row.  A batch jet raises for all rows when
+    one is bad, so then each row is evaluated alone.
+    """
+    try:
+        jet = domain.r.jet(z, 1)
+        return np.real(jet.value), np.real(np.asarray(jet.grad, dtype=complex)), [None] * len(z)
+    except _ROW_ERRORS:
+        pass
+    value = np.full(len(z), np.nan)
+    grad = np.zeros((2 * domain.n, len(z)), dtype=complex)
+    errors = [None] * len(z)
+    for k, zk in enumerate(z):
+        try:
+            jet = domain.r.jet(zk, 1)
+        except _ROW_ERRORS as err:
+            errors[k] = err
+            continue
+        value[k], grad[:, k] = np.real(jet.value), jet.grad
+    return value, np.real(grad), errors
+
+
+def _newton_to_level(domain, z0, target, tol, max_iter):
+    """Newton steps along the gradient of r from each row of ``z0`` (K, n) to r = ``target``.
+
+    ``target`` is one level or one per row.  Each row stops once
+    |r - target| <= tol (1 + |target|), or fails where the gradient
+    vanishes, a step leaves the chart, its jet of r raises, or ``max_iter``
+    steps do not converge.  Returns the points (K, n) and residuals (K,),
+    NaN where a row failed, and per row None or the exception that stopped
+    it.  Each row equals its iteration alone bit for bit; |grad|^2 is one
+    dot per row on the strided real view, as for one point, since a dot
+    on a contiguous copy can differ in the last bit.
     """
     x = real_coords(z0)
+    target = np.broadcast_to(np.asarray(target, dtype=float), len(x))
+    z_out = np.full(x.shape[:1] + (domain.n,), np.nan, dtype=complex)
+    residual = np.full(len(x), np.nan)
+    errors = [None] * len(x)
+    active = np.arange(len(x))
     for _ in range(max_iter):
-        z = complex_point(x)
-        jet = domain.r.jet(z, 1)
-        rv, grad = float(np.real(jet.value)) - target, np.real(jet.grad)
-        gnorm2 = float(grad @ grad)
-        if gnorm2 < TOL_GRAD**2:
-            raise ProjectionError(f"vanishing gradient of r at {z} (|grad| = {np.sqrt(gnorm2):.2e})")
-        if abs(rv) <= tol * (1.0 + abs(target)):
-            return z, abs(rv)
-        x = x - rv * grad / gnorm2
-        if not domain.in_chart(complex_point(x)):
-            raise ProjectionError(f"Newton from {z0} to r = {target} left the chart box")
-    raise ProjectionError(f"Newton from {z0} did not converge to r = {target} in {max_iter} iterations")
+        if not active.size:
+            break
+        z = complex_point(x[active])
+        value, grad, row_errors = _level_data(domain, z)
+        rv = value - target[active]
+        gnorm2 = np.array([g @ g for g in grad.T])
+        for k, i in enumerate(active):
+            if row_errors[k] is None and gnorm2[k] < TOL_GRAD**2:
+                row_errors[k] = ProjectionError(
+                    f"vanishing gradient of r at {z[k]} (|grad| = {np.sqrt(gnorm2[k]):.2e})")
+            errors[i] = row_errors[k]
+        failed = np.array([err is not None for err in row_errors], dtype=bool)
+        done = ~failed & (np.abs(rv) <= tol * (1.0 + np.abs(target[active])))
+        z_out[active[done]], residual[active[done]] = z[done], np.abs(rv[done])
+        go = ~(failed | done)
+        step = x[active[go]] - rv[go, None] * grad[:, go].T / gnorm2[go, None]
+        inside = domain.in_chart(complex_point(step))
+        x[active[go]] = step
+        for i in active[go][~inside]:
+            errors[i] = ProjectionError(f"Newton from {z0[i]} to r = {target[i]} left the chart box")
+        active = active[go][inside]
+    for i in active:
+        errors[i] = ProjectionError(
+            f"Newton from {z0[i]} did not converge to r = {target[i]} in {max_iter} iterations")
+    return z_out, residual, errors
 
 
-def project_to_boundary(domain, z0, tol_bnd=TOL_BND, max_iter=50):
+def project_to_boundary(domain, z0, tol_bnd=TOL_BND, max_iter=_NEWTON_ITER):
     """Newton iteration along the gradient of r onto the zero level set."""
     domain.check_chart(z0)
-    z, residual = _newton_to_level(domain, z0, 0.0, tol_bnd, max_iter)
-    return BoundaryPoint(z=z, residual=residual)
+    z, residual, errors = _newton_to_level(domain, _point_of(z0)[None], 0.0, tol_bnd, max_iter)
+    if errors[0] is not None:
+        raise errors[0]
+    return BoundaryPoint(z=z[0], residual=float(residual[0]))
 
 
 def sample_boundary(domain, count, seed, tol_bnd=TOL_BND, max_trials_factor=100):
-    """Rejection sampling in the chart box followed by Newton projection."""
+    """Rejection sampling in the chart box followed by Newton projection.
+
+    Candidates are drawn uniformly in the box in blocks; a block of k draws
+    is one ``rng.random((k, 2n))``, the stream of k one-point draws.  The
+    first block has ``count`` draws, each later one as many as the hit rate
+    so far predicts.  A block is screened with :meth:`DomainSpec.in_chart`
+    and projected by one batched Newton iteration, which rejects a failing
+    candidate alone.  The results are taken in draw order, skipping points
+    already found (coordinates rounded to 9 digits), until ``count`` points
+    are found; :class:`ProjectionError` is raised if the first
+    ``max_trials_factor * count`` draws give fewer.  The points are those
+    of :func:`project_to_boundary` on each candidate in turn, bit for bit.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi = domain.box[:, 0], domain.box[:, 1]
+    cap = max_trials_factor * count
     points, seen = [], set()
     trials = 0
     while len(points) < count:
-        if trials >= max_trials_factor * count:
+        if trials >= cap:
             raise ProjectionError(
                 f"no boundary hits for {domain.name!r} after {trials} trials "
                 f"({len(points)}/{count} found)"
             )
-        trials += 1
-        x = lo + (hi - lo) * rng.random(lo.shape)
-        z0 = complex_point(x)
-        if not domain.in_chart(z0):
-            continue
-        try:
-            bp = project_to_boundary(domain, z0, tol_bnd=tol_bnd)
-        except (ProjectionError, ChartDomainError, ValueError, ZeroDivisionError):
-            continue
-        key = tuple(np.round(real_coords(bp.z), 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        points.append(bp)
+        need = count - len(points)
+        block = min(cap - trials, -(-need * max(trials, 1) // max(len(points), 1)))
+        trials += block
+        z0 = complex_point(lo + (hi - lo) * rng.random((block, lo.size)))
+        z0 = z0[domain.in_chart(z0)]
+        z, residual, errors = _newton_to_level(domain, z0, 0.0, tol_bnd, _NEWTON_ITER)
+        for zk, res, err in zip(z, residual, errors):
+            key = tuple(np.round(real_coords(zk), 9))
+            if err is not None or key in seen:
+                continue
+            seen.add(key)
+            points.append(BoundaryPoint(z=zk, residual=float(res)))
+            if len(points) == count:
+                break
     return points
 
 
@@ -594,8 +664,19 @@ def find_collar_depth(sites, eps, delta0=0.05, min_delta=1e-4, steps=10):
 
 
 def point_at_depth(domain, p, depth, tol=1e-12, max_iter=60):
-    """Interior point with r = -depth reached by Newton from a boundary point."""
-    return _newton_to_level(domain, _point_of(p), -float(depth), tol, max_iter)[0]
+    """Interior point with r = -depth reached by Newton from a boundary point.
+
+    For a batch of boundary points (B, n), with one depth or one per point,
+    every row is iterated and the points (B, n) are returned; the error of
+    the first row that fails is raised.
+    """
+    z = _point_of(p)
+    out, _, errors = _newton_to_level(domain, np.atleast_2d(z), -np.asarray(depth, dtype=float),
+                                      tol, max_iter)
+    failure = next((err for err in errors if err is not None), None)
+    if failure is not None:
+        raise failure
+    return out if z.ndim == 2 else out[0]
 
 
 # ----------------------------------------------------------------------

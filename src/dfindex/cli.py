@@ -103,11 +103,13 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"config {path}: line {err.lineno} column {err.colno}: {err.msg}")
         if not isinstance(data, dict):
             raise ConfigError(f"config {path}: top level must be an object")
-    for key, value in data.items():
+    overrides = overrides or {}
+    for key in [*data, *overrides]:
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"config field {key!r} unknown; valid fields: {sorted(_CONFIG_FIELDS)}")
+    for key, value in data.items():
         setattr(cfg, key, value)
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
     return cfg.validate()

@@ -29,6 +29,8 @@ import numpy as np
 from . import jets
 from .boundary import (
     NormalFrame,
+    ProjectionError,
+    _point_of,
     levi_data,
     normal_frame,
     point_at_depth,
@@ -636,7 +638,10 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
 
     which stays numerically stable arbitrarily close to the boundary; for
     eta = 0 the logarithmic variant is used.  Samples lie on inward normals
-    of boundary points at the requested depths.
+    of boundary points at the requested depths, one row per point and depth
+    (depths varying fastest); one batched :func:`point_at_depth` reaches
+    them all.  If it fails, the samples are taken one at a time instead, so
+    that the first failing sample raises, whatever its check.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
@@ -645,36 +650,43 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
     if points is None:
         points = sample_boundary(domain, n_points, seed)
     n = domain.n
+    base = _point_of(list(points)).reshape(-1, n)
+    starts = np.repeat(base, len(depths), axis=0)
+    levels = np.tile(np.asarray(depths, dtype=float), len(base))
+    try:
+        samples = point_at_depth(domain, starts, levels)
+    except (ProjectionError, ValueError, ZeroDivisionError):
+        samples = [None] * len(starts)
     rows = []
-    for p in points:
-        for depth in depths:
+    for p, depth, z in zip(starts, levels, samples):
+        if z is None:
             z = point_at_depth(domain, p, depth)
-            fr = NormalFrame(domain, z, r_order=2)
-            rv = float(np.real(fr.table(2).value))
-            if rv >= 0.0:
-                raise ValueError(f"interior sample has rho >= 0 at {z} (r = {rv})")
-            hr = fr.hr
-            u = fr.u.reshape(-1, 1)
-            if h_field is not None:
-                htab = wirtinger_table(h_field.jet(z, 2), n)
-                w = htab.w1[:n].reshape(-1, 1)
-                hh = htab.mixed_hessian
-            else:
-                w = np.zeros((n, 1), dtype=complex)
-                hh = np.zeros((n, n), dtype=complex)
-            if eta > 0.0:
-                mat = (hr / (-rv)
-                       + (1.0 - eta) / rv**2 * (u @ u.conj().T)
-                       - eta / (-rv) * (w @ u.conj().T + u @ w.conj().T)
-                       - eta * (w @ w.conj().T)
-                       + hh)
-            else:
-                mat = hr / (-rv) + (u @ u.conj().T) / rv**2 + hh
-            mat = mat - C * fr.G
-            mat = 0.5 * (mat + mat.conj().T)
-            # eigvalsh can return finite numbers for a matrix holding a NaN
-            eig = float(np.linalg.eigvalsh(mat)[0]) if np.isfinite(mat).all() else math.nan
-            rows.append({"z": fr.z, "depth": float(depth), "min_eig": eig})
+        fr = NormalFrame(domain, z, r_order=2)
+        rv = float(np.real(fr.table(2).value))
+        if rv >= 0.0:
+            raise ValueError(f"interior sample has rho >= 0 at {z} (r = {rv})")
+        hr = fr.hr
+        u = fr.u.reshape(-1, 1)
+        if h_field is not None:
+            htab = wirtinger_table(h_field.jet(z, 2), n)
+            w = htab.w1[:n].reshape(-1, 1)
+            hh = htab.mixed_hessian
+        else:
+            w = np.zeros((n, 1), dtype=complex)
+            hh = np.zeros((n, n), dtype=complex)
+        if eta > 0.0:
+            mat = (hr / (-rv)
+                   + (1.0 - eta) / rv**2 * (u @ u.conj().T)
+                   - eta / (-rv) * (w @ u.conj().T + u @ w.conj().T)
+                   - eta * (w @ w.conj().T)
+                   + hh)
+        else:
+            mat = hr / (-rv) + (u @ u.conj().T) / rv**2 + hh
+        mat = mat - C * fr.G
+        mat = 0.5 * (mat + mat.conj().T)
+        # eigvalsh can return finite numbers for a matrix holding a NaN
+        eig = float(np.linalg.eigvalsh(mat)[0]) if np.isfinite(mat).all() else math.nan
+        rows.append({"z": fr.z, "depth": float(depth), "min_eig": eig})
     # np.min keeps a NaN sample, which ``min`` would drop
     min_eig = float(np.min([r["min_eig"] for r in rows], initial=math.inf))
     return {"eta": float(eta), "C": float(C), "min_eig": min_eig, "rows": rows,

@@ -51,10 +51,10 @@ def real_coords(z):
 
 
 def complex_point(x):
-    """Complex chart point from stacked real coordinates."""
-    x = np.asarray(x, dtype=float).ravel()
-    n = x.size // 2
-    return x[:n] + 1j * x[n:]
+    """Complex chart point from stacked real coordinates (or each point of a batch (B, 2n))."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1] // 2
+    return x[..., :n] + 1j * x[..., n:]
 
 
 def seed_coordinate_jets(z, order):

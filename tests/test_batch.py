@@ -7,6 +7,7 @@ array may be real where the merged batch column is complex (a branch whose
 sides differ in type); it is widened before the comparison, which is exact.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,20 +15,39 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dfindex import jets
-from dfindex.boundary import NormalFrame, levi_data, normal_frame, sample_boundary
+from dfindex import estimator, jets
+from dfindex.boundary import (
+    TOL_GRAD,
+    DomainSpec,
+    NormalFrame,
+    ProjectionError,
+    _newton_to_level,
+    levi_data,
+    normal_frame,
+    point_at_depth,
+    project_to_boundary,
+    sample_boundary,
+)
 from dfindex.diagnostics import random_metric, random_scalar_field
-from dfindex.domains import ball_domain
+from dfindex.domains import ball_domain, make_domain
 from dfindex.estimator import (
     _basis_rows,
     _soft_clamp,
     collect_sites,
+    interior_check,
     make_site,
     poly_basis,
     worm_reduction_basis,
 )
 from dfindex.expr import build_field
-from dfindex.fields import ScalarField, seed_coordinate_jets, wirtinger_table
+from dfindex.fields import (
+    ChartDomainError,
+    ScalarField,
+    complex_point,
+    real_coords,
+    seed_coordinate_jets,
+    wirtinger_table,
+)
 from dfindex.forms import alpha, beta_mixed
 from dfindex.geometry import CTVector, MetricField, chern_frame, torsion
 from dfindex.worm import WormParams, _f_jets, _lambda_jet, sgamma_points, worm_domain
@@ -510,3 +530,227 @@ def test_grad_norm_field_matches_one_point(seed, order, metric):
     domain, points = _worm_batch(np.random.default_rng(seed), metric)
     field = domain.grad_norm_field
     assert_jet_columns(field.jet(points, order), [field.jet(z, order) for z in points])
+
+
+# ----------------------------------------------------------------------
+# Newton projection, sampling and the interior check
+# ----------------------------------------------------------------------
+
+def _guarded_ball():
+    """The unit ball, whose r has a guard raising at Re z1 > 1.2 and a jet raising at Re z1 = 0.7."""
+    def guard(z):
+        if np.any(np.real(z[..., 0]) > 1.2):
+            raise ChartDomainError("guarded region Re z1 > 1.2")
+
+    def fn(zs):
+        # the last term is zero, but its jet divides by zero on the line Re z1 = 0.7
+        return jets.abs2(zs[0]) + jets.abs2(zs[1]) - 1.0 + 0.0 * (zs[0].real() - 0.7).reciprocal()
+
+    return DomainSpec(name="guarded ball", n=2, r=ScalarField(2, fn, guard=guard),
+                      metric=MetricField.euclidean(2), box=np.array([[-1.5, 1.5]] * 4),
+                      interior_point=np.zeros(2, dtype=complex))
+
+
+def _outcome(err):
+    return None if err is None else (type(err), str(err))
+
+
+def _newton_one_point(domain, z0, target, tol, max_iter):
+    """The Newton iteration from one start as a plain loop, the reference for the batch."""
+    x = real_coords(z0)
+    for _ in range(max_iter):
+        z = complex_point(x)
+        jet = domain.r.jet(z, 1)
+        rv, grad = float(np.real(jet.value)) - target, np.real(jet.grad)
+        gnorm2 = float(grad @ grad)
+        if gnorm2 < TOL_GRAD**2:
+            raise ProjectionError(f"vanishing gradient of r at {z} (|grad| = {np.sqrt(gnorm2):.2e})")
+        if abs(rv) <= tol * (1.0 + abs(target)):
+            return z, abs(rv)
+        x = x - rv * grad / gnorm2
+        if not domain.in_chart(complex_point(x)):
+            raise ProjectionError(f"Newton from {z0} to r = {target} left the chart box")
+    raise ProjectionError(f"Newton from {z0} did not converge to r = {target} in {max_iter} iterations")
+
+
+def _assert_rows_match_loop(domain, starts, targets, z, residual, errors, max_iter):
+    for k, z0 in enumerate(starts):
+        try:
+            ref, res = _newton_one_point(domain, z0, float(targets[k]), 1e-10, max_iter)
+        except (ProjectionError, ValueError, ZeroDivisionError) as err:
+            assert _outcome(errors[k]) == _outcome(err)
+            continue
+        assert errors[k] is None
+        assert_same(z[k], ref)
+        assert residual[k] == res
+
+
+@pytest.mark.parametrize("target", [0.0, np.array([0.0, -1e-2, 0.0, -1e-3, 0.0, 0.0, -0.5, 0.0, -0.1])])
+def test_newton_rows_match_batches_of_one(target):
+    domain = _guarded_ball()
+    starts = np.array([
+        [1.1, 0.0],                        # converges
+        [0.3 + 0.2j, 0.9 - 0.1j],          # converges
+        [0.0, 0.0],                        # vanishing gradient
+        [1e-3, 0.0],                       # first step leaves the chart box
+        [1.3, 0.1],                        # guard of r raises
+        [0.7 + 0.1j, 0.2],                 # jet of r divides by zero
+        [-1.45 + 1.4j, 1.4 - 1.45j],       # needs more than max_iter steps
+        [0.5 - 0.5j, -0.6 + 0.1j],         # converges
+        [0.4, 0.0],                        # first step lands where the guard raises
+    ], dtype=complex)
+    z, residual, errors = _newton_to_level(domain, starts, target, 1e-10, 5)
+    targets = np.broadcast_to(target, len(starts))
+    for k in range(len(starts)):
+        z1, res1, err1 = _newton_to_level(domain, starts[k:k + 1], targets[k], 1e-10, 5)
+        assert_same(z[k], z1[0])
+        assert_same(residual[k], res1[0])
+        assert _outcome(errors[k]) == _outcome(err1[0])
+    _assert_rows_match_loop(domain, starts, targets, z, residual, errors, 5)
+    kinds = [None if e is None else (type(e).__name__, str(e).split(" ")[0]) for e in errors]
+    assert kinds == [None, None, ("ProjectionError", "vanishing"), ("ProjectionError", "Newton"),
+                     ("ChartDomainError", "guarded"), ("ZeroDivisionError", "reciprocal"),
+                     ("ProjectionError", "Newton"), None, ("ChartDomainError", "guarded")]
+    assert "left the chart" in str(errors[3]) and "did not converge" in str(errors[6])
+    assert np.isnan(z[[2, 3, 4, 5, 6, 8]]).all() and np.isnan(residual[[2, 3, 4, 5, 6, 8]]).all()
+    assert (residual[[0, 1, 7]] <= 1e-10 * (1.0 + np.abs(targets[[0, 1, 7]]))).all()
+
+
+USER_R = {"op": "add", "args": [
+    {"op": "abs2", "arg": {"op": "coord", "index": 0}},
+    {"op": "pow", "base": {"op": "abs2", "arg": {"op": "coord", "index": 1}}, "exponent": 2},
+    {"op": "mul", "args": [
+        {"op": "const", "value": 0.1},
+        {"op": "re", "arg": {"op": "mul", "args": [{"op": "coord", "index": 0},
+                                                   {"op": "coord", "index": 1}]}},
+    ]},
+    {"op": "const", "value": -1.0},
+]}
+
+
+def _domain_of(key):
+    return {
+        "user": lambda: make_domain("user", n=2, r=USER_R, box=[[-1.3, 1.3]] * 4,
+                                    interior=[[0.0, 0.0], [0.0, 0.0]]),
+        "ball": ball_domain,
+        "worm(pi)": lambda: make_domain(f"worm({math.pi!r})"),
+        "worm(2pi)": lambda: make_domain(f"worm({2 * math.pi!r})"),
+    }[key]()
+
+
+@pytest.mark.parametrize("key", ["user", "ball", "worm(pi)"])
+def test_newton_matches_the_one_point_loop(key):
+    # |grad|^2 summed in another order (a contiguous copy, einsum) differs in the
+    # last bit on most of these rows
+    domain = _domain_of(key)
+    rng = np.random.default_rng(11)
+    lo, hi = domain.box[:, 0], domain.box[:, 1]
+    starts = complex_point(lo + (hi - lo) * rng.random((60, lo.size)))
+    starts = starts[domain.in_chart(starts)]
+    targets = -0.1 * rng.random(len(starts))
+    z, residual, errors = _newton_to_level(domain, starts, targets, 1e-10, 50)
+    assert sum(err is None for err in errors) > len(starts) // 2
+    _assert_rows_match_loop(domain, starts, targets, z, residual, errors, 50)
+
+
+def test_in_chart_batch_matches_one_point():
+    domain = worm_domain(WormParams(gamma=math.pi, t=1.2))
+    (j, radius), = domain.min_abs_coord.items()
+    rng = np.random.default_rng(3)
+    lo, hi = domain.box[:, 0], domain.box[:, 1]
+    x = lo - 0.1 + (hi - lo + 0.2) * rng.random((200, 4))
+    x[:4] = [lo, hi, lo - 1e-12, hi + 1e-12]          # on and just past the box faces
+    x[4] = np.nan
+    points = x[:, :2] + 1j * x[:, 2:]
+    points[5:8, j] = radius * np.exp(1j * np.array([0.3, 1.1, 2.0]))
+    points[6, j] *= 1 - 1e-15                              # just inside the removed fibre
+    batch = domain.in_chart(points)
+    assert batch.dtype == bool and batch.shape == (200,)
+    assert batch.tolist() == [domain.in_chart(z) for z in points]
+    assert batch.any() and not batch.all() and not batch[6]
+    domain.check_chart(points[batch])
+    with pytest.raises(ChartDomainError, match="outside chart"):
+        domain.check_chart(points)
+
+
+def _reference_sample(domain, seed, draws, count=None):
+    """Distinct hits of projecting each candidate alone with ``project_to_boundary``.
+
+    Returns the points, found in draw order (at most ``count``), and the
+    number of them found after each draw.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.box[:, 0], domain.box[:, 1]
+    points, seen, found = [], set(), []
+    for _ in range(draws):
+        z0 = complex_point(lo + (hi - lo) * rng.random(lo.shape))
+        if domain.in_chart(z0):
+            try:
+                bp = project_to_boundary(domain, z0)
+            except (ProjectionError, ValueError, ZeroDivisionError):
+                bp = None
+            key = None if bp is None else tuple(np.round(real_coords(bp.z), 9))
+            if key is not None and key not in seen:
+                seen.add(key)
+                points.append(bp)
+        found.append(len(points))
+        if len(points) == count:
+            break
+    return points, found
+
+
+@pytest.mark.parametrize("key", ["user", "ball", "worm(pi)", "worm(2pi)"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sample_boundary_matches_projecting_each_candidate(key, seed):
+    domain = _domain_of(key)
+    count = 40
+    ref, _ = _reference_sample(domain, seed, 100 * count, count)
+    points = sample_boundary(domain, count, seed)
+    assert len(points) == len(ref) == count
+    for p, q in zip(points, ref):
+        assert_same(p.z, q.z)
+        assert p.residual == q.residual and type(p.residual) is float
+
+
+def test_sample_boundary_raises_exactly_when_the_trial_cap_binds():
+    # few candidates in this chart project onto the ball without leaving it
+    domain = dataclasses.replace(ball_domain(), min_abs_coord={0: 0.97})
+    factor, counts = 20, range(1, 9)
+    ref, found = _reference_sample(domain, 0, factor * max(counts))
+    admitted = [found[factor * c - 1] >= c for c in counts]
+    assert any(admitted) and not all(admitted)
+    for count, ok in zip(counts, admitted):
+        if ok:
+            points = sample_boundary(domain, count, 0, max_trials_factor=factor)
+            assert [p.z.tobytes() for p in points] == [q.z.tobytes() for q in ref[:count]]
+        else:
+            with pytest.raises(ProjectionError, match=f"after {factor * count} trials "
+                                                      fr"\({found[factor * count - 1]}/{count} found\)"):
+                sample_boundary(domain, count, 0, max_trials_factor=factor)
+
+
+def test_interior_check_batches_every_sample(ball, monkeypatch):
+    calls = []
+    monkeypatch.setattr(estimator, "point_at_depth",
+                        lambda *args: calls.append(args) or point_at_depth(*args))
+    points = sample_boundary(ball, 3, 4)
+    depths = [1e-4, 1e-3, 5e-2, 1e-2]
+    h_field = ScalarField(2, lambda zs: zs[0].real() * 0.1)
+    rep = interior_check(ball, h_field, 0.3, depths=depths, points=points)
+    assert len(calls) == 1 and calls[0][1].shape == (12, 2)
+    one = [interior_check(ball, h_field, 0.3, depths=[d], points=[p]) for p in points for d in depths]
+    assert len(rep["rows"]) == 12
+    for row, ref in zip(rep["rows"], one):
+        (ref,) = ref["rows"]
+        assert_same(row["z"], ref["z"])
+        assert row["depth"] == ref["depth"] and row["min_eig"] == ref["min_eig"]
+
+
+def test_interior_check_raises_for_the_first_failing_sample(ball):
+    p = sample_boundary(ball, 1, 4)[0].z
+    origin = np.zeros(2, dtype=complex)        # Newton from here meets a vanishing gradient
+    # the first sample reaches r = +1e-3 (not inside), the second fails its Newton step
+    with pytest.raises(ValueError, match="rho >= 0"):
+        interior_check(ball, None, 0.5, depths=[-1e-3], points=[p, origin])
+    with pytest.raises(ProjectionError, match="vanishing gradient"):
+        interior_check(ball, None, 0.5, depths=[-1e-3], points=[origin, p])

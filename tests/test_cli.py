@@ -40,6 +40,14 @@ def test_config_loading_and_overrides(tmp_path):
         load_config(None, {"tol_eta": -1.0})
 
 
+def test_unknown_override_key_is_rejected():
+    with pytest.raises(ConfigError, match="config field 'tol_bnd' unknown"):
+        load_config(None, {"tol_bnd": 0.01})
+    with pytest.raises(ConfigError, match="config field 'sample' unknown"):
+        load_config(None, {"sample": None, "seed": 3})
+    assert load_config(None, {"seed": 3, "samples": None}).samples == RunConfig().samples
+
+
 def test_removed_tol_bnd_field_is_unknown(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"tol_bnd": 0.01}))
