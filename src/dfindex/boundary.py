@@ -11,9 +11,9 @@ its order-3 data (connection, ``h3t``, ``L_jets``) and the Levi data are
 computed for one point (n,) or for a batch of points (B, n) by the same
 code, stacked along a leading batch axis; each row equals the one-point
 result bit for bit.  So is the Newton iteration onto a level set of r:
-:func:`sample_boundary` projects a block of candidates per batch, and
+:func:`sample_boundary` projects a block of candidates per batch,
 :func:`project_to_boundary` and :func:`point_at_depth` are its batch-of-one
-and batch callers; a row that fails is rejected alone.
+callers, and a row that fails is rejected alone.
 
 Everything here is pure given ``(domain, seed)``.
 """
@@ -115,10 +115,8 @@ class DomainSpec:
         return bool(ok) if z.ndim == 1 else ok
 
     def check_chart(self, z):
-        z = _point_of(z)
-        out = np.logical_not(self.in_chart(z))
-        if np.any(out):
-            raise ChartDomainError(f"point {z if z.ndim == 1 else z[out][0]} outside chart of {self.name!r}")
+        if not self.in_chart(z):
+            raise ChartDomainError(f"point {np.asarray(z, dtype=complex)} outside chart of {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +145,7 @@ def _col(s):
 # ----------------------------------------------------------------------
 
 _NEWTON_ITER = 50          # Newton steps allowed for a projection onto r = 0
+_DEPTH_TOL, _DEPTH_ITER = 1e-12, 60   # tolerance and steps for Newton onto r = -depth
 _ROW_ERRORS = (ValueError, ZeroDivisionError)   # what a jet of r raises at a bad point
 
 
@@ -663,20 +662,12 @@ def find_collar_depth(sites, eps, delta0=0.05, min_delta=1e-4, steps=10):
     raise ProjectionError(f"no collar depth >= {min_delta} satisfies the bounds for eps = {eps}")
 
 
-def point_at_depth(domain, p, depth, tol=1e-12, max_iter=60):
-    """Interior point with r = -depth reached by Newton from a boundary point.
-
-    For a batch of boundary points (B, n), with one depth or one per point,
-    every row is iterated and the points (B, n) are returned; the error of
-    the first row that fails is raised.
-    """
-    z = _point_of(p)
-    out, _, errors = _newton_to_level(domain, np.atleast_2d(z), -np.asarray(depth, dtype=float),
-                                      tol, max_iter)
-    failure = next((err for err in errors if err is not None), None)
-    if failure is not None:
-        raise failure
-    return out if z.ndim == 2 else out[0]
+def point_at_depth(domain, p, depth, tol=_DEPTH_TOL, max_iter=_DEPTH_ITER):
+    """Interior point with r = -depth reached by Newton from a boundary point."""
+    z, _, errors = _newton_to_level(domain, _point_of(p)[None], -float(depth), tol, max_iter)
+    if errors[0] is not None:
+        raise errors[0]
+    return z[0]
 
 
 # ----------------------------------------------------------------------

@@ -28,12 +28,13 @@ import numpy as np
 
 from . import jets
 from .boundary import (
+    _DEPTH_ITER,
+    _DEPTH_TOL,
     NormalFrame,
-    ProjectionError,
+    _newton_to_level,
     _point_of,
     levi_data,
     normal_frame,
-    point_at_depth,
     sample_boundary,
 )
 from .fields import ScalarField, seed_coordinate_jets, wirtinger_table
@@ -639,9 +640,9 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
     which stays numerically stable arbitrarily close to the boundary; for
     eta = 0 the logarithmic variant is used.  Samples lie on inward normals
     of boundary points at the requested depths, one row per point and depth
-    (depths varying fastest); one batched :func:`point_at_depth` reaches
-    them all.  If it fails, the samples are taken one at a time instead, so
-    that the first failing sample raises, whatever its check.
+    (depths varying fastest).  One batched Newton iteration, that of
+    :func:`point_at_depth`, reaches them all; the samples are then checked
+    in order, so the first failing sample raises, whatever its check.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
@@ -653,14 +654,11 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
     base = _point_of(list(points)).reshape(-1, n)
     starts = np.repeat(base, len(depths), axis=0)
     levels = np.tile(np.asarray(depths, dtype=float), len(base))
-    try:
-        samples = point_at_depth(domain, starts, levels)
-    except (ProjectionError, ValueError, ZeroDivisionError):
-        samples = [None] * len(starts)
+    samples, _, errors = _newton_to_level(domain, starts, -levels, _DEPTH_TOL, _DEPTH_ITER)
     rows = []
-    for p, depth, z in zip(starts, levels, samples):
-        if z is None:
-            z = point_at_depth(domain, p, depth)
+    for depth, z, err in zip(levels, samples, errors):
+        if err is not None:
+            raise err
         fr = NormalFrame(domain, z, r_order=2)
         rv = float(np.real(fr.table(2).value))
         if rv >= 0.0:

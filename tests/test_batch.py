@@ -24,7 +24,6 @@ from dfindex.boundary import (
     _newton_to_level,
     levi_data,
     normal_frame,
-    point_at_depth,
     project_to_boundary,
     sample_boundary,
 )
@@ -668,9 +667,9 @@ def test_in_chart_batch_matches_one_point():
     assert batch.dtype == bool and batch.shape == (200,)
     assert batch.tolist() == [domain.in_chart(z) for z in points]
     assert batch.any() and not batch.all() and not batch[6]
-    domain.check_chart(points[batch])
+    domain.check_chart(points[batch][0])
     with pytest.raises(ChartDomainError, match="outside chart"):
-        domain.check_chart(points)
+        domain.check_chart(points[~batch][0])
 
 
 def _reference_sample(domain, seed, draws, count=None):
@@ -731,8 +730,8 @@ def test_sample_boundary_raises_exactly_when_the_trial_cap_binds():
 
 def test_interior_check_batches_every_sample(ball, monkeypatch):
     calls = []
-    monkeypatch.setattr(estimator, "point_at_depth",
-                        lambda *args: calls.append(args) or point_at_depth(*args))
+    monkeypatch.setattr(estimator, "_newton_to_level",
+                        lambda *args: calls.append(args) or _newton_to_level(*args))
     points = sample_boundary(ball, 3, 4)
     depths = [1e-4, 1e-3, 5e-2, 1e-2]
     h_field = ScalarField(2, lambda zs: zs[0].real() * 0.1)
