@@ -29,10 +29,10 @@ from . import jets
 from .fields import (
     ChartDomainError,
     ScalarField,
+    _points,
     complex_point,
     dz_jet,
     real_coords,
-    seed_coordinate_jets,
     wirtinger_table,
 )
 from .geometry import (
@@ -67,7 +67,6 @@ __all__ = [
     "collar_levi_compare",
     "find_collar_depth",
     "point_at_depth",
-    "make_grad_norm_field",
     "admissibility_diagnostic",
 ]
 
@@ -89,7 +88,6 @@ class DomainSpec:
     metric: MetricField
     box: np.ndarray
     interior_point: np.ndarray
-    grad_norm_field: ScalarField = dc_field(init=False)
     min_abs_coord: dict = dc_field(default_factory=dict)
     special_sampler: object = None
     params: dict = dc_field(default_factory=dict)
@@ -103,15 +101,17 @@ class DomainSpec:
         witness = self.r.jet(self.interior_point, 0).value
         if not np.real(witness) < 0:
             raise ValueError(f"interior witness {self.interior_point} has r = {witness} >= 0")
-        self.grad_norm_field = make_grad_norm_field(self)
 
     def in_chart(self, z):
-        """Whether a point (n,) lies in the chart: a bool, or a (B,) bool array for a batch (B, n)."""
+        """Whether a point (n,) lies in the chart: a bool, or a (B,) bool array for a batch (B, n).
+
+        Every test is written so that a NaN coordinate fails it.
+        """
         z = _point_of(z)
         x = real_coords(z)
-        ok = ~np.any((x < self.box[:, 0]) | (x > self.box[:, 1]), axis=-1)
+        ok = np.all((x >= self.box[:, 0]) & (x <= self.box[:, 1]), axis=-1)
         for j, radius in self.min_abs_coord.items():
-            ok &= ~(np.abs(z[..., j]) < radius)
+            ok &= np.abs(z[..., j]) >= radius
         return bool(ok) if z.ndim == 1 else ok
 
     def check_chart(self, z):
@@ -131,8 +131,7 @@ def _point_of(p):
         return p.z
     if isinstance(p, list):
         p = [q.z if isinstance(q, BoundaryPoint) else q for q in p]
-    z = np.asarray(p, dtype=complex)
-    return z if z.ndim == 2 else z.ravel()
+    return _points(p)
 
 
 def _col(s):
@@ -298,6 +297,7 @@ class NormalFrame:
         self._chern = {}
         self._mjets = None
         self._L_jets = None
+        self._s_jet = None
         self._hess2n = None
         self._h3t = None
 
@@ -308,7 +308,7 @@ class NormalFrame:
         s = np.real(_dot(self.u.conj(), x))
         low = s <= TOL_GRAD**2
         if np.any(low):
-            at, val = (self.z, s) if self.z.ndim == 1 else (self.z[low][0], s[low][0])
+            at, val = self.z[low][0], np.asarray(s)[low][0]
             raise ProjectionError(f"|d r| below tolerance at {at} (|dbar r|^2 = {val:.2e})")
         self.dbar_norm_sq = s
         self.dbar_norm = np.sqrt(s)            # |del r|
@@ -371,8 +371,14 @@ class NormalFrame:
             x = jet_matrix_solve(self.metric_jets(), u_jets)
             s = sum((u_jets[i].conj() * x[i] for i in range(self.n)),
                     jets.Jet.constant(0.0, 2 * self.n, 2))
+            self._s_jet = s
             self._L_jets = [x[i].conj() / s for i in range(self.n)]
         return self._L_jets
+
+    def grad_norm_jet(self):
+        """Order-2 jet of |d r| = sqrt(2 |del r|^2), from the |del r|^2 jet that ``L_jets`` builds."""
+        self.L_jets()
+        return jets.sqrt(self._s_jet.real() * 2.0)
 
     def L_w1(self):
         """First Wirtinger derivatives of the coefficients of L: array (n, 2n) per point."""
@@ -419,7 +425,7 @@ def normal_frame(domain, p, tol_bnd=1e-8, r_order=3):
     rv = frame.table(2).value
     off = np.abs(np.real(rv)) > tol_bnd
     if np.any(off):
-        at, val = (z, rv) if z.ndim == 1 else (z[off][0], rv[off][0])
+        at, val = z[off][0], np.asarray(rv)[off][0]
         raise ValueError(f"point {at} is not on the boundary (r = {val})")
     return frame
 
@@ -435,25 +441,22 @@ class LeviData:
     ``basis`` holds the n - 1 metric-orthonormal (1,0) tangent vectors and
     ``directions`` the eigendirections of the Levi matrix over that basis
     (unnormalized; each a CTVector whose coefficients carry the batch axis);
-    ``null`` marks the eigenvalues below the null cutoff.
+    ``null`` marks the eigenvalues below the null cutoff.  Over a batch,
+    ``np.nonzero(null)`` gives the (point, direction) pairs of the null
+    directions.
     """
 
     frame: NormalFrame
     basis: list            # n - 1 CTVectors, orthonormal at each point
     levi: np.ndarray       # Hermitian (..., n-1, n-1)
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    directions: list       # n - 1 CTVectors: sum_j eigenvectors[j, idx] basis[j]
+    directions: list       # n - 1 CTVectors: the eigenvectors of ``levi`` over ``basis``
     null: np.ndarray       # (..., n-1) bool: eigenvalue below the null cutoff
-    eps_null: float
 
     @property
     def null_basis(self):
-        """The null directions: a list of CTVectors, or one such list per point of a batch."""
-        if self.null.ndim == 1:
-            return [d for d, keep in zip(self.directions, self.null) if keep]
-        return [[CTVector.holo(d.h[b]) for d, keep in zip(self.directions, row) if keep]
-                for b, row in enumerate(self.null)]
+        """The null directions at one point: a list of CTVectors."""
+        return [d for d, keep in zip(self.directions, self.null) if keep]
 
     def check_null(self, zvec, tol=1e-6):
         """Raise ValueError unless Z lies in the Levi null space (relative ``tol``); one point."""
@@ -491,7 +494,7 @@ def levi_data(frame, eps_null=1e-7):
         found = found + keep
     bad = found != n - 1
     if np.any(bad):
-        at, count = (frame.z, found) if not batch else (frame.z[bad][0], found[bad][0])
+        at, count = frame.z[bad][0], found[bad][0]
         raise ValueError(
             f"tangent Gram-Schmidt produced {count} vectors (metric degenerate at {at})"
         )
@@ -512,10 +515,8 @@ def levi_data(frame, eps_null=1e-7):
         basis=[CTVector.holo(b) for b in basis],
         levi=levi,
         eigenvalues=eigvals,
-        eigenvectors=eigvecs,
         directions=directions,
         null=eigvals < _col(cutoff),
-        eps_null=eps_null,
     )
 
 
@@ -671,32 +672,8 @@ def point_at_depth(domain, p, depth, tol=_DEPTH_TOL, max_iter=_DEPTH_ITER):
 
 
 # ----------------------------------------------------------------------
-# gradient-norm field and admissibility diagnostic
+# admissibility diagnostic
 # ----------------------------------------------------------------------
-
-def make_grad_norm_field(domain):
-    """|d r| as a ScalarField, assembled in jet arithmetic (orders 0..2).
-
-    Computes |del r|^2 = u^H g^{-1} u with u = del r inside the jet ring and
-    returns sqrt(2 |del r|^2); consumes one extra derivative of r, so the
-    field supports jets through order 2 only.
-    """
-    n = domain.n
-
-    def fn(zs):
-        order = zs[0].order
-        z = np.stack([w.value for w in zs], axis=-1).astype(complex)
-        seeds = seed_coordinate_jets(z, order + 1)
-        rjet = domain.r.fn(seeds)
-        u = [dz_jet(rjet, j, n) for j in range(n)]
-        mjets = domain.metric.jets(z, order)
-        x = jet_matrix_solve(mjets, u)
-        s = sum((u[i].conj() * x[i] for i in range(n)), jets.Jet.constant(0.0, 2 * n, order))
-        s = s.real()
-        return jets.sqrt(s * 2.0)
-
-    return ScalarField(n, fn, name=f"|dr| ({domain.name})", guard=domain.r.guard, max_order=2)
-
 
 def admissibility_diagnostic(domain, p, step=1e-2):
     """Roughness probe for |d r|: spread of finite-difference third derivatives.
@@ -706,16 +683,15 @@ def admissibility_diagnostic(domain, p, step=1e-2):
     along the real coordinate directions at two nearby scales and their
     relative spread, which blows up when |d r| is not C^2.
     """
-    z = _point_of(p)
-    gn = domain.grad_norm_field
-    x0 = real_coords(z)
+    x0 = real_coords(_point_of(p))
     estimates = {}
     for h in (step, step / 2):
         vals = []
         for i in range(2 * domain.n):
             e = np.zeros_like(x0)
             e[i] = 1.0
-            f = lambda s: gn.jet(complex_point(x0 + s * e), 0).value
+            # one point at a time: a rough test field may branch on its value
+            f = lambda s: NormalFrame(domain, complex_point(x0 + s * e), r_order=1).grad_norm
             d3 = (f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2 * h**3)
             vals.append(d3)
         estimates[h] = np.array(vals)

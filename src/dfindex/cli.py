@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, diagnostics, forms
-from .boundary import levi_data, normal_frame, sample_boundary
+from .boundary import NormalFrame, levi_data, normal_frame, sample_boundary
 from .domains import REGISTRY_KEYS, make_domain
 from .estimator import (
     collect_sites,
@@ -40,6 +40,7 @@ from .estimator import (
     worm_reduction_basis,
 )
 from .geometry import CTVector
+from .jets import _vmul
 from .worm import WormParams, riccati_threshold, s_gamma_reference, sgamma_points
 
 SCHEMA = "dfindex/1"
@@ -229,31 +230,36 @@ def cmd_forms(cfg, eigen_only=False):
     points = _boundary_points(cfg, domain)
     ld = levi_data(normal_frame(domain, points, r_order=2), eps_null=cfg.eps_null)
     fr = ld.frame
+    null_dim = ld.null.sum(axis=-1)
+    alphas, betas = [[] for _ in points], [[] for _ in points]
+    at, idx = np.nonzero(ld.null)
+    if not eigen_only and len(at):
+        # alpha and i beta(Z, Zbar) at every null (point, direction) pair on one order-3 frame
+        zvec = CTVector.holo(np.stack([d.h for d in ld.directions], axis=1)[at, idx])
+        null_fr = NormalFrame(domain, fr.z[at])
+        a = forms.alpha(null_fr, zvec)
+        i_beta = np.real(_vmul(1j, forms.beta_mixed(null_fr, zvec, zvec)))
+        for b, a_k, ib_k in zip(at, a, i_beta):
+            alphas[b].append(complex(a_k))
+            betas[b].append(float(ib_k))
     records = []
-    strictly_pc = True
-    for b, (p, null_basis) in enumerate(zip(points, ld.null_basis)):
+    for b, p in enumerate(points):
         rec = {
             "z": [complex(c) for c in fr.z[b]],
             "r_residual": float(p.residual),
             "grad_norm": fr.grad_norm[b],
             "levi_eigenvalues": [float(e) for e in ld.eigenvalues[b]],
-            "null_dim": len(null_basis),
+            "null_dim": int(null_dim[b]),
         }
         if not eigen_only:
-            alphas, betas = [], []
-            one = normal_frame(domain, p) if null_basis else None
-            for zv in null_basis:
-                alphas.append(complex(forms.alpha(one, zv)))
-                betas.append(float(np.real(1j * forms.beta_mixed(one, zv, zv))))
-            rec["alpha_null"] = alphas
-            rec["i_beta_null"] = betas
-        strictly_pc = strictly_pc and not null_basis
+            rec["alpha_null"] = alphas[b]
+            rec["i_beta_null"] = betas[b]
         records.append(rec)
     records.sort(key=lambda r: tuple((c["re"], c["im"]) if isinstance(c, dict) else (c.real, c.imag)
                                      for c in r["z"]))
     summary = {
         "n_points": len(records),
-        "note": "strictly pseudoconvex sample (no null directions)" if strictly_pc else "",
+        "note": "" if at.size else "strictly pseudoconvex sample (no null directions)",
         # np.min keeps a NaN eigenvalue, which ``min`` would drop after the first record
         "min_levi_eigenvalue": float(np.min([r["levi_eigenvalues"][0] for r in records])),
     }

@@ -119,15 +119,15 @@ def _eval(node, zs):
     return _UNARY[op](_eval(node["arg"], zs))
 
 
-def build_field(tree, n, name="user", box=None, guard=None):
+def build_field(tree, n, name="user"):
     """Compile a validated expression tree into a :class:`ScalarField`."""
     validate_tree(tree, n)
 
     def fn(zs):
         return _eval(tree, zs)
 
-    return ScalarField(n, fn, name=name, box=box, guard=guard)
+    return ScalarField(n, fn, name=name)
 
 
-def field_from_json(text, n, name="user", box=None, guard=None):
-    return build_field(json.loads(text), n, name=name, box=box, guard=guard)
+def field_from_json(text, n, name="user"):
+    return build_field(json.loads(text), n, name=name)

@@ -84,45 +84,31 @@ class ScalarField:
         Maps a list of n complex coordinate jets to the field's jet.
     name : str
         Diagnostic tag.
-    box : array_like or None
-        Optional (2n, 2) chart box over the stacked real coordinates;
-        evaluation outside raises :class:`ChartDomainError`.
     guard : callable or None
         Optional predicate ``guard(z)`` raising :class:`ChartDomainError`
         for points the evaluator cannot handle (e.g. near a removed fiber).
-    max_order : int
-        Largest jet order the evaluator supports (3 unless the evaluator
-        internally consumes derivative budget, e.g. gradient-norm fields).
     """
 
-    def __init__(self, n, fn, name="", box=None, guard=None, max_order=jets.MAX_ORDER):
+    def __init__(self, n, fn, name="", guard=None):
         self.n = n
         self.fn = fn
         self.name = name
-        self.box = None if box is None else np.asarray(box, dtype=float)
         self.guard = guard
-        self.max_order = max_order
 
     def check_point(self, z):
-        """``z`` as one point (n,) or a batch (B, n); raises if any point is outside."""
+        """``z`` as one point (n,) or a batch (B, n); raises if the guard rejects any point."""
         z = _points(z)
         if z.shape[-1] != self.n:
             raise ValueError(f"field {self.name!r} expects {self.n} complex coordinates")
-        if self.box is not None:
-            x = real_coords(z)
-            out = np.any((x < self.box[:, 0]) | (x > self.box[:, 1]), axis=-1)
-            if np.any(out):
-                bad = z if z.ndim == 1 else z[out][0]
-                raise ChartDomainError(f"point {bad} outside chart box of field {self.name!r}")
         if self.guard is not None:
             self.guard(z)
         return z
 
     def jet(self, z, order):
         """Jet of the field at one point, or batch jet over a batch of points."""
-        if not 0 <= order <= self.max_order:
+        if not 0 <= order <= jets.MAX_ORDER:
             raise JetOrderError(
-                f"field {self.name!r} supports jet orders 0..{self.max_order}, got {order}"
+                f"field {self.name!r} supports jet orders 0..{jets.MAX_ORDER}, got {order}"
             )
         z = self.check_point(z)
         # a field that ignores its coordinates (a constant) returns a one-point jet

@@ -19,7 +19,7 @@ import numpy as np
 from . import jets
 from .boundary import NormalFrame, levi_data
 from .fields import complex_point, real_coords, wirtinger_table
-from .geometry import CTVector, curvature_contraction, torsion
+from .geometry import CTVector, _dot, curvature_contraction, torsion
 from .jets import _vmul
 
 __all__ = [
@@ -58,10 +58,10 @@ def alpha(fr, v):
 def alpha_geometric(fr, zvec):
     """alpha via the geometric split: Z log|dr| - i |X_r|^{-2} <sff(Z, J X_r), X_r>.
 
-    Uses the domain's gradient-norm field.  With the sff identity the
-    second term is + i Hess(Z, J X_r) r.  ``zvec`` must be of type (1,0).
+    Uses the frame's jet of |dr|.  With the sff identity the second term
+    is + i Hess(Z, J X_r) r.  ``zvec`` must be of type (1,0).
     """
-    gjet = fr.domain.grad_norm_field.jet(fr.z, 1)
+    gjet = fr.grad_norm_jet()
     w1 = wirtinger_table(gjet, fr.n).w1
     z_log_norm = complex(zvec.h @ w1[: fr.n]) / gjet.value
     return z_log_norm + 1j * fr.hess_r(zvec, fr.X.J())
@@ -133,8 +133,7 @@ def beta_geometric(fr, zvec, null_tol=1e-6):
     """
     ld = levi_data(fr)
     ld.check_null(zvec, null_tol)
-    gjet = fr.domain.grad_norm_field.jet(fr.z, 2)
-    log_jet = jets.log(gjet)
+    log_jet = jets.log(fr.grad_norm_jet())
     w2 = wirtinger_table(log_jet, fr.n).mixed_hessian
     log_term = float(np.real(zvec.h @ w2 @ zvec.h.conj()))
 
@@ -165,19 +164,22 @@ class SubmanifoldPatch:
     v_range: tuple
 
     def validate(self, grid=5, tol_bnd=1e-9):
-        us = np.linspace(*self.u_range, grid)
-        vs = np.linspace(*self.v_range, grid)
-        for a in us:
-            for b in vs:
-                u = complex(a, b)
-                z = self.chart(u)
-                rv = self.domain.r.jet(z, 1).value
-                if abs(np.real(rv)) > tol_bnd:
-                    raise ValueError(f"patch leaves the boundary at u = {u}: r = {rv}")
-                fr = NormalFrame(self.domain, z, r_order=2)
-                t = np.asarray(self.tangent(u), dtype=complex)
-                if abs(complex(fr.u @ t)) > 1e-8 * (1.0 + np.max(np.abs(t))):
-                    raise ValueError(f"patch tangent not annihilated by del r at u = {u}")
+        """Check that the patch lies in the boundary and del r annihilates its tangent.
+
+        The grid x grid parameter points are evaluated on one batch frame;
+        the error names the first bad u, u running fastest over Im u.
+        """
+        us = _complex(*np.meshgrid(np.linspace(*self.u_range, grid),
+                                   np.linspace(*self.v_range, grid), indexing="ij")).ravel()
+        fr = NormalFrame(self.domain, self.chart(us), r_order=2)
+        rv = fr.table(2).value
+        t = np.asarray(self.tangent(us), dtype=complex)
+        tangent_off = np.abs(_dot(fr.u, t)) > 1e-8 * (1.0 + np.max(np.abs(t), axis=-1))
+        for k, u in enumerate(us):
+            if abs(np.real(rv[k])) > tol_bnd:
+                raise ValueError(f"patch leaves the boundary at u = {u}: r = {rv[k]}")
+            if tangent_off[k]:
+                raise ValueError(f"patch tangent not annihilated by del r at u = {u}")
         return self
 
 
@@ -284,12 +286,6 @@ def loop_alpha_integral(domain, patch, u_fixed=0.0, v_span=(0.0, 2.0 * np.pi), s
 # weak identity beta = -(i/2)(d'alpha - d''alpha), finite-difference route
 # ----------------------------------------------------------------------
 
-def _alpha_components(domain, z):
-    fr = NormalFrame(domain, z, r_order=2)
-    eye = np.eye(domain.n, dtype=complex)
-    return np.array([alpha(fr, CTVector.holo(eye[j])) for j in range(domain.n)])
-
-
 def beta_weak_residual(fr, zvec, wvec, step=1e-4):
     """Residuals of beta against grid-differentiated alpha.
 
@@ -298,14 +294,16 @@ def beta_weak_residual(fr, zvec, wvec, step=1e-4):
     -(i/2)(d'alpha - d''alpha) with the pointwise beta formulas.  Returns
     ``(unmixed_residual, mixed_residual)``.
     """
-    domain, n = fr.domain, fr.n
+    n = fr.n
     x0 = real_coords(fr.z)
-    da = np.empty((2 * n, n), dtype=complex)  # real-direction derivatives of A_j
-    for i in range(2 * n):
-        e = np.zeros_like(x0)
-        e[i] = step
-        da[i] = (_alpha_components(domain, complex_point(x0 + e))
-                 - _alpha_components(domain, complex_point(x0 - e))) / (2 * step)
+    shift = step * np.eye(2 * n)
+    # A_j at x0 + step e_i (rows 0..2n-1) and x0 - step e_i (rows 2n..4n-1) on one frame
+    stencil = NormalFrame(fr.domain, complex_point(np.concatenate([x0 + shift, x0 - shift])),
+                          r_order=2)
+    eye = np.eye(n, dtype=complex)
+    comps = np.stack([alpha(stencil, CTVector.holo(np.broadcast_to(eye[j], (4 * n, n))))
+                      for j in range(n)], axis=-1)
+    da = (comps[: 2 * n] - comps[2 * n :]) / (2 * step)  # real-direction derivatives of A_j
     dz_a = 0.5 * (da[:n] - 1j * da[n:])      # d A_j / dz_k  -> [k, j]
     dzbar_a = 0.5 * (da[:n] + 1j * da[n:])   # d A_j / dzbar_k -> [k, j]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarField, dz_jet, seed_coordinate_jets, wirtinger_table
+from .fields import ScalarField, _points, dz_jet, seed_coordinate_jets, wirtinger_table
 from .jets import Jet, branch
 
 __all__ = [
@@ -193,7 +193,7 @@ def _check_hermitian(m, name, z, tol=1e-12):
     herm = np.max(np.abs(m - mh), axis=(-2, -1))
     bad = herm > tol * (1.0 + np.max(np.abs(m), axis=(-2, -1)))
     if np.any(bad):
-        at, defect = (z, herm) if not bad.ndim else (np.asarray(z)[bad][0], herm[bad][0])
+        at, defect = np.asarray(z)[bad][0], herm[bad][0]
         raise MetricError(f"metric {name!r} not Hermitian at {at} (defect {defect:.3e})")
     return mh
 
@@ -215,7 +215,7 @@ class VectorField:
         return cls(len(coeff_fields), h_fields=list(coeff_fields))
 
     def jets(self, z, order):
-        zs = seed_coordinate_jets(np.asarray(z, dtype=complex).ravel(), order)
+        zs = seed_coordinate_jets(_points(z), order)
         zero = Jet.constant(0.0, 2 * self.n, order)
         hj = [f.fn(zs) if f is not None else zero for f in (self.h_fields or [None] * self.n)]
         aj = [f.fn(zs) if f is not None else zero for f in (self.a_fields or [None] * self.n)]
@@ -339,8 +339,7 @@ def chern_frame(metric, z, order=2, mjets=None):
     ``mjets`` are the metric's entry jets at ``z`` of order ``order``, when
     already computed.
     """
-    z = np.asarray(z, dtype=complex)
-    z = z if z.ndim == 2 else z.ravel()
+    z = _points(z)
     n = metric.n
     if mjets is None:
         mjets = metric.jets(z, order)
@@ -387,9 +386,12 @@ def metric_compat_residual(metric, z):
 
 
 def kahler_defect(metric, z):
-    """max | d_l g_{j kbar} - d_j g_{l kbar} |; zero iff d omega = 0 at z."""
-    fr = chern_frame(metric, z, order=1)
-    return float(np.max(np.abs(fr.dG_h - fr.dG_h.transpose(1, 0, 2))))
+    """max | d_l g_{j kbar} - d_j g_{l kbar} | over one point or every point of a batch.
+
+    Zero iff d omega = 0 at the points; a NaN at any point gives NaN.
+    """
+    dG_h = chern_frame(metric, z, order=1).dG_h
+    return float(np.max(np.abs(dG_h - np.swapaxes(dG_h, -3, -2))))
 
 
 # ----------------------------------------------------------------------

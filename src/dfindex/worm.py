@@ -156,7 +156,7 @@ def worm_domain(params, metric="euclidean", name=None):
     if metric == "euclidean":
         metric_field = MetricField.euclidean(2)
     elif metric == "worm_kahler":
-        metric_field = worm_metric(params, box=box)
+        metric_field = worm_metric(params)
     else:
         raise ValueError(f"unknown worm metric {metric!r}")
 
@@ -174,7 +174,7 @@ def worm_domain(params, metric="euclidean", name=None):
     )
 
 
-def worm_metric(params, box=None, positivity_floor=1e-3, seed=1234):
+def worm_metric(params, positivity_floor=1e-3, seed=1234):
     """Kaehler metric of the worm family with entries per the expanded form.
 
     g_11 = f(x), g_21 = (z1/z2) f'(x), g_12 = conj, and

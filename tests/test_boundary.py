@@ -18,7 +18,7 @@ from dfindex.boundary import (
     second_fundamental_form,
     transport_along_normal,
 )
-from dfindex.fields import ScalarField
+from dfindex.fields import ChartDomainError, ScalarField
 from dfindex.geometry import CTVector, MetricField
 from dfindex.worm import WormParams, sgamma_points, worm_domain
 
@@ -34,6 +34,16 @@ def test_projection_on_worm_fiber(worm_euclid):
     bp = project_to_boundary(worm_euclid, np.array([0.05, 1.0], dtype=complex))
     assert bp.z[1] == pytest.approx(1.0, abs=1e-12)      # Newton stays on the fiber
     assert abs(worm_euclid.r(bp.z)) <= 1e-10
+
+
+def test_a_nan_coordinate_is_outside_the_chart(ball, worm_euclid):
+    assert not ball.in_chart(np.array([np.nan, 0.5]))
+    assert ball.in_chart(np.array([[0.5, 0.5], [np.nan, 0.5]])).tolist() == [True, False]
+    # a NaN in the fibre coordinate, which min_abs_coord also tests
+    assert not worm_euclid.in_chart(np.array([0.1, np.nan]))
+    # the chart check rejects a NaN start before any Newton step
+    with pytest.raises(ChartDomainError, match="outside chart"):
+        project_to_boundary(ball, np.array([np.nan, 0.5]))
 
 
 def test_sample_boundary(ball, worm_euclid):
@@ -193,9 +203,9 @@ def test_point_at_depth(ball):
     assert ball.r(z) == pytest.approx(-1e-3, rel=1e-9)
 
 
-def test_grad_norm_field_constant_for_signed_distance(ball_sd):
+def test_grad_norm_jet_constant_for_signed_distance(ball_sd):
     for p in sample_boundary(ball_sd, 5, 10):
-        val = ball_sd.grad_norm_field.jet(p.z, 0).value
+        val = normal_frame(ball_sd, p).grad_norm_jet().value
         assert val == pytest.approx(1.0, rel=1e-12)
 
 

@@ -2,11 +2,15 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
+from dfindex import forms
+from dfindex.boundary import levi_data, normal_frame
 from dfindex.cli import (
     ConfigError,
     RunConfig,
+    _domain_of,
     cmd_check,
     cmd_estimate,
     cmd_forms,
@@ -88,6 +92,24 @@ def test_forms_alpha_pattern_on_worm_fiber(tmp_path):
         z2 = complex(row["z"][1]["re"], row["z"][1]["im"])
         alpha = complex(row["alpha_null"][0]["re"], row["alpha_null"][0]["im"])
         assert abs(alpha) == pytest.approx(1.0 / abs(z2), rel=1e-9)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "worm_kahler"])
+def test_forms_null_values_match_a_one_point_loop(tmp_path, metric):
+    cfg = load_config(None, {"domain": f"worm({math.pi!r})", "metric": metric, "samples": 4,
+                             "special_samples": 10, "out": str(tmp_path)})
+    report = cmd_forms(cfg)
+    assert sum(r["null_dim"] for r in report["records"]) >= 10
+    domain = _domain_of(cfg)
+    for row in report["records"]:
+        z = np.array([complex(c["re"], c["im"]) for c in row["z"]])
+        nulls = levi_data(normal_frame(domain, z, r_order=2), eps_null=cfg.eps_null).null_basis
+        one = normal_frame(domain, z)
+        alphas = [complex(forms.alpha(one, zv)) for zv in nulls]
+        assert row["null_dim"] == len(nulls)
+        assert row["alpha_null"] == [{"re": a.real, "im": a.imag} for a in alphas]
+        assert row["i_beta_null"] == [float(np.real(1j * forms.beta_mixed(one, zv, zv)))
+                                      for zv in nulls]
 
 
 # check on worm(pi) with a small basis: sites, a certificate and the interior
@@ -239,8 +261,6 @@ def test_unsupported_metric_name_exits_2(tmp_path, capsys, domain):
 
 
 def test_levi_minimum_keeps_a_nan_eigenvalue(tmp_path, monkeypatch):
-    import numpy as np
-
     from dfindex import cli
 
     real = cli.levi_data

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,8 +52,7 @@ def test_alpha_geometric_cross_formula(ball, ball_sd, worm_euclid, worm_kahler):
     fr = normal_frame(ball_sd, p)
     ld = levi_data(fr)
     zv = ld.basis[0]
-    gjet = ball_sd.grad_norm_field.jet(fr.z, 1)
-    w1 = wirtinger_table(gjet, 2).w1
+    w1 = wirtinger_table(fr.grad_norm_jet(), 2).w1
     assert abs(complex(zv.h @ w1[:2])) < 1e-10
     assert forms.alpha_geometric(fr, zv) == pytest.approx(forms.alpha(fr, zv), abs=1e-8)
 
@@ -165,13 +166,30 @@ def test_exact_form_pullback_has_tiny_circulation(worm_euclid):
 def test_patch_validation_rejects_off_boundary(ball):
     bad = forms.SubmanifoldPatch(
         domain=ball,
-        chart=lambda u: np.array([0.5 + 0.1 * u.real, 0.2 * u.imag], dtype=complex),
-        tangent=lambda u: np.array([0.1, 0.2j], dtype=complex),
+        chart=lambda u: np.stack([0.5 + 0.1 * u.real, 0.2 * u.imag], axis=-1).astype(complex),
+        tangent=lambda u: np.broadcast_to(np.array([0.1, 0.2j]), np.shape(u) + (2,)),
         u_range=(0.0, 1.0),
         v_range=(0.0, 1.0),
     )
     with pytest.raises(ValueError, match="boundary"):
         bad.validate()
+
+
+def test_patch_validation_names_the_first_off_boundary_parameter(worm_euclid):
+    patch = forms.sgamma_patch_tangent(worm_euclid)
+
+    def chart(u):
+        # off the boundary where Re u >= 0 and Im u > 2.5 pi: six of the 5 x 5 grid points
+        z = patch.chart(u)
+        off = (np.real(u) >= 0.0) & (np.imag(u) > 2.5 * np.pi)
+        return z + np.where(off, 0.1, 0.0)[..., None] * np.array([1.0, 0.0])
+
+    bad = dataclasses.replace(patch, chart=chart)
+    # the grid runs over u, then over v; the first bad point is the middle u at v = 3 pi
+    first = complex(np.linspace(*patch.u_range, 5)[2], np.linspace(*patch.v_range, 5)[3])
+    with pytest.raises(ValueError, match=re.escape(f"boundary at u = {first}:")):
+        bad.validate()
+    assert patch.validate() is patch
 
 
 def test_one_nan_node_makes_the_circulation_density_nan(worm_euclid):

@@ -65,6 +65,17 @@ def test_worm_metric_is_kahler(worm_kahler):
     assert worst < 1e-8
 
 
+def test_kahler_defect_of_a_batch_is_the_largest_one_point_defect(rng):
+    metric = random_metric(2, rng)
+    z = 0.3 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+    defects = [kahler_defect(metric, p) for p in z]
+    assert min(defects) > 0.0
+    assert kahler_defect(metric, z) == max(defects)
+    # a NaN row gives NaN, also after finite rows
+    z[3, 1] = np.nan
+    assert math.isnan(kahler_defect(metric, z))
+
+
 def test_torsion_trivial_cases(worm_kahler):
     metric = MetricField.euclidean(2)
     z = np.array([0.2 + 0.1j, 0.5 - 0.3j])
@@ -141,7 +152,7 @@ def test_hessian_with_normal_direction_is_log_gradient_derivative(ball):
         fr = normal_frame(ball, p)
         Y = CTVector.real_vector([0.3 + 0.2j, -0.5j])
         lhs = fr.hess_r(Y, fr.X)
-        gjet = ball.grad_norm_field.jet(fr.z, 1)
+        gjet = fr.grad_norm_jet()
         w1 = wirtinger_table(gjet, 2).w1
         rhs = complex(Y.coeffs @ w1) / gjet.value
         assert lhs == pytest.approx(rhs, abs=1e-10)

@@ -161,7 +161,11 @@ def test_repeated_evaluation_bit_identical():
 
 
 def test_order_and_chart_errors():
-    f = ScalarField(1, lambda zs: zs[0], box=[[-1, 1], [-1, 1]])
+    def guard(z):
+        if np.any(np.abs(z) > 1.0):
+            raise ChartDomainError("outside the unit disc")
+
+    f = ScalarField(1, lambda zs: zs[0], guard=guard)
     with pytest.raises(JetOrderError):
         f.jet([0.0], 4)
     with pytest.raises(ChartDomainError):
