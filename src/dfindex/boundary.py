@@ -2,18 +2,16 @@
 
 A :class:`DomainSpec` couples a defining function (order-3 jets), a metric,
 and a chart box.  :class:`NormalFrame` is the bundle of the dual frame
-``L_r`` / ``X_r`` / unit normals together with cached derivative tables.
-Every pointwise evaluator of the forms, the margins and the boundary
-geometry takes a frame as its first argument, so a caller builds one frame
-per point and each point is differentiated once; :func:`normal_frame` is the
-constructor that also checks that the point lies on the boundary.  A frame,
-its order-3 data (connection, ``h3t``, ``L_jets``) and the Levi data are
-computed for one point (n,) or for a batch of points (B, n) by the same
-code, stacked along a leading batch axis; each row equals the one-point
-result bit for bit.  So is the Newton iteration onto a level set of r:
-:func:`sample_boundary` projects a block of candidates per batch,
-:func:`project_to_boundary` and :func:`point_at_depth` are its batch-of-one
-callers, and a row that fails is rejected alone.
+``L_r`` / ``X_r`` / unit normals together with cached derivative tables;
+:func:`normal_frame` also checks that its points lie on the boundary.
+Every frame evaluator (of the forms, the margins and the boundary geometry)
+takes its frame first, over one point (n,) or a batch of points (B, n): one
+point gives a Python scalar, a batch a (B,) array whose rows equal the
+one-point results bit for bit.  So a caller builds one frame per point set
+and each point is differentiated once.  The Newton iteration onto a level
+set of r is batched too: :func:`sample_boundary` projects a block of
+candidates per batch, :func:`project_to_boundary` and :func:`point_at_depth`
+are its batch-of-one callers, and a row that fails is rejected alone.
 
 Everything here is pure given ``(domain, seed)``.
 """
@@ -38,9 +36,12 @@ from .fields import (
 from .geometry import (
     CTVector,
     MetricField,
+    _abs,
+    _abs_sq,
     _dot,
     _lead,
     _pair,
+    _per_point,
     chern_frame,
     h3_tensor,
     hess_tensor,
@@ -48,6 +49,7 @@ from .geometry import (
     jet_matrix_solve,
     norm2,
 )
+from .jets import _vmul
 
 __all__ = [
     "TOL_BND",
@@ -282,11 +284,10 @@ class NormalFrame:
     part), unit normals ``nu_C`` / ``nu_R``, and the gradient norms.  The jet
     of r through ``r_order`` is computed once, when the frame is built, and
     every table, ``h3t`` and ``L_jets`` reuse it; the metric's entry jets are
-    shared by the connection and ``L_jets``; all of them are cached.  For a
+    shared by the connection and ``L_jets``; all of them are cached.  Over a
     batch of points ``z`` (B, n) every frame quantity carries a leading batch
-    axis (``u`` (B, n), ``G`` and ``hr`` (B, n, n), the connection, ``h3t``
-    (B, 2n, 2n, 2n), the norms (B,)) and each row equals the frame at that
-    point alone bit for bit.
+    axis (``u`` (B, n), ``G`` and ``hr`` (B, n, n), ``h3t`` (B, 2n, 2n, 2n),
+    the norms (B,)).
     """
 
     def __init__(self, domain, z, r_order=3):
@@ -402,8 +403,8 @@ class NormalFrame:
         return _pair(x.coeffs, self.hess2n(), y.coeffs)
 
     def h3_r(self, x1, x2, x3):
-        out = np.einsum("...abc,...a,...b,...c->...", self.h3t(), x1.coeffs, x2.coeffs, x3.coeffs)
-        return complex(out) if out.ndim == 0 else out
+        t3 = self.h3t()
+        return _per_point(np.einsum("...abc,...a,...b,...c->...", t3, x1.coeffs, x2.coeffs, x3.coeffs))
 
     def nabla_L(self, direction):
         """Chern covariant derivative of the field L along a complexified direction."""
@@ -438,33 +439,40 @@ def normal_frame(domain, p, tol_bnd=1e-8, r_order=3):
 class LeviData:
     """Levi data at one point, or at each point of a batch (leading batch axis).
 
-    ``basis`` holds the n - 1 metric-orthonormal (1,0) tangent vectors and
-    ``directions`` the eigendirections of the Levi matrix over that basis
-    (unnormalized; each a CTVector whose coefficients carry the batch axis);
-    ``null`` marks the eigenvalues below the null cutoff.  Over a batch,
-    ``np.nonzero(null)`` gives the (point, direction) pairs of the null
-    directions.
+    ``basis`` holds the n - 1 metric-orthonormal (1,0) tangent vectors,
+    ``directions`` (..., n-1, n) the coefficients of the eigendirections of
+    the Levi matrix over that basis (unnormalized, one per row), and
+    ``null`` marks the eigenvalues below the null cutoff.
     """
 
     frame: NormalFrame
     basis: list            # n - 1 CTVectors, orthonormal at each point
     levi: np.ndarray       # Hermitian (..., n-1, n-1)
     eigenvalues: np.ndarray
-    directions: list       # n - 1 CTVectors: the eigenvectors of ``levi`` over ``basis``
+    directions: np.ndarray  # (..., n-1, n): the eigenvectors of ``levi`` over ``basis``
     null: np.ndarray       # (..., n-1) bool: eigenvalue below the null cutoff
 
-    @property
-    def null_basis(self):
-        """The null directions at one point: a list of CTVectors."""
-        return [d for d, keep in zip(self.directions, self.null) if keep]
+    def pairs(self, mask=None):
+        """Point indices (K,) and directions (a CTVector (K, n)) where ``mask`` (default ``null``) holds.
+
+        The pairs run in row-major order; one point counts as a batch of one.
+        """
+        mask = self.null if mask is None else mask
+        at, idx = np.nonzero(np.reshape(mask, (-1, mask.shape[-1])))
+        return at, CTVector.holo(self.directions.reshape((-1,) + self.directions.shape[-2:])[at, idx])
 
     def check_null(self, zvec, tol=1e-6):
-        """Raise ValueError unless Z lies in the Levi null space (relative ``tol``); one point."""
+        """Raise ValueError unless Z lies in the Levi null space (relative ``tol``) at every point.
+
+        Each point is measured on its own scale; a NaN residual fails.
+        """
         fr = self.frame
-        scale = float(np.max(np.abs(fr.hr))) + 1.0
-        resid = max(abs(fr.levi(zvec.h, b.h)) for b in self.basis)
-        if resid > tol * scale * max(np.sqrt(fr.norm2(zvec)), 1e-12):
-            raise ValueError(f"Z is not in the Levi null space at {fr.z} (residual {resid:.2e})")
+        scale = np.max(np.abs(fr.hr), axis=(-2, -1)) + 1.0
+        resid = np.max([np.abs(fr.levi(zvec.h, b.h)) for b in self.basis], axis=0)   # keeps NaN
+        off = ~(resid <= tol * scale * np.maximum(np.sqrt(fr.norm2(zvec)), 1e-12))
+        if np.any(off):
+            raise ValueError(f"Z is not in the Levi null space at {fr.z[off][0]} "
+                             f"(residual {np.asarray(resid)[off][0]:.2e})")
 
 
 def levi_data(frame, eps_null=1e-7):
@@ -504,18 +512,14 @@ def levi_data(frame, eps_null=1e-7):
     levi = 0.5 * (levi + np.swapaxes(levi.conj(), -1, -2))
     eigvals, eigvecs = np.linalg.eigh(levi)
     cutoff = eps_null * (eigvals[..., -1] + 1.0)
-    directions = []
-    for idx in range(n - 1):
-        coeffs = 0
-        for j in range(n - 1):
-            coeffs = coeffs + _col(eigvecs[..., j, idx]) * basis[j]
-        directions.append(CTVector.holo(coeffs))
+    directions = [sum(_col(eigvecs[..., j, idx]) * basis[j] for j in range(n - 1))
+                  for idx in range(n - 1)]
     return LeviData(
         frame=frame,
         basis=[CTVector.holo(b) for b in basis],
         levi=levi,
         eigenvalues=eigvals,
-        directions=directions,
+        directions=np.stack(directions, axis=-2),
         null=eigvals < _col(cutoff),
     )
 
@@ -524,13 +528,15 @@ def second_fundamental_form(frame, x, y, tol=1e-8):
     """sff(X, Y) = -(Hess(X, Y) r) X_r, the normal-valued extrinsic curvature.
 
     Accepts real tangent vectors or their complexifications; inputs must
-    annihilate d r at the point.
+    annihilate d r at each point.
     """
-    scale = 1.0 + float(np.max(np.abs(x.coeffs))) + float(np.max(np.abs(y.coeffs)))
+    scale = 1.0 + np.max(np.abs(x.coeffs), axis=-1) + np.max(np.abs(y.coeffs), axis=-1)
     for v, tag in ((x, "X"), (y, "Y")):
-        if abs(frame.dr(v)) > tol * scale * frame.dbar_norm:
-            raise ValueError(f"{tag} is not tangent at {frame.z}: dr({tag}) = {frame.dr(v)}")
-    return (-frame.hess_r(x, y)) * frame.X
+        dr = np.asarray(frame.dr(v))
+        off = np.abs(dr) > tol * scale * frame.dbar_norm
+        if np.any(off):
+            raise ValueError(f"{tag} is not tangent at {frame.z[off][0]}: dr({tag}) = {dr[off][0]}")
+    return frame.X * _col(-np.asarray(frame.hess_r(x, y)))
 
 
 # ----------------------------------------------------------------------
@@ -577,23 +583,18 @@ def transport_along_normal(base, z0_vec, delta, steps=24, rtol=1e-11, atol=1e-12
     if not sol.success:
         raise ProjectionError(f"normal transport failed: {sol.message}")
 
-    points = np.array([complex_point(sol.y[: 2 * n, i]) for i in range(sol.y.shape[1])])
+    points = complex_point(sol.y[: 2 * n].T)
     vectors = (sol.y[2 * n : 3 * n, :] + 1j * sol.y[3 * n :, :]).T
-    r_res, tang, drift = [], [], []
     base_norm = np.sqrt(base.norm2(CTVector.holo(z0)))
-    for t, zp, zv in zip(sol.t, points, vectors):
-        fr = NormalFrame(domain, zp, r_order=2)
-        r_res.append(float(np.real(fr.table(2).value)) - t)
-        tang.append(abs(complex(fr.u @ zv)))
-        drift.append(abs(np.sqrt(fr.norm2(CTVector.holo(zv))) - base_norm))
+    fr = NormalFrame(domain, points, r_order=2)
     return CollarPath(
         base=base,
         times=sol.t,
         points=points,
         vectors=vectors,
-        r_residual=np.array(r_res),
-        tangency=np.array(tang),
-        norm_drift=np.array(drift),
+        r_residual=np.real(fr.table(2).value) - sol.t,
+        tangency=_abs(_dot(fr.u, vectors)),
+        norm_drift=np.abs(np.sqrt(fr.norm2(CTVector.holo(vectors))) - base_norm),
     )
 
 
@@ -609,30 +610,20 @@ def collar_levi_compare(base, z0_vec, delta, eps, steps=10):
     path = transport_along_normal(base, z0_vec, delta, steps=steps)
     z0 = CTVector.holo(path.vectors[0])
     levi_base = float(np.real(base.levi(z0.h, z0.h)))
-    rows = []
-    for t, zp, zv in zip(path.times, path.points, path.vectors):
-        if t == 0.0:
-            continue
-        fr = NormalFrame(base.domain, zp)
-        zvec = CTVector.holo(zv)
-        levi_here = float(np.real(fr.levi(zv, zv)))
-        a = alpha(fr, zvec)
-        b = beta_mixed(fr, zvec, zvec)
-        correction = t * float(np.real(1j * b) - abs(a) ** 2)
-        znorm2 = fr.norm2(zvec)
-        slack = eps * znorm2 * (-t)
-        lower_defect = levi_here - ((1 - eps) * levi_base + correction - slack)
-        upper_defect = ((1 + eps) * levi_base + correction + slack) - levi_here
-        rows.append({
-            "t": float(t),
-            "levi": levi_here,
-            "levi_base": levi_base,
-            "lower_defect": float(lower_defect),
-            "upper_defect": float(upper_defect),
-        })
+    below = path.times != 0.0
+    t, zv = path.times[below], path.vectors[below]
+    fr = NormalFrame(base.domain, path.points[below])
+    zvec = CTVector.holo(zv)
+    levi_here = np.real(fr.levi(zv, zv))
+    correction = t * (np.real(_vmul(1j, beta_mixed(fr, zvec, zvec))) - _abs_sq(alpha(fr, zvec)))
+    slack = eps * fr.norm2(zvec) * (-t)
+    lower_defect = levi_here - ((1 - eps) * levi_base + correction - slack)
+    upper_defect = ((1 + eps) * levi_base + correction + slack) - levi_here
+    rows = [{"t": float(t[k]), "levi": float(levi_here[k]), "levi_base": levi_base,
+             "lower_defect": float(lower_defect[k]), "upper_defect": float(upper_defect[k])}
+            for k in range(len(t))]
     # np.min keeps a NaN defect, which ``min`` would drop after the first row
-    min_lower = float(np.min([r["lower_defect"] for r in rows]))
-    min_upper = float(np.min([r["upper_defect"] for r in rows]))
+    min_lower, min_upper = float(np.min(lower_defect)), float(np.min(upper_defect))
     return {
         "delta": float(delta),
         "eps": float(eps),
@@ -651,13 +642,8 @@ def find_collar_depth(sites, eps, delta0=0.05, min_delta=1e-4, steps=10):
     """
     delta = delta0
     while delta >= min_delta:
-        reports = []
-        ok = True
-        for base, zvec in sites:
-            rep = collar_levi_compare(base, zvec, delta, eps, steps=steps)
-            reports.append(rep)
-            ok = ok and rep["holds"]
-        if ok:
+        reports = [collar_levi_compare(base, zvec, delta, eps, steps=steps) for base, zvec in sites]
+        if all(rep["holds"] for rep in reports):
             return delta, reports
         delta *= 0.5
     raise ProjectionError(f"no collar depth >= {min_delta} satisfies the bounds for eps = {eps}")

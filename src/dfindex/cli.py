@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ from .estimator import (
 )
 from .geometry import CTVector
 from .jets import _vmul
-from .worm import WormParams, riccati_threshold, s_gamma_reference, sgamma_points
+from .worm import riccati_threshold, s_gamma_reference, sgamma_points
 
 SCHEMA = "dfindex/1"
 
@@ -232,10 +232,9 @@ def cmd_forms(cfg, eigen_only=False):
     fr = ld.frame
     null_dim = ld.null.sum(axis=-1)
     alphas, betas = [[] for _ in points], [[] for _ in points]
-    at, idx = np.nonzero(ld.null)
+    at, zvec = ld.pairs()
     if not eigen_only and len(at):
         # alpha and i beta(Z, Zbar) at every null (point, direction) pair on one order-3 frame
-        zvec = CTVector.holo(np.stack([d.h for d in ld.directions], axis=1)[at, idx])
         null_fr = NormalFrame(domain, fr.z[at])
         a = forms.alpha(null_fr, zvec)
         i_beta = np.real(_vmul(1j, forms.beta_mixed(null_fr, zvec, zvec)))
@@ -255,8 +254,7 @@ def cmd_forms(cfg, eigen_only=False):
             rec["alpha_null"] = alphas[b]
             rec["i_beta_null"] = betas[b]
         records.append(rec)
-    records.sort(key=lambda r: tuple((c["re"], c["im"]) if isinstance(c, dict) else (c.real, c.imag)
-                                     for c in r["z"]))
+    records.sort(key=lambda r: tuple((c.real, c.imag) for c in r["z"]))
     summary = {
         "n_points": len(records),
         "note": "" if at.size else "strictly pseudoconvex sample (no null directions)",
@@ -321,26 +319,18 @@ def cmd_estimate(cfg):
 
 
 def cmd_worm_bench(cfg):
-    gamma = cfg.domain_params.get("gamma")
-    if gamma is None:
-        from .domains import parse_domain_key
-
-        key, key_args = parse_domain_key(cfg.domain)
-        gamma = key_args[0] if key == "worm" and key_args else math.pi
     try:
-        params = WormParams(gamma=float(gamma), t=cfg.domain_params.get("t"))
-        domain = make_domain("worm", metric="worm_kahler", gamma=params.gamma, t=params.t)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+        domain = _domain_of(replace(cfg, metric="worm_kahler"))
+    except ConfigError as err:
+        raise ConfigError(f"worm-bench runs on worm(gamma) with its Kaehler metric: {err}") from err
     wp = domain.params["worm"]
-    records = []
-    errors = []
-    zvec = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
-    for p in sgamma_points(wp, cfg.samples, spread=0.9):
+    points = sgamma_points(wp, cfg.samples, spread=0.9)
+    fr = normal_frame(domain, points)
+    zvec = CTVector.holo(np.broadcast_to([0.0, 1.0 + 0.0j], (len(points), 2)))
+    records, errors = [], []
+    for p, a_val, margin in zip(points, forms.alpha(fr, zvec).tolist(),
+                                geometric_margin(fr, zvec, cfg.eta).tolist()):
         ref = s_gamma_reference(wp, p.z[1])
-        fr = normal_frame(domain, p)
-        a_val = complex(forms.alpha(fr, zvec))
-        margin = geometric_margin(fr, zvec, cfg.eta)
         errors.append(abs(a_val - ref.alpha) / (1 + abs(ref.alpha)))
         errors.append(abs(margin - ref.margin(cfg.eta)) / (1 + abs(ref.margin(cfg.eta))))
         records.append({
@@ -355,13 +345,13 @@ def cmd_worm_bench(cfg):
     thresholds = {f"{g:.6f}": riccati_threshold(g)
                   for g in (0.6 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi)}
     summary = {
-        "gamma": params.gamma,
+        "gamma": wp.gamma,
         "t": wp.t,
         "s": wp.s,
         # np.max keeps a NaN error, which ``max`` would drop
         "max_relative_error": float(np.max(errors, initial=0.0)),
         "riccati_thresholds": thresholds,
-        "known_index": math.pi / (2 * params.gamma),
+        "known_index": math.pi / (2 * wp.gamma),
     }
     return make_report("worm-bench", cfg, records, summary)
 

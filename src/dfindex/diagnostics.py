@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, jets
+from .jets import _vmul
 from .boundary import (
+    NormalFrame,
     levi_data,
     normal_frame,
     sample_boundary,
@@ -24,6 +26,8 @@ from .estimator import geometric_margin, vectorfield_margin
 from .fields import ScalarField, wirtinger_table
 from .geometry import (
     CTVector,
+    _abs,
+    _dot,
     MetricField,
     VectorField,
     chern_frame,
@@ -147,6 +151,11 @@ def _random_point(n, rng, scale=0.4):
 
 def _random_vec(n, rng):
     return CTVector.holo(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def _fiber(count):
+    """The fiber direction d/dz_2 at each of ``count`` points, the null direction on S_gamma."""
+    return CTVector.holo(np.broadcast_to([0.0, 1.0 + 0.0j], (count, 2)))
 
 
 def _apply_vec(v, table):
@@ -309,21 +318,22 @@ def boundary_suite(samples=20, seed=3, gamma=math.pi):
     rng = np.random.default_rng(seed)
     worst_frame, worst_null, worst_levi_neg = 0.0, 0.0, 0.0
     for domain in (ball, worm_e):
-        pts = sample_boundary(domain, samples, seed)
-        for p in pts:
-            fr = normal_frame(domain, p)
-            worst_frame = _worst(worst_frame,
-                                 abs(fr.dr(fr.L) - 1.0),
-                                 abs(math.sqrt(fr.norm2(fr.L)) - 1.0 / fr.dbar_norm))
-            ld = levi_data(fr)
-            worst_levi_neg = _worst(worst_levi_neg, 0.0, -float(ld.eigenvalues[0]))
-            for zv in ld.null_basis:
-                for _ in range(20):
-                    w = _random_vec(domain.n, rng)
-                    resid = abs(fr.levi(zv.h, w.h)
-                                - forms.alpha(fr, zv) * np.conj(fr.u @ w.h))
-                    scale = math.sqrt(fr.norm2(zv)) * math.sqrt(fr.norm2(w))
-                    worst_null = _worst(worst_null, resid / max(scale, 1e-12))
+        fr = normal_frame(domain, sample_boundary(domain, samples, seed))
+        for dr_l, l2, dbar in zip(fr.dr(fr.L).tolist(), fr.norm2(fr.L).tolist(),
+                                  fr.dbar_norm.tolist()):
+            worst_frame = _worst(worst_frame, abs(dr_l - 1.0), abs(math.sqrt(l2) - 1.0 / dbar))
+        ld = levi_data(fr)
+        worst_levi_neg = _worst(worst_levi_neg, 0.0, *(-ld.eigenvalues[:, 0]).tolist())
+        at, zvec = ld.pairs()
+        if len(at):
+            # each null (point, direction) pair against 20 random W, all on one frame
+            rows = np.repeat(np.arange(len(at)), 20)
+            w = CTVector.holo(np.array([_random_vec(domain.n, rng).h for _ in rows]))
+            zv = CTVector.holo(zvec.h[rows])
+            pf = NormalFrame(domain, fr.z[at[rows]], r_order=2)
+            resid = _abs(pf.levi(zv.h, w.h) - _vmul(forms.alpha(pf, zv), np.conj(_dot(pf.u, w.h))))
+            scale = np.sqrt(pf.norm2(zv)) * np.sqrt(pf.norm2(w))
+            worst_null = _worst(worst_null, *(resid / np.maximum(scale, 1e-12)).tolist())
     out.append(_rec("boundary", "frame_identities", worst_frame, 1e-10))
     out.append(_rec("boundary", "null_space_identity", worst_null, 1e-6))
     out.append(_rec("boundary", "pseudoconvexity_monitor", worst_levi_neg, 1e-7))
@@ -345,20 +355,22 @@ def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
 
     worst_inv_a, worst_inv_b, worst_real, worst_cross_a = 0.0, 0.0, 0.0, 0.0
     worst_nullf, worst_unm, worst_geo = 0.0, 0.0, 0.0
-    zv = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
-    for p in sgamma_points(params, 12, spread=0.85):
-        fe, fk = normal_frame(worm_e, p), normal_frame(worm_k, p)
-        a_e, a_k = forms.alpha(fe, zv), forms.alpha(fk, zv)
-        b_e, b_k = forms.beta_mixed(fe, zv, zv), forms.beta_mixed(fk, zv, zv)
+    points = sgamma_points(params, 12, spread=0.85)
+    fe, fk = normal_frame(worm_e, points), normal_frame(worm_k, points)
+    zf = _fiber(len(points))
+    values = (forms.alpha(fe, zf), forms.alpha(fk, zf), forms.beta_mixed(fe, zf, zf),
+              forms.beta_mixed(fk, zf, zf), forms.alpha(fe, zf.conj()), forms.alpha_geometric(fe, zf),
+              forms.beta_mixed_nullspace(fe, zf, zf), forms.beta_unmixed(fe, zf, zf),
+              forms.beta_geometric(fk, zf))
+    for a_e, a_k, b_e, b_k, a_e_bar, a_geo, b_null, b_unm, b_geo in zip(*(v.tolist() for v in values)):
         worst_inv_a = _worst(worst_inv_a, abs(a_e - a_k))
         worst_inv_b = _worst(worst_inv_b, abs((1j * b_e).real - (1j * b_k).real))
-        worst_real = _worst(worst_real, abs((1j * b_e).imag),
-                            abs(forms.alpha(fe, zv.conj()) - np.conj(a_e)))
-        worst_cross_a = _worst(worst_cross_a, abs(a_e - forms.alpha_geometric(fe, zv)))
-        worst_nullf = _worst(worst_nullf, abs(b_e - forms.beta_mixed_nullspace(fe, zv, zv)))
-        rng.standard_normal(4)  # unused draws that fix the random stream of the checks below
-        worst_unm = _worst(worst_unm, abs(forms.beta_unmixed(fe, zv, zv)))
-        worst_geo = _worst(worst_geo, abs(forms.beta_geometric(fk, zv) - (-1j * b_k).real))
+        worst_real = _worst(worst_real, abs((1j * b_e).imag), abs(a_e_bar - np.conj(a_e)))
+        worst_cross_a = _worst(worst_cross_a, abs(a_e - a_geo))
+        worst_nullf = _worst(worst_nullf, abs(b_e - b_null))
+        worst_unm = _worst(worst_unm, abs(b_unm))
+        worst_geo = _worst(worst_geo, abs(b_geo - (-1j * b_k).real))
+    rng.standard_normal((len(points), 4))  # unused draws that fix the random stream of the checks below
     out.append(_rec("forms", "alpha_metric_invariance", worst_inv_a, 1e-6))
     out.append(_rec("forms", "beta_metric_invariance", worst_inv_b, 1e-6))
     out.append(_rec("forms", "reality", worst_real, 1e-10))
@@ -374,6 +386,7 @@ def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
         wv = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         ru, rm = forms.beta_weak_residual(fb, levi_data(fb).basis[0], wv)
         worst_weak = _worst(worst_weak, ru, rm)
+    zv = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
     for p in sgamma_points(params, 2, spread=0.5):
         ru, rm = forms.beta_weak_residual(normal_frame(worm_e, p), zv, zv)
         worst_weak = _worst(worst_weak, ru, rm)
@@ -404,42 +417,40 @@ def worm_reference_suite(count=50, seed=5, gamma=math.pi, t=1.2, tol=1e-6):
     params = WormParams(gamma=gamma, t=t)
     domain = worm_domain(params, metric="worm_kahler")
     wp = domain.params["worm"]
-    zvec = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
     worst = dict(alpha=0.0, curvature=0.0, sff_j=0.0, sff_zz=0.0, margin=0.0,
                  nabla=0.0, nabla_bar=0.0)
     eta = 0.4
-    for p in sgamma_points(wp, count, spread=0.9):
+    points = sgamma_points(wp, count, spread=0.9)
+    fr = normal_frame(domain, points)
+    zvec = _fiber(len(points))
+    values = (forms.alpha(fr, zvec), curvature_contraction(fr.chern(2), zvec, fr.nu_C),
+              fr.hess_r(zvec, fr.nu_R.J()), fr.hess_r(zvec, zvec), fr.norm2(fr.X),
+              geometric_margin(fr, zvec, eta))
+    nb, nl = fr.nabla_L(CTVector.anti(zvec.h)).h, fr.nabla_L(zvec).h
+    for b, (p, a, curv, h_j, h_zz, x2, margin) in enumerate(zip(points, *(v.tolist() for v in values))):
         ref = s_gamma_reference(wp, p.z[1])
-        fr = normal_frame(domain, p)
         rel = lambda a, b: abs(a - b) / (1.0 + abs(b))
-        worst["alpha"] = _worst(worst["alpha"],
-                                rel(forms.alpha(fr, zvec), ref.alpha))
-        curv = curvature_contraction(fr.chern(2), zvec, fr.nu_C)
+        worst["alpha"] = _worst(worst["alpha"], rel(a, ref.alpha))
         worst["curvature"] = _worst(worst["curvature"], rel(curv, ref.curvature))
-        sff_j = abs(fr.hess_r(zvec, fr.nu_R.J())) ** 2 * fr.norm2(fr.X)
-        worst["sff_j"] = _worst(worst["sff_j"], rel(sff_j, ref.sff_JnuR_sq))
-        worst["sff_zz"] = _worst(worst["sff_zz"], abs(fr.hess_r(zvec, zvec)) * fr.norm2(fr.X))
-        worst["margin"] = _worst(worst["margin"],
-                                 rel(geometric_margin(fr, zvec, eta), ref.margin(eta)))
-        nb = fr.nabla_L(CTVector.anti(np.array([0.0, 1.0], dtype=complex)))
+        worst["sff_j"] = _worst(worst["sff_j"], rel(abs(h_j) ** 2 * x2, ref.sff_JnuR_sq))
+        worst["sff_zz"] = _worst(worst["sff_zz"], abs(h_zz) * x2)
+        worst["margin"] = _worst(worst["margin"], rel(margin, ref.margin(eta)))
         worst["nabla_bar"] = _worst(worst["nabla_bar"],
-                                    rel(nb.h[0] / fr.L.h[0], ref.nabla_bar_factor))
-        nl = fr.nabla_L(zvec)
-        worst["nabla"] = _worst(worst["nabla"], rel(nl.h[0] / fr.L.h[0], ref.nabla_factor))
+                                    rel(nb[b, 0] / fr.L.h[b, 0], ref.nabla_bar_factor))
+        worst["nabla"] = _worst(worst["nabla"], rel(nl[b, 0] / fr.L.h[b, 0], ref.nabla_factor))
     return [_rec("worm_reference", k, v, tol) for k, v in worst.items()]
 
 
 def margin_equivalence_suite(count=30, seed=6, gamma=math.pi, t=1.2):
     params = WormParams(gamma=gamma, t=t)
     domain = worm_domain(params, metric="worm_kahler")
-    zvec = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
+    points = sgamma_points(domain.params["worm"], count, spread=0.9)
+    fr = normal_frame(domain, points)
+    zvec = _fiber(len(points))
     worst = 0.0
-    for p in sgamma_points(domain.params["worm"], count, spread=0.9):
-        fr = normal_frame(domain, p)
-        for eta in (0.0, 0.25, 0.4):
-            gm = geometric_margin(fr, zvec, eta)
-            vm = vectorfield_margin(fr, zvec, eta)
-            worst = _worst(worst, abs(gm - vm))
+    for eta in (0.0, 0.25, 0.4):
+        diff = geometric_margin(fr, zvec, eta) - vectorfield_margin(fr, zvec, eta)
+        worst = _worst(worst, *np.abs(diff).tolist())
     return [_rec("margins", "geometric_equals_vectorfield", worst, 1e-8)]
 
 

@@ -31,6 +31,7 @@ from .boundary import (
     _DEPTH_ITER,
     _DEPTH_TOL,
     NormalFrame,
+    _col,
     _newton_to_level,
     _point_of,
     levi_data,
@@ -38,8 +39,8 @@ from .boundary import (
     sample_boundary,
 )
 from .fields import ScalarField, seed_coordinate_jets, wirtinger_table
-from .forms import alpha, beta_mixed
-from .geometry import CTVector, _dot, _lead, _pair, curvature_contraction, norm2
+from .forms import NO_CONSTRAINT, _null_points, _null_site_terms, alpha, beta_mixed
+from .geometry import CTVector, _abs_sq, _dot, _lead, _pair, _per_point, curvature_contraction, norm2
 
 __all__ = [
     "HBasis",
@@ -58,9 +59,6 @@ __all__ = [
     "interior_check",
     "NO_CONSTRAINT",
 ]
-
-NO_CONSTRAINT = math.inf
-
 
 # ----------------------------------------------------------------------
 # bases for the auxiliary function h
@@ -255,11 +253,9 @@ def collect_sites(domain, points, basis, eps_null=1e-7):
     near_null = eigs < cutoff[:, None]
     # np.min keeps a NaN eigenvalue, which ``min`` would drop
     min_pc_eig = float(np.min(eigs[~near_null], initial=math.inf))
-    at, idx = np.nonzero(near_null)
+    at, zvec = ld.pairs(near_null)
     if not len(at):
         return SiteSet.empty(basis), min_pc_eig
-    dirs = np.stack([d.h for d in ld.directions], axis=1)[at, idx]
-    zvec = CTVector.holo(dirs)
     zvec = zvec * (1.0 / np.sqrt(norm2(ld.frame.G[at], zvec)))[:, None]
     return make_site(NormalFrame(domain, ld.frame.z[at]), zvec, basis), min_pc_eig
 
@@ -281,15 +277,6 @@ def boundary_margin(domain, p, zvec, basis, coeffs, eta):
     return float(site.margins(np.asarray(coeffs, dtype=float), eta)[0])
 
 
-def _null_checked(fr, zvec):
-    """Levi data at the frame's point after checking that Z is null; None where no direction is."""
-    ld = levi_data(fr)
-    if not ld.null_basis:
-        return None
-    ld.check_null(zvec)
-    return ld
-
-
 def geometric_margin(fr, zvec, eta):
     """Margin of the extrinsic-curvature inequality at a null site:
 
@@ -300,16 +287,10 @@ def geometric_margin(fr, zvec, eta):
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    ld = _null_checked(fr, zvec)
-    if ld is None:
-        return NO_CONSTRAINT
-    xnorm2 = fr.norm2(fr.X)
-    sff_sum = sum(abs(fr.hess_r(zvec, wj)) ** 2 for wj in ld.basis) * xnorm2
-    curv = curvature_contraction(fr.chern(2), zvec, fr.nu_C)
-    j_nu = fr.nu_R.J()
-    sff_j = abs(fr.hess_r(zvec, j_nu)) ** 2 * xnorm2
+    null, sff_sum, half_curv = _null_site_terms(fr, zvec)
+    sff_j = _abs_sq(fr.hess_r(zvec, fr.nu_R.J())) * fr.norm2(fr.X)
     k = eta / (1.0 - eta)
-    return float(sff_sum + 0.5 * curv - k * sff_j)
+    return _per_point(np.where(null, sff_sum + half_curv - k * sff_j, NO_CONSTRAINT))
 
 
 def vectorfield_margin(fr, zvec, eta):
@@ -324,22 +305,21 @@ def vectorfield_margin(fr, zvec, eta):
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    if _null_checked(fr, zvec) is None:
-        return NO_CONSTRAINT
-    n = fr.n
-    l_jets = fr.L_jets()
-    mjets = fr.metric_jets()
+    _, null = _null_points(fr, zvec)
+    n, l_jets, mjets = fr.n, fr.L_jets(), fr.metric_jets()
     len2 = sum((mjets[j][k] * l_jets[j] * l_jets[k].conj() for j in range(n) for k in range(n)),
                jets.Jet.constant(0.0, 2 * n, 2)).real()
     scale = jets.power(len2, -0.5)
-    nu_jets = [l_jets[i] * scale for i in range(n)]
-    w1 = np.array([wirtinger_table(j, n).w1 for j in nu_jets])
-    d_nu = CTVector.holo(w1[:, n:] @ zvec.h.conj())   # nabla_{Zbar} nu_C, plain derivative
+    w1 = np.array([wirtinger_table(l_jets[i] * scale, n).w1 for i in range(n)])
+    w1 = np.ascontiguousarray(_lead(w1, 2))
+    # nabla_{Zbar} nu_C, plain derivative
+    d_nu = CTVector.holo((w1[..., n:] @ zvec.h.conj()[..., None])[..., 0])
     proj = fr.inner(d_nu, fr.nu_C)
-    tangential = d_nu - proj * fr.nu_C
+    tangential = d_nu - fr.nu_C * _col(proj)
     curv = curvature_contraction(fr.chern(2), zvec, fr.nu_C)
     k = eta / (1.0 - eta)
-    return float(0.5 * fr.norm2(tangential) + 0.5 * curv - k * abs(proj) ** 2)
+    margin = 0.5 * fr.norm2(tangential) + 0.5 * curv - k * _abs_sq(proj)
+    return _per_point(np.where(null, margin, NO_CONSTRAINT))
 
 
 # ----------------------------------------------------------------------

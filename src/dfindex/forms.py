@@ -7,7 +7,8 @@ defining functions while d(alpha) exists only weakly.  A finite-difference
 route for d(alpha) is provided separately as a cross-check
 (:func:`beta_weak_residual`), and the d-closedness of the pullback of alpha
 to a complex submanifold of the boundary is tested by per-cell Stokes
-circulations (:func:`pullback_alpha_dclosed`).
+circulations (:func:`pullback_alpha_dclosed`).  Every evaluator takes its
+:class:`~dfindex.boundary.NormalFrame` first, over one point or a batch.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .boundary import NormalFrame, levi_data
+from .boundary import NormalFrame, _col, levi_data
 from .fields import complex_point, real_coords, wirtinger_table
-from .geometry import CTVector, _dot, curvature_contraction, torsion
+from .geometry import CTVector, _abs_sq, _dot, _lead, _pair, _per_point, curvature_contraction, torsion
 from .jets import _vmul
 
 __all__ = [
+    "NO_CONSTRAINT",
     "alpha",
     "alpha_geometric",
     "beta_mixed",
@@ -37,14 +39,14 @@ __all__ = [
     "beta_weak_residual",
 ]
 
+NO_CONSTRAINT = np.inf    # what a null-site evaluator gives at a point without a null direction
+
 
 def alpha(fr, v):
     """alpha_r(V) = del-delbar r(V, Lbar) extended to complexified vectors.
 
     Real-valued as a 1-form: alpha(Vbar) = conj(alpha(V)).  Defined on the
-    whole frame neighborhood, not only on the boundary.  ``fr`` may be a
-    batch frame over points (B, n) with ``v`` of coefficients (B, n); the
-    result is then an array (B,).
+    whole frame neighborhood, not only on the boundary.
     """
     lbar = fr.L.conj()
     out = 0.0 + 0.0j
@@ -62,15 +64,17 @@ def alpha_geometric(fr, zvec):
     is + i Hess(Z, J X_r) r.  ``zvec`` must be of type (1,0).
     """
     gjet = fr.grad_norm_jet()
-    w1 = wirtinger_table(gjet, fr.n).w1
-    z_log_norm = complex(zvec.h @ w1[: fr.n]) / gjet.value
-    return z_log_norm + 1j * fr.hess_r(zvec, fr.X.J())
+    w1 = np.ascontiguousarray(_lead(wirtinger_table(gjet, fr.n).w1, 1))
+    z_grad = _dot(zvec.h, w1[..., : fr.n])
+    # divided part by part, as a complex divided by a float is
+    z_log_norm = _complex(np.real(z_grad) / gjet.value, np.imag(z_grad) / gjet.value)
+    return _per_point(z_log_norm + _vmul(1j, fr.hess_r(zvec, fr.X.J())))
 
 
 def _nabla_Lbar_along(fr, zvec):
     """nabla_Z (Lbar) = conj(nabla_{Zbar} L): a (0,1) vector, plain derivative."""
     w1 = fr.L_w1()
-    dl = w1[:, fr.n :] @ zvec.h.conj()     # Zbar L^i
+    dl = (w1[..., fr.n :] @ zvec.h.conj()[..., None])[..., 0]     # Zbar L^i
     return CTVector.anti(dl.conj())
 
 
@@ -78,7 +82,7 @@ def beta_unmixed(fr, zvec, wvec):
     """beta_r(Z, W) = -(i/2) (ddbar r(W, nabla_Z Lbar) - ddbar r(Z, nabla_W Lbar))."""
     term_w = fr.mixed_pairing(wvec, _nabla_Lbar_along(fr, zvec))
     term_z = fr.mixed_pairing(zvec, _nabla_Lbar_along(fr, wvec))
-    return complex(-0.5j * (term_w - term_z))
+    return _per_point(_vmul(-0.5j, term_w - term_z))
 
 
 def beta_mixed(fr, zvec, wvec):
@@ -87,10 +91,6 @@ def beta_mixed(fr, zvec, wvec):
     -i H^3(X_r, Z, Wbar) r + (i/2) ddbar r(T(Z, L), Wbar)
     - (i/2) ddbar r(nabla_Z L, Wbar) + (i/2) ddbar r(Z, T(Wbar, Lbar))
     - (i/2) ddbar r(Z, nabla_{Wbar} Lbar).
-
-    Over a batch of points (a batch frame, Z and W of coefficients (B, n))
-    the result is an array (B,); the scalar products are rounded as one
-    point's Python complex products are (:func:`dfindex.jets._vmul`).
     """
     wbar = wvec.conj()
     h3 = fr.h3_r(fr.X, zvec, wbar)
@@ -103,7 +103,7 @@ def beta_mixed(fr, zvec, wvec):
     out = out + _vmul(-0.5j, fr.mixed_pairing(nabla_z_l, wbar))
     out = out + _vmul(0.5j, fr.mixed_pairing(zvec, tau_w_bar))
     out = out + _vmul(-0.5j, fr.mixed_pairing(zvec, nabla_wbar_lbar))
-    return complex(out) if out.ndim == 0 else out
+    return _per_point(out)
 
 
 def beta_mixed_nullspace(fr, zvec, wvec):
@@ -120,7 +120,24 @@ def beta_mixed_nullspace(fr, zvec, wvec):
     a_wbar = alpha(fr, wbar)
     hx_z = fr.hess_r(fr.X, zvec)
     hx_wbar = fr.hess_r(fr.X, wbar)
-    return complex(-1j * h3 - 1j * a_z * a_wbar + 1j * hx_z * a_wbar + 1j * a_z * hx_wbar)
+    out = _vmul(-1j, h3) - _vmul(_vmul(1j, a_z), a_wbar)
+    out = out + _vmul(_vmul(1j, hx_z), a_wbar) + _vmul(_vmul(1j, a_z), hx_wbar)
+    return _per_point(out)
+
+
+def _null_points(fr, zvec, tol=1e-6):
+    """Levi data and the mask of points with a null direction, where Z is checked to be null."""
+    ld = levi_data(fr)
+    null = np.any(ld.null, axis=-1)
+    ld.check_null(CTVector.holo(np.where(_col(null), zvec.h, 0.0)), tol)
+    return ld, null
+
+
+def _null_site_terms(fr, zvec, tol=1e-6):
+    """The null mask of :func:`_null_points`, sum_j |sff(Z, W_j)|^2 and (1/2) <R(Z, Zbar) nu_C, nu_C>."""
+    ld, null = _null_points(fr, zvec, tol)
+    sff_sum = sum(_abs_sq(fr.hess_r(zvec, wj)) for wj in ld.basis) * fr.norm2(fr.X)
+    return null, sff_sum, 0.5 * curvature_contraction(fr.chern(2), zvec, fr.nu_C)
 
 
 def beta_geometric(fr, zvec, null_tol=1e-6):
@@ -129,18 +146,14 @@ def beta_geometric(fr, zvec, null_tol=1e-6):
     - (ddbar log|dr|)(Z, Zbar) + sum_j |sff(Z, W_j)|^2
     + (1/2) <R(Z, Zbar) nu_C, nu_C>.
 
-    Returns the real number entering the margin inequalities.
+    Returns the real number entering the margin inequalities, and
+    NO_CONSTRAINT at a point without a null direction.
     """
-    ld = levi_data(fr)
-    ld.check_null(zvec, null_tol)
+    null, sff_sum, half_curv = _null_site_terms(fr, zvec, null_tol)
     log_jet = jets.log(fr.grad_norm_jet())
-    w2 = wirtinger_table(log_jet, fr.n).mixed_hessian
-    log_term = float(np.real(zvec.h @ w2 @ zvec.h.conj()))
-
-    xnorm2 = fr.norm2(fr.X)
-    sff_sum = sum(abs(fr.hess_r(zvec, wj)) ** 2 for wj in ld.basis) * xnorm2
-    curv = curvature_contraction(fr.chern(2), zvec, fr.nu_C)
-    return float(-log_term + sff_sum + 0.5 * curv)
+    w2 = np.ascontiguousarray(_lead(wirtinger_table(log_jet, fr.n).mixed_hessian, 2))
+    log_term = np.real(_pair(zvec.h, w2, zvec.h.conj()))
+    return _per_point(np.where(null, -log_term + sff_sum + half_curv, NO_CONSTRAINT))
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,11 @@ W.a*`` with ``G[j, k] = <d/dz_j, d/dz_k>``.
 
 Every operator takes the :class:`ChernFrame` it evaluates on first, then
 its vector arguments; the Hessian operators also take the Wirtinger table of
-the differentiated function.  All operators are tensorial in the sense
+the differentiated function.  ``torsion``, ``curvature`` and
+``curvature_contraction`` take one point or a batch (see
+:mod:`dfindex.boundary`); the Hessian operators and the covariant
+derivative, which the cross-checks call with a new metric per point, take
+one point.  All operators are tensorial in the sense
 established for the Hessian and its third-order extension: they depend only
 on pointwise values of their vector arguments, so constant test vectors
 suffice; vector fields enter only through :func:`covariant_derivative` and
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ScalarField, _points, dz_jet, seed_coordinate_jets, wirtinger_table
-from .jets import Jet, branch
+from .jets import Jet, _elementwise, branch
 
 __all__ = [
     "CTVector",
@@ -113,14 +117,28 @@ def _lead(a, rank):
 
 def _dot(a, b):
     """sum_k a_k b_k per point (stacked ``@``); a complex for one point."""
-    out = (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-    return complex(out) if out.ndim == 0 else out
+    return _per_point((a[..., None, :] @ b[..., :, None])[..., 0, 0])
 
 
 def _pair(a, mat, b):
     """a^T mat b per point (stacked ``@``); a complex for one point."""
-    out = (a[..., None, :] @ mat @ b[..., :, None])[..., 0, 0]
-    return complex(out) if out.ndim == 0 else out
+    return _per_point((a[..., None, :] @ mat @ b[..., :, None])[..., 0, 0])
+
+
+def _per_point(out):
+    """A Python scalar for one point (a 0-d result); the (B,) array for a batch."""
+    out = np.asarray(out)
+    return out if out.ndim else out.item()
+
+
+def _abs(c):
+    """|c| per point, rounded as Python's ``abs`` of a complex (NumPy's complex abs may not be)."""
+    return _per_point(np.hypot(np.real(c), np.imag(c)))
+
+
+def _abs_sq(c):
+    """|c|^2 per point, rounded as Python's ``abs(c) ** 2`` (a NumPy square may round otherwise)."""
+    return _per_point(_elementwise(lambda v: (abs(complex(v)) ** 2,), c)[0])
 
 
 def inner(g, v, w):
@@ -129,8 +147,7 @@ def inner(g, v, w):
 
 
 def norm2(g, v):
-    value = np.real(inner(g, v, v))
-    return float(value) if np.ndim(value) == 0 else value
+    return _per_point(np.real(inner(g, v, v)))
 
 
 # ----------------------------------------------------------------------
@@ -448,22 +465,22 @@ def torsion_from_fields(frame, xf, yf):
 def curvature(frame, x, y, v):
     """R(X, Y)V for the Chern connection; curvature is of pure (1,1) type."""
     rt = frame.curvature_tensor  # R[j, k, i, l]
-    pair = np.multiply.outer(x.h, y.a) - np.multiply.outer(y.h, x.a)  # [j, k]
-    end_h = np.einsum("jkil,jk->il", rt, pair)
-    out_h = end_h @ v.h
-    pair_c = np.multiply.outer(x.a.conj(), y.h.conj()) - np.multiply.outer(y.a.conj(), x.h.conj())
-    end_a = np.einsum("jkil,jk->il", rt, pair_c).conj()
-    out_a = end_a @ v.a
-    return CTVector(out_h, out_a)
+    pair = x.h[..., :, None] * y.a[..., None, :] - y.h[..., :, None] * x.a[..., None, :]  # [j, k]
+    end_h = np.einsum("...jkil,...jk->...il", rt, pair)
+    xa, xh, ya, yh = x.a.conj(), x.h.conj(), y.a.conj(), y.h.conj()
+    pair_c = xa[..., :, None] * yh[..., None, :] - ya[..., :, None] * xh[..., None, :]
+    end_a = np.einsum("...jkil,...jk->...il", rt, pair_c).conj()
+    return CTVector((end_h @ v.h[..., None])[..., 0], (end_a @ v.a[..., None])[..., 0])
 
 
 def curvature_contraction(frame, zvec, v, tol=1e-9):
     """<R(Z, Zbar)V, V> for a (1,0) vector Z; real by Hermitian symmetry."""
     rv = curvature(frame, CTVector.holo(zvec.h), CTVector.anti(zvec.h.conj()), v)
     val = inner(frame.g, rv, v)
-    if abs(val.imag) > tol * (1.0 + abs(val.real)):
-        raise MetricError(f"curvature contraction not real: {val}")
-    return val.real
+    off = np.abs(np.imag(val)) > tol * (1.0 + np.abs(np.real(val)))
+    if np.any(off):
+        raise MetricError(f"curvature contraction not real: {np.asarray(val)[off][0]}")
+    return _per_point(np.real(val))
 
 
 def hess_tensor(table, frame):

@@ -26,6 +26,7 @@ from dfindex.boundary import (
     normal_frame,
     project_to_boundary,
     sample_boundary,
+    second_fundamental_form,
 )
 from dfindex.diagnostics import random_metric, random_scalar_field
 from dfindex.domains import ball_domain, make_domain
@@ -47,8 +48,23 @@ from dfindex.fields import (
     seed_coordinate_jets,
     wirtinger_table,
 )
-from dfindex.forms import alpha, beta_mixed
-from dfindex.geometry import CTVector, MetricField, chern_frame, torsion
+from dfindex.forms import (
+    NO_CONSTRAINT,
+    alpha,
+    alpha_geometric,
+    beta_geometric,
+    beta_mixed,
+    beta_mixed_nullspace,
+    beta_unmixed,
+)
+from dfindex.geometry import (
+    CTVector,
+    MetricField,
+    chern_frame,
+    curvature,
+    curvature_contraction,
+    torsion,
+)
 from dfindex.worm import WormParams, _f_jets, _lambda_jet, sgamma_points, worm_domain
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -81,6 +97,11 @@ def assert_rows(batch, singles):
     assert len(batch) == len(singles)
     for b, one in enumerate(singles):
         assert_same(batch[b], one)
+
+
+def _row(v, b):
+    """Row ``b`` of a batch of complexified vectors."""
+    return CTVector(v.h[b], v.a[b])
 
 
 def random_points(rng, count, n=2, scale=0.6):
@@ -382,6 +403,12 @@ def test_chern_frame_pivots_per_point_and_matches_one_point(seed):
         for name, rows in _chern_rows(batch).items():
             assert_rows(rows, [_chern_rows(one)[name] for one in singles])
         assert_rows(batch.curvature_tensor, [one.curvature_tensor for one in singles])
+        x, y, v = (CTVector(random_points(rng, 8), random_points(rng, 8)) for _ in range(3))
+        assert_rows(curvature(batch, x, y, v).coeffs,
+                    [curvature(one, _row(x, b), _row(y, b), _row(v, b)).coeffs
+                     for b, one in enumerate(singles)])
+        assert_rows(curvature_contraction(batch, x, v),
+                    [curvature_contraction(one, _row(x, b), _row(v, b)) for b, one in enumerate(singles)])
 
 
 def _worm_batch(rng, metric, count=6):
@@ -410,9 +437,11 @@ def test_h3t_L_jets_and_beta_match_one_point(seed, metric):
     z = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     w = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     zvec, wvec = CTVector.holo(z), CTVector.holo(w)
-    assert_rows(beta_mixed(batch, zvec, wvec),
-                [beta_mixed(one, CTVector.holo(z[b]), CTVector.holo(w[b]))
-                 for b, one in enumerate(singles)])
+    for form in (beta_mixed, beta_unmixed, beta_mixed_nullspace):
+        assert_rows(form(batch, zvec, wvec),
+                    [form(one, CTVector.holo(z[b]), CTVector.holo(w[b])) for b, one in enumerate(singles)])
+    assert_rows(alpha_geometric(batch, zvec),
+                [alpha_geometric(one, CTVector.holo(z[b])) for b, one in enumerate(singles)])
     assert_rows(torsion(batch.chern(1), CTVector(z, w), CTVector(w, z)).coeffs,
                 [torsion(one.chern(1), CTVector(z[b], w[b]), CTVector(w[b], z[b])).coeffs
                  for b, one in enumerate(singles)])
@@ -421,9 +450,9 @@ def test_h3t_L_jets_and_beta_match_one_point(seed, metric):
 
 
 def _levi_fields(ld):
-    out = {name: getattr(ld, name) for name in ("levi", "eigenvalues", "null")}
-    for j, (b, d) in enumerate(zip(ld.basis, ld.directions)):
-        out[f"basis{j}"], out[f"direction{j}"] = b.h, d.h
+    out = {name: getattr(ld, name) for name in ("levi", "eigenvalues", "directions", "null")}
+    for j, b in enumerate(ld.basis):
+        out[f"basis{j}"] = b.h
     return out
 
 
@@ -442,16 +471,17 @@ def test_levi_data_matches_one_point(seed):
         fields = _levi_fields(batch)
         for name, rows in fields.items():
             assert_rows(rows, [_levi_fields(one)[name] for one in singles])
-        counts = [len(one.null_basis) for one in singles]
+        counts = [len(one.pairs()[0]) for one in singles]
         assert batch.null.sum(axis=-1).tolist() == counts
         if domain is worm:
             assert 0 in counts and max(counts) > 0
-        # the batch's null (point, direction) pairs are each point's null basis, in order
-        at, idx = np.nonzero(batch.null)
-        nulls = [w for one in singles for w in one.null_basis]
+        # the batch's null (point, direction) pairs are each point's null pairs, in order
+        at, zvec = batch.pairs()
+        nulls = [w for one in singles for w in one.pairs()[1].h]
         assert len(at) == len(nulls)
-        for b, j, w in zip(at, idx, nulls):
-            assert_same(batch.directions[j].h[b], w.h)
+        assert at.tolist() == [b for b, count in enumerate(counts) for _ in range(count)]
+        for k, w in enumerate(nulls):
+            assert_same(zvec.h[k], w)
 
 
 @BATCH
@@ -490,6 +520,35 @@ def test_make_site_matches_one_point(worm_kahler):
         assert len(one) == 1
         for name in ("B", "A", "E", "D"):
             assert_same(getattr(batch, name)[b], getattr(one, name)[0])
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "worm_kahler"])
+def test_null_site_evaluators_and_sff_match_one_point(metric):
+    worm = worm_domain(WormParams(gamma=math.pi, t=1.2), metric=metric)
+    ball = ball_domain()
+    # S_gamma points, where the fiber d/dz_2 is Levi-null, among strictly pseudoconvex
+    # ones, and ball points, none of which has a null direction
+    special = sgamma_points(worm.params["worm"], 4, spread=0.9)
+    cases = [(worm, [special[0], *sample_boundary(worm, 2, 5), *special[1:]], [0, 3, 4, 5]),
+             (ball, sample_boundary(ball, 3, 5), [])]
+    margins = {"geometric_margin": lambda fr, z: estimator.geometric_margin(fr, z, 0.4),
+               "vectorfield_margin": lambda fr, z: estimator.vectorfield_margin(fr, z, 0.4),
+               "beta_geometric": beta_geometric}
+    for domain, points, null_rows in cases:
+        batch = normal_frame(domain, points)
+        singles = [normal_frame(domain, p) for p in points]
+        fiber = np.tile([0.0, 1.0 + 0.0j], (len(points), 1))
+        for name, fn in margins.items():
+            rows = fn(batch, CTVector.holo(fiber))
+            ones = [fn(one, CTVector.holo(fiber[b])) for b, one in enumerate(singles)]
+            assert all(type(one) is float for one in ones), name
+            assert_rows(rows, ones)
+            assert np.flatnonzero(rows != NO_CONSTRAINT).tolist() == null_rows, name
+        # on tangent vectors: the first Levi basis vector and J nu_R
+        tangent = levi_data(batch).basis[0]
+        assert_rows(second_fundamental_form(batch, tangent, batch.nu_R.J()).coeffs,
+                    [second_fundamental_form(one, levi_data(one).basis[0], one.nu_R.J()).coeffs
+                     for one in singles])
 
 
 @settings(derandomize=True, deadline=None, max_examples=6)

@@ -101,19 +101,37 @@ def test_levi_data_ball(ball):
     ld = levi_data(normal_frame(ball, np.array([1.0, 0.0], dtype=complex)))
     assert ld.levi.shape == (1, 1)
     assert ld.levi[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert not ld.null_basis
+    assert not len(ld.pairs()[0])
 
 
 def test_levi_data_worm_null_direction(worm_euclid, worm_kahler):
     P = np.array([0.0, math.exp(-0.2) * np.exp(0.3j)], dtype=complex)
     for domain in (worm_euclid, worm_kahler):
         ld = levi_data(normal_frame(domain, P))
-        assert len(ld.null_basis) == 1
+        at, null = ld.pairs()
+        assert len(at) == 1
         assert abs(ld.eigenvalues[0]) < 1e-10
-        direction = ld.null_basis[0].h
+        direction = null.h[0]
         # null direction is the fiber direction d/dz2 regardless of metric
         assert abs(direction[0]) < 1e-10
         assert abs(direction[1]) > 0.1
+
+
+def test_check_null_fails_a_nan_direction(ball):
+    # at (1, 0) the ball has no null direction: only Z = 0 is null
+    ld = levi_data(normal_frame(ball, np.array([1.0, 0.0], dtype=complex)))
+    ld.check_null(CTVector.holo([0.0, 0.0]))
+    for z in ([0.0, 1.0], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="null space at"):
+            ld.check_null(CTVector.holo(z))
+    # a batch: Z = 0 passes at every point, a NaN in one row fails that row
+    points = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8j]], dtype=complex)
+    batch = levi_data(normal_frame(ball, points))
+    zero = np.zeros((3, 2), dtype=complex)
+    batch.check_null(CTVector.holo(zero))
+    zero[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"null space at \[0\.\+0\.j 1\.\+0\.j\]"):
+        batch.check_null(CTVector.holo(zero))
 
 
 def test_second_fundamental_form_contract(ball, rng):
@@ -176,11 +194,13 @@ def test_collar_compare_does_not_hold_over_a_nan_defect(ball, monkeypatch):
     from dfindex import forms
 
     base = normal_frame(ball, sample_boundary(ball, 1, 6)[0])
-    real, calls = forms.beta_mixed, []
+    real = forms.beta_mixed
 
     def beta(*args, **kwargs):
-        calls.append(None)
-        return complex("nan") if len(calls) == 3 else real(*args, **kwargs)
+        # every depth of the path is one row of a batch; the third row is NaN
+        out = np.array(real(*args, **kwargs))
+        out[2] = complex("nan")
+        return out
 
     monkeypatch.setattr(forms, "beta_mixed", beta)
     rep = collar_levi_compare(base, levi_data(base).basis[0], 0.04, eps=0.1, steps=6)

@@ -20,6 +20,7 @@ from dfindex.cli import (
     main,
     write_report,
 )
+from dfindex.geometry import CTVector
 
 
 def run_cli(argv):
@@ -103,7 +104,8 @@ def test_forms_null_values_match_a_one_point_loop(tmp_path, metric):
     domain = _domain_of(cfg)
     for row in report["records"]:
         z = np.array([complex(c["re"], c["im"]) for c in row["z"]])
-        nulls = levi_data(normal_frame(domain, z, r_order=2), eps_null=cfg.eps_null).null_basis
+        _, null = levi_data(normal_frame(domain, z, r_order=2), eps_null=cfg.eps_null).pairs()
+        nulls = [CTVector.holo(h) for h in null.h]
         one = normal_frame(domain, z)
         alphas = [complex(forms.alpha(one, zv)) for zv in nulls]
         assert row["null_dim"] == len(nulls)
@@ -178,6 +180,30 @@ def test_worm_bench_without_kahler_metric_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err and "raise t" in err
     assert not (tmp_path / "worm-bench.json").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"domain": "ball"},
+    {"domain": "ellipsoid(1,2)"},
+    {"domain": f"worm({math.pi!r})", "domain_params": {"metric": "euclidean"}},
+    # the smoothing parameters reach the worm: p = 2 and c = -1 are rejected
+    {"domain": f"worm({math.pi!r})", "domain_params": {"lam_p": 2}},
+    {"domain": f"worm({math.pi!r})", "domain_params": {"lam_c": -1.0}},
+])
+def test_worm_bench_rejects_a_domain_it_does_not_build_exits_2(tmp_path, capsys, config):
+    cfg_path = tmp_path / "wb.json"
+    cfg_path.write_text(json.dumps(dict(config, samples=3)))
+    assert run_cli(["worm-bench", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "worm-bench.json").exists()
+
+
+def test_worm_bench_honours_the_fiber_scale(tmp_path):
+    cfg = load_config(None, {"domain": f"worm({math.pi!r})", "domain_params": {"s": 64.0},
+                             "samples": 3, "out": str(tmp_path)})
+    summary = cmd_worm_bench(cfg)["summary"]
+    assert summary["s"] == 64.0
+    assert summary["max_relative_error"] < 1e-6
 
 
 def test_version_flag(capsys):
