@@ -437,29 +437,23 @@ def normal_frame(domain, p, tol_bnd=1e-8, r_order=3):
 
 @dataclass
 class LeviData:
-    """Levi data at one point, or at each point of a batch (leading batch axis).
-
-    ``basis`` holds the n - 1 metric-orthonormal (1,0) tangent vectors,
-    ``directions`` (..., n-1, n) the coefficients of the eigendirections of
-    the Levi matrix over that basis (unnormalized, one per row), and
-    ``null`` marks the eigenvalues below the null cutoff.
-    """
+    """Levi data at one point, or at each point of a batch (leading batch axis)."""
 
     frame: NormalFrame
-    basis: list            # n - 1 CTVectors, orthonormal at each point
-    levi: np.ndarray       # Hermitian (..., n-1, n-1)
+    basis: list              # n - 1 CTVectors, metric-orthonormal (1,0) tangent vectors
+    levi: np.ndarray         # Hermitian (..., n-1, n-1): the Levi matrix over ``basis``
     eigenvalues: np.ndarray
-    directions: np.ndarray  # (..., n-1, n): the eigenvectors of ``levi`` over ``basis``
-    null: np.ndarray       # (..., n-1) bool: eigenvalue below the null cutoff
+    directions: np.ndarray   # (..., n-1, n): its eigenvectors over ``basis``, unnormalized
+    null: np.ndarray         # (..., n-1) bool: eigenvalue below the null cutoff
 
-    def pairs(self, mask=None):
-        """Point indices (K,) and directions (a CTVector (K, n)) where ``mask`` (default ``null``) holds.
+    def pairs(self, mask):
+        """Point indices (K,) and directions (a CTVector (K, n)) where ``mask`` (..., n-1) holds.
 
         The pairs run in row-major order; one point counts as a batch of one.
         """
-        mask = self.null if mask is None else mask
-        at, idx = np.nonzero(np.reshape(mask, (-1, mask.shape[-1])))
-        return at, CTVector.holo(self.directions.reshape((-1,) + self.directions.shape[-2:])[at, idx])
+        mask = np.atleast_2d(mask)
+        at, idx = np.nonzero(mask)
+        return at, CTVector.holo(self.directions.reshape(mask.shape + (-1,))[at, idx])
 
     def check_null(self, zvec, tol=1e-6):
         """Raise ValueError unless Z lies in the Levi null space (relative ``tol``) at every point.
@@ -619,9 +613,9 @@ def collar_levi_compare(base, z0_vec, delta, eps, steps=10):
     slack = eps * fr.norm2(zvec) * (-t)
     lower_defect = levi_here - ((1 - eps) * levi_base + correction - slack)
     upper_defect = ((1 + eps) * levi_base + correction + slack) - levi_here
-    rows = [{"t": float(t[k]), "levi": float(levi_here[k]), "levi_base": levi_base,
-             "lower_defect": float(lower_defect[k]), "upper_defect": float(upper_defect[k])}
-            for k in range(len(t))]
+    columns = zip(*(v.tolist() for v in (t, levi_here, lower_defect, upper_defect)))
+    rows = [{"t": tk, "levi": lk, "levi_base": levi_base, "lower_defect": lo, "upper_defect": up}
+            for tk, lk, lo, up in columns]
     # np.min keeps a NaN defect, which ``min`` would drop after the first row
     min_lower, min_upper = float(np.min(lower_defect)), float(np.min(upper_defect))
     return {

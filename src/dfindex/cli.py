@@ -232,7 +232,7 @@ def cmd_forms(cfg, eigen_only=False):
     fr = ld.frame
     null_dim = ld.null.sum(axis=-1)
     alphas, betas = [[] for _ in points], [[] for _ in points]
-    at, zvec = ld.pairs()
+    at, zvec = ld.pairs(ld.null)
     if not eigen_only and len(at):
         # alpha and i beta(Z, Zbar) at every null (point, direction) pair on one order-3 frame
         null_fr = NormalFrame(domain, fr.z[at])

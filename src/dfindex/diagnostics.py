@@ -326,7 +326,7 @@ def boundary_suite(samples=20, seed=3, gamma=math.pi):
             worst_frame = _worst(worst_frame, abs(dr_l - 1.0), abs(math.sqrt(l2) - 1.0 / dbar))
         ld = levi_data(fr)
         worst_levi_neg = _worst(worst_levi_neg, 0.0, *(-ld.eigenvalues[:samples, 0]).tolist())
-        at, zvec = ld.pairs()
+        at, zvec = ld.pairs(ld.null)
         if len(at):
             # each null (point, direction) pair against 20 random W, all on one frame
             rows = np.repeat(np.arange(len(at)), 20)

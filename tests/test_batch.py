@@ -471,13 +471,13 @@ def test_levi_data_matches_one_point(seed):
         fields = _levi_fields(batch)
         for name, rows in fields.items():
             assert_rows(rows, [_levi_fields(one)[name] for one in singles])
-        counts = [len(one.pairs()[0]) for one in singles]
+        counts = [len(one.pairs(one.null)[0]) for one in singles]
         assert batch.null.sum(axis=-1).tolist() == counts
         if domain is worm:
             assert 0 in counts and max(counts) > 0
         # the batch's null (point, direction) pairs are each point's null pairs, in order
-        at, zvec = batch.pairs()
-        nulls = [w for one in singles for w in one.pairs()[1].h]
+        at, zvec = batch.pairs(batch.null)
+        nulls = [w for one in singles for w in one.pairs(one.null)[1].h]
         assert len(at) == len(nulls)
         assert at.tolist() == [b for b, count in enumerate(counts) for _ in range(count)]
         for k, w in enumerate(nulls):

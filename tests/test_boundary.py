@@ -101,14 +101,14 @@ def test_levi_data_ball(ball):
     ld = levi_data(normal_frame(ball, np.array([1.0, 0.0], dtype=complex)))
     assert ld.levi.shape == (1, 1)
     assert ld.levi[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert not len(ld.pairs()[0])
+    assert not len(ld.pairs(ld.null)[0])
 
 
 def test_levi_data_worm_null_direction(worm_euclid, worm_kahler):
     P = np.array([0.0, math.exp(-0.2) * np.exp(0.3j)], dtype=complex)
     for domain in (worm_euclid, worm_kahler):
         ld = levi_data(normal_frame(domain, P))
-        at, null = ld.pairs()
+        at, null = ld.pairs(ld.null)
         assert len(at) == 1
         assert abs(ld.eigenvalues[0]) < 1e-10
         direction = null.h[0]

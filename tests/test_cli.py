@@ -104,7 +104,8 @@ def test_forms_null_values_match_a_one_point_loop(tmp_path, metric):
     domain = _domain_of(cfg)
     for row in report["records"]:
         z = np.array([complex(c["re"], c["im"]) for c in row["z"]])
-        _, null = levi_data(normal_frame(domain, z, r_order=2), eps_null=cfg.eps_null).pairs()
+        ld = levi_data(normal_frame(domain, z, r_order=2), eps_null=cfg.eps_null)
+        _, null = ld.pairs(ld.null)
         nulls = [CTVector.holo(h) for h in null.h]
         one = normal_frame(domain, z)
         alphas = [complex(forms.alpha(one, zv)) for zv in nulls]
