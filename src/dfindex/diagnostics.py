@@ -431,17 +431,17 @@ def worm_reference_suite(count=50, seed=5, gamma=math.pi, t=1.2, tol=1e-6):
               fr.hess_r(zvec, fr.nu_R.J()), fr.hess_r(zvec, zvec), fr.norm2(fr.X),
               geometric_margin(fr, zvec, eta))
     nb, nl = fr.nabla_L(CTVector.anti(zvec.h)).h, fr.nabla_L(zvec).h
-    for b, (p, a, curv, h_j, h_zz, x2, margin) in enumerate(zip(points, *(v.tolist() for v in values))):
+    rel = lambda a, b: abs(a - b) / (1.0 + abs(b))
+    for k, (p, a, curv, h_j, h_zz, x2, margin) in enumerate(zip(points, *(v.tolist() for v in values))):
         ref = s_gamma_reference(wp, p.z[1])
-        rel = lambda a, b: abs(a - b) / (1.0 + abs(b))
         worst["alpha"] = _worst(worst["alpha"], rel(a, ref.alpha))
         worst["curvature"] = _worst(worst["curvature"], rel(curv, ref.curvature))
         worst["sff_j"] = _worst(worst["sff_j"], rel(abs(h_j) ** 2 * x2, ref.sff_JnuR_sq))
         worst["sff_zz"] = _worst(worst["sff_zz"], abs(h_zz) * x2)
         worst["margin"] = _worst(worst["margin"], rel(margin, ref.margin(eta)))
         worst["nabla_bar"] = _worst(worst["nabla_bar"],
-                                    rel(nb[b, 0] / fr.L.h[b, 0], ref.nabla_bar_factor))
-        worst["nabla"] = _worst(worst["nabla"], rel(nl[b, 0] / fr.L.h[b, 0], ref.nabla_factor))
+                                    rel(nb[k, 0] / fr.L.h[k, 0], ref.nabla_bar_factor))
+        worst["nabla"] = _worst(worst["nabla"], rel(nl[k, 0] / fr.L.h[k, 0], ref.nabla_factor))
     return [_rec("worm_reference", k, v, tol) for k, v in worst.items()]
 
 
