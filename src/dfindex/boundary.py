@@ -147,6 +147,10 @@ def _col(s):
 
 _NEWTON_ITER = 50          # Newton steps allowed for a projection onto r = 0
 _DEPTH_TOL, _DEPTH_ITER = 1e-12, 60   # tolerance and steps for Newton onto r = -depth
+_FRAME_TOL = 1e-8          # |r| that :func:`normal_frame` accepts as on the boundary
+_TRANSPORT_RTOL, _TRANSPORT_ATOL = 1e-11, 1e-12   # ODE tolerances of the normal transport
+_MIN_COLLAR_DEPTH = 1e-4   # where :func:`find_collar_depth` stops halving
+_ADMISSIBILITY_STEP = 1e-2  # the larger finite-difference step of the admissibility probe
 _ROW_ERRORS = (ValueError, ZeroDivisionError)   # what a jet of r raises at a bad point
 
 
@@ -220,16 +224,16 @@ def _newton_to_level(domain, z0, target, tol, max_iter):
     return z_out, residual, errors
 
 
-def project_to_boundary(domain, z0, tol_bnd=TOL_BND, max_iter=_NEWTON_ITER):
+def project_to_boundary(domain, z0):
     """Newton iteration along the gradient of r onto the zero level set."""
     domain.check_chart(z0)
-    z, residual, errors = _newton_to_level(domain, _point_of(z0)[None], 0.0, tol_bnd, max_iter)
+    z, residual, errors = _newton_to_level(domain, _point_of(z0)[None], 0.0, TOL_BND, _NEWTON_ITER)
     if errors[0] is not None:
         raise errors[0]
     return BoundaryPoint(z=z[0], residual=float(residual[0]))
 
 
-def sample_boundary(domain, count, seed, tol_bnd=TOL_BND, max_trials_factor=100):
+def sample_boundary(domain, count, seed, max_trials_factor=100):
     """Rejection sampling in the chart box followed by Newton projection.
 
     Candidates are drawn uniformly in the box in blocks; a block of k draws
@@ -261,7 +265,7 @@ def sample_boundary(domain, count, seed, tol_bnd=TOL_BND, max_trials_factor=100)
         trials += block
         z0 = complex_point(lo + (hi - lo) * rng.random((block, lo.size)))
         z0 = z0[domain.in_chart(z0)]
-        z, residual, errors = _newton_to_level(domain, z0, 0.0, tol_bnd, _NEWTON_ITER)
+        z, residual, errors = _newton_to_level(domain, z0, 0.0, TOL_BND, _NEWTON_ITER)
         for zk, res, err in zip(z, residual, errors):
             key = tuple(np.round(real_coords(zk), 9))
             if err is not None or key in seen:
@@ -419,12 +423,12 @@ class NormalFrame:
         return inner(self.G, v, w)
 
 
-def normal_frame(domain, p, tol_bnd=1e-8, r_order=3):
+def normal_frame(domain, p, r_order=3):
     """Frame at a boundary point (or a batch); validates the defining-function residual."""
     z = _point_of(p)
     frame = NormalFrame(domain, z, r_order=r_order)
     rv = frame.table(2).value
-    off = np.abs(np.real(rv)) > tol_bnd
+    off = np.abs(np.real(rv)) > _FRAME_TOL
     if np.any(off):
         at, val = z[off][0], np.asarray(rv)[off][0]
         raise ValueError(f"point {at} is not on the boundary (r = {val})")
@@ -527,7 +531,7 @@ def second_fundamental_form(frame, x, y, tol=1e-8):
     scale = 1.0 + np.max(np.abs(x.coeffs), axis=-1) + np.max(np.abs(y.coeffs), axis=-1)
     for v, tag in ((x, "X"), (y, "Y")):
         dr = np.asarray(frame.dr(v))
-        off = np.abs(dr) > tol * scale * frame.dbar_norm
+        off = ~(np.abs(dr) <= tol * scale * frame.dbar_norm)   # a NaN dr fails
         if np.any(off):
             raise ValueError(f"{tag} is not tangent at {frame.z[off][0]}: dr({tag}) = {dr[off][0]}")
     return frame.X * _col(-np.asarray(frame.hess_r(x, y)))
@@ -548,7 +552,7 @@ class CollarPath:
     norm_drift: np.ndarray    # | |Z(t)| - |Z(0)| |
 
 
-def transport_along_normal(base, z0_vec, delta, steps=24, rtol=1e-11, atol=1e-12):
+def transport_along_normal(base, z0_vec, delta, steps=24):
     """Flow of X_r from the point of the frame ``base``, with the tangential transport of Z.
 
     Z solves nabla_{X_r} Z = -(Hess(X_r, Z) r) L_r along the inward flow,
@@ -573,7 +577,8 @@ def transport_along_normal(base, z0_vec, delta, steps=24, rtol=1e-11, atol=1e-12
 
     y0 = np.concatenate([real_coords(base.z), z0.real, z0.imag])
     t_eval = np.linspace(0.0, -delta, steps + 1)
-    sol = solve_ivp(rhs, (0.0, -delta), y0, method="RK45", rtol=rtol, atol=atol, t_eval=t_eval)
+    sol = solve_ivp(rhs, (0.0, -delta), y0, method="RK45", rtol=_TRANSPORT_RTOL, atol=_TRANSPORT_ATOL,
+                    t_eval=t_eval)
     if not sol.success:
         raise ProjectionError(f"normal transport failed: {sol.message}")
 
@@ -628,24 +633,24 @@ def collar_levi_compare(base, z0_vec, delta, eps, steps=10):
     }
 
 
-def find_collar_depth(sites, eps, delta0=0.05, min_delta=1e-4, steps=10):
+def find_collar_depth(sites, eps, delta0=0.05, steps=10):
     """Halve the collar depth until both Levi bounds hold at every site.
 
     ``sites`` is a list of (boundary frame, (1,0) tangent CTVector).  Returns
     the empirically found depth delta(eps) and the per-site reports.
     """
     delta = delta0
-    while delta >= min_delta:
+    while delta >= _MIN_COLLAR_DEPTH:
         reports = [collar_levi_compare(base, zvec, delta, eps, steps=steps) for base, zvec in sites]
         if all(rep["holds"] for rep in reports):
             return delta, reports
         delta *= 0.5
-    raise ProjectionError(f"no collar depth >= {min_delta} satisfies the bounds for eps = {eps}")
+    raise ProjectionError(f"no collar depth >= {_MIN_COLLAR_DEPTH} satisfies the bounds for eps = {eps}")
 
 
-def point_at_depth(domain, p, depth, tol=_DEPTH_TOL, max_iter=_DEPTH_ITER):
+def point_at_depth(domain, p, depth):
     """Interior point with r = -depth reached by Newton from a boundary point."""
-    z, _, errors = _newton_to_level(domain, _point_of(p)[None], -float(depth), tol, max_iter)
+    z, _, errors = _newton_to_level(domain, _point_of(p)[None], -float(depth), _DEPTH_TOL, _DEPTH_ITER)
     if errors[0] is not None:
         raise errors[0]
     return z[0]
@@ -655,7 +660,7 @@ def point_at_depth(domain, p, depth, tol=_DEPTH_TOL, max_iter=_DEPTH_ITER):
 # admissibility diagnostic
 # ----------------------------------------------------------------------
 
-def admissibility_diagnostic(domain, p, step=1e-2):
+def admissibility_diagnostic(domain, p):
     """Roughness probe for |d r|: spread of finite-difference third derivatives.
 
     Admissibility (|d r| twice continuously differentiable) cannot be decided
@@ -665,7 +670,7 @@ def admissibility_diagnostic(domain, p, step=1e-2):
     """
     x0 = real_coords(_point_of(p))
     estimates = {}
-    for h in (step, step / 2):
+    for h in (_ADMISSIBILITY_STEP, _ADMISSIBILITY_STEP / 2):
         vals = []
         for i in range(2 * domain.n):
             e = np.zeros_like(x0)
@@ -675,7 +680,7 @@ def admissibility_diagnostic(domain, p, step=1e-2):
             d3 = (f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2 * h**3)
             vals.append(d3)
         estimates[h] = np.array(vals)
-    a, b = estimates[step], estimates[step / 2]
+    a, b = estimates[_ADMISSIBILITY_STEP], estimates[_ADMISSIBILITY_STEP / 2]
     scale = 1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)))
     spread = float(np.max(np.abs(a - b)) / scale)
     # third differences of a C^2-but-not-C^3 gradient norm diverge like 1/h,

@@ -356,8 +356,8 @@ def cmd_worm_bench(cfg):
     return make_report("worm-bench", cfg, records, summary)
 
 
-def cmd_selftest(cfg, corrupt_metric=False):
-    checks = diagnostics.run_all(reduced=True, corrupt_metric=corrupt_metric)
+def cmd_selftest(cfg):
+    checks = diagnostics.run_all()
     records = [c.row() for c in checks]
     records.sort(key=lambda r: (r["suite"], r["name"]))
     failed = [r for r in records if not r["passed"]]
@@ -401,9 +401,6 @@ def build_parser():
         p.add_argument("--special-samples", type=int, default=None, dest="special_samples")
         if name in ("check", "estimate", "worm-bench"):
             p.add_argument("--eta", type=float, default=None)
-        if name == "selftest":
-            p.add_argument("--inject-nonhermitian", action="store_true",
-                           help="corrupt a metric to exercise the failure path")
     return parser
 
 
@@ -413,6 +410,7 @@ _COMMANDS = {
     "check": cmd_check,
     "estimate": cmd_estimate,
     "worm-bench": cmd_worm_bench,
+    "selftest": cmd_selftest,
 }
 
 
@@ -423,10 +421,7 @@ def main(argv=None):
                            "eta", "special_samples")}
     try:
         cfg = load_config(args.config, overrides)
-        if args.command == "selftest":
-            report = cmd_selftest(cfg, corrupt_metric=getattr(args, "inject_nonhermitian", False))
-        else:
-            report = _COMMANDS[args.command](cfg)
+        report = _COMMANDS[args.command](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Invariant suites: randomized identity checks shared by tests and selftest.
 
 Each suite returns a list of :class:`CheckRecord`; a record fails when its
-residual exceeds the stated tolerance.  Sample counts are parameters so the
-command-line selftest can run reduced versions of the same checks.
+residual exceeds the stated tolerance.  Sample counts are parameters, and
+:func:`run_all` sets the small counts of the command-line selftest.
 """
 
 from __future__ import annotations
@@ -129,20 +129,17 @@ def random_metric(n, rng, eps=0.15):
             upper[(j, k)] = (random_scalar_field(n, rng, terms=2),
                              random_scalar_field(n, rng, terms=2))
 
-    def entry(j, k):
-        swap = j > k
-        a, b = upper[(min(j, k), max(j, k))]
+    def fn(zs):
+        g = [[None] * n for _ in range(n)]
+        for (j, k), (a, b) in upper.items():
+            if j == k:
+                g[j][j] = jets.Jet.constant(base[j, j], 2 * n, zs[0].order) + eps * a.fn(zs)
+            else:
+                zero, pert = jets.Jet.constant(0.0, 2 * n, zs[0].order), a.fn(zs) + 1j * b.fn(zs)
+                g[j][k], g[k][j] = zero + eps * pert, zero + eps * pert.conj()
+        return g
 
-        def fn(zs):
-            pert = a.fn(zs) + 1j * b.fn(zs) if j != k else a.fn(zs)
-            if swap:
-                pert = pert.conj()
-            return jets.Jet.constant(base[min(j, k), min(j, k)] if j == k else 0.0,
-                                     2 * n, zs[0].order) + eps * pert
-
-        return ScalarField(n, fn, name=f"g[{j}{k}]")
-
-    return MetricField(n, [[entry(j, k) for k in range(n)] for j in range(n)], name="random")
+    return MetricField(n, fn, name="random")
 
 
 def _random_point(n, rng, scale=0.4):
@@ -399,7 +396,7 @@ def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
     patch = forms.sgamma_patch_tangent(worm_e)
     resid = forms.pullback_alpha_dclosed(worm_e, patch, grid=grid)
     out.append(_rec("forms", "stokes_circulation_density", resid, 1e-6))
-    period = forms.loop_alpha_integral(worm_e, patch, v_span=(0.0, 4.0 * math.pi))
+    period = forms.loop_alpha_integral(worm_e, patch)
     out.append(_rec("forms", "loop_period_vs_oracle", abs(period - (-4.0 * math.pi)), 1e-6,
                     detail=f"period={period:.9f}"))
 
@@ -458,49 +455,27 @@ def margin_equivalence_suite(count=30, seed=6, gamma=math.pi, t=1.2):
     return [_rec("margins", "geometric_equals_vectorfield", worst, 1e-8)]
 
 
-def riccati_suite(gammas=(0.6 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi), tol=1e-3):
+_RICCATI_GAMMAS = (0.6 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi)
+
+
+def riccati_suite():
     out = []
-    for g in gammas:
+    for g in _RICCATI_GAMMAS:
         th = riccati_threshold(g)
-        out.append(_rec("riccati", f"threshold_gamma_{g:.4f}", abs(th - math.pi / (2 * g)), tol,
+        out.append(_rec("riccati", f"threshold_gamma_{g:.4f}", abs(th - math.pi / (2 * g)), 1e-3,
                         detail=f"threshold={th:.6f}"))
     return out
 
 
-def run_all(reduced=True, corrupt_metric=False):
-    """Every invariant suite; ``reduced`` lowers sample counts for the CLI."""
-    scale = 1 if reduced else 4
+def run_all():
+    """Every invariant suite at the sample counts of the CLI selftest."""
     records = []
-    records += jets_suite(count=100 * scale)
-    records += h3_identity_suite(count=50 * scale)
-    records += structural_suite(count=15 * scale)
-    records += boundary_suite(samples=8 * scale)
+    records += jets_suite(count=100)
+    records += h3_identity_suite(count=50)
+    records += structural_suite(count=15)
+    records += boundary_suite(samples=8)
     records += forms_suite()
-    records += worm_reference_suite(count=12 * scale)
-    records += margin_equivalence_suite(count=8 * scale)
+    records += worm_reference_suite(count=12)
+    records += margin_equivalence_suite(count=8)
     records += riccati_suite()
-    if corrupt_metric:
-        records += _corrupted_metric_check()
     return records
-
-
-def _corrupted_metric_check():
-    """Inject a non-Hermitian metric; the Hermitian-metric invariant fails."""
-    n = 2
-
-    def entry(j, k):
-        def fn(zs):
-            base = 1.0 if j == k else 0.0
-            skew = 0.05 if (j, k) == (0, 1) else 0.0
-            return jets.Jet.constant(base + skew, 2 * n, zs[0].order)
-
-        return ScalarField(n, fn, name=f"bad[{j}{k}]")
-
-    bad = MetricField(n, [[entry(j, k) for k in range(n)] for j in range(n)], name="corrupted")
-    try:
-        bad.matrix(np.zeros(n, dtype=complex))
-        detail = "validation failed to reject the non-Hermitian metric"
-    except Exception as err:
-        detail = f"rejected: {err}"
-    return [CheckRecord(suite="injected", name="hermitian_metric_invariant",
-                        passed=False, residual=0.05, tol=1e-12, detail=detail)]

@@ -10,7 +10,7 @@ import numpy as np
 from . import expr, jets
 from .boundary import DomainSpec
 from .fields import ScalarField
-from .geometry import MetricField
+from .geometry import resolve_metric
 from .worm import WormParams, worm_domain
 
 __all__ = ["REGISTRY_KEYS", "make_domain", "ball_domain", "ellipsoid_domain", "parse_domain_key"]
@@ -18,13 +18,14 @@ __all__ = ["REGISTRY_KEYS", "make_domain", "ball_domain", "ellipsoid_domain", "p
 REGISTRY_KEYS = ("ball", "ellipsoid(a1..an)", "worm(gamma)", "user")
 
 
-def ball_domain(n=2, signed=False, metric=None):
+def ball_domain(n=2, signed=False, metric="euclidean"):
     """Unit ball; ``signed=True`` selects the constant-gradient-norm variant.
 
     The signed-distance defining function is scaled so that |dr| = 1 in the
-    metric convention <d/dz_j, d/dz_k> = delta_jk.
+    metric convention <d/dz_j, d/dz_k> = delta_jk.  ``metric`` is a spec of
+    :func:`~dfindex.geometry.resolve_metric`.
     """
-    metric = metric or MetricField.euclidean(n)
+    metric = resolve_metric(metric, n, "ball", {})
     if signed:
         def fn(zs):
             s = sum((jets.abs2(w) for w in zs), jets.Jet.constant(0.0, 2 * n, zs[0].order))
@@ -50,12 +51,12 @@ def ball_domain(n=2, signed=False, metric=None):
     )
 
 
-def ellipsoid_domain(axes, metric=None):
+def ellipsoid_domain(axes, metric="euclidean"):
     axes = [float(a) for a in axes]
     if any(a <= 0 for a in axes):
         raise ValueError(f"ellipsoid axes must be positive, got {axes}")
     n = len(axes)
-    metric = metric or MetricField.euclidean(n)
+    metric = resolve_metric(metric, n, "ellipsoid", {})
     inv2 = [1.0 / a**2 for a in axes]
 
     def fn(zs):
@@ -74,16 +75,6 @@ def ellipsoid_domain(axes, metric=None):
     )
 
 
-def _user_metric(spec, n):
-    """Hermitian metric from ``{"entries": n x n expression trees for g_{j kbar}}``."""
-    entries = spec.get("entries") if isinstance(spec, dict) else None
-    if not (isinstance(entries, list) and len(entries) == n
-            and all(isinstance(row, list) and len(row) == n for row in entries)):
-        raise ValueError(f"user metric must be {{\"entries\": {n}x{n} expression trees}}, got {spec!r}")
-    return MetricField(n, [[expr.build_field(entries[j][k], n, name=f"g[{j}{k}]")
-                            for k in range(n)] for j in range(n)], name="user_metric")
-
-
 def _user_domain(params, metric):
     try:
         n = int(params["n"])
@@ -96,7 +87,7 @@ def _user_domain(params, metric):
     if box.shape != (2 * n, 2):
         raise ValueError(f"user chart box must have shape ({2 * n}, 2), got {box.shape}")
     r = expr.build_field(tree, n, name="user_r")
-    metric = MetricField.euclidean(n) if metric == "euclidean" else _user_metric(metric, n)
+    metric = resolve_metric(metric, n, "user", {})
     return DomainSpec(name="user", n=n, r=r, metric=metric, box=box,
                       interior_point=interior, params=dict(params))
 
@@ -116,31 +107,24 @@ def parse_domain_key(key):
     return name, args
 
 
-# metric names each registry key implements
-_METRICS = {"ball": ("euclidean",), "ellipsoid": ("euclidean",),
-            "worm": ("euclidean", "worm_kahler"), "user": ("euclidean",)}
-
-
 def make_domain(key, metric="euclidean", **params):
     """Instantiate a registered domain.
 
     ``key`` is one of ``ball``, ``ellipsoid(a1..an)``, ``worm(gamma)``, or
     ``user``; parenthesized numbers may also be given through ``params``.
-    ``metric`` names a metric the key implements (see ``_METRICS``); a
-    ``user`` domain also takes a metric spec ``{"entries": [[tree, ..], ..]}``.
+    ``metric`` is a spec of :func:`~dfindex.geometry.resolve_metric`: a
+    metric name the key implements ("euclidean" on every key, "worm_kahler"
+    on a worm) or ``{"entries": [[tree, ..], ..]}``.
     """
     name, args = parse_domain_key(key) if isinstance(key, str) else (key, [])
-    if (name in _METRICS and metric not in _METRICS[name]
-            and not (name == "user" and isinstance(metric, dict))):
-        raise ValueError(f"{name} supports metrics {list(_METRICS[name])}, got {metric!r}")
     if name == "ball":
         n = int(args[0]) if args else int(params.get("n", 2))
-        return ball_domain(n=n, signed=bool(params.get("signed", False)))
+        return ball_domain(n=n, signed=bool(params.get("signed", False)), metric=metric)
     if name == "ellipsoid":
         axes = args or params.get("axes")
         if not axes:
             raise ValueError("ellipsoid needs axes: ellipsoid(a1,..,an)")
-        return ellipsoid_domain(axes)
+        return ellipsoid_domain(axes, metric=metric)
     if name == "worm":
         gamma = args[0] if args else params.get("gamma")
         if gamma is None:

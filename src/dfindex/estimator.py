@@ -100,15 +100,18 @@ def _chebyshev_jets(u, degree):
     return out[: degree + 1]
 
 
-def _soft_clamp(u, width=0.005):
-    """Identity on |u| <= 1, saturating smoothly to +-(1 + width) outside.
+_CLAMP_WIDTH = 0.005   # how far past |u| = 1 the soft clamp saturates
+
+
+def _soft_clamp(u):
+    """Identity on |u| <= 1, saturating smoothly to +-(1 + _CLAMP_WIDTH) outside.
 
     Twice continuously differentiable at the junction; keeps Chebyshev
     basis fields bounded on the whole chart so a certified h stays tame far
     from the constraint sites.
     """
     def saturate(sgn):
-        return lambda x: sgn * (1.0 + width * jets.tanh((x * sgn - 1.0) * (1.0 / width)))
+        return lambda x: sgn * (1.0 + _CLAMP_WIDTH * jets.tanh((x * sgn - 1.0) * (1.0 / _CLAMP_WIDTH)))
 
     v = np.real(u.value)
     return jets.branch(np.abs(v) <= 1.0, lambda x: x,

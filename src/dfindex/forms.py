@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 NO_CONSTRAINT = np.inf    # what a null-site evaluator gives at a point without a null direction
+_PATCH_GRID, _PATCH_TOL = 5, 1e-9   # parameter grid and |r| bound of SubmanifoldPatch.validate
+_LOOP_SEGMENTS = 96       # quadrature edges of loop_alpha_integral
+_FD_STEP = 1e-4           # central-difference step of beta_weak_residual
 
 
 def alpha(fr, v):
@@ -125,22 +128,22 @@ def beta_mixed_nullspace(fr, zvec, wvec):
     return _per_point(out)
 
 
-def _null_points(fr, zvec, tol=1e-6):
+def _null_points(fr, zvec):
     """Levi data and the mask of points with a null direction, where Z is checked to be null."""
     ld = levi_data(fr)
     null = np.any(ld.null, axis=-1)
-    ld.check_null(CTVector.holo(np.where(_col(null), zvec.h, 0.0)), tol)
+    ld.check_null(CTVector.holo(np.where(_col(null), zvec.h, 0.0)))
     return ld, null
 
 
-def _null_site_terms(fr, zvec, tol=1e-6):
+def _null_site_terms(fr, zvec):
     """The null mask of :func:`_null_points`, sum_j |sff(Z, W_j)|^2 and (1/2) <R(Z, Zbar) nu_C, nu_C>."""
-    ld, null = _null_points(fr, zvec, tol)
+    ld, null = _null_points(fr, zvec)
     sff_sum = sum(_abs_sq(fr.hess_r(zvec, wj)) for wj in ld.basis) * fr.norm2(fr.X)
     return null, sff_sum, 0.5 * curvature_contraction(fr.chern(2), zvec, fr.nu_C)
 
 
-def beta_geometric(fr, zvec, null_tol=1e-6):
+def beta_geometric(fr, zvec):
     """-i beta_r(Z, Zbar) from boundary geometry, for Z in the Levi null space:
 
     - (ddbar log|dr|)(Z, Zbar) + sum_j |sff(Z, W_j)|^2
@@ -149,7 +152,7 @@ def beta_geometric(fr, zvec, null_tol=1e-6):
     Returns the real number entering the margin inequalities, and
     NO_CONSTRAINT at a point without a null direction.
     """
-    null, sff_sum, half_curv = _null_site_terms(fr, zvec, null_tol)
+    null, sff_sum, half_curv = _null_site_terms(fr, zvec)
     log_jet = jets.log(fr.grad_norm_jet())
     w2 = np.ascontiguousarray(_lead(wirtinger_table(log_jet, fr.n).mixed_hessian, 2))
     log_term = np.real(_pair(zvec.h, w2, zvec.h.conj()))
@@ -176,20 +179,20 @@ class SubmanifoldPatch:
     u_range: tuple
     v_range: tuple
 
-    def validate(self, grid=5, tol_bnd=1e-9):
+    def validate(self):
         """Check that the patch lies in the boundary and del r annihilates its tangent.
 
-        The grid x grid parameter points are evaluated on one batch frame;
+        The _PATCH_GRID x _PATCH_GRID parameter points are evaluated on one batch frame;
         the error names the first bad u, u running fastest over Im u.
         """
-        us = _complex(*np.meshgrid(np.linspace(*self.u_range, grid),
-                                   np.linspace(*self.v_range, grid), indexing="ij")).ravel()
+        us = _complex(*np.meshgrid(np.linspace(*self.u_range, _PATCH_GRID),
+                                   np.linspace(*self.v_range, _PATCH_GRID), indexing="ij")).ravel()
         fr = NormalFrame(self.domain, self.chart(us), r_order=2)
         rv = fr.table(2).value
         t = np.asarray(self.tangent(us), dtype=complex)
         tangent_off = np.abs(_dot(fr.u, t)) > 1e-8 * (1.0 + np.max(np.abs(t), axis=-1))
         for k, u in enumerate(us):
-            if abs(np.real(rv[k])) > tol_bnd:
+            if abs(np.real(rv[k])) > _PATCH_TOL:
                 raise ValueError(f"patch leaves the boundary at u = {u}: r = {rv[k]}")
             if tangent_off[k]:
                 raise ValueError(f"patch tangent not annihilated by del r at u = {u}")
@@ -287,11 +290,10 @@ def pullback_alpha_dclosed(domain, patch, grid=(32, 32)):
     return max_circulation_density(_alpha_on_patch(domain, patch), patch, grid)
 
 
-def loop_alpha_integral(domain, patch, u_fixed=0.0, v_span=(0.0, 2.0 * np.pi), segments=96):
-    """Line integral of the pulled-back alpha along u = const, v in v_span."""
-    vs = np.linspace(*v_span, segments + 1)
-    edges = _edge_integrals(_alpha_on_patch(domain, patch),
-                            _complex(u_fixed, vs[:-1]), _complex(u_fixed, vs[1:]))
+def loop_alpha_integral(domain, patch):
+    """Line integral of the pulled-back alpha along Re u = 0, Im u in [0, 4 pi] (arg z_2 once around)."""
+    vs = np.linspace(0.0, 4.0 * np.pi, _LOOP_SEGMENTS + 1)
+    edges = _edge_integrals(_alpha_on_patch(domain, patch), _complex(0.0, vs[:-1]), _complex(0.0, vs[1:]))
     return sum(edges)
 
 
@@ -299,7 +301,7 @@ def loop_alpha_integral(domain, patch, u_fixed=0.0, v_span=(0.0, 2.0 * np.pi), s
 # weak identity beta = -(i/2)(d'alpha - d''alpha), finite-difference route
 # ----------------------------------------------------------------------
 
-def beta_weak_residual(fr, zvec, wvec, step=1e-4):
+def beta_weak_residual(fr, zvec, wvec):
     """Residuals of beta against grid-differentiated alpha.
 
     Computes d alpha by central differences of the component functions
@@ -309,14 +311,14 @@ def beta_weak_residual(fr, zvec, wvec, step=1e-4):
     """
     n = fr.n
     x0 = real_coords(fr.z)
-    shift = step * np.eye(2 * n)
+    shift = _FD_STEP * np.eye(2 * n)
     # A_j at x0 + step e_i (rows 0..2n-1) and x0 - step e_i (rows 2n..4n-1) on one frame
     stencil = NormalFrame(fr.domain, complex_point(np.concatenate([x0 + shift, x0 - shift])),
                           r_order=2)
     eye = np.eye(n, dtype=complex)
     comps = np.stack([alpha(stencil, CTVector.holo(np.broadcast_to(eye[j], (4 * n, n))))
                       for j in range(n)], axis=-1)
-    da = (comps[: 2 * n] - comps[2 * n :]) / (2 * step)  # real-direction derivatives of A_j
+    da = (comps[: 2 * n] - comps[2 * n :]) / (2 * _FD_STEP)  # real-direction derivatives of A_j
     dz_a = 0.5 * (da[:n] - 1j * da[n:])      # d A_j / dz_k  -> [k, j]
     dzbar_a = 0.5 * (da[:n] + 1j * da[n:])   # d A_j / dzbar_k -> [k, j]
 

@@ -29,13 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarField, _points, dz_jet, seed_coordinate_jets, wirtinger_table
-from .jets import Jet, _elementwise, branch
+from . import expr
+from .fields import _points, dz_jet, seed_coordinate_jets, wirtinger_table
+from .jets import Jet, _elementwise, branch, exp
 
 __all__ = [
     "CTVector",
     "MetricError",
     "MetricField",
+    "resolve_metric",
     "VectorField",
     "chern_frame",
     "metric_compat_residual",
@@ -155,53 +157,79 @@ def norm2(g, v):
 # ----------------------------------------------------------------------
 
 class MetricField:
-    """Hermitian metric given by entry fields g[j][k] = <d/dz_j, d/dz_k>."""
+    """Hermitian metric from one evaluator of its entry matrix.
 
-    def __init__(self, n, entries, name="metric"):
+    ``fn(zs)`` maps coordinate jets (at one point or a batch) to the n x n
+    nested list of entry jets g[j][k] = <d/dz_j, d/dz_k>, so subexpressions
+    shared by several entries are computed once per evaluation.
+    """
+
+    def __init__(self, n, fn, name="metric"):
         self.n = n
-        self.entries = entries
+        self.fn = fn
         self.name = name
 
     @classmethod
-    def euclidean(cls, n, scale=1.0):
-        def make(j, k):
-            v = scale if j == k else 0.0
-            return ScalarField(n, lambda zs, v=v: Jet.constant(v, 2 * n, zs[0].order), f"delta[{j}{k}]")
+    def euclidean(cls, n):
+        def fn(zs):
+            return [[Jet.constant(1.0 if j == k else 0.0, 2 * n, zs[0].order) for k in range(n)]
+                    for j in range(n)]
 
-        return cls(n, [[make(j, k) for k in range(n)] for j in range(n)], name="euclidean")
+        return cls(n, fn, name="euclidean")
 
     @classmethod
     def conformal(cls, n, u_field, name="conformal"):
         """e^u times the euclidean metric; ``u_field.fn`` consumes coordinate jets."""
 
-        def make(j, k):
-            if j != k:
-                return ScalarField(n, lambda zs: Jet.constant(0.0, 2 * n, zs[0].order), "0")
-            return ScalarField(n, lambda zs: _exp_of(u_field, zs), f"e^u[{j}{j}]")
+        def fn(zs):
+            e_u, zero = exp(u_field.fn(zs)), Jet.constant(0.0, 2 * n, zs[0].order)
+            return [[e_u if j == k else zero for k in range(n)] for j in range(n)]
 
-        from . import jets as _j
-
-        def _exp_of(uf, zs):
-            return _j.exp(uf.fn(zs))
-
-        return cls(n, [[make(j, k) for k in range(n)] for j in range(n)], name=name)
+        return cls(n, fn, name=name)
 
     def jets(self, z, order):
         """(n, n) nested list of entry jets sharing one coordinate seed (at one point or a batch)."""
         zs = seed_coordinate_jets(z, order)
         batch = zs[0].shape
-        return [[self.entries[j][k].fn(zs).broadcast(batch) for k in range(self.n)]
-                for j in range(self.n)]
+        return [[entry.broadcast(batch) for entry in row] for row in self.fn(zs)]
 
     def matrix(self, z, tol=1e-12):
         """Hermitian matrix at one point (n, n), or stacked over a batch of points (B, n, n)."""
-        zs = seed_coordinate_jets(z, 0)
-        m = np.empty(zs[0].shape + (self.n, self.n), dtype=complex)
-        for j in range(self.n):
-            for k in range(self.n):
-                m[..., j, k] = self.entries[j][k].fn(zs).value
+        m = _values(self.jets(z, 0))
         mh = _check_hermitian(m, self.name, z, tol)
         return 0.5 * (m + mh)
+
+
+def _values(mjets):
+    """The values of an (n, n) nested list of entry jets: (n, n), or (B, n, n) over a batch.
+
+    The stack is C-contiguous, as each one-point matrix is: a strided view
+    can round a matrix product differently.
+    """
+    stack = np.array([[e.value for e in row] for row in mjets], dtype=complex)
+    return np.ascontiguousarray(np.moveaxis(stack, (0, 1), (-2, -1)))
+
+
+def resolve_metric(spec, n, key, named):
+    """The metric a spec names on a domain of registry key ``key`` in C^n.
+
+    A spec is a metric name or ``{"entries": n x n expression trees}`` for
+    g_{j kbar} (see :mod:`dfindex.expr`).  "euclidean" names the metric
+    <d/dz_j, d/dz_k> = delta_jk on every key; ``named`` maps the key's own
+    metric names to builders, called only for the name asked for.
+    """
+    builders = {"euclidean": lambda: MetricField.euclidean(n), **named}
+    if isinstance(spec, dict):
+        entries = spec.get("entries")
+        if not (isinstance(entries, list) and len(entries) == n
+                and all(isinstance(row, list) and len(row) == n for row in entries)):
+            raise ValueError(f"metric spec must be {{\"entries\": {n}x{n} expression trees}}, got {spec!r}")
+        fields = [[expr.build_field(tree, n, name=f"g[{j}{k}]") for k, tree in enumerate(row)]
+                  for j, row in enumerate(entries)]
+        return MetricField(n, lambda zs: [[f.fn(zs) for f in row] for row in fields], name="user_metric")
+    if isinstance(spec, str) and spec in builders:
+        return builders[spec]()
+    raise ValueError(f"{key} supports metrics {list(builders)}, got {spec!r}")
 
 
 def _check_hermitian(m, name, z, tol=1e-12):
@@ -360,11 +388,8 @@ def chern_frame(metric, z, order=2, mjets=None):
     n = metric.n
     if mjets is None:
         mjets = metric.jets(z, order)
-    batch = mjets[0][0].shape
-    g = np.empty(batch + (n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            g[..., j, k] = mjets[j][k].value
+    g = _values(mjets)
+    batch = g.shape[:-2]
     _check_hermitian(g, metric.name, z)
 
     minv_jets = jet_matrix_inverse(mjets)
@@ -385,12 +410,7 @@ def chern_frame(metric, z, order=2, mjets=None):
                     dgamma_h[..., :, i, j, k] = w1[..., :n]
                     dgamma_a[..., :, i, j, k] = w1[..., n:]
 
-    dG_h = np.zeros(batch + (n, n, n), dtype=complex)
-    for pidx in range(n):
-        for j in range(n):
-            for k in range(n):
-                dG_h[..., pidx, j, k] = dz_jet(mjets[j][k], pidx, n).value
-
+    dG_h = np.stack([_values(dm[p]) for p in range(n)], axis=-3)
     return ChernFrame(z=z, n=n, g=g, gamma=gamma,
                       dgamma_h=dgamma_h, dgamma_a=dgamma_a, dG_h=dG_h)
 
@@ -477,7 +497,7 @@ def curvature_contraction(frame, zvec, v, tol=1e-9):
     """<R(Z, Zbar)V, V> for a (1,0) vector Z; real by Hermitian symmetry."""
     rv = curvature(frame, CTVector.holo(zvec.h), CTVector.anti(zvec.h.conj()), v)
     val = inner(frame.g, rv, v)
-    off = np.abs(np.imag(val)) > tol * (1.0 + np.abs(np.real(val)))
+    off = ~(np.abs(np.imag(val)) <= tol * (1.0 + np.abs(np.real(val))))   # a NaN value fails
     if np.any(off):
         raise MetricError(f"curvature contraction not real: {np.asarray(val)[off][0]}")
     return _per_point(np.real(val))

@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from . import jets
 from .boundary import BoundaryPoint, DomainSpec
 from .fields import ChartDomainError, ScalarField
-from .geometry import MetricField
+from .geometry import MetricField, resolve_metric
 
 __all__ = [
     "WormParams",
@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 _U_MAX = 1e8
+_POSITIVITY_FLOOR = 1e-3    # smallest sampled eigenvalue a worm Kaehler metric must reach
+_SAMPLE_SEED, _SAMPLE_COUNT = 1234, 300   # the sample of that positivity scan
+_DOUBLINGS = 30             # doublings of s the scan tries
 
 
 @dataclass
@@ -130,7 +133,10 @@ def _log_abs2(z2):
 
 
 def worm_domain(params, metric="euclidean", name=None):
-    """Worm domain as a DomainSpec; ``metric`` is "euclidean" or "worm_kahler"."""
+    """Worm domain as a DomainSpec; ``metric`` is a spec of :func:`~dfindex.geometry.resolve_metric`.
+
+    The worm's own metric name is "worm_kahler" (:func:`worm_metric`).
+    """
     if not isinstance(params, WormParams):
         params = WormParams(**params)
     r2_hi = 1.05 * math.exp(params.x_max / 2.0)
@@ -153,15 +159,10 @@ def worm_domain(params, metric="euclidean", name=None):
     if r2_lo <= 0.0:
         raise ValueError("chart box touches the removed fiber z_2 = 0")
 
-    if metric == "euclidean":
-        metric_field = MetricField.euclidean(2)
-    elif metric == "worm_kahler":
-        metric_field = worm_metric(params)
-    else:
-        raise ValueError(f"unknown worm metric {metric!r}")
-
+    metric_field = resolve_metric(metric, 2, "worm", {"worm_kahler": lambda: worm_metric(params)})
+    label = metric if isinstance(metric, str) else metric_field.name
     return DomainSpec(
-        name=name or f"worm(gamma={params.gamma:g}, metric={metric})",
+        name=name or f"worm(gamma={params.gamma:g}, metric={label})",
         n=2,
         r=r_field,
         metric=metric_field,
@@ -170,87 +171,61 @@ def worm_domain(params, metric="euclidean", name=None):
         min_abs_coord={1: r2_lo},
         # deterministic clustered nodes serve every seed identically
         special_sampler=lambda count, seed: sgamma_points(params, count, spread=0.99),
-        params={"gamma": params.gamma, "worm": params, "metric_key": metric},
+        params={"gamma": params.gamma, "worm": params},
     )
 
 
-def worm_metric(params, positivity_floor=1e-3, seed=1234):
+def worm_metric(params):
     """Kaehler metric of the worm family with entries per the expanded form.
 
     g_11 = f(x), g_21 = (z1/z2) f'(x), g_12 = conj, and
     g_22 = |z1|^2/|z2|^2 f''(x) + s/|z2|^2 with x = log|z_2|^2.  When ``s``
     is unset it is chosen by doubling from 1 until the smallest eigenvalue
     sampled over a neighborhood of the closed domain clears
-    ``positivity_floor``; an explicit too-small ``s`` raises with the
-    minimal passing value.
+    ``_POSITIVITY_FLOOR``; an explicit too-small ``s`` raises with the
+    minimal passing value found by doubling from it.
     """
-    if not isinstance(params, WormParams):
-        params = WormParams(**params)
-
     def entries_for(s_value):
-        def g11(zs):
-            f, _, _ = _f_jets(_log_abs2(zs[1]), params)
-            return f
+        def fn(zs):
+            z1, z2 = zs
+            f, f1, f2 = _f_jets(_log_abs2(z2), params)
+            inv = jets.abs2(z2).reciprocal()
+            return [[f, (z1.conj() / z2.conj()) * f1],
+                    [(z1 / z2) * f1, jets.abs2(z1) * inv * f2 + s_value * inv]]
 
-        def g21(zs):
-            _, f1, _ = _f_jets(_log_abs2(zs[1]), params)
-            return (zs[0] / zs[1]) * f1
+        return fn
 
-        def g12(zs):
-            _, f1, _ = _f_jets(_log_abs2(zs[1]), params)
-            return (zs[0].conj() / zs[1].conj()) * f1
+    # neighborhood of the closed domain: |z1| <= 2.05, log|z2|^2 within
+    # the reach of lambda < 1 plus padding
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    xs = rng.uniform(-params.x_max - 0.05, params.x_max + 0.05, size=_SAMPLE_COUNT)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(_SAMPLE_COUNT, 2))
+    radii = 2.05 * np.sqrt(rng.random(_SAMPLE_COUNT))
+    sample = np.stack([radii * np.exp(1j * angles[:, 0]),
+                       np.exp(xs / 2.0) * np.exp(1j * angles[:, 1])], axis=1)
 
-        def g22(zs):
-            _, _, f2 = _f_jets(_log_abs2(zs[1]), params)
-            inv = jets.abs2(zs[1]).reciprocal()
-            return jets.abs2(zs[0]) * inv * f2 + s_value * inv
-
-        mk = lambda fn, tag: ScalarField(2, fn, name=tag)
-        return [[mk(g11, "g11"), mk(g12, "g12")], [mk(g21, "g21"), mk(g22, "g22")]]
-
-    def closure_points(count):
-        # neighborhood of the closed domain: |z1| <= 2.05, log|z2|^2 within
-        # the reach of lambda < 1 plus padding
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-params.x_max - 0.05, params.x_max + 0.05, size=count)
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=(count, 2))
-        radii = 2.05 * np.sqrt(rng.random(count))
-        z2 = np.exp(xs / 2.0) * np.exp(1j * angles[:, 1])
-        z1 = radii * np.exp(1j * angles[:, 0])
-        return np.stack([z1, z2], axis=1)
-
-    sample = closure_points(300)
-
-    def min_eig(s_value):
-        m = MetricField(2, entries_for(s_value), name=f"omega_worm(s={s_value:g})")
+    # one scan: s itself (1 when unset), then doublings of max(s, 1)
+    s_try = 1.0 if params.s is None else params.s
+    indefinite = []
+    for _ in range(_DOUBLINGS + 1):
+        m = MetricField(2, entries_for(s_try), name=f"omega_worm(s={s_try:g})")
         # one batch over the sample; a NaN eigenvalue makes the sample fail
         worst = float(np.min(np.linalg.eigvalsh(m.matrix(sample))[:, 0]))
-        return m, worst
-
-    if params.s is not None:
-        m, worst = min_eig(params.s)
-        if worst < positivity_floor:
-            s_try = max(params.s, 1.0)
-            for _ in range(30):
-                s_try *= 2.0
-                _, w2 = min_eig(s_try)
-                if w2 >= positivity_floor:
-                    break
-            raise ValueError(
-                f"s = {params.s} leaves the worm metric indefinite "
-                f"(min eigenvalue {worst:.3e}); minimal passing s found by doubling: {s_try}"
-            )
-        return m
-
-    s_try = 1.0
-    for _ in range(30):
-        m, worst = min_eig(s_try)
-        if worst >= positivity_floor:
-            params.s = s_try
-            return m
-        s_try *= 2.0
-    raise ValueError(f"no positive-definite s found by doubling at t = {params.t:g}; "
-                     "raise t (domain_params.t)")
+        if worst >= _POSITIVITY_FLOOR:
+            break
+        indefinite.append(worst)
+        s_try = 2.0 * max(s_try, 1.0)
+    else:
+        raise ValueError(f"no positive-definite s found by doubling at t = {params.t:g}; "
+                         "raise t (domain_params.t)")
+    if params.s is None:
+        params.s = s_try
+    elif indefinite:
+        raise ValueError(
+            f"s = {params.s} leaves the worm metric indefinite "
+            f"(min eigenvalue {indefinite[0]:.3e}); minimal passing s found by doubling: {s_try}"
+        )
+    return m
 
 
 # ----------------------------------------------------------------------

@@ -368,18 +368,11 @@ def test_random_field_batch_matches_one_point():
 
 def pivoting_metric():
     """Hermitian metric whose first pivot row is 0 where Re z1 > 0 and 1 where Re z1 < -0.3."""
-    def entry(j, k):
-        def fn(zs):
-            if (j, k) == (0, 0):
-                return jets.exp(zs[0].real() * 0.8)
-            if (j, k) == (1, 1):
-                return jets.abs2(zs[1]) + 4.0
-            c = zs[1] * 0.2 + 1.0
-            return c if (j, k) == (0, 1) else c.conj()
+    def fn(zs):
+        c = zs[1] * 0.2 + 1.0
+        return [[jets.exp(zs[0].real() * 0.8), c], [c.conj(), jets.abs2(zs[1]) + 4.0]]
 
-        return ScalarField(2, fn, name=f"g[{j}{k}]")
-
-    return MetricField(2, [[entry(j, k) for k in range(2)] for j in range(2)], name="pivoting")
+    return MetricField(2, fn, name="pivoting")
 
 
 def _chern_rows(frame):

@@ -19,7 +19,7 @@ from dfindex.boundary import (
     transport_along_normal,
 )
 from dfindex.fields import ChartDomainError, ScalarField
-from dfindex.geometry import CTVector, MetricField
+from dfindex.geometry import CTVector, MetricError, MetricField, curvature_contraction
 from dfindex.worm import WormParams, sgamma_points, worm_domain
 
 
@@ -132,6 +132,44 @@ def test_check_null_fails_a_nan_direction(ball):
     zero[1, 0] = np.nan
     with pytest.raises(ValueError, match=r"null space at \[0\.\+0\.j 1\.\+0\.j\]"):
         batch.check_null(CTVector.holo(zero))
+
+
+def _ball_rows_with_tangents():
+    """Three ball points and a (1,0) tangent Z = (conj z2, -conj z1) at each."""
+    points = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8j]], dtype=complex)
+    return points, np.stack([points[:, 1].conj(), -points[:, 0].conj()], axis=1)
+
+
+def test_sff_tangency_guard_fails_a_nan_direction(ball):
+    fr = normal_frame(ball, np.array([1.0, 0.0], dtype=complex))
+    tangent, nan = CTVector.holo([0.0, 1.0]), CTVector.holo([np.nan, 0.0])
+    assert np.all(np.isfinite(second_fundamental_form(fr, tangent, tangent).coeffs))
+    with pytest.raises(ValueError, match="X is not tangent at"):
+        second_fundamental_form(fr, nan, tangent)
+    # a NaN in Y also makes the shared scale NaN, so the check of X already fails
+    with pytest.raises(ValueError, match="is not tangent at"):
+        second_fundamental_form(fr, tangent, nan)
+    # a batch: tangent rows pass, a NaN in one row fails that row
+    points, zs = _ball_rows_with_tangents()
+    batch = normal_frame(ball, points)
+    assert np.all(np.isfinite(second_fundamental_form(batch, CTVector.holo(zs), CTVector.holo(zs)).coeffs))
+    zs[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"X is not tangent at \[0\.\+0\.j 1\.\+0\.j\]"):
+        second_fundamental_form(batch, CTVector.holo(zs), CTVector.holo(points * 0.0))
+
+
+def test_curvature_contraction_guard_fails_a_nan_direction(ball):
+    fr = normal_frame(ball, np.array([1.0, 0.0], dtype=complex))
+    assert curvature_contraction(fr.chern(2), CTVector.holo([0.0, 1.0]), fr.nu_C) == 0.0
+    with pytest.raises(MetricError, match="curvature contraction not real"):
+        curvature_contraction(fr.chern(2), CTVector.holo([np.nan, 0.0]), fr.nu_C)
+    # a batch: finite rows pass, a NaN in one row fails
+    points, zs = _ball_rows_with_tangents()
+    batch = normal_frame(ball, points)
+    assert np.all(curvature_contraction(batch.chern(2), CTVector.holo(zs), batch.nu_C) == 0.0)
+    zs[1, 0] = np.nan
+    with pytest.raises(MetricError, match="curvature contraction not real"):
+        curvature_contraction(batch.chern(2), CTVector.holo(zs), batch.nu_C)
 
 
 def test_second_fundamental_form_contract(ball, rng):

@@ -242,20 +242,24 @@ def _const(value):
 
 
 def test_user_domain_with_custom_metric(tmp_path):
+    # an entries spec works on every registry key, the user key included
     doubled = {"entries": [[_const(2.0), _const(0.0)], [_const(0.0), _const(2.0)]]}
-    eigs = {}
-    for label, metric in (("euclidean", None), ("doubled", doubled)):
-        cfg_path = tmp_path / f"{label}.json"
-        cfg_path.write_text(json.dumps({"domain": "user", "domain_params": _user_params(metric)}))
-        out = tmp_path / label
-        assert run_cli(["levi", "--config", str(cfg_path), "--samples", "3", "--out", str(out)]) == 0
-        report = json.loads((out / "levi.json").read_text())
-        eigs[label] = [r["levi_eigenvalues"][0] for r in report["records"]]
-    # g = 2 delta halves the Levi eigenvalues on unit tangent vectors
-    assert eigs["doubled"] == pytest.approx([0.5 * e for e in eigs["euclidean"]], rel=1e-9)
-    # a metric name next to a metric spec is ambiguous
-    assert run_cli(["levi", "--config", str(cfg_path), "--metric", "worm_kahler",
-                    "--out", str(out)]) == 2
+    for domain in ("ball", "ellipsoid(1,2)", f"worm({math.pi!r})", "user"):
+        base = _user_params() if domain == "user" else {}
+        eigs = {}
+        for label, metric in (("euclidean", None), ("doubled", doubled)):
+            params = base if metric is None else dict(base, metric=metric)
+            cfg_path = tmp_path / f"{label}.json"
+            cfg_path.write_text(json.dumps({"domain": domain, "domain_params": params}))
+            out = tmp_path / label
+            assert run_cli(["levi", "--config", str(cfg_path), "--samples", "3", "--out", str(out)]) == 0
+            report = json.loads((out / "levi.json").read_text())
+            eigs[label] = [r["levi_eigenvalues"][0] for r in report["records"]]
+        # g = 2 delta halves the Levi eigenvalues on unit tangent vectors
+        assert eigs["doubled"] == pytest.approx([0.5 * e for e in eigs["euclidean"]], rel=1e-9), domain
+        # a metric name next to a metric spec is ambiguous
+        assert run_cli(["levi", "--config", str(cfg_path), "--metric", "worm_kahler",
+                        "--out", str(out)]) == 2
 
 
 @pytest.mark.parametrize("metric", [

@@ -1,11 +1,18 @@
+import json
 import math
+import re
 
+import numpy as np
+import pytest
+
+from dfindex import cli, diagnostics, jets
 from dfindex.diagnostics import (
-    _corrupted_metric_check,
+    CheckRecord,
     boundary_suite,
     jets_suite,
     riccati_suite,
 )
+from dfindex.geometry import MetricError, MetricField
 
 
 def test_jets_suite_deterministic_pass_pattern():
@@ -30,16 +37,32 @@ def test_riccati_suite_passes():
         assert rec.passed, rec.name
 
 
-def test_injected_nonhermitian_metric_fails_invariant():
-    records = _corrupted_metric_check()
-    assert len(records) == 1
-    assert not records[0].passed
-    assert "rejected" in records[0].detail
+def test_nonhermitian_metric_matrix_names_the_first_bad_point():
+    def fn(zs):
+        one, zero = (jets.Jet.constant(v, 4, zs[0].order) for v in (1.0, 0.0))
+        # g_01 = 0.05 Re z1 against g_10 = 0: Hermitian only where Re z1 = 0
+        return [[one, zs[0].real() * 0.05], [zero, one]]
+
+    skewed = MetricField(2, fn, name="skewed")
+    points = np.array([[0.0, 0.0], [0.5, 0.2j], [1.0, 0.0]], dtype=complex)
+    assert np.array_equal(skewed.matrix(points[0]), np.eye(2))
+    for z in (points[1], points):
+        with pytest.raises(MetricError, match=re.escape(f"metric 'skewed' not Hermitian at {points[1]}")):
+            skewed.matrix(z)
+
+
+def test_selftest_command_exits_1_on_a_failing_check(tmp_path, monkeypatch):
+    assert cli.main(["selftest", "--out", str(tmp_path / "pass")]) == 0
+    summary = json.loads((tmp_path / "pass" / "selftest.json").read_text())["summary"]
+    assert summary["passed"] and summary["n_checks"] == 45
+    failing = CheckRecord(suite="injected", name="always_fails", passed=False, residual=1.0, tol=0.0)
+    monkeypatch.setattr(diagnostics, "run_all", lambda: [failing])
+    assert cli.main(["selftest", "--out", str(tmp_path / "fail")]) == 1
+    summary = json.loads((tmp_path / "fail" / "selftest.json").read_text())["summary"]
+    assert summary["failed"] == ["injected/always_fails"] and not summary["passed"]
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
-    from dfindex import diagnostics
-
     real = diagnostics.vectorfield_margin
     calls = []
 
@@ -54,8 +77,6 @@ def test_nan_residual_fails_its_check(monkeypatch):
 
 
 def test_curvature_contraction_that_is_not_real_fails_its_check(monkeypatch):
-    from dfindex import diagnostics
-
     real = diagnostics.curvature
 
     def with_anti_hermitian_part(frame, x, y, v):
