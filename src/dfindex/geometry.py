@@ -233,12 +233,17 @@ def resolve_metric(spec, n, key, named):
 
 
 def _check_hermitian(m, name, z, tol=1e-12):
-    """The conjugate transpose of ``m`` (one matrix or a stack); raises unless each is Hermitian."""
+    """The conjugate transpose of ``m`` (one matrix or a stack); raises unless each is Hermitian.
+
+    A NaN entry fails the check, except at a point with a NaN coordinate:
+    such a point lies outside every chart and its NaN values pass through.
+    """
+    z = np.asarray(z)
     mh = np.swapaxes(m.conj(), -1, -2)
     herm = np.max(np.abs(m - mh), axis=(-2, -1))
-    bad = herm > tol * (1.0 + np.max(np.abs(m), axis=(-2, -1)))
+    bad = ~(herm <= tol * (1.0 + np.max(np.abs(m), axis=(-2, -1)))) & ~np.any(np.isnan(z), axis=-1)
     if np.any(bad):
-        at, defect = np.asarray(z)[bad][0], herm[bad][0]
+        at, defect = z[bad][0], herm[bad][0]
         raise MetricError(f"metric {name!r} not Hermitian at {at} (defect {defect:.3e})")
     return mh
 

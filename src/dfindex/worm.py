@@ -4,6 +4,8 @@ The family is the executable ground truth for the whole engine: every frame,
 curvature, and margin quantity has a closed form on the Levi-degenerate
 annulus ``S = {z_1 = 0, |log|z_2|^2| < gamma - pi/2}``, and the 1-D Riccati
 reduction of the boundary inequality reproduces the known index pi/(2 gamma).
+Its Riccati shooting integrates through ``boundary._rk45``, so SciPy loads
+on the first shooting, not with this module.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import jets
-from .boundary import BoundaryPoint, DomainSpec
+from .boundary import BoundaryPoint, DomainSpec, _rk45
 from .fields import ChartDomainError, ScalarField
-from .geometry import MetricField, resolve_metric
+from .geometry import MetricError, MetricField, resolve_metric
 
 __all__ = [
     "WormParams",
@@ -137,8 +138,6 @@ def worm_domain(params, metric="euclidean", name=None):
 
     The worm's own metric name is "worm_kahler" (:func:`worm_metric`).
     """
-    if not isinstance(params, WormParams):
-        params = WormParams(**params)
     r2_hi = 1.05 * math.exp(params.x_max / 2.0)
     r2_lo = 0.95 * math.exp(-params.x_max / 2.0)
 
@@ -209,8 +208,10 @@ def worm_metric(params):
     indefinite = []
     for _ in range(_DOUBLINGS + 1):
         m = MetricField(2, entries_for(s_try), name=f"omega_worm(s={s_try:g})")
-        # one batch over the sample; a NaN eigenvalue makes the sample fail
-        worst = float(np.min(np.linalg.eigvalsh(m.matrix(sample))[:, 0]))
+        try:    # one batch over the sample
+            worst = float(np.min(np.linalg.eigvalsh(m.matrix(sample))[:, 0]))
+        except MetricError:     # a NaN entry: the trial fails like an indefinite one
+            worst = math.nan
         if worst >= _POSITIVITY_FLOOR:
             break
         indefinite.append(worst)
@@ -251,8 +252,6 @@ class SGammaReference:
 
 
 def s_gamma_reference(params, z2):
-    if not isinstance(params, WormParams):
-        params = WormParams(**params)
     z2 = complex(z2)
     x = math.log(abs(z2) ** 2)
     if abs(x) >= params.a:
@@ -280,8 +279,6 @@ def sgamma_points(params, count, spread=0.97):
     interval (Chebyshev nodes) where the reduced inequality is binding;
     angles advance by the golden angle so the points are pairwise distinct.
     """
-    if not isinstance(params, WormParams):
-        params = WormParams(**params)
     half = spread * params.a
     xs = half * np.cos(np.pi * (2.0 * np.arange(count) + 1.0) / (2.0 * count))
     golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -345,8 +342,8 @@ def _shoot(k, a):
 
     blow_up.terminal = True
     blow_up.direction = 1.0
-    return solve_ivp(rhs, (0.0, a), [0.0], method="RK45", rtol=1e-10, atol=1e-12,
-                     events=blow_up, dense_output=True, max_step=a / 50.0)
+    return _rk45(rhs, (0.0, a), [0.0], 1e-10, 1e-12,
+                 events=blow_up, dense_output=True, max_step=a / 50.0)
 
 
 @functools.cache

@@ -12,7 +12,7 @@ from dfindex.diagnostics import (
     jets_suite,
     riccati_suite,
 )
-from dfindex.geometry import MetricError, MetricField
+from dfindex.geometry import MetricError, MetricField, chern_frame
 
 
 def test_jets_suite_deterministic_pass_pattern():
@@ -49,6 +49,22 @@ def test_nonhermitian_metric_matrix_names_the_first_bad_point():
     for z in (points[1], points):
         with pytest.raises(MetricError, match=re.escape(f"metric 'skewed' not Hermitian at {points[1]}")):
             skewed.matrix(z)
+
+
+def test_nan_entry_is_not_hermitian_at_a_chart_point():
+    def fn(zs):
+        one, zero, nan = (jets.Jet.constant(v, 4, zs[0].order) for v in (1.0, 0.0, math.nan))
+        return [[one, nan], [zero, one]]     # g_01 = NaN against g_10 = 0
+
+    skewed = MetricField(2, fn, name="skewed")
+    # a point with a NaN coordinate is off the chart: its NaN values pass through
+    points = np.array([[np.nan, 0.0], [0.5, 0.0], [0.0, 0.3j]], dtype=complex)
+    assert np.isnan(skewed.matrix(points[0])[0, 1])
+    message = re.escape(f"metric 'skewed' not Hermitian at {points[1]}")
+    for z in (points[1], points):
+        for evaluate in (skewed.matrix, lambda z: chern_frame(skewed, z)):
+            with pytest.raises(MetricError, match=message):
+                evaluate(z)
 
 
 def test_selftest_command_exits_1_on_a_failing_check(tmp_path, monkeypatch):

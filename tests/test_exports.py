@@ -3,7 +3,12 @@
 import ast
 import importlib
 import inspect
+import json
+import math
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,19 +63,70 @@ def test_dual_bound_is_importable_from_the_package():
     assert dual_bound is estimator_dual_bound
 
 
+def _absolute_imports(nodes):
+    """(node, dotted name) for each absolute import among ``nodes``."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from ((node, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node, node.module
+            yield from ((node, f"{node.module}.{alias.name}") for alias in node.names)
+
+
+def _run_on_import(tree):
+    """The nodes of a module that run when it is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+SOURCES = sorted(Path(dfindex.__file__).parent.glob("*.py"))
+
+
 def test_no_private_scipy_module_is_imported():
     # a private binding (a dotted segment under scipy. that starts with _)
     # can change or vanish in any SciPy release
-    private = []
-    for path in sorted(Path(dfindex.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            private += [f"{path.name}:{node.lineno} {name}" for name in names
-                        if name.split(".")[0] == "scipy"
-                        and any(part.startswith("_") for part in name.split(".")[1:])]
+    private = [f"{path.name}:{node.lineno} {name}" for path in SOURCES
+               for node, name in _absolute_imports(ast.walk(ast.parse(path.read_text())))
+               if name.split(".")[0] == "scipy"
+               and any(part.startswith("_") for part in name.split(".")[1:])]
     assert not private, f"private SciPy imports: {private}"
+
+
+def test_no_module_imports_scipy_on_import():
+    # SciPy loads on the first ODE integration, so a cold start pays for NumPy only
+    eager = [f"{path.name}:{node.lineno} {name}" for path in SOURCES
+             for node, name in _absolute_imports(_run_on_import(ast.parse(path.read_text())))
+             if name.split(".")[0] == "scipy"]
+    assert not eager, f"module-level SciPy imports: {eager}"
+
+
+COLD_START = """
+import json, math, sys
+import dfindex, dfindex.cli
+config, out = sys.argv[1:]
+code = dfindex.cli.main(["estimate", "--config", config, "--out", out])
+after_estimate = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from dfindex.worm import riccati_threshold
+eta = riccati_threshold(math.pi)
+print(json.dumps({"code": code, "after_estimate": after_estimate, "eta": eta,
+                  "after_riccati": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_cold_estimate_loads_no_scipy_until_an_ode_is_integrated(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domain": f"worm({math.pi!r})", "samples": 10, "basis_degree": 8}))
+    src = str(Path(dfindex.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(config), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout.splitlines()[-1])
+    assert facts["code"] == 0
+    assert facts["after_estimate"] == []
+    assert facts["eta"] == pytest.approx(0.5, abs=1e-6)
+    assert facts["after_riccati"]

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from dfindex import worm
 from dfindex.boundary import levi_data, normal_frame, sample_boundary
 from dfindex.geometry import CTVector, curvature_contraction
 from dfindex.worm import (
@@ -57,6 +59,21 @@ def test_metric_profile_derivative_identity(worm_kahler):
 def test_metric_positivity_error_reports_minimal_s():
     with pytest.raises(ValueError, match="minimal passing s"):
         worm_metric(WormParams(gamma=math.pi, t=1.2, s=0.25))
+
+
+def test_metric_positivity_scan_fails_a_nan_trial_and_doubles_s(monkeypatch):
+    real, calls = worm._f_jets, []
+
+    def nan_once(x, params):
+        calls.append(1)
+        f, f1, f2 = real(x, params)
+        return (f * math.nan if len(calls) == 1 else f), f1, f2
+
+    monkeypatch.setattr(worm, "_f_jets", nan_once)
+    message = re.escape("(min eigenvalue nan); minimal passing s found by doubling: 16.0")
+    with pytest.raises(ValueError, match=message):
+        worm_metric(WormParams(gamma=math.pi, t=1.2, s=8.0))
+    assert len(calls) == 2
 
 
 def test_pseudoconvexity_monitor(worm_euclid):
