@@ -2,7 +2,8 @@
 
 A :class:`DomainSpec` couples a defining function (order-3 jets), a metric,
 and a chart box.  :class:`NormalFrame` is the bundle of the dual frame
-``L_r`` / ``X_r`` / unit normals together with cached derivative tables;
+``L_r`` / ``X_r`` / unit normals together with one jet of r and the
+metric's jets, from which it derives the rest on first use;
 :func:`normal_frame` also checks that its points lie on the boundary.
 Every frame evaluator (of the forms, the margins and the boundary geometry)
 takes its frame first, over one point (n,) or a batch of points (B, n): one
@@ -23,6 +24,7 @@ Everything here is pure given ``(domain, seed)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .geometry import (
     _abs,
     _abs_sq,
     _dot,
+    _hermitian_matrix,
     _lead,
     _pair,
     _per_point,
@@ -52,7 +55,7 @@ from .geometry import (
     jet_matrix_solve,
     norm2,
 )
-from .jets import _vmul
+from .jets import JetOrderError, _vmul
 
 __all__ = [
     "TOL_BND",
@@ -151,6 +154,8 @@ def _col(s):
 _NEWTON_ITER = 50          # Newton steps allowed for a projection onto r = 0
 _DEPTH_TOL, _DEPTH_ITER = 1e-12, 60   # tolerance and steps for Newton onto r = -depth
 _FRAME_TOL = 1e-8          # |r| that :func:`normal_frame` accepts as on the boundary
+_NULL_TOL = 1e-6           # relative Levi residual that :meth:`LeviData.check_null` accepts
+_TANGENT_TOL = 1e-8        # relative |d r(X)| that :func:`second_fundamental_form` takes as tangent
 _TRANSPORT_RTOL, _TRANSPORT_ATOL = 1e-11, 1e-12   # ODE tolerances of the normal transport
 _MIN_COLLAR_DEPTH = 1e-4   # where :func:`find_collar_depth` stops halving
 _ADMISSIBILITY_STEP = 1e-2  # the larger finite-difference step of the admissibility probe
@@ -288,30 +293,26 @@ class NormalFrame:
     """Dual frame of an admissible defining function at a chart point.
 
     Exposes ``L`` (the (1,0) field value with d r(L) = 1), ``X`` (its real
-    part), unit normals ``nu_C`` / ``nu_R``, and the gradient norms.  The jet
-    of r through ``r_order`` is computed once, when the frame is built, and
-    every table, ``h3t`` and ``L_jets`` reuse it; the metric's entry jets are
-    shared by the connection and ``L_jets``; all of them are cached.  Over a
-    batch of points ``z`` (B, n) every frame quantity carries a leading batch
-    axis (``u`` (B, n), ``G`` and ``hr`` (B, n, n), ``h3t`` (B, 2n, 2n, 2n),
-    the norms (B,)).
+    part), unit normals ``nu_C`` / ``nu_R``, and the gradient norms.  Built,
+    it holds the jet ``r_jet`` of r through ``r_order`` (and its ``table``)
+    and the metric's entry jets ``metric_jets`` through order 2; the rest
+    (``chern``, ``hr``, ``hess2n``, ``h3t``, ``L_jets``, ``L_w1``,
+    ``grad_norm_jet``) is derived from them on first use and kept, and what
+    needs derivatives of r past ``r_order`` raises ``JetOrderError``.  Over
+    a batch of points ``z`` (B, n) every frame quantity carries a leading
+    batch axis (``u`` (B, n), ``G`` and ``hr`` (B, n, n), ``h3t``
+    (B, 2n, 2n, 2n), the norms (B,)).
     """
 
     def __init__(self, domain, z, r_order=3):
         self.domain = domain
         self.z = _point_of(z)
         self.n = domain.n
-        self._r = {}
-        self._chern = {}
-        self._mjets = None
-        self._L_jets = None
-        self._s_jet = None
-        self._hess2n = None
-        self._h3t = None
-
-        table = self.table(r_order)
-        self.G = domain.metric.matrix(self.z)
-        self.u = np.moveaxis(table.holo_grad, 0, -1).copy()
+        self.r_jet = domain.r.jet(self.z, r_order)
+        self.table = wirtinger_table(self.r_jet, self.n)
+        self.metric_jets = domain.metric.jets(self.z, 2)
+        self.G = _hermitian_matrix(domain.metric, self.metric_jets, self.z)
+        self.u = np.moveaxis(self.table.holo_grad, 0, -1).copy()
         x = np.linalg.solve(self.G, self.u[..., None])[..., 0]
         s = np.real(_dot(self.u.conj(), x))
         low = s <= TOL_GRAD**2
@@ -327,70 +328,57 @@ class NormalFrame:
         self.nu_C = CTVector.holo(lh * _col(self.dbar_norm))
         self.nu_R = self.X * np.sqrt(2.0) * _col(self.dbar_norm)
 
-    # -- cached derivative data ---------------------------------------
-    def _r_data(self, order):
-        best = max([o for o in self._r if o >= order], default=None)
-        if best is None:
-            jet = self.domain.r.jet(self.z, order)
-            best, self._r[order] = order, (jet, wirtinger_table(jet, self.n))
-        return self._r[best]
+    # -- derived data, computed on first use ---------------------------
+    def _r_table(self, order, what):
+        """The table of r, which must hold derivatives through ``order`` for ``what``."""
+        if self.table.order < order:
+            raise JetOrderError(f"{what} needs jets of r of order {order}, the frame has {self.table.order}")
+        return self.table
 
-    def r_jet(self, order):
-        """Jet of r of at least ``order`` at the frame's point(s)."""
-        return self._r_data(order)[0]
+    @cached_property
+    def chern(self):
+        """The Chern connection and its first derivatives, from the frame's metric jets."""
+        return chern_frame(self.domain.metric, self.z, mjets=self.metric_jets)
 
-    def table(self, order):
-        return self._r_data(order)[1]
-
-    def metric_jets(self):
-        """Order-2 entry jets of the metric, shared by ``chern(2)`` and ``L_jets``."""
-        if self._mjets is None:
-            self._mjets = self.domain.metric.jets(self.z, 2)
-        return self._mjets
-
-    def chern(self, order=2):
-        best = max([o for o in self._chern if o >= order], default=None)
-        if best is None:
-            mjets = self.metric_jets() if order == 2 else None
-            self._chern[order] = chern_frame(self.domain.metric, self.z, order=order, mjets=mjets)
-            return self._chern[order]
-        return self._chern[best]
-
-    @property
+    @cached_property
     def hr(self):
         """Mixed complex Hessian of r: [d^2 r / dz_j dzbar_k] (batch axis first)."""
-        return np.ascontiguousarray(np.moveaxis(self.table(2).mixed_hessian, (0, 1), (-2, -1)))
+        hess = self._r_table(2, "the Levi form").mixed_hessian
+        return np.ascontiguousarray(np.moveaxis(hess, (0, 1), (-2, -1)))
 
+    @cached_property
     def hess2n(self):
-        if self._hess2n is None:
-            self._hess2n = hess_tensor(self.table(2), self.chern(1))
-        return self._hess2n
+        return hess_tensor(self._r_table(2, "the Hessian"), self.chern)
 
+    @cached_property
     def h3t(self):
-        if self._h3t is None:
-            self._h3t = h3_tensor(self.table(3), self.chern(2))
-        return self._h3t
+        return h3_tensor(self._r_table(3, "the third-order Hessian"), self.chern)
 
+    @cached_property
+    def _dual_jets(self):
+        """Order-2 jets of x = g^{-1} del r (one per coefficient) and of |del r|^2 = conj(del r) . x."""
+        self._r_table(3, "the jets of L")
+        u_jets = [dz_jet(self.r_jet, j, self.n) for j in range(self.n)]
+        x = jet_matrix_solve(self.metric_jets, u_jets)
+        s = sum((u_jets[i].conj() * x[i] for i in range(self.n)),
+                jets.Jet.constant(0.0, 2 * self.n, 2))
+        return x, s
+
+    @cached_property
     def L_jets(self):
         """Order-2 coefficient jets of L = g^{-1} conj(del r) / |del r|^2."""
-        if self._L_jets is None:
-            rjet = self.r_jet(3)
-            u_jets = [dz_jet(rjet, j, self.n) for j in range(self.n)]
-            x = jet_matrix_solve(self.metric_jets(), u_jets)
-            s = sum((u_jets[i].conj() * x[i] for i in range(self.n)),
-                    jets.Jet.constant(0.0, 2 * self.n, 2))
-            self._s_jet = s
-            self._L_jets = [x[i].conj() / s for i in range(self.n)]
-        return self._L_jets
+        x, s = self._dual_jets
+        return [x[i].conj() / s for i in range(self.n)]
 
+    @cached_property
     def grad_norm_jet(self):
-        """Order-2 jet of |d r| = sqrt(2 |del r|^2), from the |del r|^2 jet that ``L_jets`` builds."""
-        self.L_jets()
-        return jets.sqrt(self._s_jet.real() * 2.0)
+        """Order-2 jet of |d r| = sqrt(2 |del r|^2)."""
+        return jets.sqrt(self._dual_jets[1].real() * 2.0)
 
+    @cached_property
     def L_w1(self):
         """First Wirtinger derivatives of the coefficients of L: array (n, 2n) per point."""
-        w1 = np.array([wirtinger_table(j, self.n).w1 for j in self.L_jets()])
+        w1 = np.array([wirtinger_table(j, self.n).w1 for j in self.L_jets])
         return np.ascontiguousarray(_lead(w1, 2))
 
     # -- evaluators ----------------------------------------------------
@@ -407,16 +395,15 @@ class NormalFrame:
         return _pair(np.asarray(zvec), self.hr, np.conj(wvec))
 
     def hess_r(self, x, y):
-        return _pair(x.coeffs, self.hess2n(), y.coeffs)
+        return _pair(x.coeffs, self.hess2n, y.coeffs)
 
     def h3_r(self, x1, x2, x3):
-        t3 = self.h3t()
-        return _per_point(np.einsum("...abc,...a,...b,...c->...", t3, x1.coeffs, x2.coeffs, x3.coeffs))
+        return _per_point(np.einsum("...abc,...a,...b,...c->...", self.h3t, x1.coeffs, x2.coeffs, x3.coeffs))
 
     def nabla_L(self, direction):
         """Chern covariant derivative of the field L along a complexified direction."""
-        out = (self.L_w1() @ direction.coeffs[..., None])[..., 0]
-        out = out + np.einsum("...ijk,...j,...k->...i", self.chern(1).gamma, direction.h, self.L.h)
+        out = (self.L_w1 @ direction.coeffs[..., None])[..., 0]
+        out = out + np.einsum("...ijk,...j,...k->...i", self.chern.gamma, direction.h, self.L.h)
         return CTVector.holo(out)
 
     def norm2(self, v):
@@ -428,12 +415,11 @@ class NormalFrame:
 
 def normal_frame(domain, p, r_order=3):
     """Frame at a boundary point (or a batch); validates the defining-function residual."""
-    z = _point_of(p)
-    frame = NormalFrame(domain, z, r_order=r_order)
-    rv = frame.table(2).value
+    frame = NormalFrame(domain, p, r_order=r_order)
+    rv = frame.r_jet.value
     off = np.abs(np.real(rv)) > _FRAME_TOL
     if np.any(off):
-        at, val = z[off][0], np.asarray(rv)[off][0]
+        at, val = frame.z[off][0], np.asarray(rv)[off][0]
         raise ValueError(f"point {at} is not on the boundary (r = {val})")
     return frame
 
@@ -462,15 +448,15 @@ class LeviData:
         at, idx = np.nonzero(mask)
         return at, CTVector.holo(self.directions.reshape(mask.shape + (-1,))[at, idx])
 
-    def check_null(self, zvec, tol=1e-6):
-        """Raise ValueError unless Z lies in the Levi null space (relative ``tol``) at every point.
+    def check_null(self, zvec):
+        """Raise ValueError unless Z lies in the Levi null space (relative _NULL_TOL) at every point.
 
         Each point is measured on its own scale; a NaN residual fails.
         """
         fr = self.frame
         scale = np.max(np.abs(fr.hr), axis=(-2, -1)) + 1.0
         resid = np.max([np.abs(fr.levi(zvec.h, b.h)) for b in self.basis], axis=0)   # keeps NaN
-        off = ~(resid <= tol * scale * np.maximum(np.sqrt(fr.norm2(zvec)), 1e-12))
+        off = ~(resid <= _NULL_TOL * scale * np.maximum(np.sqrt(fr.norm2(zvec)), 1e-12))
         if np.any(off):
             raise ValueError(f"Z is not in the Levi null space at {fr.z[off][0]} "
                              f"(residual {np.asarray(resid)[off][0]:.2e})")
@@ -525,16 +511,16 @@ def levi_data(frame, eps_null=1e-7):
     )
 
 
-def second_fundamental_form(frame, x, y, tol=1e-8):
+def second_fundamental_form(frame, x, y):
     """sff(X, Y) = -(Hess(X, Y) r) X_r, the normal-valued extrinsic curvature.
 
     Accepts real tangent vectors or their complexifications; inputs must
-    annihilate d r at each point.
+    annihilate d r at each point (to relative _TANGENT_TOL).
     """
     scale = 1.0 + np.max(np.abs(x.coeffs), axis=-1) + np.max(np.abs(y.coeffs), axis=-1)
     for v, tag in ((x, "X"), (y, "Y")):
         dr = np.asarray(frame.dr(v))
-        off = ~(np.abs(dr) <= tol * scale * frame.dbar_norm)   # a NaN dr fails
+        off = ~(np.abs(dr) <= _TANGENT_TOL * scale * frame.dbar_norm)   # a NaN dr fails
         if np.any(off):
             raise ValueError(f"{tag} is not tangent at {frame.z[off][0]}: dr({tag}) = {dr[off][0]}")
     return frame.X * _col(-np.asarray(frame.hess_r(x, y)))
@@ -587,7 +573,7 @@ def transport_along_normal(base, z0_vec, delta, steps=24):
         lh = fr.L.h
         zvec = CTVector.holo(zh)
         hxz = fr.hess_r(fr.X, zvec)
-        dz = -hxz * lh - np.einsum("ijk,j,k->i", fr.chern(1).gamma, 0.5 * lh, zh)
+        dz = -hxz * lh - np.einsum("ijk,j,k->i", fr.chern.gamma, 0.5 * lh, zh)
         return np.concatenate([0.5 * lh.real, 0.5 * lh.imag, dz.real, dz.imag])
 
     y0 = np.concatenate([real_coords(base.z), z0.real, z0.imag])
@@ -605,7 +591,7 @@ def transport_along_normal(base, z0_vec, delta, steps=24):
         times=sol.t,
         points=points,
         vectors=vectors,
-        r_residual=np.real(fr.table(2).value) - sol.t,
+        r_residual=np.real(fr.r_jet.value) - sol.t,
         tangency=_abs(_dot(fr.u, vectors)),
         norm_drift=np.abs(np.sqrt(fr.norm2(CTVector.holo(vectors))) - base_norm),
     )

@@ -76,8 +76,17 @@ class RunConfig:
         for name in ("eps_null", "tol_eta", "c_floor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"tolerance {name} must be positive, got {getattr(self, name)}")
+        for name in ("box_radius", "basis_spread"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, least in (("samples", 1), ("special_samples", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 <= self.eta < 1.0:
             raise ConfigError(f"eta must lie in [0, 1), got {self.eta}")
+        if not 0.0 < self.eta_cap < 1.0:
+            raise ConfigError(f"eta_cap must lie in (0, 1), got {self.eta_cap}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if self.seed is None:

@@ -120,8 +120,9 @@ def random_scalar_field(n, rng, terms=4, name="random"):
     return ScalarField(n, fn, name=name)
 
 
-def random_metric(n, rng, eps=0.15):
-    """Hermitian positive-definite metric field near a constant base."""
+def random_metric(n, rng):
+    """Hermitian positive-definite metric field near a constant base (perturbation size 0.15)."""
+    eps = 0.15
     base = np.eye(n) * (1.0 + rng.random(n))
     upper = {}
     for j in range(n):
@@ -424,7 +425,7 @@ def worm_reference_suite(count=50, seed=5, gamma=math.pi, t=1.2, tol=1e-6):
     points = sgamma_points(wp, count, spread=0.9)
     fr = normal_frame(domain, points)
     zvec = _fiber(len(points))
-    values = (forms.alpha(fr, zvec), curvature_contraction(fr.chern(2), zvec, fr.nu_C),
+    values = (forms.alpha(fr, zvec), curvature_contraction(fr.chern, zvec, fr.nu_C),
               fr.hess_r(zvec, fr.nu_R.J()), fr.hess_r(zvec, zvec), fr.norm2(fr.X),
               geometric_margin(fr, zvec, eta))
     nb, nl = fr.nabla_L(CTVector.anti(zvec.h)).h, fr.nabla_L(zvec).h

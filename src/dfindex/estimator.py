@@ -309,7 +309,7 @@ def vectorfield_margin(fr, zvec, eta):
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
     _, null = _null_points(fr, zvec)
-    n, l_jets, mjets = fr.n, fr.L_jets(), fr.metric_jets()
+    n, l_jets, mjets = fr.n, fr.L_jets, fr.metric_jets
     len2 = sum((mjets[j][k] * l_jets[j] * l_jets[k].conj() for j in range(n) for k in range(n)),
                jets.Jet.constant(0.0, 2 * n, 2)).real()
     scale = jets.power(len2, -0.5)
@@ -319,7 +319,7 @@ def vectorfield_margin(fr, zvec, eta):
     d_nu = CTVector.holo((w1[..., n:] @ zvec.h.conj()[..., None])[..., 0])
     proj = fr.inner(d_nu, fr.nu_C)
     tangential = d_nu - fr.nu_C * _col(proj)
-    curv = curvature_contraction(fr.chern(2), zvec, fr.nu_C)
+    curv = curvature_contraction(fr.chern, zvec, fr.nu_C)
     k = eta / (1.0 - eta)
     margin = 0.5 * fr.norm2(tangential) + 0.5 * curv - k * _abs_sq(proj)
     return _per_point(np.where(null, margin, NO_CONSTRAINT))
@@ -620,12 +620,13 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
         - eta (-r)^{-1} (dh (x) dbar r + dr (x) dbar h)
         - eta dh (x) dbar h + ddbar h,
 
-    which stays numerically stable arbitrarily close to the boundary; for
-    eta = 0 the logarithmic variant is used.  Samples lie on inward normals
-    of boundary points at the requested depths, one row per point and depth
+    which stays numerically stable arbitrarily close to the boundary (at
+    eta = 0, the logarithmic variant).  Samples lie on inward normals of
+    boundary points at the requested depths, one row per point and depth
     (depths varying fastest).  One batched Newton iteration, that of
-    :func:`point_at_depth`, reaches them all; the samples are then checked
-    in order, so the first failing sample raises, whatever its check.
+    :func:`point_at_depth`, reaches them all, and one frame and one jet of
+    h evaluate them.  The first failing sample raises (the frame's own checks,
+    over the samples before the first failed iteration, come first).
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
@@ -638,37 +639,34 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
     starts = np.repeat(base, len(depths), axis=0)
     levels = np.tile(np.asarray(depths, dtype=float), len(base))
     samples, _, errors = _newton_to_level(domain, starts, -levels, _DEPTH_TOL, _DEPTH_ITER)
-    rows = []
-    for depth, z, err in zip(levels, samples, errors):
-        if err is not None:
-            raise err
-        fr = NormalFrame(domain, z, r_order=2)
-        rv = float(np.real(fr.table(2).value))
-        if rv >= 0.0:
-            raise ValueError(f"interior sample has rho >= 0 at {z} (r = {rv})")
-        hr = fr.hr
-        u = fr.u.reshape(-1, 1)
-        if h_field is not None:
-            htab = wirtinger_table(h_field.jet(z, 2), n)
-            w = htab.w1[:n].reshape(-1, 1)
-            hh = htab.mixed_hessian
-        else:
-            w = np.zeros((n, 1), dtype=complex)
-            hh = np.zeros((n, n), dtype=complex)
-        if eta > 0.0:
-            mat = (hr / (-rv)
-                   + (1.0 - eta) / rv**2 * (u @ u.conj().T)
-                   - eta / (-rv) * (w @ u.conj().T + u @ w.conj().T)
-                   - eta * (w @ w.conj().T)
-                   + hh)
-        else:
-            mat = hr / (-rv) + (u @ u.conj().T) / rv**2 + hh
-        mat = mat - C * fr.G
-        mat = 0.5 * (mat + mat.conj().T)
-        # eigvalsh can return finite numbers for a matrix holding a NaN
-        eig = float(np.linalg.eigvalsh(mat)[0]) if np.isfinite(mat).all() else math.nan
-        rows.append({"z": fr.z, "depth": float(depth), "min_eig": eig})
+    reached = next((k for k, err in enumerate(errors) if err is not None), len(errors))
+    if reached:
+        fr = NormalFrame(domain, samples[:reached], r_order=2)
+        rv = np.real(fr.r_jet.value)
+        k = np.argmax(rv >= 0.0)        # the first sample outside, if any
+        if rv[k] >= 0.0:
+            raise ValueError(f"interior sample has rho >= 0 at {samples[k]} (r = {rv[k]})")
+    if reached < len(errors):
+        raise errors[reached]
+    h_field = h_field or ScalarField(n, lambda zs: 0.0 * zs[0])     # no h: h = 0
+    htab = wirtinger_table(h_field.jet(fr.z, 2), n)
+    u, w = fr.u[..., None], np.moveaxis(htab.w1[:n], 0, -1)[..., None]
+    hh = np.moveaxis(htab.mixed_hessian, (0, 1), (-2, -1))
+    ct = lambda a: np.swapaxes(a.conj(), -1, -2)
+    rv = rv[:, None, None]
+    mat = (fr.hr / (-rv)
+           + (1.0 - eta) / rv**2 * (u @ ct(u))
+           - eta / (-rv) * (w @ ct(u) + u @ ct(w))
+           - eta * (w @ ct(w))
+           + hh
+           - C * fr.G)
+    mat = 0.5 * (mat + ct(mat))
+    # eigvalsh can return finite numbers for a matrix holding a NaN
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    eig = np.where(finite, np.linalg.eigvalsh(np.where(finite[:, None, None], mat, 0.0))[:, 0], math.nan)
+    rows = [{"z": z, "depth": depth, "min_eig": e}
+            for z, depth, e in zip(fr.z, levels.tolist(), eig.tolist())]
     # np.min keeps a NaN sample, which ``min`` would drop
-    min_eig = float(np.min([r["min_eig"] for r in rows], initial=math.inf))
+    min_eig = float(np.min(eig, initial=math.inf))
     return {"eta": float(eta), "C": float(C), "min_eig": min_eig, "rows": rows,
             "positive": bool(min_eig > 0.0)}

@@ -129,5 +129,5 @@ def build_field(tree, n, name="user"):
     return ScalarField(n, fn, name=name)
 
 
-def field_from_json(text, n, name="user"):
-    return build_field(json.loads(text), n, name=name)
+def field_from_json(text, n):
+    return build_field(json.loads(text), n)

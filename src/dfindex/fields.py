@@ -196,14 +196,13 @@ def _expand_multi_index(mi, n, offset):
     return dirs
 
 
-def wirtinger(jet, a, b, n=None):
+def wirtinger(jet, a, b):
     """Mixed Wirtinger derivative D^a Dbar^b f(center) from a jet.
 
     ``a`` and ``b`` are multi-indices over the holomorphic and conjugate
     coordinates; ``|a| + |b|`` must not exceed the jet order.
     """
-    if n is None:
-        n = jet.m // 2
+    n = jet.m // 2
     dirs = _expand_multi_index(a, n, 0) + _expand_multi_index(b, n, n)
     table = wirtinger_table(jet, n)
     return table.d(*dirs)

@@ -66,7 +66,7 @@ def alpha_geometric(fr, zvec):
     Uses the frame's jet of |dr|.  With the sff identity the second term
     is + i Hess(Z, J X_r) r.  ``zvec`` must be of type (1,0).
     """
-    gjet = fr.grad_norm_jet()
+    gjet = fr.grad_norm_jet
     w1 = np.ascontiguousarray(_lead(wirtinger_table(gjet, fr.n).w1, 1))
     z_grad = _dot(zvec.h, w1[..., : fr.n])
     # divided part by part, as a complex divided by a float is
@@ -76,7 +76,7 @@ def alpha_geometric(fr, zvec):
 
 def _nabla_Lbar_along(fr, zvec):
     """nabla_Z (Lbar) = conj(nabla_{Zbar} L): a (0,1) vector, plain derivative."""
-    w1 = fr.L_w1()
+    w1 = fr.L_w1
     dl = (w1[..., fr.n :] @ zvec.h.conj()[..., None])[..., 0]     # Zbar L^i
     return CTVector.anti(dl.conj())
 
@@ -97,9 +97,9 @@ def beta_mixed(fr, zvec, wvec):
     """
     wbar = wvec.conj()
     h3 = fr.h3_r(fr.X, zvec, wbar)
-    tau_z = torsion(fr.chern(1), zvec, fr.L)
+    tau_z = torsion(fr.chern, zvec, fr.L)
     nabla_z_l = fr.nabla_L(zvec)
-    tau_w_bar = torsion(fr.chern(1), wvec, fr.L).conj()
+    tau_w_bar = torsion(fr.chern, wvec, fr.L).conj()
     nabla_wbar_lbar = fr.nabla_L(wvec).conj()
     out = _vmul(-1j, h3)
     out = out + _vmul(0.5j, fr.mixed_pairing(tau_z, wbar))
@@ -140,7 +140,7 @@ def _null_site_terms(fr, zvec):
     """The null mask of :func:`_null_points`, sum_j |sff(Z, W_j)|^2 and (1/2) <R(Z, Zbar) nu_C, nu_C>."""
     ld, null = _null_points(fr, zvec)
     sff_sum = sum(_abs_sq(fr.hess_r(zvec, wj)) for wj in ld.basis) * fr.norm2(fr.X)
-    return null, sff_sum, 0.5 * curvature_contraction(fr.chern(2), zvec, fr.nu_C)
+    return null, sff_sum, 0.5 * curvature_contraction(fr.chern, zvec, fr.nu_C)
 
 
 def beta_geometric(fr, zvec):
@@ -153,7 +153,7 @@ def beta_geometric(fr, zvec):
     NO_CONSTRAINT at a point without a null direction.
     """
     null, sff_sum, half_curv = _null_site_terms(fr, zvec)
-    log_jet = jets.log(fr.grad_norm_jet())
+    log_jet = jets.log(fr.grad_norm_jet)
     w2 = np.ascontiguousarray(_lead(wirtinger_table(log_jet, fr.n).mixed_hessian, 2))
     log_term = np.real(_pair(zvec.h, w2, zvec.h.conj()))
     return _per_point(np.where(null, -log_term + sff_sum + half_curv, NO_CONSTRAINT))
@@ -188,7 +188,7 @@ class SubmanifoldPatch:
         us = _complex(*np.meshgrid(np.linspace(*self.u_range, _PATCH_GRID),
                                    np.linspace(*self.v_range, _PATCH_GRID), indexing="ij")).ravel()
         fr = NormalFrame(self.domain, self.chart(us), r_order=2)
-        rv = fr.table(2).value
+        rv = fr.r_jet.value
         t = np.asarray(self.tangent(us), dtype=complex)
         tangent_off = np.abs(_dot(fr.u, t)) > 1e-8 * (1.0 + np.max(np.abs(t), axis=-1))
         for k, u in enumerate(us):

@@ -25,7 +25,8 @@ suffice; vector fields enter only through :func:`covariant_derivative` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,10 @@ __all__ = [
 
 class MetricError(ValueError):
     """Metric matrix is singular, non-Hermitian, or not positive definite."""
+
+
+_HERMITIAN_TOL = 1e-12      # relative defect from Hermitian that a metric matrix may have
+_CONTRACTION_TOL = 1e-9     # relative imaginary part that a curvature contraction may have
 
 
 # ----------------------------------------------------------------------
@@ -178,14 +183,14 @@ class MetricField:
         return cls(n, fn, name="euclidean")
 
     @classmethod
-    def conformal(cls, n, u_field, name="conformal"):
+    def conformal(cls, n, u_field):
         """e^u times the euclidean metric; ``u_field.fn`` consumes coordinate jets."""
 
         def fn(zs):
             e_u, zero = exp(u_field.fn(zs)), Jet.constant(0.0, 2 * n, zs[0].order)
             return [[e_u if j == k else zero for k in range(n)] for j in range(n)]
 
-        return cls(n, fn, name=name)
+        return cls(n, fn, name="conformal")
 
     def jets(self, z, order):
         """(n, n) nested list of entry jets sharing one coordinate seed (at one point or a batch)."""
@@ -193,11 +198,9 @@ class MetricField:
         batch = zs[0].shape
         return [[entry.broadcast(batch) for entry in row] for row in self.fn(zs)]
 
-    def matrix(self, z, tol=1e-12):
+    def matrix(self, z):
         """Hermitian matrix at one point (n, n), or stacked over a batch of points (B, n, n)."""
-        m = _values(self.jets(z, 0))
-        mh = _check_hermitian(m, self.name, z, tol)
-        return 0.5 * (m + mh)
+        return _hermitian_matrix(self, self.jets(z, 0), z)
 
 
 def _values(mjets):
@@ -208,6 +211,12 @@ def _values(mjets):
     """
     stack = np.array([[e.value for e in row] for row in mjets], dtype=complex)
     return np.ascontiguousarray(np.moveaxis(stack, (0, 1), (-2, -1)))
+
+
+def _hermitian_matrix(metric, mjets, z):
+    """The Hermitian part of the values of ``metric``'s entry jets at ``z`` (checked as Hermitian)."""
+    m = _values(mjets)
+    return 0.5 * (m + _check_hermitian(m, metric.name, z))
 
 
 def resolve_metric(spec, n, key, named):
@@ -232,7 +241,7 @@ def resolve_metric(spec, n, key, named):
     raise ValueError(f"{key} supports metrics {list(builders)}, got {spec!r}")
 
 
-def _check_hermitian(m, name, z, tol=1e-12):
+def _check_hermitian(m, name, z):
     """The conjugate transpose of ``m`` (one matrix or a stack); raises unless each is Hermitian.
 
     A NaN entry fails the check, except at a point with a NaN coordinate:
@@ -241,7 +250,7 @@ def _check_hermitian(m, name, z, tol=1e-12):
     z = np.asarray(z)
     mh = np.swapaxes(m.conj(), -1, -2)
     herm = np.max(np.abs(m - mh), axis=(-2, -1))
-    bad = ~(herm <= tol * (1.0 + np.max(np.abs(m), axis=(-2, -1)))) & ~np.any(np.isnan(z), axis=-1)
+    bad = ~(herm <= _HERMITIAN_TOL * (1.0 + np.max(np.abs(m), axis=(-2, -1)))) & ~np.any(np.isnan(z), axis=-1)
     if np.any(bad):
         at, defect = z[bad][0], herm[bad][0]
         raise MetricError(f"metric {name!r} not Hermitian at {at} (defect {defect:.3e})")
@@ -350,32 +359,26 @@ class ChernFrame:
     dgamma_h: np.ndarray | None  # [p, i, j, k] = d/dz_p Gamma^i_{jk}
     dgamma_a: np.ndarray | None  # [p, i, j, k] = d/dzbar_p Gamma^i_{jk}
     dG_h: np.ndarray             # [p, j, k] = d/dz_p g_{j kbar}
-    _gamma2n: np.ndarray | None = field(default=None, repr=False)
-    _dgamma2n: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def gamma2n(self):
-        if self._gamma2n is None:
-            n = self.n
-            out = np.zeros(self.gamma.shape[:-3] + (2 * n, 2 * n, 2 * n), dtype=complex)
-            out[..., :n, :n, :n] = self.gamma
-            out[..., n:, n:, n:] = self.gamma.conj()
-            self._gamma2n = out
-        return self._gamma2n
+        n = self.n
+        out = np.zeros(self.gamma.shape[:-3] + (2 * n, 2 * n, 2 * n), dtype=complex)
+        out[..., :n, :n, :n] = self.gamma
+        out[..., n:, n:, n:] = self.gamma.conj()
+        return out
 
-    @property
+    @cached_property
     def dgamma2n(self):
-        if self._dgamma2n is None:
-            if self.dgamma_h is None:
-                raise ValueError("connection derivatives unavailable (metric jets of order < 2)")
-            n = self.n
-            out = np.zeros(self.gamma.shape[:-3] + (2 * n,) * 4, dtype=complex)
-            out[..., :n, :n, :n, :n] = self.dgamma_h
-            out[..., n:, :n, :n, :n] = self.dgamma_a
-            out[..., :n, n:, n:, n:] = self.dgamma_a.conj()
-            out[..., n:, n:, n:, n:] = self.dgamma_h.conj()
-            self._dgamma2n = out
-        return self._dgamma2n
+        if self.dgamma_h is None:
+            raise ValueError("connection derivatives unavailable (metric jets of order < 2)")
+        n = self.n
+        out = np.zeros(self.gamma.shape[:-3] + (2 * n,) * 4, dtype=complex)
+        out[..., :n, :n, :n, :n] = self.dgamma_h
+        out[..., n:, :n, :n, :n] = self.dgamma_a
+        out[..., :n, n:, n:, n:] = self.dgamma_a.conj()
+        out[..., n:, n:, n:, n:] = self.dgamma_h.conj()
+        return out
 
     @property
     def curvature_tensor(self):
@@ -498,11 +501,11 @@ def curvature(frame, x, y, v):
     return CTVector((end_h @ v.h[..., None])[..., 0], (end_a @ v.a[..., None])[..., 0])
 
 
-def curvature_contraction(frame, zvec, v, tol=1e-9):
+def curvature_contraction(frame, zvec, v):
     """<R(Z, Zbar)V, V> for a (1,0) vector Z; real by Hermitian symmetry."""
     rv = curvature(frame, CTVector.holo(zvec.h), CTVector.anti(zvec.h.conj()), v)
     val = inner(frame.g, rv, v)
-    off = ~(np.abs(np.imag(val)) <= tol * (1.0 + np.abs(np.real(val))))   # a NaN value fails
+    off = ~(np.abs(np.imag(val)) <= _CONTRACTION_TOL * (1.0 + np.abs(np.real(val))))   # a NaN value fails
     if np.any(off):
         raise MetricError(f"curvature contraction not real: {np.asarray(val)[off][0]}")
     return _per_point(np.real(val))

@@ -133,7 +133,7 @@ def _log_abs2(z2):
     return jets.log(jets.abs2(z2))
 
 
-def worm_domain(params, metric="euclidean", name=None):
+def worm_domain(params, metric="euclidean"):
     """Worm domain as a DomainSpec; ``metric`` is a spec of :func:`~dfindex.geometry.resolve_metric`.
 
     The worm's own metric name is "worm_kahler" (:func:`worm_metric`).
@@ -161,7 +161,7 @@ def worm_domain(params, metric="euclidean", name=None):
     metric_field = resolve_metric(metric, 2, "worm", {"worm_kahler": lambda: worm_metric(params)})
     label = metric if isinstance(metric, str) else metric_field.name
     return DomainSpec(
-        name=name or f"worm(gamma={params.gamma:g}, metric={label})",
+        name=f"worm(gamma={params.gamma:g}, metric={label})",
         n=2,
         r=r_field,
         metric=metric_field,

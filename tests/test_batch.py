@@ -421,12 +421,12 @@ def test_h3t_L_jets_and_beta_match_one_point(seed, metric):
     domain, points = _worm_batch(rng, metric)
     batch = NormalFrame(domain, points)
     singles = [NormalFrame(domain, z) for z in points]
-    assert_rows(batch.h3t(), [one.h3t() for one in singles])
-    assert_rows(batch.hess2n(), [one.hess2n() for one in singles])
-    assert_rows(batch.L_w1(), [one.L_w1() for one in singles])
-    assert_jet_columns(batch.r_jet(3), [one.r_jet(3) for one in singles])
+    assert_rows(batch.h3t, [one.h3t for one in singles])
+    assert_rows(batch.hess2n, [one.hess2n for one in singles])
+    assert_rows(batch.L_w1, [one.L_w1 for one in singles])
+    assert_jet_columns(batch.r_jet, [one.r_jet for one in singles])
     for k in range(2):
-        assert_jet_columns(batch.L_jets()[k], [one.L_jets()[k] for one in singles])
+        assert_jet_columns(batch.L_jets[k], [one.L_jets[k] for one in singles])
     z = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     w = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     zvec, wvec = CTVector.holo(z), CTVector.holo(w)
@@ -435,8 +435,8 @@ def test_h3t_L_jets_and_beta_match_one_point(seed, metric):
                     [form(one, CTVector.holo(z[b]), CTVector.holo(w[b])) for b, one in enumerate(singles)])
     assert_rows(alpha_geometric(batch, zvec),
                 [alpha_geometric(one, CTVector.holo(z[b])) for b, one in enumerate(singles)])
-    assert_rows(torsion(batch.chern(1), CTVector(z, w), CTVector(w, z)).coeffs,
-                [torsion(one.chern(1), CTVector(z[b], w[b]), CTVector(w[b], z[b])).coeffs
+    assert_rows(torsion(batch.chern, CTVector(z, w), CTVector(w, z)).coeffs,
+                [torsion(one.chern, CTVector(z[b], w[b]), CTVector(w[b], z[b])).coeffs
                  for b, one in enumerate(singles)])
     assert_rows(batch.nabla_L(CTVector(z, w)).h,
                 [one.nabla_L(CTVector(z[b], w[b])).h for b, one in enumerate(singles)])
@@ -579,8 +579,8 @@ def test_collect_sites_stores_c_contiguous_arrays():
 @given(seed=SEEDS, metric=st.sampled_from(["euclidean", "worm_kahler"]))
 def test_grad_norm_jet_matches_one_point(seed, metric):
     domain, points = _worm_batch(np.random.default_rng(seed), metric)
-    assert_jet_columns(NormalFrame(domain, points, r_order=2).grad_norm_jet(),
-                       [NormalFrame(domain, z, r_order=2).grad_norm_jet() for z in points])
+    assert_jet_columns(NormalFrame(domain, points).grad_norm_jet,
+                       [NormalFrame(domain, z).grad_norm_jet for z in points])
 
 
 # ----------------------------------------------------------------------
@@ -781,14 +781,20 @@ def test_sample_boundary_raises_exactly_when_the_trial_cap_binds():
 
 
 def test_interior_check_batches_every_sample(ball, monkeypatch):
-    calls = []
+    calls, frames, h_jets = [], [], []
     monkeypatch.setattr(estimator, "_newton_to_level",
                         lambda *args: calls.append(args) or _newton_to_level(*args))
+    monkeypatch.setattr(estimator, "NormalFrame",
+                        lambda *args, **kwargs: frames.append(args) or NormalFrame(*args, **kwargs))
     points = sample_boundary(ball, 3, 4)
     depths = [1e-4, 1e-3, 5e-2, 1e-2]
     h_field = ScalarField(2, lambda zs: zs[0].real() * 0.1)
+    h_jet = h_field.jet
+    monkeypatch.setattr(h_field, "jet", lambda *args: h_jets.append(args) or h_jet(*args))
     rep = interior_check(ball, h_field, 0.3, depths=depths, points=points)
     assert len(calls) == 1 and calls[0][1].shape == (12, 2)
+    assert len(frames) == 1 and frames[0][1].shape == (12, 2)
+    assert len(h_jets) == 1 and h_jets[0][0].shape == (12, 2)
     one = [interior_check(ball, h_field, 0.3, depths=[d], points=[p]) for p in points for d in depths]
     assert len(rep["rows"]) == 12
     for row, ref in zip(rep["rows"], one):

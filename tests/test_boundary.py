@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dfindex import jets
+from dfindex import boundary, jets
 from dfindex.boundary import (
     DomainSpec,
     ProjectionError,
@@ -18,7 +18,9 @@ from dfindex.boundary import (
     second_fundamental_form,
     transport_along_normal,
 )
+from dfindex.estimator import geometric_margin, vectorfield_margin
 from dfindex.fields import ChartDomainError, ScalarField
+from dfindex.forms import alpha, alpha_geometric, beta_geometric, beta_mixed
 from dfindex.geometry import CTVector, MetricError, MetricField, curvature_contraction
 from dfindex.worm import WormParams, sgamma_points, worm_domain
 
@@ -158,18 +160,49 @@ def test_sff_tangency_guard_fails_a_nan_direction(ball):
         second_fundamental_form(batch, CTVector.holo(zs), CTVector.holo(points * 0.0))
 
 
+def test_a_frame_evaluates_r_the_metric_and_the_connection_once(worm_kahler, monkeypatch):
+    calls = {"r": 0, "metric": 0, "chern": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(worm_kahler.r, "jet", counted("r", worm_kahler.r.jet))
+    monkeypatch.setattr(worm_kahler.metric, "jets", counted("metric", worm_kahler.metric.jets))
+    monkeypatch.setattr(boundary, "chern_frame", counted("chern", boundary.chern_frame))
+    points = sgamma_points(worm_kahler.params["worm"], 6, spread=0.9)
+    fr = normal_frame(worm_kahler, points)
+    zvec = CTVector.holo(np.broadcast_to([0.0, 1.0 + 0.0j], (6, 2)))   # null on S_gamma
+    # the Hessian first: it needs only the connection, not its derivatives
+    values = [fr.hess_r(fr.X, zvec), alpha(fr, zvec), beta_mixed(fr, zvec, zvec),
+              alpha_geometric(fr, zvec), beta_geometric(fr, zvec),
+              geometric_margin(fr, zvec, 0.4), vectorfield_margin(fr, zvec, 0.4)]
+    assert all(np.all(np.isfinite(v)) for v in values)
+    assert calls == {"r": 1, "metric": 1, "chern": 1}
+
+
+def test_quantities_past_the_frame_order_raise(ball):
+    fr = normal_frame(ball, np.array([1.0, 0.0], dtype=complex), r_order=2)
+    assert np.all(np.isfinite(fr.hess2n))
+    for name in ("h3t", "L_jets", "L_w1", "grad_norm_jet"):
+        with pytest.raises(jets.JetOrderError, match="needs jets of r of order 3"):
+            getattr(fr, name)
+
+
 def test_curvature_contraction_guard_fails_a_nan_direction(ball):
     fr = normal_frame(ball, np.array([1.0, 0.0], dtype=complex))
-    assert curvature_contraction(fr.chern(2), CTVector.holo([0.0, 1.0]), fr.nu_C) == 0.0
+    assert curvature_contraction(fr.chern, CTVector.holo([0.0, 1.0]), fr.nu_C) == 0.0
     with pytest.raises(MetricError, match="curvature contraction not real"):
-        curvature_contraction(fr.chern(2), CTVector.holo([np.nan, 0.0]), fr.nu_C)
+        curvature_contraction(fr.chern, CTVector.holo([np.nan, 0.0]), fr.nu_C)
     # a batch: finite rows pass, a NaN in one row fails
     points, zs = _ball_rows_with_tangents()
     batch = normal_frame(ball, points)
-    assert np.all(curvature_contraction(batch.chern(2), CTVector.holo(zs), batch.nu_C) == 0.0)
+    assert np.all(curvature_contraction(batch.chern, CTVector.holo(zs), batch.nu_C) == 0.0)
     zs[1, 0] = np.nan
     with pytest.raises(MetricError, match="curvature contraction not real"):
-        curvature_contraction(batch.chern(2), CTVector.holo(zs), batch.nu_C)
+        curvature_contraction(batch.chern, CTVector.holo(zs), batch.nu_C)
 
 
 def test_second_fundamental_form_contract(ball, rng):
@@ -263,7 +296,7 @@ def test_point_at_depth(ball):
 
 def test_grad_norm_jet_constant_for_signed_distance(ball_sd):
     for p in sample_boundary(ball_sd, 5, 10):
-        val = normal_frame(ball_sd, p).grad_norm_jet().value
+        val = normal_frame(ball_sd, p).grad_norm_jet.value
         assert val == pytest.approx(1.0, rel=1e-12)
 
 

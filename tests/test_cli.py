@@ -45,6 +45,26 @@ def test_config_loading_and_overrides(tmp_path):
         load_config(None, {"tol_eta": -1.0})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("samples", 0, "samples must be an integer >= 1"),
+    ("samples", 2.5, "samples must be an integer >= 1"),
+    ("special_samples", -1, "special_samples must be an integer >= 0"),
+    ("eta_cap", 1.0, r"eta_cap must lie in \(0, 1\)"),
+    ("eta_cap", 0.0, r"eta_cap must lie in \(0, 1\)"),
+    ("box_radius", 0.0, "box_radius must be positive"),
+    ("basis_spread", 0.0, "basis_spread must be positive"),
+])
+def test_estimate_rejects_a_value_that_would_crash_or_mislead_it(tmp_path, capsys, field, value,
+                                                                   message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": f"worm({math.pi!r})", field: value}))
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg_path)
+    assert run_cli(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "config error: " + field in capsys.readouterr().err
+    assert not (tmp_path / "estimate.json").exists()
+
+
 def test_unknown_override_key_is_rejected():
     with pytest.raises(ConfigError, match="config field 'tol_bnd' unknown"):
         load_config(None, {"tol_bnd": 0.01})

@@ -52,7 +52,7 @@ def test_alpha_geometric_cross_formula(ball, ball_sd, worm_euclid, worm_kahler):
     fr = normal_frame(ball_sd, p)
     ld = levi_data(fr)
     zv = ld.basis[0]
-    w1 = wirtinger_table(fr.grad_norm_jet(), 2).w1
+    w1 = wirtinger_table(fr.grad_norm_jet, 2).w1
     assert abs(complex(zv.h @ w1[:2])) < 1e-10
     assert forms.alpha_geometric(fr, zv) == pytest.approx(forms.alpha(fr, zv), abs=1e-8)
 

@@ -117,11 +117,11 @@ def test_curvature_euclidean_zero_and_worm_closed_form(worm_kahler):
         P = np.array([0.0, z2], dtype=complex)
         fr = normal_frame(worm_kahler, P)
         Zt = CTVector.holo([0.0, 1.0])
-        rv = curvature(fr.chern(2), Zt, Zt.conj(), fr.L)
+        rv = curvature(fr.chern, Zt, Zt.conj(), fr.L)
         factor = rv.h[0] / fr.L.h[0]
         assert factor == pytest.approx(2.0 / wp.t / math.cos(ref.x / wp.t) ** 2 / abs(z2) ** 2,
                                        rel=1e-10)
-        contraction = curvature_contraction(fr.chern(2), Zt, fr.nu_C)
+        contraction = curvature_contraction(fr.chern, Zt, fr.nu_C)
         assert contraction == pytest.approx(ref.curvature, rel=1e-10)
 
 
@@ -131,7 +131,7 @@ def test_worm_curvature_value_at_unit_fiber(worm_kahler):
 
     P = np.array([0.0, 1.0], dtype=complex)
     fr = normal_frame(worm_kahler, P)
-    val = curvature_contraction(fr.chern(2), CTVector.holo([0.0, 1.0]), fr.nu_C)
+    val = curvature_contraction(fr.chern, CTVector.holo([0.0, 1.0]), fr.nu_C)
     assert val == pytest.approx(2.0 / 1.2, rel=1e-12)
 
 
@@ -152,7 +152,7 @@ def test_hessian_with_normal_direction_is_log_gradient_derivative(ball):
         fr = normal_frame(ball, p)
         Y = CTVector.real_vector([0.3 + 0.2j, -0.5j])
         lhs = fr.hess_r(Y, fr.X)
-        gjet = fr.grad_norm_jet()
+        gjet = fr.grad_norm_jet
         w1 = wirtinger_table(gjet, 2).w1
         rhs = complex(Y.coeffs @ w1) / gjet.value
         assert lhs == pytest.approx(rhs, abs=1e-10)

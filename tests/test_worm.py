@@ -108,7 +108,7 @@ def test_lambda_smoothing_isolation():
 
             row.append(complex(forms.alpha(fr, zvec)))
             row.append(complex(forms.beta_mixed(fr, zvec, zvec)))
-            row.append(curvature_contraction(fr.chern(2), zvec, fr.nu_C))
+            row.append(curvature_contraction(fr.chern, zvec, fr.nu_C))
         values.append(np.array(row, dtype=complex))
     np.testing.assert_allclose(values[0], values[1], atol=1e-12)
 
