@@ -47,12 +47,12 @@ from .geometry import (
     _hermitian_matrix,
     _lead,
     _pair,
-    _per_point,
     chern_frame,
+    h3_op,
     h3_tensor,
+    hess_op,
     hess_tensor,
     inner,
-    jet_matrix_solve,
     norm2,
 )
 from .jets import JetOrderError, _vmul
@@ -295,10 +295,10 @@ class NormalFrame:
     Exposes ``L`` (the (1,0) field value with d r(L) = 1), ``X`` (its real
     part), unit normals ``nu_C`` / ``nu_R``, and the gradient norms.  Built,
     it holds the jet ``r_jet`` of r through ``r_order`` (and its ``table``)
-    and the metric's entry jets ``metric_jets`` through order 2; the rest
-    (``chern``, ``hr``, ``hess2n``, ``h3t``, ``L_jets``, ``L_w1``,
-    ``grad_norm_jet``) is derived from them on first use and kept, and what
-    needs derivatives of r past ``r_order`` raises ``JetOrderError``.  Over
+    and the metric's entry jets ``metric_jets`` through ``r_order - 1``; the
+    rest (``chern``, ``hr``, ``hess2n``, ``h3t``, ``L_jets``, ``L_w1``,
+    ``grad_norm_jet``) is derived from them once, on first use, and what
+    needs derivatives past ``r_order`` raises ``JetOrderError``.  Over
     a batch of points ``z`` (B, n) every frame quantity carries a leading
     batch axis (``u`` (B, n), ``G`` and ``hr`` (B, n, n), ``h3t``
     (B, 2n, 2n, 2n), the norms (B,)).
@@ -310,7 +310,7 @@ class NormalFrame:
         self.n = domain.n
         self.r_jet = domain.r.jet(self.z, r_order)
         self.table = wirtinger_table(self.r_jet, self.n)
-        self.metric_jets = domain.metric.jets(self.z, 2)
+        self.metric_jets = domain.metric.jets(self.z, r_order - 1)
         self.G = _hermitian_matrix(domain.metric, self.metric_jets, self.z)
         self.u = np.moveaxis(self.table.holo_grad, 0, -1).copy()
         x = np.linalg.solve(self.G, self.u[..., None])[..., 0]
@@ -337,7 +337,7 @@ class NormalFrame:
 
     @cached_property
     def chern(self):
-        """The Chern connection and its first derivatives, from the frame's metric jets."""
+        """The Chern connection from the frame's metric jets: Gamma at ``r_order`` 2, also dGamma at 3."""
         return chern_frame(self.domain.metric, self.z, mjets=self.metric_jets)
 
     @cached_property
@@ -352,16 +352,16 @@ class NormalFrame:
 
     @cached_property
     def h3t(self):
-        return h3_tensor(self._r_table(3, "the third-order Hessian"), self.chern)
+        return h3_tensor(self._r_table(3, "the third-order Hessian"), self.chern, self.hess2n)
 
     @cached_property
     def _dual_jets(self):
-        """Order-2 jets of x = g^{-1} del r (one per coefficient) and of |del r|^2 = conj(del r) . x."""
+        """Order-2 jets of x = g^{-1} del r (with the connection's g^{-1}) and |del r|^2 = conj(del r) . x."""
         self._r_table(3, "the jets of L")
         u_jets = [dz_jet(self.r_jet, j, self.n) for j in range(self.n)]
-        x = jet_matrix_solve(self.metric_jets, u_jets)
-        s = sum((u_jets[i].conj() * x[i] for i in range(self.n)),
-                jets.Jet.constant(0.0, 2 * self.n, 2))
+        inv, zero = self.chern.ginv_jets, jets.Jet.constant(0.0, 2 * self.n, 2)
+        x = [sum((inv[i][j] * u_jets[j] for j in range(self.n)), zero) for i in range(self.n)]
+        s = sum((u_jets[i].conj() * x[i] for i in range(self.n)), zero)
         return x, s
 
     @cached_property
@@ -395,10 +395,10 @@ class NormalFrame:
         return _pair(np.asarray(zvec), self.hr, np.conj(wvec))
 
     def hess_r(self, x, y):
-        return _pair(x.coeffs, self.hess2n, y.coeffs)
+        return hess_op(self.hess2n, x, y)
 
     def h3_r(self, x1, x2, x3):
-        return _per_point(np.einsum("...abc,...a,...b,...c->...", self.h3t, x1.coeffs, x2.coeffs, x3.coeffs))
+        return h3_op(self.h3t, x1, x2, x3)
 
     def nabla_L(self, direction):
         """Chern covariant derivative of the field L along a complexified direction."""

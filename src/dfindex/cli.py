@@ -73,13 +73,14 @@ class RunConfig:
     format: str = "json"
 
     def validate(self):
-        for name in ("eps_null", "tol_eta", "c_floor"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerance {name} must be positive, got {getattr(self, name)}")
-        for name in ("box_radius", "basis_spread"):
-            if not getattr(self, name) > 0:
+        for name in ("eps_null", "tol_eta", "c_floor", "eta", "eta_cap", "box_radius", "basis_spread"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("eps_null", "tol_eta", "c_floor", "box_radius", "basis_spread"):
+            if not getattr(self, name) > 0:   # a NaN fails
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name, least in (("samples", 1), ("special_samples", 0)):
+        for name, least in (("samples", 1), ("special_samples", 0), ("seed", 0), ("basis_degree", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -89,8 +90,8 @@ class RunConfig:
             raise ConfigError(f"eta_cap must lie in (0, 1), got {self.eta_cap}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
-        if self.seed is None:
-            raise ConfigError("seed must be set (deterministic runs only)")
+        if not isinstance(self.domain_params, dict):
+            raise ConfigError(f"domain_params must be an object, got {self.domain_params!r}")
         return self
 
     def to_dict(self):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,9 @@ from .geometry import (
     curvature,
     curvature_contraction,
     h3_op,
+    h3_tensor,
     hess_op,
+    hess_tensor,
     inner,
     kahler_defect,
     metric_compat_residual,
@@ -227,13 +230,8 @@ def h3_identity_suite(count=200, seed=1, n=2, tol=1e-8):
         wbar = wvec.conj()
         fr = chern_frame(metric, z, order=2)
         table = wirtinger_table(f.jet(z, 3), n)
-
-        def h3(a, b, c):
-            return h3_op(fr, table, a, b, c)
-
-        def hess(a, b):
-            return hess_op(fr, table, a, b)
-
+        hc = hess_tensor(table, fr)
+        h3, hess = partial(h3_op, h3_tensor(table, fr, hc)), partial(hess_op, hc)
         t_lz = torsion(fr, lvec, zvec)
         r1 = abs(h3(lvec, zvec, wbar) - h3(zvec, lvec, wbar) + hess(t_lz, wbar))
         rw = curvature(fr, wbar, zvec, lvec)
@@ -267,11 +265,12 @@ def structural_suite(count=50, seed=2, n=2):
         tv = torsion(fr, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()))
         worst_t = _worst(worst_t, float(np.max(np.abs(tv.coeffs))))
 
-        lhs = hess_op(fr, table, zvec, wvec) - hess_op(fr, table, wvec, zvec)
+        hc = hess_tensor(table, fr)
+        lhs = hess_op(hc, zvec, wvec) - hess_op(hc, wvec, zvec)
         tzw = torsion(fr, zvec, wvec)
         worst_hsym = _worst(worst_hsym, abs(lhs + _apply_vec(tzw, table)))
 
-        mixed = hess_op(fr, table, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()))
+        mixed = hess_op(hc, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()))
         direct = complex(zvec.h @ table.mixed_hessian @ wvec.h.conj())
         worst_ch = _worst(worst_ch, abs(mixed - direct))
 

@@ -399,8 +399,11 @@ def dual_bound(sites, eta, lam, nu, box_radius):
     return value if math.isfinite(value) else math.inf
 
 
-def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, tol=1e-6,
-                       c0=None, box_radius=100.0, max_iter=400):
+_BOUND_TOL = 1e-6   # the gap at which the upper bound decides or closes a feasibility search
+
+
+def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, c0=None, box_radius=100.0,
+                       max_iter=400):
     """Maximize the minimum site margin over the basis coefficients.
 
     Returns a certificate; it is feasible iff the best minimum margin
@@ -453,10 +456,10 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, tol=1e-6,
         if best_val >= decision_slack:
             status = "feasible_early_exit"
             break
-        if ub < C_floor - tol:
+        if ub < C_floor - _BOUND_TOL:
             status = "infeasible_certified"
             break
-        if ub - best_val <= tol:
+        if ub - best_val <= _BOUND_TOL:
             status = "converged"
             break
         if best_val >= C_floor and ub < decision_slack:

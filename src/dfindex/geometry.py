@@ -11,12 +11,12 @@ antiholomorphic subbundles orthogonal, so ``<V, W> = V.h G W.h* + V.a G^T
 W.a*`` with ``G[j, k] = <d/dz_j, d/dz_k>``.
 
 Every operator takes the :class:`ChernFrame` it evaluates on first, then
-its vector arguments; the Hessian operators also take the Wirtinger table of
-the differentiated function.  ``torsion``, ``curvature`` and
-``curvature_contraction`` take one point or a batch (see
-:mod:`dfindex.boundary`); the Hessian operators and the covariant
-derivative, which the cross-checks call with a new metric per point, take
-one point.  All operators are tensorial in the sense
+its vector arguments, but the Hessian operators contract the tensor that
+:func:`hess_tensor` builds (and :func:`h3_tensor` extends) once per table of
+the differentiated function.  All but the two field operators below, which
+the cross-checks call with a new metric per point, take one point or a
+batch (see :mod:`dfindex.boundary`).  :func:`chern_frame` is where a
+metric's jets are inverted.  All operators are tensorial in the sense
 established for the Hessian and its third-order extension: they depend only
 on pointwise values of their vector arguments, so constant test vectors
 suffice; vector fields enter only through :func:`covariant_derivative` and
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import expr
 from .fields import _points, dz_jet, seed_coordinate_jets, wirtinger_table
-from .jets import Jet, _elementwise, branch, exp
+from .jets import Jet, JetOrderError, _elementwise, branch, exp
 
 __all__ = [
     "CTVector",
@@ -48,6 +48,8 @@ __all__ = [
     "torsion_from_fields",
     "curvature",
     "curvature_contraction",
+    "hess_tensor",
+    "h3_tensor",
     "hess_op",
     "h3_op",
     "inner",
@@ -333,14 +335,6 @@ def _eliminate(a, inv, col):
     return _eliminate(a, inv, col + 1)
 
 
-def jet_matrix_solve(mat, rhs):
-    """Solve M x = rhs for jet vector x (via the jet-ring inverse; n is small)."""
-    inv = jet_matrix_inverse(mat)
-    n = len(mat)
-    return [sum((inv[i][j] * rhs[j] for j in range(n)),
-                Jet.constant(0.0, mat[0][0].m, mat[0][0].order)) for i in range(n)]
-
-
 # ----------------------------------------------------------------------
 # connection data at a point
 # ----------------------------------------------------------------------
@@ -354,7 +348,9 @@ class ChernFrame:
 
     z: np.ndarray
     n: int
+    order: int                   # of the metric jets it is derived from; dGamma needs 2
     g: np.ndarray
+    ginv_jets: list              # (n, n) nested list: the jets of g^{-1}, of order ``order``
     gamma: np.ndarray            # gamma[i, j, k] = Gamma^i_{jk}
     dgamma_h: np.ndarray | None  # [p, i, j, k] = d/dz_p Gamma^i_{jk}
     dgamma_a: np.ndarray | None  # [p, i, j, k] = d/dzbar_p Gamma^i_{jk}
@@ -370,8 +366,8 @@ class ChernFrame:
 
     @cached_property
     def dgamma2n(self):
-        if self.dgamma_h is None:
-            raise ValueError("connection derivatives unavailable (metric jets of order < 2)")
+        if self.order < 2:
+            raise JetOrderError(f"dGamma needs metric jets of order 2, the connection has {self.order}")
         n = self.n
         out = np.zeros(self.gamma.shape[:-3] + (2 * n,) * 4, dtype=complex)
         out[..., :n, :n, :n, :n] = self.dgamma_h
@@ -383,19 +379,23 @@ class ChernFrame:
     @property
     def curvature_tensor(self):
         """R[j, k, i, l]: (R(d/dz_j, d/dzbar_k) d/dz_l)^i = -dzbar_k Gamma^i_{jl}."""
-        return -np.moveaxis(self.dgamma_a, (-4, -3, -2, -1), (-3, -2, -4, -1))
+        dgamma_a = np.ascontiguousarray(self.dgamma2n[..., self.n:, :self.n, :self.n, :self.n])
+        return -np.moveaxis(dgamma_a, (-4, -3, -2, -1), (-3, -2, -4, -1))
 
 
 def chern_frame(metric, z, order=2, mjets=None):
-    """Connection data at ``z`` (one point or a batch) from metric entry jets of the given order.
+    """Connection data at ``z`` (one point or a batch) from the metric's entry jets.
 
-    ``mjets`` are the metric's entry jets at ``z`` of order ``order``, when
-    already computed.
+    ``mjets`` are those jets at ``z`` when already computed, and the frame
+    has their order; else the metric is evaluated through ``order``.  Their
+    inverse is kept as ``ginv_jets``.
     """
     z = _points(z)
     n = metric.n
-    if mjets is None:
-        mjets = metric.jets(z, order)
+    mjets = metric.jets(z, order) if mjets is None else mjets
+    order = mjets[0][0].order
+    if order < 1:
+        raise JetOrderError(f"the connection needs metric jets of order 1, got {order}")
     g = _values(mjets)
     batch = g.shape[:-2]
     _check_hermitian(g, metric.name, z)
@@ -419,7 +419,7 @@ def chern_frame(metric, z, order=2, mjets=None):
                     dgamma_a[..., :, i, j, k] = w1[..., n:]
 
     dG_h = np.stack([_values(dm[p]) for p in range(n)], axis=-3)
-    return ChernFrame(z=z, n=n, g=g, gamma=gamma,
+    return ChernFrame(z=z, n=n, order=order, g=g, ginv_jets=minv_jets, gamma=gamma,
                       dgamma_h=dgamma_h, dgamma_a=dgamma_a, dG_h=dG_h)
 
 
@@ -479,15 +479,10 @@ def torsion_from_fields(frame, xf, yf):
     """
     n, z = frame.n, frame.z
     x0, y0 = xf.value(z), yf.value(z)
-    dxy = covariant_derivative(frame, x0, yf)
-    dyx = covariant_derivative(frame, y0, xf)
-    xh, xa = xf.jets(z, 1)
-    yh, ya = yf.jets(z, 1)
+    xj, yj = xf.jets(z, 1), yf.jets(z, 1)
     w1 = lambda js: np.array([wirtinger_table(j, n).w1 for j in js])
-    lie_h = w1(yh) @ x0.coeffs - w1(xh) @ y0.coeffs
-    lie_a = w1(ya) @ x0.coeffs - w1(xa) @ y0.coeffs
-    lie = CTVector(lie_h, lie_a)
-    return dxy - dyx - lie
+    lie = CTVector(*(w1(y) @ x0.coeffs - w1(x) @ y0.coeffs for x, y in zip(xj, yj)))
+    return covariant_derivative(frame, x0, yj) - covariant_derivative(frame, y0, xj) - lie
 
 
 def curvature(frame, x, y, v):
@@ -517,9 +512,8 @@ def hess_tensor(table, frame):
     return w2 - np.einsum("...eab,...e->...ab", frame.gamma2n, w1)
 
 
-def h3_tensor(table, frame):
-    """H^3(d_a, d_b, d_c) f over the 2n complexified directions (batch axis first)."""
-    hc = hess_tensor(table, frame)
+def h3_tensor(table, frame, hc):
+    """H^3(d_a, d_b, d_c) f (batch axis first), extending the Hessian tensor ``hc`` of f."""
     g2 = frame.gamma2n
     w1, w2, w3 = _lead(table.w1, 1), _lead(table.w2, 2), _lead(table.w3, 3)
     out = w3 - np.einsum("...aebc,...e->...abc", frame.dgamma2n, w1)
@@ -529,13 +523,11 @@ def h3_tensor(table, frame):
     return out
 
 
-def hess_op(frame, table, x, y):
-    """Hess(X, Y) f = XYf - (nabla_X Y) f for the Wirtinger ``table`` of f, tensorial in X, Y."""
-    hc = hess_tensor(table, frame)
-    return complex(x.coeffs @ hc @ y.coeffs)
+def hess_op(hc, x, y):
+    """Hess(X, Y) f = XYf - (nabla_X Y) f from the Hessian tensor ``hc`` of f, tensorial in X, Y."""
+    return _pair(x.coeffs, hc, y.coeffs)
 
 
-def h3_op(frame, table, x1, x2, x3):
-    """Third-order Hessian H^3(X1, X2, X3) f, tensorial in pointwise values."""
-    t3 = h3_tensor(table, frame)
-    return complex(np.einsum("abc,a,b,c->", t3, x1.coeffs, x2.coeffs, x3.coeffs))
+def h3_op(t3, x1, x2, x3):
+    """Third-order Hessian H^3(X1, X2, X3) f from its tensor ``t3``, tensorial in pointwise values."""
+    return _per_point(np.einsum("...abc,...a,...b,...c->...", t3, x1.coeffs, x2.coeffs, x3.coeffs))

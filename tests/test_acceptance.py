@@ -115,11 +115,11 @@ def test_05_structural_identities(ball, worm_euclid, worm_kahler):
                             float(np.max(np.abs(torsion(fr, zvec, wvec).coeffs))))
         f = random_scalar_field(2, rng)
         from dfindex.fields import wirtinger_table
-        from dfindex.geometry import hess_op
+        from dfindex.geometry import hess_op, hess_tensor
 
         table = wirtinger_table(f.jet(z, 2), 2)
         w2 = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        mixed = hess_op(fr, table, zvec, w2.conj())
+        mixed = hess_op(hess_tensor(table, fr), zvec, w2.conj())
         direct = complex(zvec.h @ table.mixed_hessian @ w2.h.conj())
         worst_hess = max(worst_hess, abs(mixed - direct))
 

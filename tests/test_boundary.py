@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dfindex import boundary, jets
+from dfindex import boundary, geometry, jets
 from dfindex.boundary import (
     DomainSpec,
     ProjectionError,
@@ -161,7 +161,7 @@ def test_sff_tangency_guard_fails_a_nan_direction(ball):
 
 
 def test_a_frame_evaluates_r_the_metric_and_the_connection_once(worm_kahler, monkeypatch):
-    calls = {"r": 0, "metric": 0, "chern": 0}
+    calls = {"r": 0, "metric": 0, "chern": 0, "inverse": 0, "hessian": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -172,6 +172,11 @@ def test_a_frame_evaluates_r_the_metric_and_the_connection_once(worm_kahler, mon
     monkeypatch.setattr(worm_kahler.r, "jet", counted("r", worm_kahler.r.jet))
     monkeypatch.setattr(worm_kahler.metric, "jets", counted("metric", worm_kahler.metric.jets))
     monkeypatch.setattr(boundary, "chern_frame", counted("chern", boundary.chern_frame))
+    # the metric's jets are inverted once, and H^3 extends the frame's Hessian tensor
+    monkeypatch.setattr(geometry, "jet_matrix_inverse", counted("inverse", geometry.jet_matrix_inverse))
+    hessian = counted("hessian", geometry.hess_tensor)
+    monkeypatch.setattr(geometry, "hess_tensor", hessian)
+    monkeypatch.setattr(boundary, "hess_tensor", hessian)
     points = sgamma_points(worm_kahler.params["worm"], 6, spread=0.9)
     fr = normal_frame(worm_kahler, points)
     zvec = CTVector.holo(np.broadcast_to([0.0, 1.0 + 0.0j], (6, 2)))   # null on S_gamma
@@ -180,7 +185,21 @@ def test_a_frame_evaluates_r_the_metric_and_the_connection_once(worm_kahler, mon
               alpha_geometric(fr, zvec), beta_geometric(fr, zvec),
               geometric_margin(fr, zvec, 0.4), vectorfield_margin(fr, zvec, 0.4)]
     assert all(np.all(np.isfinite(v)) for v in values)
-    assert calls == {"r": 1, "metric": 1, "chern": 1}
+    assert calls == {"r": 1, "metric": 1, "chern": 1, "inverse": 1, "hessian": 1}
+
+
+@pytest.mark.parametrize("r_order", [1, 2, 3])
+def test_a_frame_evaluates_the_metric_through_r_order_minus_1(ball, worm_kahler, r_order):
+    for domain in (ball, worm_kahler):
+        fr = normal_frame(domain, sample_boundary(domain, 6, 17), r_order=r_order)
+        assert {e.order for row in fr.metric_jets for e in row} == {r_order - 1}
+        if r_order == 2:
+            # the Hessian needs the connection only: an order-1 one gives the order-3 frame's bits
+            full = normal_frame(domain, fr.z)
+            x, y = CTVector.holo([0.3 + 0.1j, -0.5j]), CTVector([0.2, 1.0], [0.7j, -0.4])
+            assert np.array_equal(fr.hess2n, full.hess2n)
+            assert np.array_equal(fr.hess_r(x, y), full.hess_r(x, y))
+            assert np.array_equal(fr.hess_r(fr.X, x), full.hess_r(full.X, x))
 
 
 def test_quantities_past_the_frame_order_raise(ball):

@@ -41,7 +41,7 @@ def test_config_loading_and_overrides(tmp_path):
     bad2.write_text("{ not json")
     with pytest.raises(ConfigError, match="line 1"):
         load_config(bad2)
-    with pytest.raises(ConfigError, match="tolerance"):
+    with pytest.raises(ConfigError, match="tol_eta must be positive"):
         load_config(None, {"tol_eta": -1.0})
 
 
@@ -53,6 +53,14 @@ def test_config_loading_and_overrides(tmp_path):
     ("eta_cap", 0.0, r"eta_cap must lie in \(0, 1\)"),
     ("box_radius", 0.0, "box_radius must be positive"),
     ("basis_spread", 0.0, "basis_spread must be positive"),
+    ("tol_eta", math.nan, "tol_eta must be positive"),
+    ("eta", "x", "eta must be a number"),
+    ("c_floor", "1e-4", "c_floor must be a number"),
+    ("seed", 1.5, "seed must be an integer >= 0"),
+    ("domain_params", [1], "domain_params must be an object"),
+    ("basis_degree", -5, "basis_degree must be an integer >= 0"),
+    ("basis_degree", 2.5, "basis_degree must be an integer >= 0"),
+    ("basis_degree", "x", "basis_degree must be an integer >= 0"),
 ])
 def test_estimate_rejects_a_value_that_would_crash_or_mislead_it(tmp_path, capsys, field, value,
                                                                    message):

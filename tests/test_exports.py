@@ -104,6 +104,20 @@ def test_no_module_imports_scipy_on_import():
     assert not eager, f"module-level SciPy imports: {eager}"
 
 
+def _called_name(func):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_metric_jets_are_inverted_in_chern_frame_only():
+    # a frame inverts its metric's jets once: the jets of L reuse the connection's inverse
+    callers = [f"{path.name}:{fn.name}" for path in SOURCES
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and _called_name(node.func) == "jet_matrix_inverse"]
+    assert callers == ["geometry.py:chern_frame"]
+
+
 COLD_START = """
 import json, math, sys
 import dfindex, dfindex.cli

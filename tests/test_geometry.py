@@ -20,7 +20,9 @@ from dfindex.geometry import (
     curvature,
     curvature_contraction,
     h3_op,
+    h3_tensor,
     hess_op,
+    hess_tensor,
     inner,
     kahler_defect,
     metric_compat_residual,
@@ -141,7 +143,7 @@ def test_hess_op_examples(ball):
     z = np.array([0.4 - 0.6j, 0.2 + 0.3j])
     d1 = CTVector.holo([1.0, 0.0])
     fr, table = chern_frame(metric, z, order=1), wirtinger_table(f.jet(z, 2), 2)
-    assert hess_op(fr, table, d1, d1.conj()) == pytest.approx(1.0, abs=1e-13)
+    assert hess_op(hess_tensor(table, fr), d1, d1.conj()) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_hessian_with_normal_direction_is_log_gradient_derivative(ball):
@@ -166,7 +168,8 @@ def test_hess_antisymmetrization_is_minus_torsion(rng):
     table = wirtinger_table(f.jet(z, 2), 2)
     X = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     Y = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    lhs = hess_op(fr, table, X, Y) - hess_op(fr, table, Y, X)
+    hc = hess_tensor(table, fr)
+    lhs = hess_op(hc, X, Y) - hess_op(hc, Y, X)
     t = torsion(fr, X, Y)
     rhs = -complex(t.coeffs @ table.w1)
     assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -178,7 +181,7 @@ def test_h3_vanishes_for_quadratic_euclidean():
     z = np.array([0.7 + 0.2j, -0.4 + 0.1j])
     vecs = [CTVector.holo([1.0, 0.3j]), CTVector.holo([0.2, 1.0]), CTVector.anti([0.5, 1.0])]
     fr, table = chern_frame(metric, z, order=2), wirtinger_table(f.jet(z, 3), 2)
-    assert abs(h3_op(fr, table, *vecs)) < 1e-13
+    assert abs(h3_op(h3_tensor(table, fr, hess_tensor(table, fr)), *vecs)) < 1e-13
 
 
 def test_h3_identities_random_sample():
@@ -229,3 +232,36 @@ def test_curvature_contraction_is_real_and_conjugate_symmetric(rng):
     a = inner(fr.g, curvature(fr, Z, W.conj(), V), V)
     b = inner(fr.g, curvature(fr, W, Z.conj(), V), V)
     assert a == pytest.approx(np.conj(b), abs=1e-10)
+
+
+@pytest.mark.parametrize("source", ["chern_frame", "normal_frame"])
+def test_an_order_1_connection_raises_for_its_derivatives_only(ball, source):
+    from dfindex.boundary import NormalFrame
+
+    if source == "chern_frame":
+        metric, z = MetricField.euclidean(2), np.array([0.5, 0.2], dtype=complex)
+        fr = chern_frame(metric, (0.5, 0.2), order=1)
+    else:
+        metric, z = ball.metric, np.array([1.0, 0.0], dtype=complex)
+        fr = NormalFrame(ball, z, r_order=2).chern
+    assert fr.order == 1
+    x, y = CTVector.holo([0.3, 1.0j]), CTVector.holo([1.0, 0.5])
+    for read in (lambda: fr.curvature_tensor, lambda: fr.dgamma2n,
+                 lambda: curvature(fr, x, y.conj(), y), lambda: curvature_contraction(fr, x, y)):
+        with pytest.raises(jets.JetOrderError, match="needs metric jets of order 2, the connection has 1"):
+            read()
+    # what an order-1 connection holds still works
+    assert np.all(np.isfinite(fr.gamma)) and np.all(np.isfinite(fr.dG_h))
+    assert np.all(np.isfinite(torsion(fr, x, y).coeffs))
+    assert kahler_defect(metric, z) == 0.0
+
+
+def test_an_order_0_connection_is_refused(ball):
+    from dfindex.boundary import NormalFrame
+
+    with pytest.raises(jets.JetOrderError, match="the connection needs metric jets of order 1, got 0"):
+        chern_frame(MetricField.euclidean(2), (0.5, 0.2), order=0)
+    fr = NormalFrame(ball, np.array([1.0, 0.0], dtype=complex), r_order=1)
+    assert fr.grad_norm == pytest.approx(math.sqrt(2.0))   # G and |dr| need no connection
+    with pytest.raises(jets.JetOrderError, match="the connection needs metric jets of order 1, got 0"):
+        fr.chern
