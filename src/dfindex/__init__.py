@@ -42,7 +42,6 @@ from .estimator import (
     interior_check,
     poly_basis,
     vectorfield_margin,
-    worm_reduction_basis,
 )
 from .fields import ChartDomainError, ScalarField, complex_hessian, wirtinger
 from .forms import (
@@ -75,4 +74,5 @@ from .worm import (
     sgamma_points,
     worm_domain,
     worm_metric,
+    worm_reduction_basis,
 )

@@ -97,7 +97,8 @@ class DomainSpec:
     box: np.ndarray
     interior_point: np.ndarray
     min_abs_coord: dict = dc_field(default_factory=dict)
-    special_sampler: object = None
+    special_sampler: object = None   # (count, seed, spread) -> points of the Levi-degenerate set
+    h_basis: object = None           # (degree, spread) -> the domain's own HBasis
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):

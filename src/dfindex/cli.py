@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, diagnostics, forms
+from . import __version__, diagnostics, forms, worm
 from .boundary import NormalFrame, levi_data, normal_frame, sample_boundary
 from .domains import REGISTRY_KEYS, make_domain
 from .estimator import (
@@ -37,11 +37,9 @@ from .estimator import (
     geometric_margin,
     interior_check,
     poly_basis,
-    worm_reduction_basis,
 )
 from .geometry import CTVector
 from .jets import _vmul
-from .worm import riccati_threshold, s_gamma_reference, sgamma_points
 
 SCHEMA = "dfindex/1"
 
@@ -139,17 +137,14 @@ def _domain_of(cfg):
 
 
 def _basis_of(cfg, domain):
-    if cfg.basis == "poly":
+    """The domain's own basis (``auto``, ``reduction``), else ``poly(deg=2)`` (``auto``, ``poly``)."""
+    if cfg.basis not in ("auto", "reduction", "poly"):
+        raise ConfigError(f"unknown basis {cfg.basis!r} (auto | reduction | poly)")
+    if cfg.basis == "reduction" and domain.h_basis is None:
+        raise ConfigError("reduction basis needs a domain with a reduction coordinate (worm)")
+    if cfg.basis == "poly" or domain.h_basis is None:
         return poly_basis(domain.n, degree=2)
-    if cfg.basis in ("auto", "reduction"):
-        gamma = domain.params.get("gamma")
-        if gamma is not None:
-            return worm_reduction_basis(gamma=gamma, degree=cfg.basis_degree,
-                                        spread=cfg.basis_spread)
-        if cfg.basis == "reduction":
-            raise ConfigError("reduction basis needs a domain with a reduction coordinate (worm)")
-        return poly_basis(domain.n, degree=2)
-    raise ConfigError(f"unknown basis {cfg.basis!r} (auto | reduction | poly)")
+    return domain.h_basis(cfg.basis_degree, cfg.basis_spread)
 
 
 def _boundary_points(cfg, domain, basis=None):
@@ -282,11 +277,10 @@ def cmd_check(cfg):
     domain = _domain_of(cfg)
     basis = _basis_of(cfg, domain)
     points = _boundary_points(cfg, domain, basis)
-    wp = domain.params.get("worm")
-    if wp is not None:
+    if domain.special_sampler is not None:
         # guard ring over the full degenerate range so the certified h is
         # controlled wherever the interior verification can look
-        points += list(sgamma_points(wp, max(64, basis.m), spread=0.999))
+        points += list(domain.special_sampler(max(64, basis.m), cfg.seed + 2, spread=0.999))
     sites, min_pc = collect_sites(domain, points, basis, eps_null=cfg.eps_null)
     cert = feasibility_search(domain, cfg.eta, basis, sites, C_floor=cfg.c_floor,
                               box_radius=cfg.box_radius)
@@ -334,13 +328,13 @@ def cmd_worm_bench(cfg):
     except ConfigError as err:
         raise ConfigError(f"worm-bench runs on worm(gamma) with its Kaehler metric: {err}") from err
     wp = domain.params["worm"]
-    points = sgamma_points(wp, cfg.samples, spread=0.9)
+    points = worm.sgamma_points(wp, cfg.samples, spread=0.9)
     fr = normal_frame(domain, points)
     zvec = CTVector.holo(np.broadcast_to([0.0, 1.0 + 0.0j], (len(points), 2)))
     records, errors = [], []
     for p, a_val, margin in zip(points, forms.alpha(fr, zvec).tolist(),
                                 geometric_margin(fr, zvec, cfg.eta).tolist()):
-        ref = s_gamma_reference(wp, p.z[1])
+        ref = worm.s_gamma_reference(wp, p.z[1])
         errors.append(abs(a_val - ref.alpha) / (1 + abs(ref.alpha)))
         errors.append(abs(margin - ref.margin(cfg.eta)) / (1 + abs(ref.margin(cfg.eta))))
         records.append({
@@ -352,7 +346,7 @@ def cmd_worm_bench(cfg):
             "margin_reference": ref.margin(cfg.eta),
         })
     records.sort(key=lambda r: r["x"])
-    thresholds = {f"{g:.6f}": riccati_threshold(g)
+    thresholds = {f"{g:.6f}": worm.riccati_threshold(g)
                   for g in (0.6 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi)}
     summary = {
         "gamma": wp.gamma,

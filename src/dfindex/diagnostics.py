@@ -45,7 +45,8 @@ from .geometry import (
     torsion,
     torsion_from_fields,
 )
-from .worm import WormParams, riccati_threshold, s_gamma_reference, sgamma_points, worm_domain
+from .worm import (WormParams, riccati_threshold, s_gamma_reference, sgamma_patch_tangent,
+                   sgamma_points, worm_domain)
 
 __all__ = [
     "CheckRecord",
@@ -393,7 +394,7 @@ def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
         worst_weak = _worst(worst_weak, ru, rm)
     out.append(_rec("forms", "weak_identity_beta_vs_grid_dalpha", worst_weak, 1e-5))
 
-    patch = forms.sgamma_patch_tangent(worm_e)
+    patch = sgamma_patch_tangent(worm_e)
     resid = forms.pullback_alpha_dclosed(worm_e, patch, grid=grid)
     out.append(_rec("forms", "stokes_circulation_density", resid, 1e-6))
     period = forms.loop_alpha_integral(worm_e, patch)

@@ -44,7 +44,6 @@ from .geometry import CTVector, _abs_sq, _dot, _lead, _pair, _per_point, curvatu
 
 __all__ = [
     "HBasis",
-    "worm_reduction_basis",
     "poly_basis",
     "SiteSet",
     "collect_sites",
@@ -90,56 +89,6 @@ class HBasis:
             return out
 
         return ScalarField(self.n, fn, name=f"h[{self.name}]")
-
-
-def _chebyshev_jets(u, degree):
-    """T_0(u) .. T_degree(u) of a jet by the three-term recurrence."""
-    out = [jets.Jet.constant(1.0, u.m, u.order), u]
-    for _ in range(2, degree + 1):
-        out.append(2.0 * (u * out[-1]) - out[-2])
-    return out[: degree + 1]
-
-
-_CLAMP_WIDTH = 0.005   # how far past |u| = 1 the soft clamp saturates
-
-
-def _soft_clamp(u):
-    """Identity on |u| <= 1, saturating smoothly to +-(1 + _CLAMP_WIDTH) outside.
-
-    Twice continuously differentiable at the junction; keeps Chebyshev
-    basis fields bounded on the whole chart so a certified h stays tame far
-    from the constraint sites.
-    """
-    def saturate(sgn):
-        return lambda x: sgn * (1.0 + _CLAMP_WIDTH * jets.tanh((x * sgn - 1.0) * (1.0 / _CLAMP_WIDTH)))
-
-    v = np.real(u.value)
-    return jets.branch(np.abs(v) <= 1.0, lambda x: x,
-                       lambda x: jets.branch(np.real(x.value) > 0, saturate(1.0), saturate(-1.0), x),
-                       u)
-
-
-def worm_reduction_basis(gamma, degree=20, spread=0.97):
-    """Polynomials and one harmonic of the worm reduction coordinate x = log|z_2|^2.
-
-    The polynomial part is expressed in Chebyshev polynomials T_0 .. T_degree
-    of u = x / x_scale, with x_scale = ``spread * (gamma - pi/2)`` the
-    sampled range of x: the span equals plain monomials of the same degree,
-    but smooth candidates have O(1) coefficients, which keeps the
-    feasibility program well conditioned; cos x and sin x are appended.
-    Outside |u| <= 1 the polynomial argument saturates smoothly
-    (:func:`_soft_clamp`), so the fields and their derivatives stay bounded
-    on the whole chart.
-    """
-    x_scale = spread * (gamma - math.pi / 2)
-    inv = 1.0 / x_scale
-
-    def rows(zs):
-        x = jets.log(jets.abs2(zs[1]))
-        return _chebyshev_jets(_soft_clamp(x * inv), degree) + [jets.cos(x), jets.sin(x)]
-
-    return HBasis(n=2, m=degree + 3, rows=rows,
-                  name=f"log|z2|^2(deg={degree},harmonics=1,scale={x_scale:g})")
 
 
 def poly_basis(n, degree=2):

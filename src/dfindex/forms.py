@@ -32,7 +32,6 @@ __all__ = [
     "beta_mixed_nullspace",
     "beta_geometric",
     "SubmanifoldPatch",
-    "sgamma_patch_tangent",
     "max_circulation_density",
     "pullback_alpha_dclosed",
     "loop_alpha_integral",
@@ -197,32 +196,6 @@ class SubmanifoldPatch:
             if tangent_off[k]:
                 raise ValueError(f"patch tangent not annihilated by del r at u = {u}")
         return self
-
-
-def sgamma_patch_tangent(domain):
-    """Patch for the Levi-degenerate curve of the worm-type domains.
-
-    Parametrizes z = (0, exp(u/2)) so that log|z_2|^2 = Re u; the imaginary
-    part of u is the fiber angle (period 4 pi in u for one loop of z_2^2,
-    2 pi covers the circle once in angle arg z_2 = Im u / 2).
-    """
-    a = domain.params["gamma"] - np.pi / 2
-
-    def chart(u):
-        z2 = np.exp(np.asarray(u) / 2.0)
-        return np.stack([np.zeros_like(z2), z2], axis=-1)
-
-    def tangent(u):
-        z2 = np.exp(np.asarray(u) / 2.0)
-        return np.stack([np.zeros_like(z2), z2 / 2.0], axis=-1)
-
-    return SubmanifoldPatch(
-        domain=domain,
-        chart=chart,
-        tangent=tangent,
-        u_range=(-0.9 * a, 0.9 * a),
-        v_range=(0.0, 4.0 * np.pi),
-    )
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)

@@ -4,6 +4,7 @@ The family is the executable ground truth for the whole engine: every frame,
 curvature, and margin quantity has a closed form on the Levi-degenerate
 annulus ``S = {z_1 = 0, |log|z_2|^2| < gamma - pi/2}``, and the 1-D Riccati
 reduction of the boundary inequality reproduces the known index pi/(2 gamma).
+A worm's domain spec carries its S-sampler and its h-basis in x = log|z_2|^2.
 Its Riccati shooting integrates through ``boundary._rk45``, so SciPy loads
 on the first shooting, not with this module.
 """
@@ -18,16 +19,20 @@ import numpy as np
 
 from . import jets
 from .boundary import BoundaryPoint, DomainSpec, _rk45
+from .estimator import HBasis
 from .fields import ChartDomainError, ScalarField
+from .forms import SubmanifoldPatch
 from .geometry import MetricError, MetricField, resolve_metric
 
 __all__ = [
     "WormParams",
     "worm_domain",
     "worm_metric",
+    "worm_reduction_basis",
     "SGammaReference",
     "s_gamma_reference",
     "sgamma_points",
+    "sgamma_patch_tangent",
     "RiccatiResult",
     "riccati_feasibility",
     "riccati_threshold",
@@ -133,6 +138,55 @@ def _log_abs2(z2):
     return jets.log(jets.abs2(z2))
 
 
+def _chebyshev_jets(u, degree):
+    """T_0(u) .. T_degree(u) of a jet by the three-term recurrence."""
+    out = [jets.Jet.constant(1.0, u.m, u.order), u]
+    for _ in range(2, degree + 1):
+        out.append(2.0 * (u * out[-1]) - out[-2])
+    return out[: degree + 1]
+
+
+_CLAMP_WIDTH = 0.005   # how far past |u| = 1 the soft clamp saturates
+
+
+def _soft_clamp(u):
+    """Identity on |u| <= 1, saturating smoothly to +-(1 + _CLAMP_WIDTH) outside.
+
+    Twice continuously differentiable at the junction; keeps Chebyshev
+    basis fields bounded on the whole chart so a certified h stays tame far
+    from the constraint sites.
+    """
+    def saturate(sgn):
+        return lambda x: sgn * (1.0 + _CLAMP_WIDTH * jets.tanh((x * sgn - 1.0) * (1.0 / _CLAMP_WIDTH)))
+
+    return jets.branch(np.abs(np.real(u.value)) <= 1.0, lambda x: x,
+                       lambda x: jets.branch(np.real(x.value) > 0, saturate(1.0), saturate(-1.0), x),
+                       u)
+
+
+def worm_reduction_basis(gamma, degree, spread):
+    """Polynomials and one harmonic of the worm reduction coordinate x = log|z_2|^2.
+
+    The polynomial part is expressed in Chebyshev polynomials T_0 .. T_degree
+    of u = x / x_scale, with x_scale = ``spread * (gamma - pi/2)`` the
+    sampled range of x: the span equals plain monomials of the same degree,
+    but smooth candidates have O(1) coefficients, which keeps the
+    feasibility program well conditioned; cos x and sin x are appended.
+    Outside |u| <= 1 the polynomial argument saturates smoothly
+    (:func:`_soft_clamp`), so the fields and their derivatives stay bounded
+    on the whole chart.
+    """
+    x_scale = spread * (gamma - math.pi / 2)
+    inv = 1.0 / x_scale
+
+    def rows(zs):
+        x = _log_abs2(zs[1])
+        return _chebyshev_jets(_soft_clamp(x * inv), degree) + [jets.cos(x), jets.sin(x)]
+
+    return HBasis(n=2, m=degree + 3, rows=rows,
+                  name=f"log|z2|^2(deg={degree},harmonics=1,scale={x_scale:g})")
+
+
 def worm_domain(params, metric="euclidean"):
     """Worm domain as a DomainSpec; ``metric`` is a spec of :func:`~dfindex.geometry.resolve_metric`.
 
@@ -169,7 +223,8 @@ def worm_domain(params, metric="euclidean"):
         interior_point=np.array([-0.5, 1.0], dtype=complex),
         min_abs_coord={1: r2_lo},
         # deterministic clustered nodes serve every seed identically
-        special_sampler=lambda count, seed: sgamma_points(params, count, spread=0.99),
+        special_sampler=lambda count, seed, spread=0.99: sgamma_points(params, count, spread),
+        h_basis=functools.partial(worm_reduction_basis, params.gamma),
         params={"gamma": params.gamma, "worm": params},
     )
 
@@ -287,6 +342,32 @@ def sgamma_points(params, count, spread=0.97):
         z2 = math.exp(x / 2.0) * np.exp(1j * golden * k)
         points.append(BoundaryPoint(z=np.array([0.0, z2], dtype=complex), residual=0.0))
     return points
+
+
+def sgamma_patch_tangent(domain):
+    """Patch for the Levi-degenerate annulus of a worm ``domain``.
+
+    Parametrizes z = (0, exp(u/2)) so that log|z_2|^2 = Re u; the imaginary
+    part of u is the fiber angle (period 4 pi in u for one loop of z_2^2,
+    2 pi covers the circle once in angle arg z_2 = Im u / 2).
+    """
+    a = domain.params["worm"].a
+
+    def chart(u):
+        z2 = np.exp(np.asarray(u) / 2.0)
+        return np.stack([np.zeros_like(z2), z2], axis=-1)
+
+    def tangent(u):
+        z2 = np.exp(np.asarray(u) / 2.0)
+        return np.stack([np.zeros_like(z2), z2 / 2.0], axis=-1)
+
+    return SubmanifoldPatch(
+        domain=domain,
+        chart=chart,
+        tangent=tangent,
+        u_range=(-0.9 * a, 0.9 * a),
+        v_range=(0.0, 4.0 * np.pi),
+    )
 
 
 # ----------------------------------------------------------------------

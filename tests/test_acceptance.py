@@ -31,10 +31,10 @@ from dfindex.estimator import (
     geometric_margin,
     interior_check,
     vectorfield_margin,
-    worm_reduction_basis,
 )
 from dfindex.geometry import CTVector, chern_frame, kahler_defect, torsion
-from dfindex.worm import WormParams, riccati_threshold, sgamma_points, worm_domain
+from dfindex.worm import (WormParams, riccati_threshold, sgamma_patch_tangent, sgamma_points,
+                         worm_domain, worm_reduction_basis)
 
 Z_FIBER = CTVector.holo([0.0, 1.0])
 
@@ -161,7 +161,7 @@ def test_06_margin_equivalence(worm_kahler):
 
 
 def test_07_alpha_closed_but_not_exact(worm_euclid):
-    patch = forms.sgamma_patch_tangent(worm_euclid)
+    patch = sgamma_patch_tangent(worm_euclid)
     resid = forms.pullback_alpha_dclosed(worm_euclid, patch, grid=(32, 32))
     period = forms.loop_alpha_integral(worm_euclid, patch)
     oracle = -4.0 * math.pi

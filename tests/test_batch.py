@@ -32,12 +32,10 @@ from dfindex.diagnostics import random_metric, random_scalar_field
 from dfindex.domains import ball_domain, make_domain
 from dfindex.estimator import (
     _basis_rows,
-    _soft_clamp,
     collect_sites,
     interior_check,
     make_site,
     poly_basis,
-    worm_reduction_basis,
 )
 from dfindex.expr import build_field
 from dfindex.fields import (
@@ -65,7 +63,8 @@ from dfindex.geometry import (
     curvature_contraction,
     torsion,
 )
-from dfindex.worm import WormParams, _f_jets, _lambda_jet, sgamma_points, worm_domain
+from dfindex.worm import (WormParams, _f_jets, _lambda_jet, _soft_clamp, sgamma_points, worm_domain,
+                         worm_reduction_basis)
 
 SEEDS = st.integers(0, 2**32 - 1)
 BATCH = settings(derandomize=True, deadline=None, max_examples=25)
@@ -504,7 +503,7 @@ def test_basis_rows_and_soft_clamp_match_one_point(seed):
 
 def test_make_site_matches_one_point(worm_kahler):
     points = np.array([p.z for p in sgamma_points(worm_kahler.params["worm"], 4, spread=0.9)])
-    basis = worm_reduction_basis(math.pi, degree=5)
+    basis = worm_reduction_basis(math.pi, degree=5, spread=0.97)
     zvec = CTVector.holo(np.tile([0.0, 1.0], (4, 1)).astype(complex))
     batch = make_site(NormalFrame(worm_kahler, points), zvec, basis)
     assert len(batch) == 4
@@ -548,7 +547,7 @@ def test_null_site_evaluators_and_sff_match_one_point(metric):
 @given(seed=SEEDS)
 def test_collect_sites_matches_points_one_at_a_time(seed):
     worm = worm_domain(WormParams(gamma=math.pi, t=1.2), metric="worm_kahler")
-    basis = worm_reduction_basis(math.pi, degree=6)
+    basis = worm_reduction_basis(math.pi, degree=6, spread=0.97)
     rng = np.random.default_rng(seed)
     special = sgamma_points(worm.params["worm"], 8, spread=0.95)
     points = sample_boundary(worm, 4, seed) + [special[i] for i in rng.choice(8, 4, replace=False)]
@@ -568,7 +567,7 @@ def test_collect_sites_matches_points_one_at_a_time(seed):
 def test_collect_sites_stores_c_contiguous_arrays():
     # ``A @ c`` on a strided A takes another BLAS path, with other last bits
     worm = worm_domain(WormParams(gamma=math.pi, t=1.2))
-    basis = worm_reduction_basis(math.pi, degree=6)
+    basis = worm_reduction_basis(math.pi, degree=6, spread=0.97)
     sites, _ = collect_sites(worm, sgamma_points(worm.params["worm"], 8, spread=0.95), basis)
     assert len(sites) == 8
     for name in ("B", "A", "E", "D"):

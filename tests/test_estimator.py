@@ -16,11 +16,10 @@ from dfindex.estimator import (
     interior_check,
     poly_basis,
     vectorfield_margin,
-    worm_reduction_basis,
 )
 from dfindex.fields import ScalarField, seed_coordinate_jets
 from dfindex.geometry import CTVector
-from dfindex.worm import sgamma_points
+from dfindex.worm import sgamma_points, worm_reduction_basis
 
 Z_FIBER = CTVector.holo([0.0, 1.0])
 

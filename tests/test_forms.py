@@ -9,6 +9,7 @@ from dfindex import forms
 from dfindex.boundary import levi_data, normal_frame, sample_boundary
 from dfindex.fields import wirtinger_table
 from dfindex.geometry import CTVector
+from dfindex.worm import sgamma_patch_tangent
 
 
 def test_alpha_on_degenerate_annulus(worm_euclid):
@@ -139,7 +140,7 @@ def test_weak_identity_against_grid_differentiated_alpha(ball, worm_euclid, rng)
 
 
 def test_pullback_alpha_stokes_and_period(worm_euclid):
-    patch = forms.sgamma_patch_tangent(worm_euclid)
+    patch = sgamma_patch_tangent(worm_euclid)
     resid = forms.pullback_alpha_dclosed(worm_euclid, patch, grid=(32, 32))
     assert resid < 1e-6
     period = forms.loop_alpha_integral(worm_euclid, patch)
@@ -149,7 +150,7 @@ def test_pullback_alpha_stokes_and_period(worm_euclid):
 
 
 def test_exact_form_pullback_has_tiny_circulation(worm_euclid):
-    patch = forms.sgamma_patch_tangent(worm_euclid)
+    patch = sgamma_patch_tangent(worm_euclid)
 
     # dh for h = Re(z2) + 0.3 log|z2|^2: (1,0) component at the patch tangent,
     # for an array of patch parameters
@@ -176,7 +177,7 @@ def test_patch_validation_rejects_off_boundary(ball):
 
 
 def test_patch_validation_names_the_first_off_boundary_parameter(worm_euclid):
-    patch = forms.sgamma_patch_tangent(worm_euclid)
+    patch = sgamma_patch_tangent(worm_euclid)
 
     def chart(u):
         # off the boundary where Re u >= 0 and Im u > 2.5 pi: six of the 5 x 5 grid points
@@ -193,7 +194,7 @@ def test_patch_validation_names_the_first_off_boundary_parameter(worm_euclid):
 
 
 def test_one_nan_node_makes_the_circulation_density_nan(worm_euclid):
-    patch = forms.sgamma_patch_tangent(worm_euclid)
+    patch = sgamma_patch_tangent(worm_euclid)
     batches = []
 
     def a_of(u):
