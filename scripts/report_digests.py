@@ -34,6 +34,9 @@ RUNS = [
     ("estimate", "estimate", {"domain": WORM_PI, "samples": 10, "basis_degree": 8}),
     ("worm-bench", "worm-bench", {"domain": WORM_PI, "samples": 10}),
     ("selftest", "selftest", {}),
+    # off the worm: a domain without a basis or sampler of its own
+    ("check-ellipsoid", "check", {"domain": "ellipsoid(1,2)", "samples": 10, "eta": 0.4}),
+    ("estimate-ellipsoid", "estimate", {"domain": "ellipsoid(1,2)", "samples": 10}),
 ]
 
 

@@ -505,9 +505,24 @@ class DFEstimate:
                 for eta, cert in self.certificates.items()]
 
     def summary(self):
-        if self.eta_hi >= 1.0:
-            return f"DF >= {self.eta_lo:.2f} (grid cap)"
-        return f"DF in [{self.eta_lo:.2f}, {self.eta_hi:.2f}]"
+        """The bracket at two decimals, rounded outward so that it contains [eta_lo, eta_hi]."""
+        lo = _two_decimals(self.eta_lo, -1)
+        if self.eta_hi < 1.0:
+            return f"DF in [{lo}, {_two_decimals(self.eta_hi, 1)}]"
+        if [cert.status for cert in self.certificates.values()] == ["no_null_sites"]:
+            return f"DF >= {lo} (grid cap; no null site constrains the estimate)"
+        return f"DF >= {lo} (grid cap)"
+
+
+def _two_decimals(x, side):
+    """The 2-decimal number nearest x on ``side``: the largest <= x (-1) or the smallest >= x (+1).
+
+    A decimal d counts as float(d), so 0.99 rounds to itself on either side.
+    """
+    cents = round(x * 100)
+    if (cents / 100 - x) * side < 0:
+        cents += side
+    return f"{cents / 100:.2f}"
 
 
 def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-4,

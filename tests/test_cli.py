@@ -251,6 +251,36 @@ def test_check_command_on_worm_runs_interior_check(tmp_path):
     assert interior and all(r["min_eig"] > 0 for r in interior)
 
 
+@pytest.mark.parametrize("domain, basis, basis_id", [
+    (f"worm({math.pi!r})", "auto", "log|z2|^2(deg=4,"),
+    (f"worm({math.pi!r})", "reduction", "log|z2|^2(deg=4,"),
+    (f"worm({math.pi!r})", "poly", "poly(deg=2)"),
+    ("ball", "auto", "poly(deg=2)"),
+    ("ball", "poly", "poly(deg=2)"),
+], ids=["worm-auto", "worm-reduction", "worm-poly", "ball-auto", "ball-poly"])
+def test_basis_field_picks_the_domain_basis_or_poly(tmp_path, domain, basis, basis_id):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": domain, "basis": basis, "basis_degree": 4,
+                                    "samples": 4, "eta": 0.3}))
+    assert run_cli(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "check.json").read_text())
+    assert report["records"][0]["basis_id"].startswith(basis_id)
+    assert report["config"]["basis"] == basis
+
+
+@pytest.mark.parametrize("domain, basis, message", [
+    ("ball", "reduction", "reduction basis needs a domain with a reduction coordinate (worm)"),
+    ("ball", "cubic", "unknown basis 'cubic' (auto | reduction | poly)"),
+    (f"worm({math.pi!r})", "cubic", "unknown basis 'cubic' (auto | reduction | poly)"),
+], ids=["ball-reduction", "ball-unknown", "worm-unknown"])
+def test_basis_field_errors_exit_2(tmp_path, capsys, domain, basis, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": domain, "basis": basis, "samples": 4}))
+    assert run_cli(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+    assert not (tmp_path / "estimate.json").exists()
+
+
 # r = |z1|^2 + |z2|^2 - 1 as a user expression tree
 BALL_TREE = {"op": "add", "args": [{"op": "abs2", "arg": {"op": "coord", "index": 0}},
                                    {"op": "abs2", "arg": {"op": "coord", "index": 1}},

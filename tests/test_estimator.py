@@ -8,9 +8,13 @@ from dfindex import estimator, jets
 from dfindex.boundary import normal_frame, sample_boundary
 from dfindex.estimator import (
     NO_CONSTRAINT,
+    DFEstimate,
+    EtaCertificate,
     HBasis,
+    SiteSet,
     boundary_margin,
     collect_sites,
+    estimate_index,
     feasibility_search,
     geometric_margin,
     interior_check,
@@ -182,6 +186,31 @@ def test_feasibility_without_null_sites_is_trivial(ball):
         cert = feasibility_search(ball, eta, basis, sites)
         assert cert.feasible and cert.status == "no_null_sites"
         assert np.all(cert.coeffs == 0.0)
+
+
+@pytest.mark.parametrize("lo, hi, text", [
+    (0.495, 0.502734375, "DF in [0.49, 0.51]"),     # the test_01 bracket of worm(pi)
+    (0.2475, 0.255234375, "DF in [0.24, 0.26]"),    # and of worm(2 pi)
+    (0.495, 0.5027, "DF in [0.49, 0.51]"),
+    (0.2475, 0.2552, "DF in [0.24, 0.26]"),
+    (0.433125, 0.440859375, "DF in [0.43, 0.45]"),
+    (0.5, 0.5, "DF in [0.50, 0.50]"),
+    (0.98, 0.99, "DF in [0.98, 0.99]"),
+])
+def test_summary_rounds_each_end_outward(lo, hi, text):
+    assert DFEstimate(eta_lo=lo, eta_hi=hi, certificates={}, warnings=[]).summary() == text
+
+
+def test_summary_of_a_grid_cap_says_whether_a_site_constrains_it(ball):
+    basis = poly_basis(2, degree=2)
+    est = estimate_index(ball, basis, SiteSet.empty(basis))
+    assert est.summary() == "DF >= 0.99 (grid cap; no null site constrains the estimate)"
+    # a cap certified feasible on sites keeps the plain wording; 0.99 is not floored to 0.98
+    cert = EtaCertificate(eta=0.99, basis_id=basis.name, coeffs=np.zeros(basis.m), min_margin=1.0,
+                          upper_bound=NO_CONSTRAINT, n_sites=3, feasible=True,
+                          status="converged", iterations=1)
+    capped = DFEstimate(eta_lo=0.99, eta_hi=1.0, certificates={0.99: cert}, warnings=[])
+    assert capped.summary() == "DF >= 0.99 (grid cap)"
 
 
 def test_feasibility_decisions_on_worm(worm_euclid):

@@ -118,6 +118,51 @@ def test_metric_jets_are_inverted_in_chern_frame_only():
     assert callers == ["geometry.py:chern_frame"]
 
 
+WORM_KEYS = {"gamma", "worm"}
+WORM_NAMES = {"worm_reduction_basis", "sgamma_points"}
+
+
+def _params_key(node):
+    """The key node of ``params[key]`` or ``params.get(key, ...)``, else None."""
+    if isinstance(node, ast.Subscript) and _is_params(node.value):
+        return node.slice
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get" \
+            and _is_params(node.func.value) and node.args:
+        return node.args[0]
+    return None
+
+
+def _is_params(node):
+    return (isinstance(node, ast.Name) and node.id == "params") or \
+        (isinstance(node, ast.Attribute) and node.attr == "params")
+
+
+def _worm_reads(tree, exempt=()):
+    """Nodes that read params["gamma"|"worm"] or name a worm-only function, outside ``exempt`` functions."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        key = _params_key(node)
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if (isinstance(key, ast.Constant) and key.value in WORM_KEYS) or name in WORM_NAMES:
+            yield node
+
+
+def test_generic_modules_read_no_worm_parameter():
+    # a domain supplies its own h-basis and degenerate-set sampler through its DomainSpec;
+    # only worm-bench, the worm's own command, knows the worm
+    probe = ast.parse('d.params["worm"]; d.params.get("gamma"); params["gamma"]; f(worm_reduction_basis)\n'
+                      'from .worm import sgamma_points\nd.params["axes"]; d.params.get("n")')
+    assert len(list(_worm_reads(probe))) == 5
+    reads = [f"{name}.py:{node.lineno} {ast.unparse(node).splitlines()[0]}" for name in ("cli", "estimator", "forms")
+             for node in _worm_reads(ast.parse((Path(dfindex.__file__).parent / f"{name}.py").read_text()),
+                                     exempt={"cmd_worm_bench"})]
+    assert not reads, f"generic code reads the worm: {reads}"
+
+
 COLD_START = """
 import json, math, sys
 import dfindex, dfindex.cli

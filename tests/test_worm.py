@@ -6,6 +6,7 @@ import pytest
 
 from dfindex import worm
 from dfindex.boundary import levi_data, normal_frame, sample_boundary
+from dfindex.fields import seed_coordinate_jets
 from dfindex.geometry import CTVector, curvature_contraction
 from dfindex.worm import (
     RiccatiResult,
@@ -16,6 +17,7 @@ from dfindex.worm import (
     sgamma_points,
     worm_domain,
     worm_metric,
+    worm_reduction_basis,
 )
 
 
@@ -151,3 +153,22 @@ def test_riccati_witness_profile_is_tan():
     assert isinstance(res, RiccatiResult)
     k = 0.4 / 0.6
     np.testing.assert_allclose(res.profile, np.tan(k * res.xs), atol=1e-7)
+
+
+def test_worm_domain_supplies_its_basis_and_sampler():
+    params = WormParams(gamma=math.pi)
+    domain = worm_domain(params)
+    own, ref = domain.h_basis(6, 0.9), worm_reduction_basis(math.pi, 6, 0.9)
+    assert (own.name, own.n, own.m) == (ref.name, ref.n, ref.m)
+    # |z2| = 1 lies inside the sampled range of x, 3 beyond the soft clamp
+    zs = seed_coordinate_jets(np.array([[0.1, 1.0], [0.0, 0.9j], [0.2, 3.0]]), 3)
+    own_rows, ref_rows = own.rows(zs), ref.rows(zs)
+    assert len(own_rows) == len(ref_rows) == ref.m
+    for a, b in zip(own_rows, ref_rows):
+        for part in ("value", "grad", "hess", "third"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
+    for spread in (0.99, 0.999):
+        got = domain.special_sampler(7, 3, spread=spread)
+        assert [p.z.tolist() for p in got] == [p.z.tolist() for p in sgamma_points(params, 7, spread)]
+    assert [p.z.tolist() for p in domain.special_sampler(7, 3)] == \
+        [p.z.tolist() for p in sgamma_points(params, 7, spread=0.99)]
