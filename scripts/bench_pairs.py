@@ -14,10 +14,15 @@ workload and each seed S, S+1, ..., S+N-1 (N = 10 by default) it runs
 once in the parent copy and once in the working tree: an odd seed runs the
 parent first, an even seed the working tree first.  OUT is a JSON file with,
 per workload, each end-to-end metric's runs, median and quartiles on each
-side and the pairs in which the change did better, plus the attempted and
-failed timed runs per side and the machine.  An invocation that exits
-nonzero or prints no result line counts as one failed run of its side, and
-its metrics stay in OUT as ``null``.
+side, the pairs in which the change did better and a verdict, plus the
+attempted and failed timed runs per side and the machine.  The verdict is
+``gain`` when the change does better in at least 9 of 10 pairs and its
+median beats the parent's by more than the parent's q3 - q1, ``worse`` when
+its median is worse than the parent's by more than the metric's ``bound``
+times the parent median, and ``within_bound`` otherwise (null when a side
+has no result).  An invocation that exits nonzero or prints no result line
+counts as one failed run of its side, and its metrics stay in OUT as
+``null``.
 """
 
 from __future__ import annotations
@@ -65,6 +70,21 @@ def _stats(values):
             "runs": values}
 
 
+def _verdict(parent, change, wins, pairs, better, bound):
+    """``gain``, ``worse`` or ``within_bound`` from the two sides' stats (see the module doc)."""
+    if parent["median"] is None or change["median"] is None:
+        return None
+    # how far the change's median is better than the parent's
+    ahead = change["median"] - parent["median"]
+    if better == "lower":
+        ahead = -ahead
+    if pairs and 10 * wins >= 9 * pairs and ahead > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -ahead > bound * abs(parent["median"]):
+        return "worse"
+    return "within_bound"
+
+
 def summarize(seeds, results, end_to_end):
     """One workload's summary from its results per side, one per seed (None for a failed invocation).
 
@@ -83,8 +103,11 @@ def summarize(seeds, results, end_to_end):
         pairs = [(p, c) for p, c in zip(values["parent"], values["change"])
                  if p is not None and c is not None]
         wins = sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
-        out[name] = {"unit": metric["unit"], **{side: _stats(values[side]) for side in SIDES},
-                     f"change_{better}_in": f"{wins}/{len(pairs)} pairs"}
+        stats = {side: _stats(values[side]) for side in SIDES}
+        out[name] = {"unit": metric["unit"], **stats,
+                     f"change_{better}_in": f"{wins}/{len(pairs)} pairs",
+                     "verdict": _verdict(stats["parent"], stats["change"], wins, len(pairs),
+                                        better, metric["bound"])}
     return out
 
 

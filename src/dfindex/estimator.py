@@ -14,9 +14,13 @@ drops below the required floor, and which anyone can recompute from the
 weights with one Cholesky solve (:func:`dual_bound`).
 
 Bisection over eta assumes feasibility is monotone, which holds whenever a
-single h works across exponents (eta/(1-eta) is increasing); each stage is
-seeded with the previous certificate's coefficients to keep that true in
-practice, and the recorded grid is checked for violations.
+single h works across exponents (eta/(1-eta) is increasing); each stage keeps
+the last feasible certificate's coefficients as its incumbent to keep that
+true in practice, and the recorded grid is checked for violations.  The same
+monotonicity lets the stages share one central path: every margin is
+nonincreasing in eta, so a centred point of the stage at the bracket's upper
+end lies strictly inside the barrier's domain at any smaller eta, and each
+later stage starts its Newton steps there.
 """
 
 from __future__ import annotations
@@ -290,6 +294,7 @@ class EtaCertificate:
     status: str
     iterations: int
     multipliers: tuple | None = None    # (site, box) weights giving a finite upper_bound
+    central: tuple | None = None        # the last centred point (c, t, mu); not reported
 
     def to_json_dict(self, seed=None):
         """Plain JSON fields; a non-finite margin, bound or gap becomes None."""
@@ -352,21 +357,31 @@ _BOUND_TOL = 1e-6   # the gap at which the upper bound decides or closes a feasi
 
 
 def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, c0=None, box_radius=100.0,
-                       max_iter=400):
+                       max_iter=400, start=None):
     """Maximize the minimum site margin over the basis coefficients.
 
     Returns a certificate; it is feasible iff the best minimum margin
-    reaches ``C_floor``.  Damped Newton steps from c = 0 follow the central
-    path of max t s.t. margin_i(c) >= t, |c_j| < R = ``box_radius``: they
-    minimize -t/mu - sum log(margin_i(c) - t) - sum log(R^2 - c_j^2), and mu
-    shrinks after each centring, where :func:`dual_bound` turns the central
-    weights into ``upper_bound``.  ``"infeasible_certified"`` means that
-    bound lies below the floor.  A step that is not finite, or a line search
-    that finds no point inside the barrier's domain with enough decrease,
-    ends the search as ``"newton_failure"``.  ``c0`` seeds the incumbent.
+    reaches ``C_floor``.  Damped Newton steps follow the central path of
+    max t s.t. margin_i(c) >= t, |c_j| < R = ``box_radius``: they minimize
+    -t/mu - sum log(margin_i(c) - t) - sum log(R^2 - c_j^2), and mu shrinks
+    after each centring, where :func:`dual_bound` turns the central weights
+    into ``upper_bound``.  ``"infeasible_certified"`` means that bound lies
+    below the floor.  A step that is not finite, or a line search that finds
+    no point inside the barrier's domain with enough decrease, ends the
+    search as ``"newton_failure"``.  ``c0`` seeds the incumbent.
+
+    ``start`` is a certificate of a search on the same sites and box at an
+    exponent >= ``eta``; the steps start from its last centred point
+    (c, t, mu), which stays strictly inside the barrier's domain because no
+    margin grows with eta (a point outside it raises).  Without a start, or
+    from one that never centred, they start at c = 0 with t below every
+    margin.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    if start is not None and start.eta < eta:
+        raise ValueError(f"a search at eta = {eta} cannot start from a stage at a smaller "
+                         f"eta = {start.eta}")
     m = basis.m
     if len(sites) == 0:
         return EtaCertificate(eta=eta, basis_id=basis.name, coeffs=np.zeros(m),
@@ -380,11 +395,19 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, c0=None, box_rad
     status = "iteration_cap"
     decision_slack = max(10.0 * C_floor, C_floor + 1e-3)
     iterations = 0
-    # the central path starts at c = 0, with t below every margin
-    c = np.zeros(m)
-    f = sites.margins(c, eta)
-    mu = max(1.0, abs(float(f.min())))
-    t = float(f.min()) - mu
+    central = None      # this search's last centred point
+    if start is None or start.central is None:
+        # the central path starts at c = 0, with t below every margin
+        c = np.zeros(m)
+        f = sites.margins(c, eta)
+        mu = max(1.0, abs(float(f.min())))
+        t = float(f.min()) - mu
+    else:
+        c, t, mu = start.central
+        f = sites.margins(c, eta)
+        if not (np.all(f > t) and np.all(c**2 < R2)):
+            # from other sites or another box: its weights would give no bound
+            raise ValueError("the start point lies outside the barrier's domain of these sites")
 
     def barrier(c, t, f):
         s, room = f - t, R2 - c**2
@@ -432,6 +455,7 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, c0=None, box_rad
             bound = dual_bound(sites, eta, lam, nu, box_radius)
             if bound < ub:
                 ub, multipliers = bound, (lam, nu)
+            central = (c, t, mu)
             mu *= 0.2
             grad[m] = w.sum() - 1.0 / mu
             step, decrement = newton(H, grad)
@@ -455,7 +479,8 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, c0=None, box_rad
         best_c, best_val = _shrink_certificate(sites, eta, best_c, C_floor)
     return EtaCertificate(eta=eta, basis_id=basis.name, coeffs=best_c, min_margin=best_val,
                           upper_bound=ub, n_sites=len(sites), feasible=feasible,
-                          status=status, iterations=iterations, multipliers=multipliers)
+                          status=status, iterations=iterations, multipliers=multipliers,
+                          central=central)
 
 
 def _shrink_certificate(sites, eta, coeffs, C_floor, steps=40):
@@ -530,39 +555,43 @@ def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-
     """Bisection over eta with per-eta feasibility certificates.
 
     ``sites`` come from :func:`collect_sites`.  Feasibility at each eta is
-    decided by :func:`feasibility_search`, seeding each stage with the
-    previous certificate's coefficients.  Without sites the cap stage is
-    feasible (``no_null_sites``) and ends the estimate.  A stage that ends
-    neither feasible nor certified infeasible (iteration cap, Newton failure)
-    is recorded with a warning and ends the bisection without moving the
-    bracket.
+    decided by :func:`feasibility_search`.  Each stage keeps the coefficients
+    of the last feasible certificate as its incumbent, and every stage after
+    the cap starts its Newton steps from the last centred point of the stage
+    at the bracket's upper end (the cap stage until a midpoint is certified
+    infeasible), or at c = 0 if that stage never centred.  Without sites the
+    cap stage is feasible (``no_null_sites``) and ends the estimate.  A stage
+    that ends neither feasible nor certified infeasible (iteration cap,
+    Newton failure) is recorded with a warning and ends the bisection
+    without moving the bracket.
     """
     certificates, warnings = {}, []
 
-    def run(eta, c_seed):
+    def run(eta, c_seed, start):
         cert = feasibility_search(domain, eta, basis, sites, C_floor=C_floor,
-                                  c0=c_seed, box_radius=box_radius)
+                                  c0=c_seed, box_radius=box_radius, start=start)
         certificates[float(eta)] = cert
         if not cert.decided:
             warnings.append(f"eta = {eta} undecided ({cert.status}); it moves neither end "
                             "of the bracket")
         return cert
 
-    if run(eta_cap, None).feasible:
+    cert_hi = run(eta_cap, None, None)
+    if cert_hi.feasible:
         return DFEstimate(eta_lo=eta_cap, eta_hi=1.0, certificates=certificates,
                           warnings=warnings)
     lo, hi = 0.0, eta_cap
-    cert_lo = run(0.0, None)
+    cert_lo = run(0.0, None, cert_hi)
     c_seed = cert_lo.coeffs if cert_lo.feasible else None
     if cert_lo.status == "infeasible_certified":
         warnings.append("eta = 0 infeasible for this basis and sample set")
     while hi - lo > tol_eta:
         mid = 0.5 * (lo + hi)
-        cert = run(mid, c_seed)
+        cert = run(mid, c_seed, cert_hi)
         if cert.feasible:
             lo, c_seed = mid, cert.coeffs
         elif cert.decided:
-            hi = mid
+            hi, cert_hi = mid, cert
         else:
             break       # without a certificate no later midpoint is sound
 
@@ -593,7 +622,8 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
     (depths varying fastest).  One batched Newton iteration, that of
     :func:`point_at_depth`, reaches them all, and one frame and one jet of
     h evaluate them.  The first failing sample raises (the frame's own checks,
-    over the samples before the first failed iteration, come first).
+    over the samples before the first failed iteration, come first), and so
+    does an empty list of depths or points: zero samples show nothing.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
@@ -601,8 +631,12 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
         depths = np.geomspace(1e-4, 1e-2, 7)
     if points is None:
         points = sample_boundary(domain, n_points, seed)
+    points = list(points)
+    for name, given in (("depths", depths), ("points", points)):
+        if len(given) == 0:
+            raise ValueError(f"interior_check needs at least one sample; {name} is empty")
     n = domain.n
-    base = _point_of(list(points)).reshape(-1, n)
+    base = _point_of(points).reshape(-1, n)
     starts = np.repeat(base, len(depths), axis=0)
     levels = np.tile(np.asarray(depths, dtype=float), len(base))
     samples, _, errors = _newton_to_level(domain, starts, -levels, _DEPTH_TOL, _DEPTH_ITER)

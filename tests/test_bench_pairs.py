@@ -37,6 +37,8 @@ def test_summary_of_fake_pairs_keeps_a_failed_invocation():
     assert wall["change_lower_in"] == "3/3 pairs"
     # a tie is no win
     assert out["setup_s"]["change_lower_in"] == "1/3 pairs"
+    # 3/3 wins, but the medians differ by 1.0, within the parent's q3 - q1 of 1.5
+    assert wall["verdict"] == "within_bound"
 
 
 def test_summary_of_a_side_with_no_result():
@@ -45,3 +47,44 @@ def test_summary_of_a_side_with_no_result():
     assert out["wall_rel"]["parent"] == {"median": None, "q1": None, "q3": None, "runs": [None]}
     assert out["wall_rel"]["change"] == {"median": 1.0, "q1": 1.0, "q3": 1.0, "runs": [1.0]}
     assert out["wall_rel"]["change_lower_in"] == "0/0 pairs"
+    assert out["wall_rel"]["verdict"] is None
+
+
+def _ten_pairs(parent_walls, change_walls):
+    results = {"parent": [_result(w, 0.3) for w in parent_walls],
+               "change": [_result(w, 0.3) for w in change_walls]}
+    return bench_pairs.summarize(range(1, 11), results, END_TO_END)
+
+
+PARENT_WALLS = [3.5, 3.6, 3.6, 3.7, 3.7, 3.7, 3.8, 3.8, 3.9, 4.0]
+
+
+def test_verdict_gain_needs_nine_wins_in_ten_and_a_gap_past_the_parent_quartiles():
+    # 9/10 wins, medians 3.7 and 2.3, the parent's q3 - q1 0.175
+    change = [2.2, 2.2, 2.3, 2.3, 2.3, 2.3, 2.4, 2.4, 2.5, 4.5]
+    assert _ten_pairs(PARENT_WALLS, change)["wall_rel"]["verdict"] == "gain"
+    # 8/10 wins is not enough
+    change = [2.2, 2.2, 2.3, 2.3, 2.3, 2.3, 2.4, 2.4, 4.5, 4.5]
+    assert _ten_pairs(PARENT_WALLS, change)["wall_rel"]["verdict"] == "within_bound"
+    # 10/10 wins by a gap inside the parent's quartiles
+    change = [w - 0.05 for w in PARENT_WALLS]
+    assert _ten_pairs(PARENT_WALLS, change)["wall_rel"]["verdict"] == "within_bound"
+    # equal setups: no win and no loss
+    assert _ten_pairs(PARENT_WALLS, change)["setup_s"]["verdict"] == "within_bound"
+
+
+def test_verdict_worse_past_the_bound_times_the_parent_median():
+    # the bound is 0.25: a median above 1.25 x 3.7 = 4.625 is worse
+    assert _ten_pairs(PARENT_WALLS, [4.7] * 10)["wall_rel"]["verdict"] == "worse"
+    assert _ten_pairs(PARENT_WALLS, [4.6] * 10)["wall_rel"]["verdict"] == "within_bound"
+
+
+def test_verdict_of_a_metric_where_higher_is_better():
+    metric = [{"name": "wall_rel", "unit": "ratio", "better": "higher", "bound": 0.25}]
+    results = {"parent": [_result(w, 0.3) for w in PARENT_WALLS],
+               "change": [_result(w + 1.0, 0.3) for w in PARENT_WALLS]}
+    out = bench_pairs.summarize(range(1, 11), results, metric)
+    assert out["wall_rel"]["change_higher_in"] == "10/10 pairs"
+    assert out["wall_rel"]["verdict"] == "gain"
+    results["change"] = [_result(1.0, 0.3)] * 10
+    assert bench_pairs.summarize(range(1, 11), results, metric)["wall_rel"]["verdict"] == "worse"

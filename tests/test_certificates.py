@@ -36,8 +36,9 @@ def random_sites(rng, m, count):
     return basis, SiteSet(basis, B, A, E, D)
 
 
-def search(basis, sites, eta):
-    return feasibility_search(None, eta, basis, sites, C_floor=C_FLOOR, box_radius=BOX)
+def search(basis, sites, eta, start=None):
+    return feasibility_search(None, eta, basis, sites, C_floor=C_FLOOR, box_radius=BOX,
+                              start=start)
 
 
 SITE_SETS = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), count=st.integers(1, 6))
@@ -95,6 +96,39 @@ def test_the_certificate_multipliers_give_back_its_upper_bound(seed, m, count, e
     assert lam.shape == (count,) and nu.shape == (m,)
     assert np.all(lam >= 0.0) and np.all(nu > 0.0) and lam.sum() == pytest.approx(1.0)
     assert dual_bound(sites, eta, lam, nu, BOX) == cert.upper_bound == blob["upper_bound"]
+
+
+@PROPERTY
+@given(eta_ref=st.floats(0.0, 0.95), share=st.floats(0.0, 1.0), **SITE_SETS)
+def test_a_search_started_on_an_upper_stage_path_reaches_the_cold_decision(seed, m, count,
+                                                                          eta_ref, share):
+    eta = share * eta_ref
+    basis, sites = random_sites(np.random.default_rng(seed), m, count)
+    upper = search(basis, sites, eta_ref)
+    if upper.central is not None:
+        # no margin grows as eta falls: the start lies strictly inside the barrier's domain
+        c, t, mu = upper.central
+        assert np.all(sites.margins(c, eta) - t > 0.0) and np.all(np.abs(c) < BOX) and mu > 0.0
+    warm = search(basis, sites, eta, start=upper)
+    cold = search(basis, sites, eta)
+    if cold.decided:
+        assert warm.decided and warm.feasible == cold.feasible
+    if warm.feasible:
+        assert sites.margins(warm.coeffs, eta).min() >= C_FLOOR
+    elif warm.decided:
+        lam, nu = warm.multipliers
+        assert dual_bound(sites, eta, lam, nu, BOX) == warm.upper_bound < C_FLOOR
+
+
+def test_a_search_cannot_start_from_a_stage_at_a_smaller_eta_or_on_other_sites():
+    basis, sites = random_sites(np.random.default_rng(5), 3, 5)
+    lower = search(basis, sites, 0.3)
+    assert lower.central is not None
+    with pytest.raises(ValueError, match="smaller eta"):
+        search(basis, sites, 0.5, start=lower)
+    lowered = SiteSet(basis, sites.B - 10.0, sites.A, sites.E, sites.D)
+    with pytest.raises(ValueError, match="outside the barrier's domain"):
+        search(basis, lowered, 0.3, start=lower)
 
 
 @pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])

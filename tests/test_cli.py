@@ -151,8 +151,12 @@ WORM_CHECK = {"domain": f"worm({math.pi!r})", "basis_degree": 8, "eta": 0.3, "sa
 def test_reports_are_byte_identical(tmp_path):
     check_cfg = tmp_path / "check.json"
     check_cfg.write_text(json.dumps(WORM_CHECK))
+    estimate_cfg = tmp_path / "estimate.json"
+    estimate_cfg.write_text(json.dumps({"domain": f"worm({math.pi!r})", "basis_degree": 8,
+                                        "samples": 10}))
     for command, args in (("forms", ["--domain", "ball", "--samples", "4", "--seed", "3"]),
-                          ("check", ["--config", str(check_cfg)])):
+                          ("check", ["--config", str(check_cfg)]),
+                          ("estimate", ["--config", str(estimate_cfg)])):
         for run in ("a", "b"):
             assert run_cli([command, *args, "--out", str(tmp_path / command / run)]) == 0
         a = (tmp_path / command / "a" / f"{command}.json").read_bytes()

@@ -256,6 +256,12 @@ def test_interior_check_ball_examples(ball):
         interior_check(ball, None, 0.5, depths=[-1e-3], n_points=2)
 
 
+@pytest.mark.parametrize("empty", ["depths", "points"])
+def test_interior_check_over_zero_samples_raises(ball, empty):
+    with pytest.raises(ValueError, match=f"{empty} is empty"):
+        interior_check(ball, None, 0.3, **{empty: []})
+
+
 def test_interior_identity_matches_direct_jets(ball):
     # expanded-identity matrix vs direct complex Hessian of -(-rho)^eta
     eta = 0.5
@@ -318,6 +324,22 @@ def test_undecided_stage_moves_no_bracket_end(worm_euclid, monkeypatch):
     assert [r["eta"] for r in est.records] == [0.99, 0.0, 0.495]
     assert [r["status"] for r in est.records] == ["iteration_cap"] * 3
     assert len(est.warnings) == 3 and all("undecided" in w for w in est.warnings)
+
+
+def test_stages_started_on_the_upper_stage_path_take_fewer_steps(worm_euclid, monkeypatch):
+    basis = worm_reduction_basis(gamma=math.pi, degree=12, spread=0.95)
+    sites = small_worm_sites(worm_euclid, basis, count=40)
+    warm = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99)
+    search = estimator.feasibility_search
+    monkeypatch.setattr(estimator, "feasibility_search",
+                        lambda *args, start=None, **kwargs: search(*args, **kwargs))
+    cold = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99)
+    assert (warm.eta_lo, warm.eta_hi) == (cold.eta_lo, cold.eta_hi)
+    assert [(r["eta"], r["status"]) for r in warm.records] == \
+        [(r["eta"], r["status"]) for r in cold.records]
+    assert all(cert.decided for cert in warm.certificates.values())
+    steps = [sum(cert.iterations for cert in est.certificates.values()) for est in (warm, cold)]
+    assert steps[0] < steps[1]
 
 
 def test_interior_check_does_not_certify_over_a_nan_sample(ball, monkeypatch):
