@@ -207,17 +207,16 @@ def _flatten(record, prefix=""):
     return flat
 
 
-def write_report(report, out_dir, fmt="json", stem=None):
+def write_report(report, out_dir, fmt="json"):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = stem or report["command"]
-    json_path = out / f"{stem}.json"
+    json_path = out / f"{report['command']}.json"
     json_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
     paths = [json_path]
     if fmt == "csv" and report["records"]:
         rows = [_flatten(r) for r in report["records"]]
         cols = sorted({k for row in rows for k in row})
-        csv_path = out / f"{stem}.csv"
+        csv_path = out / f"{report['command']}.csv"
         with csv_path.open("w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=cols)
             writer.writeheader()
@@ -294,7 +293,7 @@ def cmd_check(cfg):
     }
     if cert.feasible and cert.n_sites > 0:
         h_field = basis.h_field(cert.coeffs)
-        interior = interior_check(domain, h_field, cfg.eta, C=0.0, seed=cfg.seed, n_points=6)
+        interior = interior_check(domain, h_field, cfg.eta, sample_boundary(domain, 6, cfg.seed), C=0.0)
         summary["interior_min_eig"] = interior["min_eig"]
         summary["interior_positive"] = interior["positive"]
         records.extend({"depth": r["depth"], "min_eig": r["min_eig"]} for r in interior["rows"])
@@ -429,7 +428,7 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    paths = write_report(report, cfg.out, fmt=cfg.format, stem=args.command)
+    paths = write_report(report, cfg.out, fmt=cfg.format)
     for key, value in report["summary"].items():
         if key != "certificates":
             print(f"{key}: {value}")

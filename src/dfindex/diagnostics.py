@@ -100,7 +100,7 @@ def _rec(suite, name, residual, tol, detail=""):
 # random smooth data
 # ----------------------------------------------------------------------
 
-def random_scalar_field(n, rng, terms=4, name="random"):
+def random_scalar_field(n, rng, terms=4):
     """Random bounded real-analytic field: polynomial/trig mix in Re, Im z."""
     coeffs = rng.standard_normal(terms)
     picks = rng.integers(0, n, size=(terms, 2))
@@ -121,7 +121,7 @@ def random_scalar_field(n, rng, terms=4, name="random"):
             out = out + float(c) * term
         return out
 
-    return ScalarField(n, fn, name=name)
+    return ScalarField(n, fn, name="random")
 
 
 def random_metric(n, rng):
@@ -147,8 +147,8 @@ def random_metric(n, rng):
     return MetricField(n, fn, name="random")
 
 
-def _random_point(n, rng, scale=0.4):
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+def _random_point(n, rng):
+    return 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def _random_vec(n, rng):
@@ -169,7 +169,8 @@ def _apply_vec(v, table):
 # suites
 # ----------------------------------------------------------------------
 
-def jets_suite(count=200, seed=0, n=2):
+def jets_suite(count=200, seed=0):
+    n = 2
     rng = np.random.default_rng(seed)
     out = []
     max_asym = 0.0
@@ -219,7 +220,8 @@ def jets_suite(count=200, seed=0, n=2):
     return out
 
 
-def h3_identity_suite(count=200, seed=1, n=2, tol=1e-8):
+def h3_identity_suite(count=200, seed=1):
+    n = 2
     rng = np.random.default_rng(seed)
     worst = {"first_unmixed": 0.0, "first_mixed": 0.0, "second_mixed": 0.0,
              "third_unmixed": 0.0, "cycle": 0.0}
@@ -247,10 +249,11 @@ def h3_identity_suite(count=200, seed=1, n=2, tol=1e-8):
                            + hess(zvec, torsion(fr, wbar, lvec.conj()))))
         for key, val in zip(worst, (r1, r2, r3, r4, cyc)):
             worst[key] = _worst(worst[key], val)
-    return [_rec("h3", f"identity_{k}", v, tol) for k, v in worst.items()]
+    return [_rec("h3", f"identity_{k}", v, 1e-8) for k, v in worst.items()]
 
 
-def structural_suite(count=50, seed=2, n=2):
+def structural_suite(count=50, seed=2):
+    n = 2
     rng = np.random.default_rng(seed)
     out = []
     worst_t, worst_hsym, worst_ch, worst_compat, worst_leib = 0.0, 0.0, 0.0, 0.0, 0.0
@@ -309,10 +312,11 @@ def structural_suite(count=50, seed=2, n=2):
     return out
 
 
-def boundary_suite(samples=20, seed=3, gamma=math.pi):
+def boundary_suite(samples=20):
     out = []
+    seed = 3
     ball = ball_domain()
-    worm_e = worm_domain(WormParams(gamma=gamma), metric="euclidean")
+    worm_e = worm_domain(WormParams(gamma=math.pi), metric="euclidean")
     rng = np.random.default_rng(seed)
     worst_frame, worst_null, worst_levi_neg, null_pairs = 0.0, 0.0, 0.0, 0
     for domain, special in ((ball, []), (worm_e, sgamma_points(worm_e.params["worm"], samples))):
@@ -348,11 +352,12 @@ def boundary_suite(samples=20, seed=3, gamma=math.pi):
     return out
 
 
-def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
+def forms_suite():
     out = []
-    params = WormParams(gamma=gamma)
-    worm_e = worm_domain(WormParams(gamma=gamma), metric="euclidean")
-    worm_k = worm_domain(WormParams(gamma=gamma), metric="worm_kahler")
+    seed = 4
+    params = WormParams(gamma=math.pi)
+    worm_e = worm_domain(WormParams(gamma=math.pi), metric="euclidean")
+    worm_k = worm_domain(WormParams(gamma=math.pi), metric="worm_kahler")
     rng = np.random.default_rng(seed)
 
     worst_inv_a, worst_inv_b, worst_real, worst_cross_a = 0.0, 0.0, 0.0, 0.0
@@ -395,7 +400,7 @@ def forms_suite(seed=4, gamma=math.pi, grid=(32, 32)):
     out.append(_rec("forms", "weak_identity_beta_vs_grid_dalpha", worst_weak, 1e-5))
 
     patch = sgamma_patch_tangent(worm_e)
-    resid = forms.pullback_alpha_dclosed(worm_e, patch, grid=grid)
+    resid = forms.pullback_alpha_dclosed(worm_e, patch)
     out.append(_rec("forms", "stokes_circulation_density", resid, 1e-6))
     period = forms.loop_alpha_integral(worm_e, patch)
     out.append(_rec("forms", "loop_period_vs_oracle", abs(period - (-4.0 * math.pi)), 1e-6,
@@ -415,16 +420,20 @@ def _annulus_points(params, count, seed):
     return np.stack([r1 * np.exp(1j * a1), np.exp(xs / 2.0) * np.exp(1j * a2)], axis=1)
 
 
-def worm_reference_suite(count=50, seed=5, gamma=math.pi, t=1.2, tol=1e-6):
-    params = WormParams(gamma=gamma, t=t)
-    domain = worm_domain(params, metric="worm_kahler")
+def _kahler_worm_fiber(count):
+    """On the Kaehler worm(pi) at t = 1.2: its parameters, ``count`` S_gamma points, one frame over
+    them and the fiber direction at each."""
+    domain = worm_domain(WormParams(gamma=math.pi, t=1.2), metric="worm_kahler")
     wp = domain.params["worm"]
+    points = sgamma_points(wp, count, spread=0.9)
+    return wp, points, normal_frame(domain, points), _fiber(len(points))
+
+
+def worm_reference_suite(count=50):
+    wp, points, fr, zvec = _kahler_worm_fiber(count)
     worst = dict(alpha=0.0, curvature=0.0, sff_j=0.0, sff_zz=0.0, margin=0.0,
                  nabla=0.0, nabla_bar=0.0)
     eta = 0.4
-    points = sgamma_points(wp, count, spread=0.9)
-    fr = normal_frame(domain, points)
-    zvec = _fiber(len(points))
     values = (forms.alpha(fr, zvec), curvature_contraction(fr.chern, zvec, fr.nu_C),
               fr.hess_r(zvec, fr.nu_R.J()), fr.hess_r(zvec, zvec), fr.norm2(fr.X),
               geometric_margin(fr, zvec, eta))
@@ -440,15 +449,11 @@ def worm_reference_suite(count=50, seed=5, gamma=math.pi, t=1.2, tol=1e-6):
         worst["nabla_bar"] = _worst(worst["nabla_bar"],
                                     rel(nb[k, 0] / fr.L.h[k, 0], ref.nabla_bar_factor))
         worst["nabla"] = _worst(worst["nabla"], rel(nl[k, 0] / fr.L.h[k, 0], ref.nabla_factor))
-    return [_rec("worm_reference", k, v, tol) for k, v in worst.items()]
+    return [_rec("worm_reference", k, v, 1e-6) for k, v in worst.items()]
 
 
-def margin_equivalence_suite(count=30, seed=6, gamma=math.pi, t=1.2):
-    params = WormParams(gamma=gamma, t=t)
-    domain = worm_domain(params, metric="worm_kahler")
-    points = sgamma_points(domain.params["worm"], count, spread=0.9)
-    fr = normal_frame(domain, points)
-    zvec = _fiber(len(points))
+def margin_equivalence_suite(count=30):
+    _, _, fr, zvec = _kahler_worm_fiber(count)
     worst = 0.0
     for eta in (0.0, 0.25, 0.4):
         diff = geometric_margin(fr, zvec, eta) - vectorfield_margin(fr, zvec, eta)

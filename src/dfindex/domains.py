@@ -107,16 +107,33 @@ def parse_domain_key(key):
     return name, args
 
 
+# the params each key reads, and the one its parenthesized numbers give
+_PARAMS = {"ball": ("n", "signed"), "ellipsoid": ("axes",), "worm": ("gamma", "t", "s", "lam_c", "lam_p"),
+           "user": ("n", "r", "box", "interior")}
+_KEY_GIVES = {"ball": "n", "ellipsoid": "axes", "worm": "gamma"}
+
+
 def make_domain(key, metric="euclidean", **params):
     """Instantiate a registered domain.
 
     ``key`` is one of ``ball``, ``ellipsoid(a1..an)``, ``worm(gamma)``, or
-    ``user``; parenthesized numbers may also be given through ``params``.
-    ``metric`` is a spec of :func:`~dfindex.geometry.resolve_metric`: a
-    metric name the key implements ("euclidean" on every key, "worm_kahler"
-    on a worm) or ``{"entries": [[tree, ..], ..]}``.
+    ``user``; parenthesized numbers may instead be given through ``params``.
+    A param the key does not read, or one its parenthesized numbers already
+    give, raises ``ValueError``.  ``metric`` is a spec of
+    :func:`~dfindex.geometry.resolve_metric`: a metric name the key
+    implements ("euclidean" on every key, "worm_kahler" on a worm) or
+    ``{"entries": [[tree, ..], ..]}``.
     """
     name, args = parse_domain_key(key) if isinstance(key, str) else (key, [])
+    if name not in _PARAMS:
+        raise ValueError(f"unknown domain key {key!r}; known keys: {REGISTRY_KEYS}")
+    reads = ", ".join(_PARAMS[name])
+    unread = [p for p in params if p not in _PARAMS[name]]
+    if unread:
+        raise ValueError(f"{name} reads no domain param {', '.join(unread)}; it reads {reads}")
+    if args and _KEY_GIVES.get(name) in params:
+        raise ValueError(f"{key!r} already gives {_KEY_GIVES[name]}; drop that domain param "
+                         f"({name} reads {reads})")
     if name == "ball":
         n = int(args[0]) if args else int(params.get("n", 2))
         return ball_domain(n=n, signed=bool(params.get("signed", False)), metric=metric)
@@ -132,6 +149,4 @@ def make_domain(key, metric="euclidean", **params):
         lam = {k: params[k] for k in ("lam_c", "lam_p") if params.get(k) is not None}
         wp = WormParams(gamma=float(gamma), t=params.get("t"), s=params.get("s"), **lam)
         return worm_domain(wp, metric=metric)
-    if name == "user":
-        return _user_domain(params, metric)
-    raise ValueError(f"unknown domain key {key!r}; known keys: {REGISTRY_KEYS}")
+    return _user_domain(params, metric)

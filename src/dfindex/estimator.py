@@ -20,7 +20,7 @@ true in practice, and the recorded grid is checked for violations.  The same
 monotonicity lets the stages share one central path: every margin is
 nonincreasing in eta, so a centred point of the stage at the bracket's upper
 end lies strictly inside the barrier's domain at any smaller eta, and each
-later stage starts its Newton steps there.
+midpoint starts its Newton steps there.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .boundary import (
     _point_of,
     levi_data,
     normal_frame,
-    sample_boundary,
 )
 from .fields import ScalarField, seed_coordinate_jets, wirtinger_table
 from .forms import NO_CONSTRAINT, _null_points, _null_site_terms, alpha, beta_mixed
@@ -356,7 +355,7 @@ def dual_bound(sites, eta, lam, nu, box_radius):
 _BOUND_TOL = 1e-6   # the gap at which the upper bound decides or closes a feasibility search
 
 
-def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, c0=None, box_radius=100.0,
+def feasibility_search(domain, eta, basis, sites, *, box_radius, C_floor=1e-4, c0=None,
                        max_iter=400, start=None):
     """Maximize the minimum site margin over the basis coefficients.
 
@@ -483,7 +482,7 @@ def feasibility_search(domain, eta, basis, sites, C_floor=1e-4, c0=None, box_rad
                           central=central)
 
 
-def _shrink_certificate(sites, eta, coeffs, C_floor, steps=40):
+def _shrink_certificate(sites, eta, coeffs, C_floor):
     """Smallest multiple of the found coefficients that still certifies.
 
     Site margins are concave in c, so {min margin >= target} is convex and
@@ -501,7 +500,7 @@ def _shrink_certificate(sites, eta, coeffs, C_floor, steps=40):
     if value(0.0) >= target:
         return np.zeros_like(coeffs), value(0.0)
     lo, hi = 0.0, 1.0
-    for _ in range(steps):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if value(mid) >= target:
             hi = mid
@@ -550,20 +549,20 @@ def _two_decimals(x, side):
     return f"{cents / 100:.2f}"
 
 
-def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-4,
-                   box_radius=100.0):
+def estimate_index(domain, basis, sites, *, box_radius, eta_cap=0.99, tol_eta=0.01, C_floor=1e-4):
     """Bisection over eta with per-eta feasibility certificates.
 
     ``sites`` come from :func:`collect_sites`.  Feasibility at each eta is
     decided by :func:`feasibility_search`.  Each stage keeps the coefficients
-    of the last feasible certificate as its incumbent, and every stage after
-    the cap starts its Newton steps from the last centred point of the stage
-    at the bracket's upper end (the cap stage until a midpoint is certified
-    infeasible), or at c = 0 if that stage never centred.  Without sites the
-    cap stage is feasible (``no_null_sites``) and ends the estimate.  A stage
-    that ends neither feasible nor certified infeasible (iteration cap,
-    Newton failure) is recorded with a warning and ends the bisection
-    without moving the bracket.
+    of the last feasible certificate as its incumbent.  The cap and eta = 0
+    stages start their Newton steps at c = 0; every midpoint starts from the
+    last centred point of the stage at the bracket's upper end (the cap stage
+    until a midpoint is certified infeasible), or at c = 0 if that stage
+    never centred.  Without sites the cap stage is feasible
+    (``no_null_sites``) and ends the estimate.  A stage that ends neither
+    feasible nor certified infeasible (iteration cap, Newton failure) is
+    recorded with a warning and ends the bisection without moving the
+    bracket; the monotonicity scan reads only the decided stages.
     """
     certificates, warnings = {}, []
 
@@ -581,7 +580,7 @@ def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-
         return DFEstimate(eta_lo=eta_cap, eta_hi=1.0, certificates=certificates,
                           warnings=warnings)
     lo, hi = 0.0, eta_cap
-    cert_lo = run(0.0, None, cert_hi)
+    cert_lo = run(0.0, None, None)
     c_seed = cert_lo.coeffs if cert_lo.feasible else None
     if cert_lo.status == "infeasible_certified":
         warnings.append("eta = 0 infeasible for this basis and sample set")
@@ -595,7 +594,8 @@ def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-
         else:
             break       # without a certificate no later midpoint is sound
 
-    feas_by_eta = sorted((eta, cert.feasible) for eta, cert in certificates.items())
+    # only decided stages: an undecided one says nothing about feasibility
+    feas_by_eta = sorted((eta, cert.feasible) for eta, cert in certificates.items() if cert.decided)
     for (e1, f1), (e2, f2) in zip(feas_by_eta, feas_by_eta[1:]):
         if (not f1) and f2:
             warnings.append(f"non-monotone feasibility between eta = {e1} and {e2} (sampling noise)")
@@ -606,7 +606,7 @@ def estimate_index(domain, basis, sites, eta_cap=0.99, tol_eta=0.01, C_floor=1e-
 # interior verification
 # ----------------------------------------------------------------------
 
-def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0, n_points=12):
+def interior_check(domain, h_field, eta, points, C=0.0, depths=None):
     """Smallest eigenvalue of the rescaled complex Hessian of -(-rho)^eta.
 
     With rho = r e^{-h}, evaluates eta^{-1} (-rho)^{-eta} ddbar(-(-rho)^eta)
@@ -617,20 +617,19 @@ def interior_check(domain, h_field, eta, C=0.0, depths=None, points=None, seed=0
         - eta dh (x) dbar h + ddbar h,
 
     which stays numerically stable arbitrarily close to the boundary (at
-    eta = 0, the logarithmic variant).  Samples lie on inward normals of
-    boundary points at the requested depths, one row per point and depth
-    (depths varying fastest).  One batched Newton iteration, that of
-    :func:`point_at_depth`, reaches them all, and one frame and one jet of
-    h evaluate them.  The first failing sample raises (the frame's own checks,
-    over the samples before the first failed iteration, come first), and so
-    does an empty list of depths or points: zero samples show nothing.
+    eta = 0, the logarithmic variant).  Samples lie on inward normals of the
+    boundary ``points`` at the requested ``depths`` (by default seven from
+    1e-4 to 1e-2), one row per point and depth (depths varying fastest).
+    One batched Newton iteration, that of :func:`point_at_depth`, reaches
+    them all, and one frame and one jet of h evaluate them.  The first
+    failing sample raises (the frame's own checks, over the samples before
+    the first failed iteration, come first), and so does an empty list of
+    depths or points: zero samples show nothing.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
     if depths is None:
         depths = np.geomspace(1e-4, 1e-2, 7)
-    if points is None:
-        points = sample_boundary(domain, n_points, seed)
     points = list(points)
     for name, given in (("depths", depths), ("points", points)):
         if len(given) == 0:

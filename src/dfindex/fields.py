@@ -208,16 +208,16 @@ def wirtinger(jet, a, b):
     return table.d(*dirs)
 
 
-def complex_hessian(field, z, tol=1e-10):
-    """Hermitian matrix [d^2 f / dz_j dzbar_k] of a real-valued field."""
+def complex_hessian(field, z):
+    """Hermitian matrix [d^2 f / dz_j dzbar_k] of a real-valued field (to a relative 1e-10)."""
     jet = field.jet(z, 2)
     scale = 1.0 + abs(jet.value)
-    if isinstance(jet.value, complex) and abs(jet.value.imag) > tol * scale:
+    if isinstance(jet.value, complex) and abs(jet.value.imag) > 1e-10 * scale:
         raise ValueError(f"complex_hessian requires a real-valued field, got f = {jet.value}")
     table = wirtinger_table(jet, field.n)
     h = table.mixed_hessian
     asym = np.max(np.abs(h - h.conj().T))
-    if asym > tol * (1.0 + np.max(np.abs(h))):
+    if asym > 1e-10 * (1.0 + np.max(np.abs(h))):
         raise ValueError(f"complex Hessian is not Hermitian (asymmetry {asym:.3e}); field not real")
     return 0.5 * (h + h.conj().T)
 

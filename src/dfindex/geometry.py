@@ -264,12 +264,11 @@ def _check_hermitian(m, name, z):
 # ----------------------------------------------------------------------
 
 class VectorField:
-    """Complexified vector field with ScalarField coefficients."""
+    """Vector field of type (1,0) with ScalarField coefficients."""
 
-    def __init__(self, n, h_fields=None, a_fields=None):
+    def __init__(self, n, h_fields=None):
         self.n = n
         self.h_fields = h_fields
-        self.a_fields = a_fields
 
     @classmethod
     def from_holo(cls, coeff_fields):
@@ -279,13 +278,10 @@ class VectorField:
         zs = seed_coordinate_jets(_points(z), order)
         zero = Jet.constant(0.0, 2 * self.n, order)
         hj = [f.fn(zs) if f is not None else zero for f in (self.h_fields or [None] * self.n)]
-        aj = [f.fn(zs) if f is not None else zero for f in (self.a_fields or [None] * self.n)]
-        return hj, aj
+        return hj, [zero] * self.n      # the (0,1) coefficients are zero
 
     def value(self, z):
-        hj, aj = self.jets(z, 0)
-        return CTVector(np.array([j.value for j in hj], dtype=complex),
-                        np.array([j.value for j in aj], dtype=complex))
+        return CTVector.holo([j.value for j in self.jets(z, 0)[0]])
 
 
 # ----------------------------------------------------------------------

@@ -88,14 +88,14 @@ def test_02_riccati_threshold():
 
 
 def test_03_annulus_closed_forms():
-    records = worm_reference_suite(count=50, tol=1e-6)
+    records = worm_reference_suite(count=50)
     worst = max(r.residual for r in records)
     _report(3, "engine matches annulus closed forms to 1e-6 relative at 50 points",
             all(r.passed for r in records), f"worst relative error {worst:.2e}")
 
 
 def test_04_h3_identity_suite():
-    records = h3_identity_suite(count=200, seed=17, tol=1e-8)
+    records = h3_identity_suite(count=200, seed=17)
     worst = max(r.residual for r in records)
     _report(4, "all four H3 symmetries and the cycle identity over 200 random instances",
             all(r.passed for r in records), f"worst residual {worst:.2e}")
@@ -243,7 +243,7 @@ def test_11_interior_boundary_consistency(worm_euclid):
     assert cert.feasible
     h_field = basis.h_field(cert.coeffs)
     rep = interior_check(worm_euclid, h_field, eta, C=0.0,
-                         depths=np.geomspace(1e-4, 1e-2, 7), n_points=10, seed=3)
+                         depths=np.geomspace(1e-4, 1e-2, 7), points=sample_boundary(worm_euclid, 10, 3))
     # discrete necessary direction: the certified h keeps nonnegative boundary
     # margins at fresh null sites
     fresh = sgamma_points(wp, 20, spread=0.95)

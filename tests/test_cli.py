@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dfindex.cli import (
     main,
     write_report,
 )
+from dfindex.domains import make_domain
 from dfindex.geometry import CTVector
 
 
@@ -229,6 +231,36 @@ def test_worm_bench_rejects_a_domain_it_does_not_build_exits_2(tmp_path, capsys,
     assert run_cli(["worm-bench", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "worm-bench.json").exists()
+
+
+@pytest.mark.parametrize("key, params, message", [
+    ("ball", {"radius": 2.0}, "ball reads no domain param radius; it reads n, signed"),
+    ("worm(3.14159)", {"tt": 3}, "worm reads no domain param tt; it reads gamma, t, s, lam_c, lam_p"),
+    ("user", {"n": 2, "radius": 1}, "user reads no domain param radius; it reads n, r, box, interior"),
+    ("ellipsoid(1,2)", {"axes": [5, 5]},
+     "'ellipsoid(1,2)' already gives axes; drop that domain param (ellipsoid reads axes)"),
+    ("ball(3)", {"n": 3}, "'ball(3)' already gives n; drop that domain param (ball reads n, signed)"),
+    ("worm(3.14159)", {"gamma": 3.5}, "'worm(3.14159)' already gives gamma"),
+], ids=["ball-radius", "worm-tt", "user-radius", "ellipsoid-axes", "ball-n", "worm-gamma"])
+def test_make_domain_rejects_a_param_its_key_does_not_read(key, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_domain(key, **params)
+
+
+def test_make_domain_takes_the_params_its_key_reads():
+    assert make_domain("ball", n=3, signed=True).n == 3
+    assert make_domain("ball(3)", signed=True).name == "ball_sd"
+    assert make_domain("ellipsoid", axes=[1, 2]).params["axes"] == [1.0, 2.0]
+    wp = make_domain("worm", gamma=math.pi, t=1.2, s=2.0, lam_c=10.0, lam_p=4).params["worm"]
+    assert (wp.gamma, wp.t, wp.s, wp.lam_c, wp.lam_p) == (math.pi, 1.2, 2.0, 10.0, 4)
+
+
+def test_a_domain_param_the_key_does_not_read_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": "ball", "domain_params": {"radius": 3}, "samples": 3}))
+    assert run_cli(["levi", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "config error: ball reads no domain param radius; it reads n, signed" in capsys.readouterr().err
+    assert not (tmp_path / "levi.json").exists()
 
 
 def test_worm_bench_honours_the_fiber_scale(tmp_path):

@@ -183,7 +183,7 @@ def test_feasibility_without_null_sites_is_trivial(ball):
     assert len(sites) == 0
     assert min_pc == pytest.approx(1.0, abs=1e-9)
     for eta in (0.3, 0.99):
-        cert = feasibility_search(ball, eta, basis, sites)
+        cert = feasibility_search(ball, eta, basis, sites, box_radius=100.0)
         assert cert.feasible and cert.status == "no_null_sites"
         assert np.all(cert.coeffs == 0.0)
 
@@ -203,7 +203,7 @@ def test_summary_rounds_each_end_outward(lo, hi, text):
 
 def test_summary_of_a_grid_cap_says_whether_a_site_constrains_it(ball):
     basis = poly_basis(2, degree=2)
-    est = estimate_index(ball, basis, SiteSet.empty(basis))
+    est = estimate_index(ball, basis, SiteSet.empty(basis), box_radius=100.0)
     assert est.summary() == "DF >= 0.99 (grid cap; no null site constrains the estimate)"
     # a cap certified feasible on sites keeps the plain wording; 0.99 is not floored to 0.98
     cert = EtaCertificate(eta=0.99, basis_id=basis.name, coeffs=np.zeros(basis.m), min_margin=1.0,
@@ -216,9 +216,9 @@ def test_summary_of_a_grid_cap_says_whether_a_site_constrains_it(ball):
 def test_feasibility_decisions_on_worm(worm_euclid):
     basis = worm_reduction_basis(gamma=math.pi, degree=16, spread=0.95)
     sites = small_worm_sites(worm_euclid, basis, count=80)
-    cert_low = feasibility_search(worm_euclid, 0.30, basis, sites)
+    cert_low = feasibility_search(worm_euclid, 0.30, basis, sites, box_radius=100.0)
     assert cert_low.feasible and cert_low.min_margin >= 1e-4
-    cert_high = feasibility_search(worm_euclid, 0.70, basis, sites)
+    cert_high = feasibility_search(worm_euclid, 0.70, basis, sites, box_radius=100.0)
     assert not cert_high.feasible
     assert cert_high.status == "infeasible_certified"
     assert cert_high.upper_bound < 1e-4
@@ -228,7 +228,7 @@ def test_feasibility_monotone_in_eta(worm_euclid):
     # a certificate at eta2 certifies every eта1 < eta2 with the same h
     basis = worm_reduction_basis(gamma=math.pi, degree=16, spread=0.95)
     sites = small_worm_sites(worm_euclid, basis, count=80)
-    cert = feasibility_search(worm_euclid, 0.40, basis, sites)
+    cert = feasibility_search(worm_euclid, 0.40, basis, sites, box_radius=100.0)
     assert cert.feasible
     for eta1 in (0.0, 0.2, 0.35):
         vals = sites.margins(cert.coeffs, eta1)
@@ -242,24 +242,26 @@ def test_scaling_invariance_of_feasible_set(worm_euclid):
     sites_base = small_worm_sites(worm_euclid, base, count=50)
     sites_scaled = small_worm_sites(worm_euclid, scaled, count=50)
     for eta in (0.30, 0.70):
-        a = feasibility_search(worm_euclid, eta, base, sites_base).feasible
-        b = feasibility_search(worm_euclid, eta, scaled, sites_scaled).feasible
+        a = feasibility_search(worm_euclid, eta, base, sites_base, box_radius=100.0).feasible
+        b = feasibility_search(worm_euclid, eta, scaled, sites_scaled,
+                               box_radius=100.0).feasible
         assert a == b
 
 
 def test_interior_check_ball_examples(ball):
-    rep = interior_check(ball, None, 0.5, C=0.1, depths=np.geomspace(1e-4, 1e-1, 6), n_points=6)
+    points = sample_boundary(ball, 6, 0)
+    rep = interior_check(ball, None, 0.5, C=0.1, depths=np.geomspace(1e-4, 1e-1, 6), points=points)
     assert rep["positive"] and rep["min_eig"] > 0
-    rep0 = interior_check(ball, None, 0.0, C=0.5, depths=np.geomspace(1e-4, 1e-1, 6), n_points=6)
+    rep0 = interior_check(ball, None, 0.0, C=0.5, depths=np.geomspace(1e-4, 1e-1, 6), points=points)
     assert rep0["positive"]
     with pytest.raises(ValueError, match="rho >= 0"):
-        interior_check(ball, None, 0.5, depths=[-1e-3], n_points=2)
+        interior_check(ball, None, 0.5, depths=[-1e-3], points=sample_boundary(ball, 2, 0))
 
 
 @pytest.mark.parametrize("empty", ["depths", "points"])
 def test_interior_check_over_zero_samples_raises(ball, empty):
     with pytest.raises(ValueError, match=f"{empty} is empty"):
-        interior_check(ball, None, 0.3, **{empty: []})
+        interior_check(ball, None, 0.3, **{"points": sample_boundary(ball, 12, 0), empty: []})
 
 
 def test_interior_identity_matches_direct_jets(ball):
@@ -289,7 +291,7 @@ def test_interior_identity_matches_direct_jets(ball):
 def test_certificate_serialization_roundtrip(worm_euclid):
     basis = worm_reduction_basis(gamma=math.pi, degree=12, spread=0.95)
     sites = small_worm_sites(worm_euclid, basis, count=40)
-    cert = feasibility_search(worm_euclid, 0.3, basis, sites)
+    cert = feasibility_search(worm_euclid, 0.3, basis, sites, box_radius=100.0)
     blob = cert.to_json_dict(seed=7)
     assert blob["eta"] == 0.3
     assert blob["basis_id"] == basis.name
@@ -304,7 +306,7 @@ def test_certificate_serialization_roundtrip(worm_euclid):
     assert estimator.dual_bound(sites, 0.3, multipliers["sites"], multipliers["box"],
                                 100.0) == blob["upper_bound"]
     # seeded with a certificate the search exits before any LP: no bound yet
-    early = feasibility_search(worm_euclid, 0.3, basis, sites, c0=cert.coeffs)
+    early = feasibility_search(worm_euclid, 0.3, basis, sites, c0=cert.coeffs, box_radius=100.0)
     assert early.status == "feasible_early_exit" and early.upper_bound == math.inf
     blob = early.to_json_dict()
     assert blob["upper_bound"] is None and blob["gap"] is None and blob["multipliers"] is None
@@ -318,7 +320,7 @@ def test_undecided_stage_moves_no_bracket_end(worm_euclid, monkeypatch):
     search = estimator.feasibility_search
     monkeypatch.setattr(estimator, "feasibility_search",
                         lambda *args, **kwargs: search(*args, max_iter=1, **kwargs))
-    est = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99)
+    est = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99, box_radius=100.0)
     assert (est.eta_lo, est.eta_hi) == (0.0, 0.99)
     # cap, eta = 0, then the first midpoint, which ends the bisection
     assert [r["eta"] for r in est.records] == [0.99, 0.0, 0.495]
@@ -326,14 +328,28 @@ def test_undecided_stage_moves_no_bracket_end(worm_euclid, monkeypatch):
     assert len(est.warnings) == 3 and all("undecided" in w for w in est.warnings)
 
 
+def test_an_undecided_eta_zero_stage_below_a_feasible_one_is_not_non_monotone(worm_euclid, monkeypatch):
+    basis = worm_reduction_basis(gamma=math.pi, degree=12, spread=0.95)
+    sites = small_worm_sites(worm_euclid, basis, count=40)
+    search = estimator.feasibility_search
+    monkeypatch.setattr(estimator, "feasibility_search",
+                        lambda domain, eta, *args, **kwargs:
+                        search(domain, eta, *args, max_iter=1 if eta == 0.0 else 400, **kwargs))
+    est = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99, box_radius=100.0)
+    assert est.certificates[0.0].status == "iteration_cap" and not est.certificates[0.0].decided
+    assert est.certificates[0.2475].feasible
+    # no stage was certified infeasible below a feasible one: the only warning is the undecided stage
+    assert est.warnings == ["eta = 0.0 undecided (iteration_cap); it moves neither end of the bracket"]
+
+
 def test_stages_started_on_the_upper_stage_path_take_fewer_steps(worm_euclid, monkeypatch):
     basis = worm_reduction_basis(gamma=math.pi, degree=12, spread=0.95)
     sites = small_worm_sites(worm_euclid, basis, count=40)
-    warm = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99)
+    warm = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99, box_radius=100.0)
     search = estimator.feasibility_search
     monkeypatch.setattr(estimator, "feasibility_search",
                         lambda *args, start=None, **kwargs: search(*args, **kwargs))
-    cold = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99)
+    cold = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99, box_radius=100.0)
     assert (warm.eta_lo, warm.eta_hi) == (cold.eta_lo, cold.eta_hi)
     assert [(r["eta"], r["status"]) for r in warm.records] == \
         [(r["eta"], r["status"]) for r in cold.records]
@@ -355,7 +371,7 @@ def test_interior_check_does_not_certify_over_a_nan_sample(ball, monkeypatch):
 
     monkeypatch.setattr(estimator, "wirtinger_table", nan_hessian_at_sample_1)
     h_field = ScalarField(2, lambda zs: zs[0].real() * 0.1)
-    rep = interior_check(ball, h_field, 0.3, depths=[1e-3, 1e-2], n_points=2)
+    rep = interior_check(ball, h_field, 0.3, depths=[1e-3, 1e-2], points=sample_boundary(ball, 2, 0))
     assert len(calls) == 1              # one table of h serves every sample
     assert len(rep["rows"]) == 4
     assert math.isnan(rep["rows"][1]["min_eig"])

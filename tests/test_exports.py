@@ -189,3 +189,79 @@ def test_cold_estimate_loads_no_scipy_until_an_ode_is_integrated(tmp_path):
     assert facts["after_estimate"] == []
     assert facts["eta"] == pytest.approx(0.5, abs=1e-6)
     assert facts["after_riccati"]
+
+
+def _defaulted_params(tree, module):
+    """(label, names a call uses, parameter, index among the call's positional arguments or None)
+    for each parameter with a default of each ``def`` in ``tree``; lambdas have no ``def``."""
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child, cls
+                yield from walk(child, None)
+            else:
+                yield from walk(child, cls)
+
+    for fn, cls in walk(tree, None):
+        label = f"{module}.{cls}.{fn.name}" if cls else f"{module}.{fn.name}"
+        # a class name stands for its __init__; a method's first argument is bound
+        names = {cls} if cls and fn.name == "__init__" else {fn.name}
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        bound = 1 if cls and not static else 0
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield label, names, positional[i].arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield label, names, arg.arg, None
+
+
+def _calls(tree):
+    """(name, positional arguments before any splat, keyword names, whether it splats) per call;
+    ``cls(...)`` inside a class is a call of that class."""
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = _called_name(child.func)
+                starred = [i for i, a in enumerate(child.args) if isinstance(a, ast.Starred)]
+                keywords = {k.arg for k in child.keywords}
+                yield (cls if name == "cls" and cls else name, starred[0] if starred else len(child.args),
+                       keywords, bool(starred) or None in keywords)
+            yield from walk(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    yield from walk(tree, None)
+
+
+def _unpassed_defaults(definitions, callers):
+    """Labels ``module.function(param)`` of the defaults that no call in ``callers`` passes."""
+    calls = [call for tree in callers for call in _calls(tree)]
+    return [f"{label}({param})" for module, tree in definitions
+            for label, names, param, index in _defaulted_params(tree, module)
+            if not any(name in names and (splat or param in keywords or (index is not None and npos > index))
+                       for name, npos, keywords, splat in calls)]
+
+
+def test_every_default_is_passed_by_some_caller():
+    # a parameter with a default stays only where some call sets it; one that no call in the
+    # package, the tests, the benchmark or the scripts passes is a constant, and belongs at its use
+    probe = ast.parse("def f(a, b=1, *, c=2): pass\n"
+                      "def g(a=1): pass\n"
+                      "def h(a=1): pass\n"
+                      "class K:\n"
+                      "    def __init__(self, a=1, b=2): pass\n"
+                      "    def m(self, a=1): pass\n"
+                      "    @classmethod\n"
+                      "    def make(cls): return cls(b=3)\n"
+                      "    @staticmethod\n"
+                      "    def s(a=1): pass\n"
+                      "q = lambda a=1: a\n")
+    probe_calls = ast.parse("f(0, 1)\ng(*x)\nmod.h(**kw)\nK(5)\nobj.m()\nK.s(1)\n")
+    assert _unpassed_defaults([("p", probe)], [probe, probe_calls]) == ["p.f(c)", "p.K.m(a)"]
+    root = Path(dfindex.__file__).parents[2]
+    callers = [ast.parse(path.read_text()) for folder in ("src", "tests", "bench", "scripts")
+               for path in sorted((root / folder).rglob("*.py"))]
+    unpassed = _unpassed_defaults([(path.stem, ast.parse(path.read_text())) for path in SOURCES], callers)
+    assert not unpassed, f"defaults that no call passes: {unpassed}"
