@@ -2,9 +2,10 @@
 
 Usage: ``python3 scripts/report_digests.py`` (no options).  Every command
 runs in process through ``dfindex.cli.main`` in a temporary directory, and
-one ``command sha256`` line is printed per report.  Reports are
-deterministic, so two checkouts produce the same lines exactly when every
-report is byte-identical: run the script in both and diff the output.
+one ``label sha256`` line is printed per report, plus one ``label.csv
+sha256`` line per CSV mirror.  Reports are deterministic, so two checkouts
+produce the same lines exactly when every report is byte-identical: run the
+script in both and diff the output.
 """
 
 from __future__ import annotations
@@ -23,6 +24,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from dfindex import cli  # noqa: E402
 
 WORM_PI = f"worm({math.pi!r})"
+# r = |z1|^2 + |z2|^4 + 0.1 Re(z1 z2) - 1 as a ``user`` expression tree (the benchmark's forms-user domain)
+USER_R = {"op": "add", "args": [
+    {"op": "abs2", "arg": {"op": "coord", "index": 0}},
+    {"op": "pow", "base": {"op": "abs2", "arg": {"op": "coord", "index": 1}}, "exponent": 2},
+    {"op": "mul", "args": [
+        {"op": "const", "value": 0.1},
+        {"op": "re", "arg": {"op": "mul", "args": [{"op": "coord", "index": 0},
+                                                   {"op": "coord", "index": 1}]}},
+    ]},
+    {"op": "const", "value": -1.0},
+]}
 
 # (label, subcommand, config): small enough that the whole script takes seconds
 RUNS = [
@@ -37,6 +49,11 @@ RUNS = [
     # off the worm: a domain without a basis or sampler of its own
     ("check-ellipsoid", "check", {"domain": "ellipsoid(1,2)", "samples": 10, "eta": 0.4}),
     ("estimate-ellipsoid", "estimate", {"domain": "ellipsoid(1,2)", "samples": 10}),
+    # the off-worm sampler on a user expression tree, and the CSV mirror
+    ("forms-user", "forms", {"domain": "user", "metric": "euclidean", "samples": 200,
+                             "domain_params": {"n": 2, "r": USER_R, "box": [[-1.3, 1.3]] * 4,
+                                               "interior": [[0.0, 0.0], [0.0, 0.0]]}}),
+    ("levi-csv", "levi", {"domain": "ellipsoid(1,2)", "samples": 20, "format": "csv"}),
 ]
 
 
@@ -51,8 +68,11 @@ def main():
                 code = cli.main([command, "--config", str(config_path), "--out", str(out)])
             if code != 0:
                 raise SystemExit(f"{label}: dfindex {command} exited {code}")
-            digest = hashlib.sha256((out / f"{command}.json").read_bytes()).hexdigest()
-            print(f"{label} {digest}")
+            files = [(label, f"{command}.json")]
+            if config.get("format") == "csv":
+                files.append((f"{label}.csv", f"{command}.csv"))
+            for name, file in files:
+                print(f"{name} {hashlib.sha256((out / file).read_bytes()).hexdigest()}")
 
 
 if __name__ == "__main__":

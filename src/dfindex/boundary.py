@@ -164,19 +164,20 @@ _ROW_ERRORS = (ValueError, ZeroDivisionError)   # what a jet of r raises at a ba
 
 
 def _level_data(domain, z):
-    """Value and real gradient (2n, K) of r at each row of ``z`` (K, n), and each row's error.
+    """Value and real gradient (2n, K) of r at each row of ``z`` (K, n), and the rows' errors.
 
+    The errors are a dict from row to exception, empty when no row failed.
     One batch jet serves every row.  A batch jet raises for all rows when
     one is bad, so then each row is evaluated alone.
     """
     try:
         jet = domain.r.jet(z, 1)
-        return np.real(jet.value), np.real(np.asarray(jet.grad, dtype=complex)), [None] * len(z)
+        return np.real(jet.value), np.real(np.asarray(jet.grad, dtype=complex)), {}
     except _ROW_ERRORS:
         pass
     value = np.full(len(z), np.nan)
     grad = np.zeros((2 * domain.n, len(z)), dtype=complex)
-    errors = [None] * len(z)
+    errors = {}
     for k, zk in enumerate(z):
         try:
             jet = domain.r.jet(zk, 1)
@@ -195,9 +196,11 @@ def _newton_to_level(domain, z0, target, tol, max_iter):
     vanishes, a step leaves the chart, its jet of r raises, or ``max_iter``
     steps do not converge.  Returns the points (K, n) and residuals (K,),
     NaN where a row failed, and per row None or the exception that stopped
-    it.  Each row equals its iteration alone bit for bit; |grad|^2 is one
-    dot per row on the strided real view, as for one point, since a dot
-    on a contiguous copy can differ in the last bit.
+    it.  Each row equals its iteration alone bit for bit.  |grad|^2 is one
+    stacked matmul of each row's (1, 2n) by (2n, 1) on the strided real
+    view, which runs the dot product a single point's ``g @ g`` runs; a
+    contiguous copy, ``einsum`` or ``(g * g).sum(0)`` sum in another order
+    and can differ in the last bit.
     """
     x = real_coords(z0)
     target = np.broadcast_to(np.asarray(target, dtype=float), len(x))
@@ -211,13 +214,14 @@ def _newton_to_level(domain, z0, target, tol, max_iter):
         z = complex_point(x[active])
         value, grad, row_errors = _level_data(domain, z)
         rv = value - target[active]
-        gnorm2 = np.array([g @ g for g in grad.T])
-        for k, i in enumerate(active):
-            if row_errors[k] is None and gnorm2[k] < TOL_GRAD**2:
-                row_errors[k] = ProjectionError(
-                    f"vanishing gradient of r at {z[k]} (|grad| = {np.sqrt(gnorm2[k]):.2e})")
-            errors[i] = row_errors[k]
-        failed = np.array([err is not None for err in row_errors], dtype=bool)
+        gnorm2 = (grad.T[:, None, :] @ grad.T[:, :, None])[:, 0, 0]
+        for k in np.flatnonzero(gnorm2 < TOL_GRAD**2):
+            row_errors.setdefault(k, ProjectionError(
+                f"vanishing gradient of r at {z[k]} (|grad| = {np.sqrt(gnorm2[k]):.2e})"))
+        failed = np.zeros(len(z), dtype=bool)
+        failed[list(row_errors)] = True
+        for k, err in row_errors.items():
+            errors[active[k]] = err
         done = ~failed & (np.abs(rv) <= tol * (1.0 + np.abs(target[active])))
         z_out[active[done]], residual[active[done]] = z[done], np.abs(rv[done])
         go = ~(failed | done)
@@ -275,12 +279,13 @@ def sample_boundary(domain, count, seed, max_trials_factor=100):
         z0 = complex_point(lo + (hi - lo) * rng.random((block, lo.size)))
         z0 = z0[domain.in_chart(z0)]
         z, residual, errors = _newton_to_level(domain, z0, 0.0, TOL_BND, _NEWTON_ITER)
-        for zk, res, err in zip(z, residual, errors):
-            key = tuple(np.round(real_coords(zk), 9))
+        keys = np.round(real_coords(z), 9).tolist()
+        for zk, res, err, key in zip(z, residual.tolist(), errors, keys):
+            key = tuple(key)
             if err is not None or key in seen:
                 continue
             seen.add(key)
-            points.append(BoundaryPoint(z=zk, residual=float(res)))
+            points.append(BoundaryPoint(z=zk, residual=res))
             if len(points) == count:
                 break
     return points
@@ -558,7 +563,12 @@ def transport_along_normal(base, z0_vec, delta, steps=24):
     """Flow of X_r from the point of the frame ``base``, with the tangential transport of Z.
 
     Z solves nabla_{X_r} Z = -(Hess(X_r, Z) r) L_r along the inward flow,
-    which preserves del r(Z) = 0 and |Z|.
+    which preserves del r(Z) = 0 and |Z|.  The flow reaches r = t at time
+    t, and its speed 1/|d r| blows up where d r vanishes.  So it is refused
+    with :class:`ProjectionError` as soon as |d r|^2 falls below the straight
+    line from its base value to zero at r = -``delta``: extrapolated
+    linearly from there, d r vanishes before the requested depth.  The test
+    is a terminal event after each step, which changes no step taken.
     """
     domain, n = base.domain, base.n
     z0 = np.asarray(z0_vec.h if isinstance(z0_vec, CTVector) else z0_vec, dtype=complex)
@@ -577,11 +587,22 @@ def transport_along_normal(base, z0_vec, delta, steps=24):
         dz = -hxz * lh - np.einsum("ijk,j,k->i", fr.chern.gamma, 0.5 * lh, zh)
         return np.concatenate([0.5 * lh.real, 0.5 * lh.imag, dz.real, dz.imag])
 
+    def collapse(t, y):
+        # |d r|^2 over its base value, less the line 1 + t / delta from 1 at t = 0 to 0 at -delta
+        s = NormalFrame(domain, complex_point(y[: 2 * n]), r_order=1).dbar_norm_sq
+        return s / base.dbar_norm_sq - (1.0 + t / delta)
+
+    collapse.terminal, collapse.direction = True, -1
     y0 = np.concatenate([real_coords(base.z), z0.real, z0.imag])
     t_eval = np.linspace(0.0, -delta, steps + 1)
-    sol = _rk45(rhs, (0.0, -delta), y0, _TRANSPORT_RTOL, _TRANSPORT_ATOL, t_eval=t_eval)
+    sol = _rk45(rhs, (0.0, -delta), y0, _TRANSPORT_RTOL, _TRANSPORT_ATOL, t_eval=t_eval,
+                events=collapse)
     if not sol.success:
         raise ProjectionError(f"normal transport failed: {sol.message}")
+    if sol.status == 1:
+        raise ProjectionError(
+            f"the gradient of r would fall below tolerance before depth {delta}: |d r|^2 fell "
+            f"under the line from its base value to zero at that depth")
 
     points = complex_point(sol.y[: 2 * n].T)
     vectors = (sol.y[2 * n : 3 * n, :] + 1j * sol.y[3 * n :, :]).T

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import math
 import sys
@@ -207,11 +209,89 @@ def _flatten(record, prefix=""):
     return flat
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _leaf_encoder(level):
+    """The encoder of the items of a container at indent ``level`` whose items are all leaves.
+
+    With ``indent`` unset, ``json`` runs its C encoder; the item separator
+    carries the newline and indent that ``indent=1`` puts between the items.
+    """
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + " " * (level + 1), ": "))
+
+
+def _is_flat(value):
+    """A leaf (a scalar or an empty container) or a container of leaves."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        return True
+    for item in value.values() if isinstance(value, dict) else value:
+        if isinstance(item, _CONTAINERS) and item:
+            return False
+    return True
+
+
+def _report_text(tree):
+    """``json.dumps(tree, sort_keys=True, indent=1)`` of a JSON-ready tree with str keys, byte for byte.
+
+    The containers that hold a container are walked here.  Every other
+    value is flat (:func:`_is_flat`), and the flat values at one indent
+    level are encoded together, as one list, by one :func:`_leaf_encoder`
+    call.  A leaf's encoding holds no raw newline, so that text split on
+    the item separator gives one piece per leaf and one per item of a flat
+    container, in order.  A flat container's pieces are joined again and
+    given the newlines after its opening and before its closing bracket.
+    """
+    out, flat = [], {}    # the text in pieces; per level, the flat values and their places in ``out``
+    keys = {}             # each dict key's encoding, with its ": "
+
+    def walk(node, level):
+        encoder = _leaf_encoder(level)
+        where, values = flat.setdefault(level + 1, ([], []))
+        if isinstance(node, dict):
+            out.append("{\n" + " " * (level + 1))
+            items = sorted(node.items())
+        else:
+            out.append("[\n" + " " * (level + 1))
+            items = zip(itertools.repeat(None), node)    # list items have no key
+        for k, (key, value) in enumerate(items):
+            if k:
+                out.append(encoder.item_separator)
+            if key is not None:
+                if key not in keys:
+                    keys[key] = encoder.encode(key) + ": "
+                out.append(keys[key])
+            if _is_flat(value):
+                where.append(len(out))
+                values.append(value)
+                out.append(None)
+            else:
+                walk(value, level + 1)
+        out.append("\n" + " " * level + ("}" if isinstance(node, dict) else "]"))
+
+    if _is_flat(tree):
+        flat[0], out = ([0], [tree]), [None]
+    else:
+        walk(tree, 0)
+    for level, (where, values) in flat.items():
+        encoder = _leaf_encoder(level)
+        sep, opening, closing = encoder.item_separator, "\n" + " " * (level + 1), "\n" + " " * level
+        pieces = iter(encoder.encode(values)[1:-1].split(sep))
+        for at, value in zip(where, values):
+            if isinstance(value, _CONTAINERS) and value:
+                text = sep.join(itertools.islice(pieces, len(value)))
+                out[at] = text[0] + opening + text[1:-1] + closing + text[-1]
+            else:
+                out[at] = next(pieces)
+    return "".join(out)
+
+
 def write_report(report, out_dir, fmt="json"):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / f"{report['command']}.json"
-    json_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+    json_path.write_text(_report_text(report) + "\n")
     paths = [json_path]
     if fmt == "csv" and report["records"]:
         rows = [_flatten(r) for r in report["records"]]
@@ -242,17 +322,18 @@ def cmd_forms(cfg, eigen_only=False):
         null_fr = NormalFrame(domain, fr.z[at])
         a = forms.alpha(null_fr, zvec)
         i_beta = np.real(_vmul(1j, forms.beta_mixed(null_fr, zvec, zvec)))
-        for b, a_k, ib_k in zip(at, a, i_beta):
-            alphas[b].append(complex(a_k))
-            betas[b].append(float(ib_k))
+        for b, a_k, ib_k in zip(at.tolist(), a.tolist(), i_beta.tolist()):
+            alphas[b].append(a_k)
+            betas[b].append(ib_k)
     records = []
-    for b, p in enumerate(points):
+    columns = (fr.z.tolist(), fr.grad_norm.tolist(), ld.eigenvalues.tolist(), null_dim.tolist())
+    for b, (p, z, grad_norm, eigenvalues, dim) in enumerate(zip(points, *columns)):
         rec = {
-            "z": [complex(c) for c in fr.z[b]],
+            "z": z,
             "r_residual": float(p.residual),
-            "grad_norm": fr.grad_norm[b],
-            "levi_eigenvalues": [float(e) for e in ld.eigenvalues[b]],
-            "null_dim": int(null_dim[b]),
+            "grad_norm": grad_norm,
+            "levi_eigenvalues": eigenvalues,
+            "null_dim": dim,
         }
         if not eigen_only:
             rec["alpha_null"] = alphas[b]

@@ -356,8 +356,8 @@ def forms_suite():
     out = []
     seed = 4
     params = WormParams(gamma=math.pi)
-    worm_e = worm_domain(WormParams(gamma=math.pi), metric="euclidean")
-    worm_k = worm_domain(WormParams(gamma=math.pi), metric="worm_kahler")
+    worm_e = worm_domain(params, metric="euclidean")
+    worm_k = worm_domain(params, metric="worm_kahler")
     rng = np.random.default_rng(seed)
 
     worst_inv_a, worst_inv_b, worst_real, worst_cross_a = 0.0, 0.0, 0.0, 0.0

@@ -107,10 +107,12 @@ def parse_domain_key(key):
     return name, args
 
 
-# the params each key reads, and the one its parenthesized numbers give
+# the params each key reads, the one its parenthesized numbers give, and how many numbers
+# it reads there (ellipsoid reads any count)
 _PARAMS = {"ball": ("n", "signed"), "ellipsoid": ("axes",), "worm": ("gamma", "t", "s", "lam_c", "lam_p"),
            "user": ("n", "r", "box", "interior")}
 _KEY_GIVES = {"ball": "n", "ellipsoid": "axes", "worm": "gamma"}
+_KEY_NUMBERS = {"ball": 1, "worm": 1, "user": 0}
 
 
 def make_domain(key, metric="euclidean", **params):
@@ -118,8 +120,9 @@ def make_domain(key, metric="euclidean", **params):
 
     ``key`` is one of ``ball``, ``ellipsoid(a1..an)``, ``worm(gamma)``, or
     ``user``; parenthesized numbers may instead be given through ``params``.
-    A param the key does not read, or one its parenthesized numbers already
-    give, raises ``ValueError``.  ``metric`` is a spec of
+    A param the key does not read, one its parenthesized numbers already
+    give, or more parenthesized numbers than the key reads raise
+    ``ValueError``.  ``metric`` is a spec of
     :func:`~dfindex.geometry.resolve_metric`: a metric name the key
     implements ("euclidean" on every key, "worm_kahler" on a worm) or
     ``{"entries": [[tree, ..], ..]}``.
@@ -131,6 +134,9 @@ def make_domain(key, metric="euclidean", **params):
     unread = [p for p in params if p not in _PARAMS[name]]
     if unread:
         raise ValueError(f"{name} reads no domain param {', '.join(unread)}; it reads {reads}")
+    if len(args) > _KEY_NUMBERS.get(name, len(args)):
+        raise ValueError(f"{key!r} gives too many numbers: {name} reads {_KEY_NUMBERS[name] or 'none'} "
+                         f"in parentheses (known keys: {REGISTRY_KEYS})")
     if args and _KEY_GIVES.get(name) in params:
         raise ValueError(f"{key!r} already gives {_KEY_GIVES[name]}; drop that domain param "
                          f"({name} reads {reads})")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -191,7 +191,11 @@ def worm_domain(params, metric="euclidean"):
     """Worm domain as a DomainSpec; ``metric`` is a spec of :func:`~dfindex.geometry.resolve_metric`.
 
     The worm's own metric name is "worm_kahler" (:func:`worm_metric`).
+    The domain works on its own copy of ``params``, its ``params["worm"]``:
+    the fiber scale s that :func:`worm_metric` finds lands there, never in
+    the caller's parameters.
     """
+    params = replace(params)
     r2_hi = 1.05 * math.exp(params.x_max / 2.0)
     r2_lo = 0.95 * math.exp(-params.x_max / 2.0)
 

@@ -272,6 +272,24 @@ def test_transport_invariants(ball, worm_euclid):
         transport_along_normal(base, ld.basis[0], 5.0)
 
 
+def test_a_transport_past_a_critical_point_of_r_is_refused_at_once(ball, monkeypatch):
+    base = normal_frame(ball, sample_boundary(ball, 1, 4)[0])
+    zvec = levi_data(base).basis[0]
+    # on the ball |d r|^2 = 2 (1 + t) vanishes at depth 1, the centre, and is refused before it
+    assert transport_along_normal(base, zvec, 0.5, steps=4).times[-1] == -0.5
+    calls = {"r": 0}
+    real = ball.r.jet
+
+    def counted(*args, **kwargs):
+        calls["r"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ball.r, "jet", counted)
+    with pytest.raises(ProjectionError, match="below tolerance before depth 1.5"):
+        transport_along_normal(base, zvec, 1.5)
+    assert calls["r"] < 20
+
+
 def test_collar_compare_at_zero_depth_is_equality(ball):
     base = normal_frame(ball, sample_boundary(ball, 1, 6)[0])
     rep = collar_levi_compare(base, levi_data(base).basis[0], 0.04, eps=0.1, steps=6)

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dfindex import forms
 from dfindex.boundary import levi_data, normal_frame
@@ -16,8 +18,10 @@ from dfindex.cli import (
     cmd_estimate,
     cmd_forms,
     cmd_levi,
+    cmd_selftest,
     cmd_worm_bench,
     load_config,
+    _report_text,
     main,
     write_report,
 )
@@ -241,16 +245,28 @@ def test_worm_bench_rejects_a_domain_it_does_not_build_exits_2(tmp_path, capsys,
      "'ellipsoid(1,2)' already gives axes; drop that domain param (ellipsoid reads axes)"),
     ("ball(3)", {"n": 3}, "'ball(3)' already gives n; drop that domain param (ball reads n, signed)"),
     ("worm(3.14159)", {"gamma": 3.5}, "'worm(3.14159)' already gives gamma"),
-], ids=["ball-radius", "worm-tt", "user-radius", "ellipsoid-axes", "ball-n", "worm-gamma"])
+    # numbers in parentheses past those the key reads
+    ("worm(3.141592653589793, 7)", {}, "'worm(3.141592653589793, 7)' gives too many numbers: worm reads 1"),
+    ("ball(2, 9)", {}, "'ball(2, 9)' gives too many numbers: ball reads 1"),
+    ("user(1)", {}, "'user(1)' gives too many numbers: user reads none"),
+], ids=["ball-radius", "worm-tt", "user-radius", "ellipsoid-axes", "ball-n", "worm-gamma",
+        "worm-two-numbers", "ball-two-numbers", "user-one-number"])
 def test_make_domain_rejects_a_param_its_key_does_not_read(key, params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make_domain(key, **params)
+
+
+def test_a_key_with_too_many_numbers_exits_2(tmp_path, capsys):
+    assert run_cli(["levi", "--domain", "ball(2, 9)", "--samples", "3", "--out", str(tmp_path)]) == 2
+    assert "config error: 'ball(2, 9)' gives too many numbers" in capsys.readouterr().err
+    assert not (tmp_path / "levi.json").exists()
 
 
 def test_make_domain_takes_the_params_its_key_reads():
     assert make_domain("ball", n=3, signed=True).n == 3
     assert make_domain("ball(3)", signed=True).name == "ball_sd"
     assert make_domain("ellipsoid", axes=[1, 2]).params["axes"] == [1.0, 2.0]
+    assert make_domain("ellipsoid(1,2,3)").n == 3     # an ellipsoid key takes any count of numbers
     wp = make_domain("worm", gamma=math.pi, t=1.2, s=2.0, lam_c=10.0, lam_p=4).params["worm"]
     assert (wp.gamma, wp.t, wp.s, wp.lam_c, wp.lam_p) == (math.pi, 1.2, 2.0, 10.0, 4)
 
@@ -403,3 +419,36 @@ def test_levi_minimum_keeps_a_nan_eigenvalue(tmp_path, monkeypatch):
     # records are sorted by z, so the first one (smallest Re z1) is finite
     assert firsts[0] != "nan" and "nan" in firsts
     assert report["summary"]["min_levi_eigenvalue"] == "nan"
+
+
+# JSON-ready trees with str keys, as a report is: nesting, escapes, big ints and extreme floats
+_STRINGS = st.text(st.characters(), max_size=5) | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\u2028\U0001f600"])
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | st.floats()
+           | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]) | _STRINGS)
+_TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                      | st.dictionaries(_STRINGS, kids, max_size=4), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+@example({"a": [{"b": [[1, {"c": [], "d": {}}], []]}], "e": 2.5})      # nesting to depth 5
+@example([[], {}, [[]], {"k": {}}])
+@example({'q"\\\n\x00\u00e9': ["\x1f\u2028", -0.0, 5e-324, 1.7976931348623157e308, 2**100, True, None]})
+@example({})
+@example(-0.0)
+def test_report_text_is_json_dumps_with_indent_1(tree):
+    assert _report_text(tree) == json.dumps(tree, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("command, config", [
+    (cmd_forms, {"domain": f"worm({math.pi!r})", "samples": 4, "special_samples": 4}),
+    (cmd_levi, {"domain": "ellipsoid(1,2)", "samples": 6}),
+    (cmd_check, {"domain": f"worm({math.pi!r})", "samples": 6, "basis_degree": 4, "eta": 0.4}),
+    (cmd_estimate, {"domain": "ellipsoid(1,2)", "samples": 6}),
+    (cmd_worm_bench, {"domain": f"worm({math.pi!r})", "samples": 4}),
+    (cmd_selftest, {}),
+], ids=["forms", "levi", "check", "estimate", "worm-bench", "selftest"])
+def test_write_report_writes_json_dumps_with_indent_1(tmp_path, command, config):
+    report = command(load_config(None, config))
+    path = write_report(report, tmp_path)[0]
+    assert path.read_text() == json.dumps(report, sort_keys=True, indent=1) + "\n"

@@ -172,3 +172,15 @@ def test_worm_domain_supplies_its_basis_and_sampler():
         assert [p.z.tolist() for p in got] == [p.z.tolist() for p in sgamma_points(params, 7, spread)]
     assert [p.z.tolist() for p in domain.special_sampler(7, 3)] == \
         [p.z.tolist() for p in sgamma_points(params, 7, spread=0.99)]
+
+
+def test_worm_domain_keeps_the_callers_params():
+    params = WormParams(gamma=math.pi)
+    domain = worm_domain(params, metric="worm_kahler")
+    # the fiber scale the positivity scan finds lands in the domain's own copy
+    assert params.s is None
+    found = WormParams(gamma=math.pi)
+    worm_metric(found)
+    own = domain.params["worm"]
+    assert own is not params and own.s == found.s
+    assert domain.metric.name == f"omega_worm(s={found.s:g})"
