@@ -41,7 +41,7 @@ RUNS = [
     ("forms", "forms", {"domain": WORM_PI, "samples": 8, "special_samples": 10}),
     ("forms-kahler", "forms", {"domain": WORM_PI, "metric": "worm_kahler", "samples": 8,
                                "special_samples": 10}),
-    ("levi", "levi", {"domain": "ellipsoid(1,2)", "samples": 20}),
+    ("levi", "levi", {"domain": "ellipsoid(1,2)", "samples": 20, "format": "csv"}),
     ("check", "check", {"domain": WORM_PI, "samples": 10, "basis_degree": 8, "eta": 0.4}),
     ("estimate", "estimate", {"domain": WORM_PI, "samples": 10, "basis_degree": 8}),
     ("worm-bench", "worm-bench", {"domain": WORM_PI, "samples": 10}),
@@ -49,11 +49,10 @@ RUNS = [
     # off the worm: a domain without a basis or sampler of its own
     ("check-ellipsoid", "check", {"domain": "ellipsoid(1,2)", "samples": 10, "eta": 0.4}),
     ("estimate-ellipsoid", "estimate", {"domain": "ellipsoid(1,2)", "samples": 10}),
-    # the off-worm sampler on a user expression tree, and the CSV mirror
+    # the off-worm sampler on a user expression tree
     ("forms-user", "forms", {"domain": "user", "metric": "euclidean", "samples": 200,
                              "domain_params": {"n": 2, "r": USER_R, "box": [[-1.3, 1.3]] * 4,
                                                "interior": [[0.0, 0.0], [0.0, 0.0]]}}),
-    ("levi-csv", "levi", {"domain": "ellipsoid(1,2)", "samples": 20, "format": "csv"}),
 ]
 
 

@@ -18,6 +18,7 @@ from dfindex.boundary import (
     second_fundamental_form,
     transport_along_normal,
 )
+from dfindex.domains import make_domain
 from dfindex.estimator import geometric_margin, vectorfield_margin
 from dfindex.fields import ChartDomainError, ScalarField
 from dfindex.forms import alpha, alpha_geometric, beta_geometric, beta_mixed
@@ -272,22 +273,18 @@ def test_transport_invariants(ball, worm_euclid):
         transport_along_normal(base, ld.basis[0], 5.0)
 
 
-def test_a_transport_past_a_critical_point_of_r_is_refused_at_once(ball, monkeypatch):
+def test_a_transport_is_refused_only_where_d_r_collapses(ball):
+    # ellipsoid(1,2) at |z1|^2 = 0.5, |z2|^2 = 2: |d r|^2 falls faster than linearly in the
+    # depth at first, yet r's only critical point is at depth 1, so depth 0.9 is reached
+    ell = make_domain("ellipsoid(1,2)")
+    base = normal_frame(ell, np.array([math.sqrt(0.5), math.sqrt(2.0)], dtype=complex))
+    path = transport_along_normal(base, levi_data(base).basis[0], 0.9, steps=4)
+    assert path.times[-1] == -0.9
+    assert np.max(np.abs(path.r_residual)) < 1e-8
+    # on the ball |d r|^2 is proportional to 1 + t and vanishes at the centre, depth 1
     base = normal_frame(ball, sample_boundary(ball, 1, 4)[0])
-    zvec = levi_data(base).basis[0]
-    # on the ball |d r|^2 = 2 (1 + t) vanishes at depth 1, the centre, and is refused before it
-    assert transport_along_normal(base, zvec, 0.5, steps=4).times[-1] == -0.5
-    calls = {"r": 0}
-    real = ball.r.jet
-
-    def counted(*args, **kwargs):
-        calls["r"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ball.r, "jet", counted)
-    with pytest.raises(ProjectionError, match="below tolerance before depth 1.5"):
-        transport_along_normal(base, zvec, 1.5)
-    assert calls["r"] < 20
+    with pytest.raises(ProjectionError, match=r"refused at t = -0\.99999.*collapse tolerance"):
+        transport_along_normal(base, levi_data(base).basis[0], 1.5)
 
 
 def test_collar_compare_at_zero_depth_is_equality(ball):
