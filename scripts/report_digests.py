@@ -3,9 +3,12 @@
 Usage: ``python3 scripts/report_digests.py`` (no options).  Every command
 runs in process through ``dfindex.cli.main`` in a temporary directory, and
 one ``label sha256`` line is printed per report, plus one ``label.csv
-sha256`` line per CSV mirror.  Reports are deterministic, so two checkouts
-produce the same lines exactly when every report is byte-identical: run the
-script in both and diff the output.
+sha256`` line per CSV mirror.  A last ``suites`` line hashes the records of
+the random-instance invariant suites at the sample counts and seeds of the
+tests, which the selftest report does not run.  Reports are deterministic,
+so two checkouts produce the same lines exactly when every report (and every
+suite residual) is byte-identical: run the script in both and diff the
+output.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dfindex import cli  # noqa: E402
+from dfindex import cli, diagnostics  # noqa: E402
 
 WORM_PI = f"worm({math.pi!r})"
 # r = |z1|^2 + |z2|^4 + 0.1 Re(z1 z2) - 1 as a ``user`` expression tree (the benchmark's forms-user domain)
@@ -55,6 +58,20 @@ RUNS = [
                                                "interior": [[0.0, 0.0], [0.0, 0.0]]}}),
 ]
 
+# (suite, arguments): the configurations of tests/test_diagnostics.py, test_geometry.py and
+# test_acceptance.py::test_04
+SUITES = [
+    ("jets_suite", {"count": 20, "seed": 3}),
+    ("h3_identity_suite", {"count": 30, "seed": 7}),
+    ("h3_identity_suite", {"count": 200, "seed": 17}),
+    ("structural_suite", {"count": 10, "seed": 9}),
+]
+
+
+def suites_digest():
+    rows = [record.row() for name, kwargs in SUITES for record in getattr(diagnostics, name)(**kwargs)]
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
@@ -72,6 +89,7 @@ def main():
                 files.append((f"{label}.csv", f"{command}.csv"))
             for name, file in files:
                 print(f"{name} {hashlib.sha256((out / file).read_bytes()).hexdigest()}")
+    print(f"suites {suites_digest()}")
 
 
 if __name__ == "__main__":

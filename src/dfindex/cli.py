@@ -18,6 +18,7 @@ records; identical (config, seed, version) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import itertools
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, diagnostics, forms, worm
+from . import __version__, forms, worm
 from .boundary import NormalFrame, levi_data, normal_frame, sample_boundary
 from .domains import REGISTRY_KEYS, make_domain
 from .estimator import (
@@ -169,9 +170,11 @@ def _boundary_points(cfg, domain, basis=None):
 
 def _jsonify(value):
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        if cmath.isfinite(value):
+            return {"re": value.real, "im": value.imag}
+        return {"re": _jsonify(float(value.real)), "im": _jsonify(float(value.imag))}
     if isinstance(value, np.ndarray):
         return [_jsonify(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
@@ -441,6 +444,8 @@ def cmd_worm_bench(cfg):
 
 
 def cmd_selftest(cfg):
+    from . import diagnostics      # only selftest loads the invariant suites
+
     checks = diagnostics.run_all()
     records = [c.row() for c in checks]
     records.sort(key=lambda r: (r["suite"], r["name"]))

@@ -41,6 +41,7 @@ __all__ = [
 NO_CONSTRAINT = np.inf    # what a null-site evaluator gives at a point without a null direction
 _PATCH_GRID, _PATCH_TOL = 5, 1e-9   # parameter grid and |r| bound of SubmanifoldPatch.validate
 _LOOP_SEGMENTS = 96       # quadrature edges of loop_alpha_integral
+_CIRCULATION_GRID = (32, 32)   # cells along u and v of max_circulation_density
 _FD_STEP = 1e-4           # central-difference step of beta_weak_residual
 
 
@@ -231,16 +232,16 @@ def _edge_integrals(a_of, u0, u1):
     return total
 
 
-def max_circulation_density(a_of, patch, grid):
+def max_circulation_density(a_of, patch):
     """Max per-cell Stokes circulation density of a pulled-back 1-form.
 
     ``a_of(u)`` is the (1,0) component of the form at an array of patch
-    parameters; every grid cell is integrated with Gauss-Legendre edge
-    quadrature (each interior edge evaluated once, one ``a_of`` call per
-    grid line) and the largest |circulation| / area is returned.  A NaN
-    anywhere gives NaN.
+    parameters; every cell of the ``_CIRCULATION_GRID`` is integrated with
+    Gauss-Legendre edge quadrature (each interior edge evaluated once, one
+    ``a_of`` call per grid line) and the largest |circulation| / area is
+    returned.  A NaN anywhere gives NaN.
     """
-    nu, nv = grid
+    nu, nv = _CIRCULATION_GRID
     us = np.linspace(*patch.u_range, nu + 1)
     vs = np.linspace(*patch.v_range, nv + 1)
     horiz = np.empty((nu, nv + 1))
@@ -254,13 +255,11 @@ def max_circulation_density(a_of, patch, grid):
     return float(np.max(np.abs(circ) / area))
 
 
-def pullback_alpha_dclosed(domain, patch, grid=(32, 32)):
+def pullback_alpha_dclosed(domain, patch):
     """Max per-cell Stokes circulation density of the pulled-back alpha;
     weak d-closedness drives this to zero."""
-    if grid[0] * grid[1] < 32 * 32:
-        raise ValueError("patch grid must have at least 32x32 cells")
     patch.validate()
-    return max_circulation_density(_alpha_on_patch(domain, patch), patch, grid)
+    return max_circulation_density(_alpha_on_patch(domain, patch), patch)
 
 
 def loop_alpha_integral(domain, patch):

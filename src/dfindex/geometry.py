@@ -13,10 +13,9 @@ W.a*`` with ``G[j, k] = <d/dz_j, d/dz_k>``.
 Every operator takes the :class:`ChernFrame` it evaluates on first, then
 its vector arguments, but the Hessian operators contract the tensor that
 :func:`hess_tensor` builds (and :func:`h3_tensor` extends) once per table of
-the differentiated function.  All but the two field operators below, which
-the cross-checks call with a new metric per point, take one point or a
-batch (see :mod:`dfindex.boundary`).  :func:`chern_frame` is where a
-metric's jets are inverted.  All operators are tensorial in the sense
+the differentiated function.  Every operator takes one point or a batch
+(see :mod:`dfindex.boundary`).  :func:`chern_frame` is where a metric's
+jets are inverted.  All operators are tensorial in the sense
 established for the Hessian and its third-order extension: they depend only
 on pointwise values of their vector arguments, so constant test vectors
 suffice; vector fields enter only through :func:`covariant_derivative` and
@@ -122,6 +121,11 @@ def _lead(a, rank):
     """A table array of derivative rank ``rank`` with its trailing batch axes moved first."""
     batch = a.ndim - rank
     return np.moveaxis(a, tuple(range(rank, a.ndim)), tuple(range(batch))) if batch else a
+
+
+def _matvec(mat, v):
+    """mat v per point (stacked ``@``)."""
+    return (mat @ v[..., None])[..., 0]
 
 
 def _dot(a, b):
@@ -275,13 +279,31 @@ class VectorField:
         return cls(len(coeff_fields), h_fields=list(coeff_fields))
 
     def jets(self, z, order):
+        """The (1,0) and (0,1) coefficient jets at one point or over a batch of points."""
         zs = seed_coordinate_jets(_points(z), order)
-        zero = Jet.constant(0.0, 2 * self.n, order)
-        hj = [f.fn(zs) if f is not None else zero for f in (self.h_fields or [None] * self.n)]
+        batch = zs[0].shape
+        zero = Jet.constant(0.0, 2 * self.n, order).broadcast(batch)
+        hj = [f.fn(zs).broadcast(batch) if f is not None else zero
+              for f in (self.h_fields or [None] * self.n)]
         return hj, [zero] * self.n      # the (0,1) coefficients are zero
 
     def value(self, z):
-        return CTVector.holo([j.value for j in self.jets(z, 0)[0]])
+        """The vector at one point (n,), or at each point of a batch (B, n)."""
+        return CTVector.holo(_stack_values(self.jets(z, 0)[0]))
+
+
+def _stack_values(js):
+    """The values of ``n`` coefficient jets as a complex (n,), or (B, n) over a batch.
+
+    Here and in :func:`_w1_rows` the stack is C-contiguous, as each
+    one-point array is: a strided view can round a matrix product differently.
+    """
+    return np.ascontiguousarray(_lead(np.array([j.value for j in js], dtype=complex), 1))
+
+
+def _w1_rows(js, n):
+    """The first Wirtinger derivatives of ``n`` coefficient jets: (n, 2n), or (B, n, 2n) over a batch."""
+    return np.ascontiguousarray(_lead(np.array([wirtinger_table(j, n).w1 for j in js]), 2))
 
 
 # ----------------------------------------------------------------------
@@ -420,10 +442,10 @@ def chern_frame(metric, z, order=2, mjets=None):
 
 
 def metric_compat_residual(metric, z):
-    """max | d_j g_{k lbar} - sum_i Gamma^i_{jk} g_{i lbar} |."""
+    """max | d_j g_{k lbar} - sum_i Gamma^i_{jk} g_{i lbar} | at one point, or at each point of a batch."""
     fr = chern_frame(metric, z, order=1)
-    pred = np.einsum("ijk,il->jkl", fr.gamma, fr.g)
-    return float(np.max(np.abs(fr.dG_h - pred)))
+    pred = np.einsum("...ijk,...il->...jkl", fr.gamma, fr.g)
+    return _per_point(np.max(np.abs(fr.dG_h - pred), axis=(-3, -2, -1)))
 
 
 def kahler_defect(metric, z):
@@ -443,20 +465,16 @@ def covariant_derivative(frame, direction, v):
     """Chern covariant derivative of vector field ``v`` along ``direction`` at ``frame.z``.
 
     ``v`` may be a :class:`VectorField` or a pair ``(h_jets, a_jets)`` of
-    order->=1 coefficient jets.
+    order->=1 coefficient jets at the frame's points.
     """
     n = frame.n
-    if isinstance(v, VectorField):
-        hj, aj = v.jets(frame.z, 1)
-    else:
-        hj, aj = v
-    w1h = np.array([wirtinger_table(j, n).w1 for j in hj])  # (n, 2n)
-    w1a = np.array([wirtinger_table(j, n).w1 for j in aj])
-    vh = np.array([j.value for j in hj], dtype=complex)
-    va = np.array([j.value for j in aj], dtype=complex)
-    out_h = w1h @ direction.coeffs + np.einsum("ijk,j,k->i", frame.gamma, direction.h, vh)
-    out_a = w1a @ direction.coeffs + np.einsum("ijk,j,k->i", frame.gamma.conj(), direction.a, va)
-    return CTVector(out_h, out_a)
+    hj, aj = v.jets(frame.z, 1) if isinstance(v, VectorField) else v
+
+    def part(js, gamma, d):
+        return (_matvec(_w1_rows(js, n), direction.coeffs)
+                + np.einsum("...ijk,...j,...k->...i", gamma, d, _stack_values(js)))
+
+    return CTVector(part(hj, frame.gamma, direction.h), part(aj, frame.gamma.conj(), direction.a))
 
 
 def torsion(frame, x, y):
@@ -476,8 +494,8 @@ def torsion_from_fields(frame, xf, yf):
     n, z = frame.n, frame.z
     x0, y0 = xf.value(z), yf.value(z)
     xj, yj = xf.jets(z, 1), yf.jets(z, 1)
-    w1 = lambda js: np.array([wirtinger_table(j, n).w1 for j in js])
-    lie = CTVector(*(w1(y) @ x0.coeffs - w1(x) @ y0.coeffs for x, y in zip(xj, yj)))
+    lie = CTVector(*(_matvec(_w1_rows(y, n), x0.coeffs) - _matvec(_w1_rows(x, n), y0.coeffs)
+                     for x, y in zip(xj, yj)))
     return covariant_derivative(frame, x0, yj) - covariant_derivative(frame, y0, xj) - lie
 
 

@@ -162,7 +162,7 @@ def test_06_margin_equivalence(worm_kahler):
 
 def test_07_alpha_closed_but_not_exact(worm_euclid):
     patch = sgamma_patch_tangent(worm_euclid)
-    resid = forms.pullback_alpha_dclosed(worm_euclid, patch, grid=(32, 32))
+    resid = forms.pullback_alpha_dclosed(worm_euclid, patch)
     period = forms.loop_alpha_integral(worm_euclid, patch)
     oracle = -4.0 * math.pi
     ok = resid <= 1e-6 and abs(period - oracle) <= 1e-6

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dfindex import estimator, jets
+from dfindex import diagnostics, estimator, jets
 from dfindex.boundary import (
     TOL_GRAD,
     DomainSpec,
@@ -58,10 +58,14 @@ from dfindex.forms import (
 from dfindex.geometry import (
     CTVector,
     MetricField,
+    VectorField,
     chern_frame,
+    covariant_derivative,
     curvature,
     curvature_contraction,
+    metric_compat_residual,
     torsion,
+    torsion_from_fields,
 )
 from dfindex.worm import (WormParams, _f_jets, _lambda_jet, _soft_clamp, sgamma_points, worm_domain,
                          worm_reduction_basis)
@@ -401,6 +405,99 @@ def test_chern_frame_pivots_per_point_and_matches_one_point(seed):
                      for b, one in enumerate(singles)])
         assert_rows(curvature_contraction(batch, x, v),
                     [curvature_contraction(one, _row(x, b), _row(v, b)) for b, one in enumerate(singles)])
+
+
+def _instance_points(rng, count):
+    """Points for random instances, with signed zero coordinates in the first two."""
+    points = random_points(rng, count, scale=0.4)
+    points[0] = 0.0
+    points[1, 0] = complex(-0.0, 0.3)
+    return points
+
+
+def test_random_field_batch_matches_each_instance():
+    # one batch evaluator of stacked parameters, one instance a column
+    rng = np.random.default_rng(5)
+    draws = [diagnostics._field_params(2, rng, 6) for _ in range(12)]
+    coeffs, picks, kinds = diagnostics._stack(draws)
+    # every term position mixes kinds over the batch, so each one branches
+    assert all(len(set(kinds[:, t])) > 1 for t in range(6))
+    assert set(kinds.ravel()) == {0, 1, 2, 3}
+    assert set(picks[..., 0].ravel()) == set(picks[..., 1].ravel()) == {0, 1}
+    points = _instance_points(rng, 12)
+    batch = diagnostics._field(2, (coeffs, picks, kinds))
+    singles = [diagnostics._field(2, p) for p in draws]
+    for order in range(4):
+        assert_jet_columns(batch.jet(points, order), [f.jet(z, order) for f, z in zip(singles, points)])
+
+
+def test_a_coefficient_scales_each_column_as_a_number_times_its_jet():
+    # elementwise: the product rule with a constant jet would turn c * 0.0 = -0.0 into +0.0
+    rng = np.random.default_rng(8)
+    points = _instance_points(rng, 6)
+    coeffs = rng.standard_normal(6)
+    coeffs[:3] = -np.abs(coeffs[:3])
+
+    def term(zs):
+        return jets.sin(zs[0].real()) * zs[1].imag()
+
+    batch = diagnostics._scaled(coeffs, term(seed_coordinate_jets(points, 3)))
+    assert_jet_columns(batch, [float(c) * term(seed_coordinate_jets(z, 3)) for c, z in zip(coeffs, points)])
+    one = term(seed_coordinate_jets(points[2], 3))
+    assert_jet_columns(diagnostics._scaled(coeffs[2], one).broadcast((1,)), [float(coeffs[2]) * one])
+
+
+def _random_metrics(rng, count):
+    draws = [diagnostics._metric_params(2, rng) for _ in range(count)]
+    return diagnostics._metric(2, diagnostics._stack(draws)), [diagnostics._metric(2, p) for p in draws]
+
+
+def test_random_metric_batch_matches_each_instance():
+    rng = np.random.default_rng(6)
+    batch, singles = _random_metrics(rng, 10)
+    points = _instance_points(rng, 10)
+    for order in range(3):
+        entries = batch.jets(points, order)
+        ones = [metric.jets(z, order) for metric, z in zip(singles, points)]
+        for j in range(2):
+            for k in range(2):
+                assert_jet_columns(entries[j][k], [one[j][k] for one in ones])
+    frame = chern_frame(batch, points, order=2)
+    ones = [chern_frame(metric, z, order=2) for metric, z in zip(singles, points)]
+    for name, rows in _chern_rows(frame).items():
+        assert_rows(rows, [_chern_rows(one)[name] for one in ones])
+
+
+def _vector_fields(rng, count):
+    """A batch of random (1,0) vector fields and each instance's own."""
+    draws = [diagnostics._vector_params(2, rng) for _ in range(count)]
+    return (diagnostics._vector_field(2, diagnostics._stack(draws)),
+            [diagnostics._vector_field(2, p) for p in draws])
+
+
+def test_field_operators_match_one_point():
+    rng = np.random.default_rng(7)
+    count = 9
+    metric, metrics = _random_metrics(rng, count)
+    (xf, xfs), (yf, yfs) = _vector_fields(rng, count), _vector_fields(rng, count)
+    points = _instance_points(rng, count)
+    direction = CTVector(random_points(rng, count), random_points(rng, count))
+    fr = chern_frame(metric, points, order=2)
+    frs = [chern_frame(m, z, order=2) for m, z in zip(metrics, points)]
+    assert_rows(covariant_derivative(fr, direction, yf).coeffs,
+                [covariant_derivative(one, _row(direction, b), yfs[b]).coeffs for b, one in enumerate(frs)])
+    assert_rows(covariant_derivative(fr, direction, xf.jets(points, 1)).coeffs,
+                [covariant_derivative(one, _row(direction, b), xfs[b].jets(points[b], 1)).coeffs
+                 for b, one in enumerate(frs)])
+    assert_rows(torsion_from_fields(fr, xf, yf).coeffs,
+                [torsion_from_fields(one, xfs[b], yfs[b]).coeffs for b, one in enumerate(frs)])
+    assert_rows(metric_compat_residual(metric, points),
+                [metric_compat_residual(m, z) for m, z in zip(metrics, points)])
+    assert_rows(xf.value(points).coeffs, [f.value(z).coeffs for f, z in zip(xfs, points)])
+    table = wirtinger_table(xf.h_fields[0].jet(points, 1), 2)
+    assert_rows(diagnostics._apply_vec(direction, table),
+                [diagnostics._apply_vec(_row(direction, b), wirtinger_table(f.h_fields[0].jet(z, 1), 2))
+                 for b, (f, z) in enumerate(zip(xfs, points))])
 
 
 def _worm_batch(rng, metric, count=6):

@@ -14,6 +14,7 @@ from dfindex.cli import (
     ConfigError,
     RunConfig,
     _domain_of,
+    _jsonify,
     cmd_check,
     cmd_estimate,
     cmd_forms,
@@ -419,6 +420,26 @@ def test_levi_minimum_keeps_a_nan_eigenvalue(tmp_path, monkeypatch):
     # records are sorted by z, so the first one (smallest Re z1) is finite
     assert firsts[0] != "nan" and "nan" in firsts
     assert report["summary"]["min_levi_eigenvalue"] == "nan"
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("value, expected", [
+    (np.float64("nan"), "nan"),
+    (np.float64("inf"), "inf"),
+    (np.float64("-inf"), "-inf"),
+    (np.float32("nan"), "nan"),
+    (np.complex128(complex(math.nan, 1.0)), {"re": "nan", "im": 1.0}),
+    (complex(2.0, -math.inf), {"re": 2.0, "im": "-inf"}),
+    (np.array([1.5, math.nan, -math.inf]), [1.5, "nan", "-inf"]),
+    (np.array([complex(math.inf, math.nan)]), [{"re": "inf", "im": "nan"}]),
+    ({"a": np.float64("nan"), "b": float("nan"), "c": [np.float64("inf")]}, {"a": "nan", "b": "nan", "c": ["inf"]}),
+])
+def test_jsonify_writes_nan_and_inf_as_the_strings_a_python_float_gets(value, expected):
+    text = json.dumps(_jsonify(value))
+    assert json.loads(text, parse_constant=_no_constant) == expected
 
 
 # JSON-ready trees with str keys, as a report is: nesting, escapes, big ints and extreme floats

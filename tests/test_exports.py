@@ -169,9 +169,10 @@ import dfindex, dfindex.cli
 config, out = sys.argv[1:]
 code = dfindex.cli.main(["estimate", "--config", config, "--out", out])
 after_estimate = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+diagnostics = "dfindex.diagnostics" in sys.modules
 from dfindex.worm import riccati_threshold
 eta = riccati_threshold(math.pi)
-print(json.dumps({"code": code, "after_estimate": after_estimate, "eta": eta,
+print(json.dumps({"code": code, "after_estimate": after_estimate, "diagnostics": diagnostics, "eta": eta,
                   "after_riccati": "scipy.integrate" in sys.modules}))
 """
 
@@ -187,6 +188,8 @@ def test_cold_estimate_loads_no_scipy_until_an_ode_is_integrated(tmp_path):
     facts = json.loads(proc.stdout.splitlines()[-1])
     assert facts["code"] == 0
     assert facts["after_estimate"] == []
+    # the invariant suites load with selftest only
+    assert not facts["diagnostics"]
     assert facts["eta"] == pytest.approx(0.5, abs=1e-6)
     assert facts["after_riccati"]
 

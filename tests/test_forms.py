@@ -141,7 +141,7 @@ def test_weak_identity_against_grid_differentiated_alpha(ball, worm_euclid, rng)
 
 def test_pullback_alpha_stokes_and_period(worm_euclid):
     patch = sgamma_patch_tangent(worm_euclid)
-    resid = forms.pullback_alpha_dclosed(worm_euclid, patch, grid=(32, 32))
+    resid = forms.pullback_alpha_dclosed(worm_euclid, patch)
     assert resid < 1e-6
     period = forms.loop_alpha_integral(worm_euclid, patch)
     # contour oracle: along z2 = e^{i v / 2} the pullback is -2 d(arg z2^2),
@@ -160,7 +160,7 @@ def test_exact_form_pullback_has_tiny_circulation(worm_euclid):
         dh = 0.5 + 0.3 / z[..., 1]     # d(Re z2)/dz2 = 1/2, d(log|z2|^2)/dz2 = 1/z2
         return dh * t[..., 1]
 
-    resid = forms.max_circulation_density(a_of, patch, grid=(32, 32))
+    resid = forms.max_circulation_density(a_of, patch)
     assert resid < 1e-8
 
 
@@ -204,6 +204,6 @@ def test_one_nan_node_makes_the_circulation_density_nan(worm_euclid):
         batches.append(len(u))
         return out
 
-    assert math.isnan(forms.max_circulation_density(a_of, patch, grid=(32, 32)))
+    assert math.isnan(forms.max_circulation_density(a_of, patch))
     # one call per grid line, each edge's 6 nodes evaluated once
     assert len(batches) == 33 + 33 and sum(batches) == 6 * 2 * 32 * 33
