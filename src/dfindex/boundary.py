@@ -98,7 +98,7 @@ class DomainSpec:
     interior_point: np.ndarray
     min_abs_coord: dict = dc_field(default_factory=dict)
     special_sampler: object = None   # (count, seed, spread) -> points of the Levi-degenerate set
-    h_basis: object = None           # (degree, spread) -> the domain's own HBasis
+    h_basis: object = None           # (degree, spread) -> the domain's own HBasis over that sample
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):

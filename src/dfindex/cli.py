@@ -57,7 +57,7 @@ class RunConfig:
 
     domain: str = "ball"
     domain_params: dict = dc_field(default_factory=dict)
-    metric: str = "euclidean"
+    metric: str | dict = "euclidean"      # a metric name or an {"entries": ...} spec
     samples: int = 40
     special_samples: int = 10
     seed: int = 0
@@ -128,30 +128,27 @@ def load_config(path=None, overrides=None):
 
 
 def _domain_of(cfg):
-    params = dict(cfg.domain_params)
-    if "metric" in params and cfg.metric != "euclidean":
-        raise ConfigError(f"metric {cfg.metric!r} conflicts with the metric in domain_params")
-    metric = params.pop("metric", cfg.metric)
+    if "metric" in cfg.domain_params:
+        raise ConfigError("domain_params reads no metric; the metric field sets it")
     try:
-        return make_domain(cfg.domain, metric=metric, **params)
+        return make_domain(cfg.domain, metric=cfg.metric, **cfg.domain_params)
     except ValueError as err:
         # an unknown or malformed key's message already lists the registry keys
         raise ConfigError(str(err)) from err
 
 
 def _basis_of(cfg, domain):
-    """The domain's own basis (``auto``, ``reduction``), else ``poly(deg=2)`` (``auto``, ``poly``)."""
-    if cfg.basis not in ("auto", "reduction", "poly"):
-        raise ConfigError(f"unknown basis {cfg.basis!r} (auto | reduction | poly)")
-    if cfg.basis == "reduction" and domain.h_basis is None:
-        raise ConfigError("reduction basis needs a domain with a reduction coordinate (worm)")
+    """The domain's own basis (``auto``), else ``poly(deg=2)`` (``auto``, ``poly``)."""
+    if cfg.basis not in ("auto", "poly"):
+        raise ConfigError(f"unknown basis {cfg.basis!r}: auto (the domain's own basis, "
+                          "else poly(deg=2)) or poly")
     if cfg.basis == "poly" or domain.h_basis is None:
         return poly_basis(domain.n, degree=2)
     return domain.h_basis(cfg.basis_degree, cfg.basis_spread)
 
 
 def _boundary_points(cfg, domain, basis=None):
-    """Random boundary sample plus the domain's degenerate-set sample.
+    """Random boundary sample plus the domain's degenerate-set sample, at ``basis_spread``.
 
     For margin constraints (``basis`` given) the feasibility program needs
     enough sites to pin down the basis: at least 8 degenerate-set points per
@@ -160,7 +157,7 @@ def _boundary_points(cfg, domain, basis=None):
     points = sample_boundary(domain, cfg.samples, cfg.seed)
     count = cfg.special_samples if basis is None else max(cfg.special_samples, 8 * basis.m)
     if count > 0 and domain.special_sampler is not None:
-        points += list(domain.special_sampler(count, cfg.seed + 1))
+        points += list(domain.special_sampler(count, cfg.seed + 1, cfg.basis_spread))
     return points
 
 
@@ -488,7 +485,7 @@ def build_parser():
                        help=f"registry key, one of {REGISTRY_KEYS}")
         p.add_argument("--metric", type=str, default=None)
         p.add_argument("--special-samples", type=int, default=None, dest="special_samples")
-        if name in ("check", "estimate", "worm-bench"):
+        if name in ("check", "worm-bench"):
             p.add_argument("--eta", type=float, default=None)
     return parser
 
@@ -504,13 +501,11 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k, None)
-                 for k in ("out", "seed", "samples", "format", "domain", "metric",
-                           "eta", "special_samples")}
+    args = vars(build_parser().parse_args(argv))
+    command, config = args.pop("command"), args.pop("config")
     try:
-        cfg = load_config(args.config, overrides)
-        report = _COMMANDS[args.command](cfg)
+        cfg = load_config(config, args)
+        report = _COMMANDS[command](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -519,7 +514,7 @@ def main(argv=None):
         if key != "certificates":
             print(f"{key}: {value}")
     print("wrote: " + ", ".join(str(p) for p in paths))
-    if args.command == "selftest" and not report["summary"]["passed"]:
+    if command == "selftest" and not report["summary"]["passed"]:
         return 1
     return 0
 

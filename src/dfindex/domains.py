@@ -107,21 +107,21 @@ def parse_domain_key(key):
     return name, args
 
 
-# the params each key reads, the one its parenthesized numbers give, and how many numbers
-# it reads there (ellipsoid reads any count)
-_PARAMS = {"ball": ("n", "signed"), "ellipsoid": ("axes",), "worm": ("gamma", "t", "s", "lam_c", "lam_p"),
+# the params each key reads; the one its parenthesized numbers give, with the key so written;
+# and how many numbers it reads there (ellipsoid reads any count)
+_PARAMS = {"ball": ("signed",), "ellipsoid": (), "worm": ("t", "s", "lam_c", "lam_p"),
            "user": ("n", "r", "box", "interior")}
-_KEY_GIVES = {"ball": "n", "ellipsoid": "axes", "worm": "gamma"}
-_KEY_NUMBERS = {"ball": 1, "worm": 1, "user": 0}
+_KEY_NUMBERS = {"ball": ("n", "ball(n)", 1), "ellipsoid": ("axes", "ellipsoid(a1,..,an)", None),
+                "worm": ("gamma", "worm(gamma)", 1), "user": (None, "user", 0)}
 
 
 def make_domain(key, metric="euclidean", **params):
     """Instantiate a registered domain.
 
-    ``key`` is one of ``ball``, ``ellipsoid(a1..an)``, ``worm(gamma)``, or
-    ``user``; parenthesized numbers may instead be given through ``params``.
-    A param the key does not read, one its parenthesized numbers already
-    give, or more parenthesized numbers than the key reads raise
+    ``key`` is one of ``ball`` (n = 2), ``ball(n)``, ``ellipsoid(a1..an)``,
+    ``worm(gamma)``, or ``user``; a key's parenthesized numbers are the only
+    way to give n, the axes or gamma.  A param the key does not read (those
+    numbers included) or more parenthesized numbers than the key reads raise
     ``ValueError``.  ``metric`` is a spec of
     :func:`~dfindex.geometry.resolve_metric`: a metric name the key
     implements ("euclidean" on every key, "worm_kahler" on a worm) or
@@ -130,29 +130,24 @@ def make_domain(key, metric="euclidean", **params):
     name, args = parse_domain_key(key) if isinstance(key, str) else (key, [])
     if name not in _PARAMS:
         raise ValueError(f"unknown domain key {key!r}; known keys: {REGISTRY_KEYS}")
-    reads = ", ".join(_PARAMS[name])
+    gives, written, count = _KEY_NUMBERS[name]
     unread = [p for p in params if p not in _PARAMS[name]]
     if unread:
-        raise ValueError(f"{name} reads no domain param {', '.join(unread)}; it reads {reads}")
-    if len(args) > _KEY_NUMBERS.get(name, len(args)):
-        raise ValueError(f"{key!r} gives too many numbers: {name} reads {_KEY_NUMBERS[name] or 'none'} "
+        from_key = f"; {gives} comes only from the key, {written}" if gives in unread else ""
+        raise ValueError(f"{name} reads no domain param {', '.join(unread)}; it reads "
+                         f"{', '.join(_PARAMS[name]) or 'none'}{from_key}")
+    if count is not None and len(args) > count:
+        raise ValueError(f"{key!r} gives too many numbers: {name} reads {count or 'none'} "
                          f"in parentheses (known keys: {REGISTRY_KEYS})")
-    if args and _KEY_GIVES.get(name) in params:
-        raise ValueError(f"{key!r} already gives {_KEY_GIVES[name]}; drop that domain param "
-                         f"({name} reads {reads})")
     if name == "ball":
-        n = int(args[0]) if args else int(params.get("n", 2))
-        return ball_domain(n=n, signed=bool(params.get("signed", False)), metric=metric)
+        return ball_domain(n=int(args[0]) if args else 2, signed=bool(params.get("signed", False)),
+                           metric=metric)
+    if name == "user":
+        return _user_domain(params, metric)
+    if not args:
+        raise ValueError(f"{name} needs {gives}: {written}")
     if name == "ellipsoid":
-        axes = args or params.get("axes")
-        if not axes:
-            raise ValueError("ellipsoid needs axes: ellipsoid(a1,..,an)")
-        return ellipsoid_domain(axes, metric=metric)
-    if name == "worm":
-        gamma = args[0] if args else params.get("gamma")
-        if gamma is None:
-            raise ValueError("worm needs gamma: worm(gamma)")
-        lam = {k: params[k] for k in ("lam_c", "lam_p") if params.get(k) is not None}
-        wp = WormParams(gamma=float(gamma), t=params.get("t"), s=params.get("s"), **lam)
-        return worm_domain(wp, metric=metric)
-    return _user_domain(params, metric)
+        return ellipsoid_domain(args, metric=metric)
+    lam = {k: params[k] for k in ("lam_c", "lam_p") if params.get(k) is not None}
+    wp = WormParams(gamma=args[0], t=params.get("t"), s=params.get("s"), **lam)
+    return worm_domain(wp, metric=metric)

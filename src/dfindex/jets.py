@@ -20,10 +20,11 @@ a plain ``if`` on a batch value raises.
 Two structural guarantees matter downstream and are enforced here rather
 than asserted after the fact:
 
-* Derivative arrays are exactly symmetric under index permutations.  Rank-3
-  results are canonicalized so that permuted index triples share the
-  identical float; rank-2 results are symmetric because every contributing
-  term is.
+* Derivative arrays are exactly symmetric under index permutations.  Rank-2
+  and rank-3 results are canonicalized so that permuted index pairs and
+  triples share the identical float: the product rule's outer products
+  grad a grad b^T and grad b grad a^T are only symmetric as a pair, and the
+  sum rounds differently at (i, j) and (j, i).
 * Evaluation is pure.  Re-running the same operation sequence produces
   bit-identical arrays.
 

@@ -193,7 +193,9 @@ def worm_domain(params, metric="euclidean"):
     The worm's own metric name is "worm_kahler" (:func:`worm_metric`).
     The domain works on its own copy of ``params``, its ``params["worm"]``:
     the fiber scale s that :func:`worm_metric` finds lands there, never in
-    the caller's parameters.
+    the caller's parameters.  ``special_sampler(count, seed, spread)`` and
+    ``h_basis(degree, spread)`` both reach |x| <= spread * a on the annulus
+    S_gamma; the CLI passes its ``basis_spread`` to both.
     """
     params = replace(params)
     r2_hi = 1.05 * math.exp(params.x_max / 2.0)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfindex.estimator import HBasis, SiteSet, dual_bound, feasibility_search
+from dfindex.estimator import HBasis, SiteSet, dual_bound, estimate_index, feasibility_search
 
 C_FLOOR = 1e-4
 BOX = 5.0
@@ -155,3 +155,30 @@ def test_a_stage_whose_bound_is_below_the_exit_slack_stops_feasible():
     slack = max(10.0 * C_FLOOR, C_FLOOR + 1e-3)
     assert C_FLOOR <= cert.min_margin and cert.upper_bound < slack
     assert sites.margins(cert.coeffs, 0.5).min() >= C_FLOOR
+
+
+def _constant_sites(margin):
+    """Three sites whose margin is ``margin`` at every c and eta (A = D = E = 0)."""
+    basis = HBasis(n=1, m=2, name="synthetic(m=2)", rows=None)
+    return basis, SiteSet(basis, np.full(3, margin), np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("below, status", [(5e-7, "converged"), (2e-6, "infeasible_certified")])
+def test_a_bound_that_closes_on_the_margin_just_below_the_floor_decides_only_past_its_tolerance(
+        below, status):
+    # the bound falls to the margin from above; within _BOUND_TOL of the floor it can close the gap
+    # before it certifies anything, and that search stays undecided
+    basis, sites = _constant_sites(C_FLOOR - below)
+    cert = search(basis, sites, 0.5)
+    assert cert.status == status and not cert.feasible
+    assert cert.decided == (status == "infeasible_certified")
+    assert cert.min_margin == C_FLOOR - below <= cert.upper_bound <= cert.min_margin + 1e-6
+
+
+def test_a_converged_stage_moves_no_bracket_end():
+    basis, sites = _constant_sites(C_FLOOR - 5e-7)
+    est = estimate_index(None, basis, sites, box_radius=BOX, C_floor=C_FLOOR)
+    assert [r["status"] for r in est.records] == ["converged"] * 3
+    assert (est.eta_lo, est.eta_hi) == (0.0, 0.99)
+    assert est.warnings == [f"eta = {eta} undecided (converged); it moves neither end of the bracket"
+                            for eta in (0.99, 0.0, 0.495)]

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -13,6 +14,8 @@ from dfindex.boundary import levi_data, normal_frame
 from dfindex.cli import (
     ConfigError,
     RunConfig,
+    _basis_of,
+    _boundary_points,
     _domain_of,
     _jsonify,
     cmd_check,
@@ -239,19 +242,29 @@ def test_worm_bench_rejects_a_domain_it_does_not_build_exits_2(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("key, params, message", [
-    ("ball", {"radius": 2.0}, "ball reads no domain param radius; it reads n, signed"),
-    ("worm(3.14159)", {"tt": 3}, "worm reads no domain param tt; it reads gamma, t, s, lam_c, lam_p"),
+    ("ball", {"radius": 2.0}, "ball reads no domain param radius; it reads signed"),
+    ("worm(3.14159)", {"tt": 3}, "worm reads no domain param tt; it reads t, s, lam_c, lam_p"),
     ("user", {"n": 2, "radius": 1}, "user reads no domain param radius; it reads n, r, box, interior"),
-    ("ellipsoid(1,2)", {"axes": [5, 5]},
-     "'ellipsoid(1,2)' already gives axes; drop that domain param (ellipsoid reads axes)"),
-    ("ball(3)", {"n": 3}, "'ball(3)' already gives n; drop that domain param (ball reads n, signed)"),
-    ("worm(3.14159)", {"gamma": 3.5}, "'worm(3.14159)' already gives gamma"),
+    # n, the axes and gamma come only from the key, with its numbers or without them
+    ("ellipsoid(1,2)", {"axes": [5, 5]}, "ellipsoid reads no domain param axes; it reads none; "
+                                         "axes comes only from the key, ellipsoid(a1,..,an)"),
+    ("ball(3)", {"n": 3},
+     "ball reads no domain param n; it reads signed; n comes only from the key, ball(n)"),
+    ("worm(3.14159)", {"gamma": 3.5}, "worm reads no domain param gamma; it reads t, s, lam_c, lam_p; "
+                                      "gamma comes only from the key, worm(gamma)"),
+    ("ellipsoid", {"axes": [1, 2]}, "axes comes only from the key, ellipsoid(a1,..,an)"),
+    ("ball", {"n": 3, "signed": True}, "n comes only from the key, ball(n)"),
+    ("worm", {"gamma": math.pi}, "gamma comes only from the key, worm(gamma)"),
     # numbers in parentheses past those the key reads
     ("worm(3.141592653589793, 7)", {}, "'worm(3.141592653589793, 7)' gives too many numbers: worm reads 1"),
     ("ball(2, 9)", {}, "'ball(2, 9)' gives too many numbers: ball reads 1"),
     ("user(1)", {}, "'user(1)' gives too many numbers: user reads none"),
+    # a key that needs its numbers
+    ("ellipsoid", {}, "ellipsoid needs axes: ellipsoid(a1,..,an)"),
+    ("worm", {}, "worm needs gamma: worm(gamma)"),
 ], ids=["ball-radius", "worm-tt", "user-radius", "ellipsoid-axes", "ball-n", "worm-gamma",
-        "worm-two-numbers", "ball-two-numbers", "user-one-number"])
+        "bare-ellipsoid-axes", "bare-ball-n", "bare-worm-gamma",
+        "worm-two-numbers", "ball-two-numbers", "user-one-number", "bare-ellipsoid", "bare-worm"])
 def test_make_domain_rejects_a_param_its_key_does_not_read(key, params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make_domain(key, **params)
@@ -264,11 +277,12 @@ def test_a_key_with_too_many_numbers_exits_2(tmp_path, capsys):
 
 
 def test_make_domain_takes_the_params_its_key_reads():
-    assert make_domain("ball", n=3, signed=True).n == 3
-    assert make_domain("ball(3)", signed=True).name == "ball_sd"
-    assert make_domain("ellipsoid", axes=[1, 2]).params["axes"] == [1.0, 2.0]
+    assert make_domain("ball").n == 2
+    ball = make_domain("ball(3)", signed=True)
+    assert (ball.n, ball.name) == (3, "ball_sd")
+    assert make_domain("ellipsoid(1,2)").params["axes"] == [1.0, 2.0]
     assert make_domain("ellipsoid(1,2,3)").n == 3     # an ellipsoid key takes any count of numbers
-    wp = make_domain("worm", gamma=math.pi, t=1.2, s=2.0, lam_c=10.0, lam_p=4).params["worm"]
+    wp = make_domain(f"worm({math.pi!r})", t=1.2, s=2.0, lam_c=10.0, lam_p=4).params["worm"]
     assert (wp.gamma, wp.t, wp.s, wp.lam_c, wp.lam_p) == (math.pi, 1.2, 2.0, 10.0, 4)
 
 
@@ -276,8 +290,47 @@ def test_a_domain_param_the_key_does_not_read_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"domain": "ball", "domain_params": {"radius": 3}, "samples": 3}))
     assert run_cli(["levi", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-    assert "config error: ball reads no domain param radius; it reads n, signed" in capsys.readouterr().err
+    assert "config error: ball reads no domain param radius; it reads signed" in capsys.readouterr().err
     assert not (tmp_path / "levi.json").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"domain": "ball", "domain_params": {"n": 3}}, "n comes only from the key, ball(n)"),
+    ({"domain": "ellipsoid(1,2)", "domain_params": {"axes": [1, 2]}},
+     "axes comes only from the key, ellipsoid(a1,..,an)"),
+    ({"domain": f"worm({math.pi!r})", "domain_params": {"gamma": math.pi}},
+     "gamma comes only from the key, worm(gamma)"),
+    # a metric in domain_params is refused even where it agrees with the metric field
+    ({"domain": f"worm({math.pi!r})", "metric": "euclidean", "domain_params": {"metric": "euclidean"}},
+     "domain_params reads no metric; the metric field sets it"),
+], ids=["ball-n", "ellipsoid-axes", "worm-gamma", "worm-metric"])
+def test_a_removed_way_in_exits_2_and_names_the_one_way_in(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(config, samples=3)))
+    assert run_cli(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(f"{message}\n")
+    assert not (tmp_path / "estimate.json").exists()
+
+
+def test_only_check_and_worm_bench_take_an_eta_flag(tmp_path, capsys):
+    for command in ("forms", "levi", "estimate", "selftest"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--eta", "0.3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eta 0.3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    # every flag lands in the config under its own name
+    argv = ["--domain", f"worm({math.pi!r})", "--metric", "worm_kahler", "--samples", "3", "--seed", "4",
+            "--special-samples", "5", "--eta", "0.3", "--format", "csv"]
+    for command in ("check", "worm-bench"):
+        assert run_cli([command, *argv, "--out", str(tmp_path / command)]) == 0
+        report = json.loads((tmp_path / command / f"{command}.json").read_text())
+        config = {k: report["config"][k] for k in ("domain", "metric", "samples", "seed",
+                                                    "special_samples", "eta")}
+        assert config == {"domain": f"worm({math.pi!r})", "metric": "worm_kahler", "samples": 3,
+                          "seed": 4, "special_samples": 5, "eta": 0.3}
+        assert (tmp_path / command / f"{command}.csv").exists()
 
 
 def test_worm_bench_honours_the_fiber_scale(tmp_path):
@@ -304,13 +357,73 @@ def test_check_command_on_worm_runs_interior_check(tmp_path):
     assert interior and all(r["min_eig"] > 0 for r in interior)
 
 
+@pytest.mark.parametrize("gamma", [math.pi, 2 * math.pi], ids=["pi", "2pi"])
+def test_basis_spread_places_the_null_sites_and_the_basis_together(tmp_path, gamma):
+    # the sites must stop where the basis does: against a basis clamped past 0.95 a, sites out to
+    # 0.99 a bracket the index near 0 ([0.00, 0.02] at gamma = pi), with every stage certified
+    config = {"domain": f"worm({gamma!r})", "basis_spread": 0.95, "basis_degree": 12, "samples": 10}
+    cfg = load_config(None, config)
+    domain = _domain_of(cfg)
+    basis = _basis_of(cfg, domain)
+    special = _boundary_points(cfg, domain, basis)[cfg.samples:]
+    reach = max(abs(math.log(abs(p.z[1]) ** 2)) for p in special)
+    assert 0.949 * domain.params["worm"].a < reach <= 0.95 * domain.params["worm"].a
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "estimate.json").read_text())["summary"]
+    assert summary["warnings"] == []
+    for end in (summary["eta_lo"], summary["eta_hi"]):
+        assert abs(end - math.pi / (2 * gamma)) <= 0.05
+
+
+def _csv_cell(record, column):
+    """What the CSV mirror should hold for ``column`` of ``record``: a dotted column names a
+    nested field, a ``_re``/``_im`` column one part of a complex, and a list is its JSON text."""
+    *path, leaf = column.split(".")
+    node = record
+    for key in path:
+        node = node.get(key) or {}
+    if leaf in node:
+        value = node[leaf]
+    else:
+        stem, _, part = leaf.rpartition("_")
+        value = (node.get(stem) or {}).get(part)
+    if value is None:
+        return ""
+    return json.dumps(value) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("command, config, columns", [
+    ("worm-bench", {"domain": f"worm({math.pi!r})", "samples": 5},
+     {"x", "z2_re", "z2_im", "alpha_engine_re", "alpha_engine_im", "alpha_reference_re",
+      "alpha_reference_im", "margin_engine", "margin_reference"}),
+    # a feasible certificate with its dual weights, then the interior rows
+    ("check", {"domain": f"worm({math.pi!r})", "samples": 4, "basis_degree": 4, "eta": 0.4},
+     {"eta", "basis_id", "coeffs", "min_margin", "upper_bound", "gap", "multipliers.sites",
+      "multipliers.box", "iterations", "n_sites", "feasible", "status", "seed", "depth", "min_eig"}),
+], ids=["worm-bench", "check"])
+def test_csv_mirror_holds_every_json_record_field(tmp_path, command, config, columns):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(config, format="csv")))
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    records = json.loads((tmp_path / f"{command}.json").read_text())["records"]
+    with (tmp_path / f"{command}.csv").open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(records) > 1
+    assert set(rows[0]) == columns
+    for record, row in zip(records, rows):
+        for column, cell in row.items():
+            assert cell == _csv_cell(record, column), column
+        assert any(cell for cell in row.values())
+
+
 @pytest.mark.parametrize("domain, basis, basis_id", [
     (f"worm({math.pi!r})", "auto", "log|z2|^2(deg=4,"),
-    (f"worm({math.pi!r})", "reduction", "log|z2|^2(deg=4,"),
     (f"worm({math.pi!r})", "poly", "poly(deg=2)"),
     ("ball", "auto", "poly(deg=2)"),
     ("ball", "poly", "poly(deg=2)"),
-], ids=["worm-auto", "worm-reduction", "worm-poly", "ball-auto", "ball-poly"])
+], ids=["worm-auto", "worm-poly", "ball-auto", "ball-poly"])
 def test_basis_field_picks_the_domain_basis_or_poly(tmp_path, domain, basis, basis_id):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"domain": domain, "basis": basis, "basis_degree": 4,
@@ -322,10 +435,13 @@ def test_basis_field_picks_the_domain_basis_or_poly(tmp_path, domain, basis, bas
 
 
 @pytest.mark.parametrize("domain, basis, message", [
-    ("ball", "reduction", "reduction basis needs a domain with a reduction coordinate (worm)"),
-    ("ball", "cubic", "unknown basis 'cubic' (auto | reduction | poly)"),
-    (f"worm({math.pi!r})", "cubic", "unknown basis 'cubic' (auto | reduction | poly)"),
-], ids=["ball-reduction", "ball-unknown", "worm-unknown"])
+    # ``reduction`` was another name for ``auto``; the domain's own basis is ``auto`` only
+    ("ball", "reduction",
+     "unknown basis 'reduction': auto (the domain's own basis, else poly(deg=2)) or poly"),
+    (f"worm({math.pi!r})", "reduction", "unknown basis 'reduction': auto"),
+    ("ball", "cubic", "unknown basis 'cubic': auto (the domain's own basis, else poly(deg=2)) or poly"),
+    (f"worm({math.pi!r})", "cubic", "unknown basis 'cubic': auto"),
+], ids=["ball-reduction", "worm-reduction", "ball-unknown", "worm-unknown"])
 def test_basis_field_errors_exit_2(tmp_path, capsys, domain, basis, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"domain": domain, "basis": basis, "samples": 4}))
@@ -340,37 +456,34 @@ BALL_TREE = {"op": "add", "args": [{"op": "abs2", "arg": {"op": "coord", "index"
                                    {"op": "const", "value": -1.0}]}
 
 
-def _user_params(metric=None):
-    params = {"n": 2, "r": BALL_TREE, "box": [[-1.5, 1.5]] * 4,
-              "interior": [[0.0, 0.0], [0.0, 0.0]]}
-    if metric is not None:
-        params["metric"] = metric
-    return params
+def _user_params():
+    return {"n": 2, "r": BALL_TREE, "box": [[-1.5, 1.5]] * 4, "interior": [[0.0, 0.0], [0.0, 0.0]]}
 
 
 def _const(value):
     return {"op": "const", "value": value}
 
 
-def test_user_domain_with_custom_metric(tmp_path):
-    # an entries spec works on every registry key, the user key included
+def test_user_domain_with_custom_metric(tmp_path, capsys):
+    # an entries spec in the metric field works on every registry key, the user key included
     doubled = {"entries": [[_const(2.0), _const(0.0)], [_const(0.0), _const(2.0)]]}
     for domain in ("ball", "ellipsoid(1,2)", f"worm({math.pi!r})", "user"):
-        base = _user_params() if domain == "user" else {}
+        params = _user_params() if domain == "user" else {}
         eigs = {}
-        for label, metric in (("euclidean", None), ("doubled", doubled)):
-            params = base if metric is None else dict(base, metric=metric)
+        for label, metric in (("euclidean", "euclidean"), ("doubled", doubled)):
             cfg_path = tmp_path / f"{label}.json"
-            cfg_path.write_text(json.dumps({"domain": domain, "domain_params": params}))
+            cfg_path.write_text(json.dumps({"domain": domain, "domain_params": params, "metric": metric}))
             out = tmp_path / label
             assert run_cli(["levi", "--config", str(cfg_path), "--samples", "3", "--out", str(out)]) == 0
             report = json.loads((out / "levi.json").read_text())
+            assert report["config"]["metric"] == metric
             eigs[label] = [r["levi_eigenvalues"][0] for r in report["records"]]
         # g = 2 delta halves the Levi eigenvalues on unit tangent vectors
         assert eigs["doubled"] == pytest.approx([0.5 * e for e in eigs["euclidean"]], rel=1e-9), domain
-        # a metric name next to a metric spec is ambiguous
-        assert run_cli(["levi", "--config", str(cfg_path), "--metric", "worm_kahler",
-                        "--out", str(out)]) == 2
+        # the spec has no second way in through domain_params
+        cfg_path.write_text(json.dumps({"domain": domain, "domain_params": dict(params, metric=doubled)}))
+        assert run_cli(["levi", "--config", str(cfg_path), "--samples", "3", "--out", str(out)]) == 2
+        assert "config error: domain_params reads no metric" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("metric", [
@@ -381,10 +494,10 @@ def test_user_domain_with_custom_metric(tmp_path):
 ])
 def test_user_domain_with_bad_metric_exits_2(tmp_path, capsys, metric):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"domain": "user", "domain_params": _user_params(metric)}))
+    cfg_path.write_text(json.dumps({"domain": "user", "domain_params": _user_params(), "metric": metric}))
     assert run_cli(["levi", "--config", str(cfg_path), "--samples", "3", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "config error:" in err
+    assert "config error:" in err and "domain_params" not in err
     # the registry keys belong to unknown-key errors only
     assert "known keys" not in err and "registry keys" not in err
 
