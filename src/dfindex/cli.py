@@ -1,18 +1,8 @@
 """Command-line surface: domain specs in, reports and certificates out.
 
-Subcommands
------------
-forms       per boundary sample: Levi eigenvalues, alpha on the null basis,
-            i beta(Z, Zbar), frame data
-levi        eigenvalue records only
-check       feasibility at one exponent (--eta), plus the interior
-            verification with the certified h
-estimate    eta-bisection with per-eta certificates
-worm-bench  closed-form reference comparison and Riccati thresholds
-selftest    every invariant suite at reduced sample counts
-
-Reports are JSON (schema ``dfindex/1``) with an optional CSV mirror of the
-records; identical (config, seed, version) produce byte-identical output.
+The subcommands and their help are the ``_COMMANDS`` table.  Reports are
+JSON (schema ``dfindex/1``) with an optional CSV mirror of the records;
+identical (config, seed, version) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -41,7 +31,6 @@ from .estimator import (
     interior_check,
     poly_basis,
 )
-from .geometry import CTVector
 from .jets import _vmul
 
 SCHEMA = "dfindex/1"
@@ -403,14 +392,15 @@ def cmd_estimate(cfg):
 
 
 def cmd_worm_bench(cfg):
+    cfg = replace(cfg, metric="worm_kahler")    # the report names the metric the run used
     try:
-        domain = _domain_of(replace(cfg, metric="worm_kahler"))
+        domain = _domain_of(cfg)
     except ConfigError as err:
         raise ConfigError(f"worm-bench runs on worm(gamma) with its Kaehler metric: {err}") from err
     wp = domain.params["worm"]
     points = worm.sgamma_points(wp, cfg.samples, spread=0.9)
     fr = normal_frame(domain, points)
-    zvec = CTVector.holo(np.broadcast_to([0.0, 1.0 + 0.0j], (len(points), 2)))
+    zvec = worm.sgamma_fiber(len(points))
     records, errors = [], []
     for p, a_val, margin in zip(points, forms.alpha(fr, zvec).tolist(),
                                 geometric_margin(fr, zvec, cfg.eta).tolist()):
@@ -426,8 +416,7 @@ def cmd_worm_bench(cfg):
             "margin_reference": ref.margin(cfg.eta),
         })
     records.sort(key=lambda r: r["x"])
-    thresholds = {f"{g:.6f}": worm.riccati_threshold(g)
-                  for g in (0.6 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi)}
+    thresholds = {f"{g:.6f}": worm.riccati_threshold(g) for g in worm.RICCATI_GAMMAS}
     summary = {
         "gamma": wp.gamma,
         "t": wp.t,
@@ -460,6 +449,18 @@ def cmd_selftest(cfg):
 # entry point
 # ----------------------------------------------------------------------
 
+_COMMANDS = {
+    "forms": (cmd_forms, "alpha/beta/Levi records over a boundary sample"),
+    "levi": (cmd_levi, "Levi eigenvalue records over a boundary sample"),
+    "check": (cmd_check, "feasibility of the boundary inequality at one eta, then the interior "
+                         "check of the certified h"),
+    "estimate": (cmd_estimate, "eta-bisection estimate of the index with per-eta certificates"),
+    "worm-bench": (cmd_worm_bench, "closed-form worm reference comparison and Riccati thresholds"),
+    "selftest": (cmd_selftest, "run all invariant suites (reduced counts)"),
+}
+_READS_ETA = ("check", "worm-bench")    # the commands that read eta, and offer --eta
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dfindex",
@@ -467,14 +468,7 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("forms", "alpha/beta/Levi records over a boundary sample"),
-        ("levi", "Levi eigenvalue records over a boundary sample"),
-        ("check", "feasibility of the boundary inequality at one eta"),
-        ("estimate", "eta-bisection estimate of the index"),
-        ("worm-bench", "closed-form worm reference comparison"),
-        ("selftest", "run all invariant suites (reduced counts)"),
-    ):
+    for name, (_, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--out", type=str, default=None, help="output directory")
@@ -485,19 +479,9 @@ def build_parser():
                        help=f"registry key, one of {REGISTRY_KEYS}")
         p.add_argument("--metric", type=str, default=None)
         p.add_argument("--special-samples", type=int, default=None, dest="special_samples")
-        if name in ("check", "worm-bench"):
+        if name in _READS_ETA:
             p.add_argument("--eta", type=float, default=None)
     return parser
-
-
-_COMMANDS = {
-    "forms": cmd_forms,
-    "levi": cmd_levi,
-    "check": cmd_check,
-    "estimate": cmd_estimate,
-    "worm-bench": cmd_worm_bench,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None):
@@ -505,7 +489,9 @@ def main(argv=None):
     command, config = args.pop("command"), args.pop("config")
     try:
         cfg = load_config(config, args)
-        report = _COMMANDS[command](cfg)
+        if command not in _READS_ETA and cfg.eta != RunConfig.eta:
+            raise ConfigError(f"{command} reads no eta, got {cfg.eta}; only {' and '.join(_READS_ETA)} do")
+        report = _COMMANDS[command][0](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -50,8 +50,8 @@ from .geometry import (
     torsion,
     torsion_from_fields,
 )
-from .worm import (WormParams, riccati_threshold, s_gamma_reference, sgamma_patch_tangent,
-                   sgamma_points, worm_domain)
+from .worm import (RICCATI_GAMMAS, WormParams, riccati_threshold, s_gamma_reference, sgamma_fiber,
+                   sgamma_patch_tangent, sgamma_points, worm_domain)
 
 __all__ = [
     "CheckRecord",
@@ -234,11 +234,6 @@ def _random_coeffs(n, rng):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _fiber(count):
-    """The fiber direction d/dz_2 at each of ``count`` points, the null direction on S_gamma."""
-    return CTVector.holo(np.broadcast_to([0.0, 1.0 + 0.0j], (count, 2)))
-
-
 def _w1(table):
     """The first-order table of f with the batch axis first, C-contiguous (as each one-point table is)."""
     return np.ascontiguousarray(_lead(table.w1, 1))
@@ -393,7 +388,7 @@ def boundary_suite(samples=20):
     worm_e = worm_domain(WormParams(gamma=math.pi), metric="euclidean")
     rng = np.random.default_rng(seed)
     worst_frame, worst_null, worst_levi_neg, null_pairs = 0.0, 0.0, 0.0, 0
-    for domain, special in ((ball, []), (worm_e, sgamma_points(worm_e.params["worm"], samples))):
+    for domain, special in ((ball, []), (worm_e, sgamma_points(worm_e.params["worm"], samples, 0.97))):
         # the random sample has no null direction, so the null-space identity also runs
         # at the worm's S_gamma points; the frame and pseudoconvexity checks keep the sample
         fr = normal_frame(domain, sample_boundary(domain, samples, seed) + special)
@@ -438,7 +433,7 @@ def forms_suite():
     worst_nullf, worst_unm, worst_geo = 0.0, 0.0, 0.0
     points = sgamma_points(params, 12, spread=0.85)
     fe, fk = normal_frame(worm_e, points), normal_frame(worm_k, points)
-    zf = _fiber(len(points))
+    zf = sgamma_fiber(len(points))
     values = (forms.alpha(fe, zf), forms.alpha(fk, zf), forms.beta_mixed(fe, zf, zf),
               forms.beta_mixed(fk, zf, zf), forms.alpha(fe, zf.conj()), forms.alpha_geometric(fe, zf),
               forms.beta_mixed_nullspace(fe, zf, zf), forms.beta_unmixed(fe, zf, zf),
@@ -474,9 +469,9 @@ def forms_suite():
     out.append(_rec("forms", "weak_identity_beta_vs_grid_dalpha", worst_weak, 1e-5))
 
     patch = sgamma_patch_tangent(worm_e)
-    resid = forms.pullback_alpha_dclosed(worm_e, patch)
+    resid = forms.pullback_alpha_dclosed(patch)
     out.append(_rec("forms", "stokes_circulation_density", resid, 1e-6))
-    period = forms.loop_alpha_integral(worm_e, patch)
+    period = forms.loop_alpha_integral(patch)
     out.append(_rec("forms", "loop_period_vs_oracle", abs(period - (-4.0 * math.pi)), 1e-6,
                     detail=f"period={period:.9f}"))
 
@@ -500,7 +495,7 @@ def _kahler_worm_fiber(count):
     domain = worm_domain(WormParams(gamma=math.pi, t=1.2), metric="worm_kahler")
     wp = domain.params["worm"]
     points = sgamma_points(wp, count, spread=0.9)
-    return wp, points, normal_frame(domain, points), _fiber(len(points))
+    return wp, points, normal_frame(domain, points), sgamma_fiber(len(points))
 
 
 def worm_reference_suite(count=50):
@@ -535,12 +530,9 @@ def margin_equivalence_suite(count=30):
     return [_rec("margins", "geometric_equals_vectorfield", worst, 1e-8)]
 
 
-_RICCATI_GAMMAS = (0.6 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi)
-
-
 def riccati_suite():
     out = []
-    for g in _RICCATI_GAMMAS:
+    for g in RICCATI_GAMMAS:
         th = riccati_threshold(g)
         out.append(_rec("riccati", f"threshold_gamma_{g:.4f}", abs(th - math.pi / (2 * g)), 1e-3,
                         detail=f"threshold={th:.6f}"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,35 +19,36 @@ __all__ = ["REGISTRY_KEYS", "make_domain", "ball_domain", "ellipsoid_domain", "p
 REGISTRY_KEYS = ("ball", "ellipsoid(a1..an)", "worm(gamma)", "user")
 
 
+def _dimension(n, given_by):
+    """``n`` as an int; raises unless it is an integer >= 2 (NaN and inf fail)."""
+    if isinstance(n, bool) or not isinstance(n, (int, float)) or not (n >= 2 and n % 1 == 0):
+        raise ValueError(f"n must be an integer >= 2 ({given_by}), got {n!r}")
+    return int(n)
+
+
 def ball_domain(n=2, signed=False, metric="euclidean"):
-    """Unit ball; ``signed=True`` selects the constant-gradient-norm variant.
+    """Unit ball in C^n: the unit ellipsoid, or with ``signed=True`` the constant-gradient-norm variant.
 
     The signed-distance defining function is scaled so that |dr| = 1 in the
     metric convention <d/dz_j, d/dz_k> = delta_jk.  ``metric`` is a spec of
     :func:`~dfindex.geometry.resolve_metric`.
     """
+    n = _dimension(n, "ball(n)")
     metric = resolve_metric(metric, n, "ball", {})
-    if signed:
-        def fn(zs):
-            s = sum((jets.abs2(w) for w in zs), jets.Jet.constant(0.0, 2 * n, zs[0].order))
-            return (jets.sqrt(s) - 1.0) * math.sqrt(2.0)
+    if not signed:
+        return replace(ellipsoid_domain([1.0] * n), name="ball", metric=metric)
 
-        r = ScalarField(n, fn, name="ball_signed_distance")
-        interior = np.full(n, 0.2 + 0.0j)
-    else:
-        def fn(zs):
-            return sum((jets.abs2(w) for w in zs), jets.Jet.constant(-1.0, 2 * n, zs[0].order))
+    def fn(zs):
+        s = sum((jets.abs2(w) for w in zs), jets.Jet.constant(0.0, 2 * n, zs[0].order))
+        return (jets.sqrt(s) - 1.0) * math.sqrt(2.0)
 
-        r = ScalarField(n, fn, name="ball")
-        interior = np.zeros(n, dtype=complex)
-    box = np.array([[-1.5, 1.5]] * (2 * n))
     return DomainSpec(
-        name="ball_sd" if signed else "ball",
+        name="ball_sd",
         n=n,
-        r=r,
+        r=ScalarField(n, fn, name="ball_signed_distance"),
         metric=metric,
-        box=box,
-        interior_point=interior,
+        box=np.array([[-1.5, 1.5]] * (2 * n)),
+        interior_point=np.full(n, 0.2 + 0.0j),
         params={"signed": signed},
     )
 
@@ -55,7 +57,7 @@ def ellipsoid_domain(axes, metric="euclidean"):
     axes = [float(a) for a in axes]
     if any(a <= 0 for a in axes):
         raise ValueError(f"ellipsoid axes must be positive, got {axes}")
-    n = len(axes)
+    n = _dimension(len(axes), "the count of ellipsoid axes")
     metric = resolve_metric(metric, n, "ellipsoid", {})
     inv2 = [1.0 / a**2 for a in axes]
 
@@ -77,7 +79,7 @@ def ellipsoid_domain(axes, metric="euclidean"):
 
 def _user_domain(params, metric):
     try:
-        n = int(params["n"])
+        n = _dimension(params["n"], "domain_params.n of a user domain")
         tree = params["r"]
         box = np.asarray(params["box"], dtype=float)
         interior = np.asarray([complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
@@ -140,7 +142,7 @@ def make_domain(key, metric="euclidean", **params):
         raise ValueError(f"{key!r} gives too many numbers: {name} reads {count or 'none'} "
                          f"in parentheses (known keys: {REGISTRY_KEYS})")
     if name == "ball":
-        return ball_domain(n=int(args[0]) if args else 2, signed=bool(params.get("signed", False)),
+        return ball_domain(n=args[0] if args else 2, signed=bool(params.get("signed", False)),
                            metric=metric)
     if name == "user":
         return _user_domain(params, metric)

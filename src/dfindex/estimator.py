@@ -147,8 +147,14 @@ class SiteSet:
         return len(self.B)
 
     def margins(self, coeffs, eta):
-        k = eta / (1.0 - eta)
-        return self.B + self.A @ coeffs - k * np.abs(self.E - self.D @ coeffs) ** 2
+        return self.B + self.A @ coeffs - _weight(eta) * np.abs(self.E - self.D @ coeffs) ** 2
+
+
+def _weight(eta):
+    """k = eta/(1-eta), the weight of |del h - alpha|^2 at exponent eta; raises unless 0 <= eta < 1."""
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    return eta / (1.0 - eta)
 
 
 def _basis_rows(basis, frame, zvec):
@@ -191,21 +197,19 @@ def make_site(frame, zvec, basis):
 def collect_sites(domain, points, basis, eps_null=1e-7):
     """Null and near-null constraint sites over a boundary sample.
 
-    Includes every (P, Z) whose Levi eigenvalue falls below the relaxed
-    cutoff 1e-3 times the largest eigenvalue at P (or below the absolute null
-    cutoff), with Z normalized to unit metric length.  Also returns the
-    smallest strictly-pseudoconvex eigenvalue seen, for reporting when no
-    site constrains the search.  The Levi data of all points and the sites
-    are each assembled in one batched pass.
+    Includes every (P, Z) whose Levi eigenvalue falls below 1e-3 times the
+    largest eigenvalue at P or is null by the absolute cutoff of
+    :func:`~dfindex.boundary.levi_data`, with Z normalized to unit metric
+    length.  Also returns the smallest strictly-pseudoconvex eigenvalue seen,
+    for reporting when no site constrains the search.  The Levi data of all
+    points and the sites are each assembled in one batched pass.
     """
     points = list(points)
     if not points:
         return SiteSet.empty(basis), math.inf
     ld = levi_data(normal_frame(domain, points, r_order=2), eps_null=eps_null)
     eigs = ld.eigenvalues
-    lam_max = eigs[:, -1]
-    cutoff = np.maximum(1e-3 * lam_max, eps_null * (lam_max + 1.0))
-    near_null = eigs < cutoff[:, None]
+    near_null = ld.null | (eigs < 1e-3 * eigs[:, -1:])
     # np.min keeps a NaN eigenvalue, which ``min`` would drop
     min_pc_eig = float(np.min(eigs[~near_null], initial=math.inf))
     at, zvec = ld.pairs(near_null)
@@ -226,8 +230,6 @@ def boundary_margin(domain, p, zvec, basis, coeffs, eta):
     - eta/(1-eta) |del h(Z) - alpha(Z)|^2 for the given Z (every term is
     quadratic in Z, so unit-normalizing Z just rescales the margin).
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
     site = make_site(normal_frame(domain, [p]), CTVector(zvec.h[None], zvec.a[None]), basis)
     return float(site.margins(np.asarray(coeffs, dtype=float), eta)[0])
 
@@ -240,11 +242,9 @@ def geometric_margin(fr, zvec, eta):
 
     Returns the no-constraint sentinel (+inf) where the null space is empty.
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    k = _weight(eta)
     null, sff_sum, half_curv = _null_site_terms(fr, zvec)
     sff_j = _abs_sq(fr.hess_r(zvec, fr.nu_R.J())) * fr.norm2(fr.X)
-    k = eta / (1.0 - eta)
     return _per_point(np.where(null, sff_sum + half_curv - k * sff_j, NO_CONSTRAINT))
 
 
@@ -258,8 +258,7 @@ def vectorfield_margin(fr, zvec, eta):
     Agrees with :func:`geometric_margin`; computed independently from jets of
     the unit normal field.
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    k = _weight(eta)
     _, null = _null_points(fr, zvec)
     n, l_jets, mjets = fr.n, fr.L_jets, fr.metric_jets
     len2 = sum((mjets[j][k] * l_jets[j] * l_jets[k].conj() for j in range(n) for k in range(n)),
@@ -272,7 +271,6 @@ def vectorfield_margin(fr, zvec, eta):
     proj = fr.inner(d_nu, fr.nu_C)
     tangential = d_nu - fr.nu_C * _col(proj)
     curv = curvature_contraction(fr.chern, zvec, fr.nu_C)
-    k = eta / (1.0 - eta)
     margin = 0.5 * fr.norm2(tangential) + 0.5 * curv - k * _abs_sq(proj)
     return _per_point(np.where(null, margin, NO_CONSTRAINT))
 
@@ -338,7 +336,7 @@ def dual_bound(sites, eta, lam, nu, box_radius):
     Returns +inf (no bound) when the Cholesky factorisation of Q fails or
     the value is not finite.
     """
-    k = eta / (1.0 - eta)
+    k = _weight(eta)
     lam, nu = np.asarray(lam, dtype=float), np.asarray(nu, dtype=float)
     weighted = sites.D * lam[:, None]
     Q = k * np.real(sites.D.conj().T @ weighted) + np.diag(nu)
@@ -376,8 +374,7 @@ def feasibility_search(domain, eta, basis, sites, *, box_radius, C_floor=1e-4, c
     from one that never centred, they start at c = 0 with t below every
     margin.
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    k = _weight(eta)
     if start is not None and start.eta < eta:
         raise ValueError(f"a search at eta = {eta} cannot start from a stage at a smaller "
                          f"eta = {start.eta}")
@@ -386,7 +383,6 @@ def feasibility_search(domain, eta, basis, sites, *, box_radius, C_floor=1e-4, c
         return EtaCertificate(eta=eta, basis_id=basis.name, coeffs=np.zeros(m),
                               min_margin=NO_CONSTRAINT, upper_bound=NO_CONSTRAINT,
                               n_sites=0, feasible=True, status="no_null_sites", iterations=0)
-    k = eta / (1.0 - eta)
     R2 = float(box_radius) ** 2
     best_c = np.zeros(m) if c0 is None else np.asarray(c0, dtype=float).copy()
     best_val = float(sites.margins(best_c, eta).min())
@@ -626,8 +622,7 @@ def interior_check(domain, h_field, eta, points, C=0.0, depths=None):
     the first failed iteration, come first), and so does an empty list of
     depths or points: zero samples show nothing.
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    _weight(eta)    # the range check
     if depths is None:
         depths = np.geomspace(1e-4, 1e-2, 7)
     points = list(points)

@@ -202,9 +202,9 @@ class SubmanifoldPatch:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
-def _alpha_on_patch(domain, patch):
+def _alpha_on_patch(patch):
     def a_of(u):
-        fr = NormalFrame(domain, patch.chart(u), r_order=2)
+        fr = NormalFrame(patch.domain, patch.chart(u), r_order=2)
         return alpha(fr, CTVector.holo(patch.tangent(u)))
 
     return a_of
@@ -255,17 +255,17 @@ def max_circulation_density(a_of, patch):
     return float(np.max(np.abs(circ) / area))
 
 
-def pullback_alpha_dclosed(domain, patch):
+def pullback_alpha_dclosed(patch):
     """Max per-cell Stokes circulation density of the pulled-back alpha;
     weak d-closedness drives this to zero."""
     patch.validate()
-    return max_circulation_density(_alpha_on_patch(domain, patch), patch)
+    return max_circulation_density(_alpha_on_patch(patch), patch)
 
 
-def loop_alpha_integral(domain, patch):
+def loop_alpha_integral(patch):
     """Line integral of the pulled-back alpha along Re u = 0, Im u in [0, 4 pi] (arg z_2 once around)."""
     vs = np.linspace(0.0, 4.0 * np.pi, _LOOP_SEGMENTS + 1)
-    edges = _edge_integrals(_alpha_on_patch(domain, patch), _complex(0.0, vs[:-1]), _complex(0.0, vs[1:]))
+    edges = _edge_integrals(_alpha_on_patch(patch), _complex(0.0, vs[:-1]), _complex(0.0, vs[1:]))
     return sum(edges)
 
 

@@ -22,7 +22,7 @@ from .boundary import BoundaryPoint, DomainSpec, _rk45
 from .estimator import HBasis
 from .fields import ChartDomainError, ScalarField
 from .forms import SubmanifoldPatch
-from .geometry import MetricError, MetricField, resolve_metric
+from .geometry import CTVector, MetricError, MetricField, resolve_metric
 
 __all__ = [
     "WormParams",
@@ -32,16 +32,19 @@ __all__ = [
     "SGammaReference",
     "s_gamma_reference",
     "sgamma_points",
+    "sgamma_fiber",
     "sgamma_patch_tangent",
     "RiccatiResult",
     "riccati_feasibility",
     "riccati_threshold",
+    "RICCATI_GAMMAS",
 ]
 
 _U_MAX = 1e8
 _POSITIVITY_FLOOR = 1e-3    # smallest sampled eigenvalue a worm Kaehler metric must reach
 _SAMPLE_SEED, _SAMPLE_COUNT = 1234, 300   # the sample of that positivity scan
 _DOUBLINGS = 30             # doublings of s the scan tries
+RICCATI_GAMMAS = (0.6 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi)   # the reference windings
 
 
 @dataclass
@@ -333,7 +336,7 @@ def s_gamma_reference(params, z2):
     )
 
 
-def sgamma_points(params, count, spread=0.97):
+def sgamma_points(params, count, spread):
     """Deterministic boundary points on the degenerate annulus.
 
     Log-moduli sweep |x| <= spread * a, clustered toward the ends of the
@@ -348,6 +351,11 @@ def sgamma_points(params, count, spread=0.97):
         z2 = math.exp(x / 2.0) * np.exp(1j * golden * k)
         points.append(BoundaryPoint(z=np.array([0.0, z2], dtype=complex), residual=0.0))
     return points
+
+
+def sgamma_fiber(count):
+    """The fiber direction d/dz_2 at each of ``count`` points, the null direction on S_gamma."""
+    return CTVector.holo(np.broadcast_to([0.0, 1.0 + 0.0j], (count, 2)))
 
 
 def sgamma_patch_tangent(domain):

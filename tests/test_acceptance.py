@@ -162,8 +162,8 @@ def test_06_margin_equivalence(worm_kahler):
 
 def test_07_alpha_closed_but_not_exact(worm_euclid):
     patch = sgamma_patch_tangent(worm_euclid)
-    resid = forms.pullback_alpha_dclosed(worm_euclid, patch)
-    period = forms.loop_alpha_integral(worm_euclid, patch)
+    resid = forms.pullback_alpha_dclosed(patch)
+    period = forms.loop_alpha_integral(patch)
     oracle = -4.0 * math.pi
     ok = resid <= 1e-6 and abs(period - oracle) <= 1e-6
     _report(7, "pulled-back alpha is d-closed (Stokes) with nontrivial period",

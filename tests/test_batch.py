@@ -552,7 +552,7 @@ def test_levi_data_matches_one_point(seed):
     ball = ball_domain()
     # worm: strictly pseudoconvex samples and Levi-null S_gamma points;
     # ball: at (1, 0) the first raw tangent vector is degenerate, elsewhere not
-    cases = [(worm, sample_boundary(worm, 3, seed) + sgamma_points(worm.params["worm"], 3)),
+    cases = [(worm, sample_boundary(worm, 3, seed) + sgamma_points(worm.params["worm"], 3, spread=0.97)),
              (ball, [np.array([1.0, 0.0], dtype=complex)] + sample_boundary(ball, 3, seed))]
     for domain, points in cases:
         batch = levi_data(normal_frame(domain, points, r_order=2))

@@ -363,5 +363,5 @@ def test_worm_domain_values():
 
 def test_sgamma_points_are_boundary_points(worm_euclid):
     wp = worm_euclid.params["worm"]
-    for p in sgamma_points(wp, 20):
+    for p in sgamma_points(wp, 20, spread=0.97):
         assert abs(worm_euclid.r(p.z)) < 1e-13

@@ -333,6 +333,27 @@ def test_only_check_and_worm_bench_take_an_eta_flag(tmp_path, capsys):
         assert (tmp_path / command / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--metric", "euclidean"]], ids=["default", "euclidean-flag"])
+def test_worm_bench_report_names_the_metric_it_ran(tmp_path, flags):
+    # the bench always runs the worm's Kaehler metric, and its report says so
+    out = tmp_path / "wb"
+    assert run_cli(["worm-bench", "--domain", f"worm({math.pi!r})", "--samples", "3", *flags,
+                    "--out", str(out)]) == 0
+    report = json.loads((out / "worm-bench.json").read_text())
+    assert report["config"]["metric"] == "worm_kahler"
+    assert report["summary"]["s"] == 8.0     # the Kaehler fiber scale at the default t
+
+
+@pytest.mark.parametrize("command", ["forms", "levi", "estimate", "selftest"])
+def test_a_command_that_reads_no_eta_refuses_one_in_its_config(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": "ball", "samples": 3, "eta": 0.3}))
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {command} reads no eta, got 0.3; only check and worm-bench do\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_worm_bench_honours_the_fiber_scale(tmp_path):
     cfg = load_config(None, {"domain": f"worm({math.pi!r})", "domain_params": {"s": 64.0},
                              "samples": 3, "out": str(tmp_path)})
@@ -511,8 +532,37 @@ def test_unsupported_metric_name_exits_2(tmp_path, capsys, domain):
                     "--samples", "3", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error:" in err and "supports metrics ['euclidean']" in err
+    key = domain.split("(")[0]
+    assert f"config error: {key} supports metrics ['euclidean'], got 'worm_kahler'" in err
     assert not (tmp_path / "levi.json").exists()
+
+
+# r = |z1|^2 - 1 as a user expression tree in C^1
+DISC_TREE = {"op": "add", "args": [{"op": "abs2", "arg": {"op": "coord", "index": 0}},
+                                   {"op": "const", "value": -1.0}]}
+
+
+@pytest.mark.parametrize("command", ["levi", "forms", "check", "estimate"])
+@pytest.mark.parametrize("config, given", [
+    ({"domain": "ball(1)"}, "ball(n)), got 1.0"),
+    ({"domain": "ball(1)", "domain_params": {"signed": True}}, "ball(n)), got 1.0"),
+    ({"domain": "ball(0)"}, "ball(n)), got 0.0"),
+    ({"domain": "ball(2.5)"}, "ball(n)), got 2.5"),
+    ({"domain": "ellipsoid(2)"}, "the count of ellipsoid axes), got 1"),
+    ({"domain": "user", "domain_params": {"n": 1, "r": DISC_TREE, "box": [[-1.5, 1.5]] * 2,
+                                          "interior": [[0.0, 0.0]]}},
+     "domain_params.n of a user domain), got 1"),
+    ({"domain": "user", "domain_params": dict(_user_params(), n=2.7)},
+     "domain_params.n of a user domain), got 2.7"),
+], ids=["ball-1", "signed-ball-1", "ball-0", "ball-2.5", "ellipsoid-1-axis", "user-1", "user-2.7"])
+def test_a_domain_dimension_that_is_not_an_integer_of_at_least_2_exits_2(tmp_path, capsys, command,
+                                                                          config, given):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(config, samples=3)))
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: n must be an integer >= 2 ({given}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_levi_minimum_keeps_a_nan_eigenvalue(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,33 @@ def small_worm_sites(domain, basis, count=60, spread=0.95):
     wp = domain.params["worm"]
     sites, _ = collect_sites(domain, sgamma_points(wp, count, spread=spread), basis)
     return sites
+
+
+@pytest.fixture(scope="module")
+def calls_at_eta(worm_euclid):
+    """Each evaluator that takes eta, as a function of eta alone, on a small worm(pi) problem."""
+    basis = worm_reduction_basis(gamma=math.pi, degree=4, spread=0.95)
+    sites = small_worm_sites(worm_euclid, basis, count=8)
+    c, lam, nu = np.zeros(basis.m), np.full(len(sites), 1.0 / len(sites)), np.ones(basis.m)
+    p = np.array([0.0, 1.0], dtype=complex)
+    fr = normal_frame(worm_euclid, p)
+    return {
+        "margins": lambda eta: sites.margins(c, eta),
+        "dual_bound": lambda eta: estimator.dual_bound(sites, eta, lam, nu, 50.0),
+        "feasibility_search": lambda eta: feasibility_search(worm_euclid, eta, basis, sites, box_radius=50.0),
+        "boundary_margin": lambda eta: boundary_margin(worm_euclid, p, Z_FIBER, basis, c, eta),
+        "geometric_margin": lambda eta: geometric_margin(fr, Z_FIBER, eta),
+        "vectorfield_margin": lambda eta: vectorfield_margin(fr, Z_FIBER, eta),
+        "interior_check": lambda eta: interior_check(worm_euclid, None, eta, [p]),
+    }
+
+
+@pytest.mark.parametrize("eta", [1.0, 1.5, -0.5, math.nan], ids=["1", "1.5", "-0.5", "nan"])
+@pytest.mark.parametrize("name", ["margins", "dual_bound", "feasibility_search", "boundary_margin",
+                                  "geometric_margin", "vectorfield_margin", "interior_check"])
+def test_every_evaluator_rejects_an_eta_outside_0_1(calls_at_eta, name, eta):
+    with pytest.raises(ValueError, match=re.escape("eta must lie in [0, 1)")):
+        calls_at_eta[name](eta)
 
 
 def test_boundary_margin_riccati_equality_case(worm_euclid):

@@ -141,9 +141,9 @@ def test_weak_identity_against_grid_differentiated_alpha(ball, worm_euclid, rng)
 
 def test_pullback_alpha_stokes_and_period(worm_euclid):
     patch = sgamma_patch_tangent(worm_euclid)
-    resid = forms.pullback_alpha_dclosed(worm_euclid, patch)
+    resid = forms.pullback_alpha_dclosed(patch)
     assert resid < 1e-6
-    period = forms.loop_alpha_integral(worm_euclid, patch)
+    period = forms.loop_alpha_integral(patch)
     # contour oracle: along z2 = e^{i v / 2} the pullback is -2 d(arg z2^2),
     # so one loop of the fiber circle integrates to -4 pi
     assert period == pytest.approx(-4.0 * math.pi, abs=1e-6)
