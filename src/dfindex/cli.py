@@ -1,8 +1,8 @@
 """Command-line surface: domain specs in, reports and certificates out.
 
-The subcommands and their help are the ``_COMMANDS`` table.  Reports are
-JSON (schema ``dfindex/1``) with an optional CSV mirror of the records;
-identical (config, seed, version) produce byte-identical output.
+The subcommands, their help and the settings each reads are the ``_COMMANDS``
+table.  Reports are JSON (schema ``dfindex/1``) with an optional CSV mirror
+of the records; identical (config, seed, version) give byte-identical output.
 """
 
 from __future__ import annotations
@@ -449,16 +449,26 @@ def cmd_selftest(cfg):
 # entry point
 # ----------------------------------------------------------------------
 
+# The third column holds the run settings a command reads.  Every command takes the output
+# options out and format besides them; main refuses a non-default value of any other setting.
+_SAMPLING = ("seed", "domain", "domain_params", "metric", "samples", "special_samples", "eps_null",
+             "basis_spread")
+_CERTIFYING = (*_SAMPLING, "c_floor", "basis", "basis_degree", "box_radius")
 _COMMANDS = {
-    "forms": (cmd_forms, "alpha/beta/Levi records over a boundary sample"),
-    "levi": (cmd_levi, "Levi eigenvalue records over a boundary sample"),
+    "forms": (cmd_forms, "alpha/beta/Levi records over a boundary sample", _SAMPLING),
+    "levi": (cmd_levi, "Levi eigenvalue records over a boundary sample", _SAMPLING),
     "check": (cmd_check, "feasibility of the boundary inequality at one eta, then the interior "
-                         "check of the certified h"),
-    "estimate": (cmd_estimate, "eta-bisection estimate of the index with per-eta certificates"),
-    "worm-bench": (cmd_worm_bench, "closed-form worm reference comparison and Riccati thresholds"),
-    "selftest": (cmd_selftest, "run all invariant suites (reduced counts)"),
+                         "check of the certified h", (*_CERTIFYING, "eta")),
+    "estimate": (cmd_estimate, "eta-bisection estimate of the index with per-eta certificates",
+                 (*_CERTIFYING, "tol_eta", "eta_cap")),
+    "worm-bench": (cmd_worm_bench, "closed-form worm reference comparison and Riccati thresholds",
+                   ("seed", "domain", "domain_params", "samples", "eta")),
+    "selftest": (cmd_selftest, "run all invariant suites (reduced counts)", ("seed",)),
 }
-_READS_ETA = ("check", "worm-bench")    # the commands that read eta, and offer --eta
+# the settings that have a flag; a subcommand offers the flag of each setting it reads
+_FLAGS = {"seed": {"type": int}, "samples": {"type": int}, "metric": {"type": str},
+          "special_samples": {"type": int}, "eta": {"type": float},
+          "domain": {"type": str, "help": f"registry key, one of {REGISTRY_KEYS}"}}
 
 
 def build_parser():
@@ -468,19 +478,14 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, helptext) in _COMMANDS.items():
+    for name, (_, helptext, reads) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--domain", type=str, default=None,
-                       help=f"registry key, one of {REGISTRY_KEYS}")
-        p.add_argument("--metric", type=str, default=None)
-        p.add_argument("--special-samples", type=int, default=None, dest="special_samples")
-        if name in _READS_ETA:
-            p.add_argument("--eta", type=float, default=None)
+        for field in reads:
+            if field in _FLAGS:
+                p.add_argument("--" + field.replace("_", "-"), **_FLAGS[field])
     return parser
 
 
@@ -489,8 +494,12 @@ def main(argv=None):
     command, config = args.pop("command"), args.pop("config")
     try:
         cfg = load_config(config, args)
-        if command not in _READS_ETA and cfg.eta != RunConfig.eta:
-            raise ConfigError(f"{command} reads no eta, got {cfg.eta}; only {' and '.join(_READS_ETA)} do")
+        reads = (*_COMMANDS[command][2], "out", "format")
+        for field, default in vars(RunConfig()).items():
+            value = getattr(cfg, field)
+            if field not in reads and value != default:
+                readers = " and ".join(c for c, row in _COMMANDS.items() if field in row[2])
+                raise ConfigError(f"{command} reads no {field}, got {value}; only {readers} do")
         report = _COMMANDS[command][0](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -34,6 +34,7 @@ so conjugation of a jet is conjugation of its arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -93,27 +94,17 @@ def _vmul(x, y):
     return x * y
 
 
-_CANON2 = {}
-_CANON3 = {}
-
-
+@functools.cache
 def _canon2_indices(m):
-    idx = _CANON2.get(m)
-    if idx is None:
-        i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        idx = (np.minimum(i, j), np.maximum(i, j))
-        _CANON2[m] = idx
-    return idx
+    i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    return np.minimum(i, j), np.maximum(i, j)
 
 
+@functools.cache
 def _canon3_indices(m):
-    idx = _CANON3.get(m)
-    if idx is None:
-        i, j, k = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
-        s = np.sort(np.stack([i, j, k]), axis=0)
-        idx = (s[0], s[1], s[2])
-        _CANON3[m] = idx
-    return idx
+    i, j, k = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
+    s = np.sort(np.stack([i, j, k]), axis=0)
+    return s[0], s[1], s[2]
 
 
 def _canon2(arr):

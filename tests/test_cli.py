@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -14,6 +15,7 @@ from dfindex.boundary import levi_data, normal_frame
 from dfindex.cli import (
     ConfigError,
     RunConfig,
+    _COMMANDS,
     _basis_of,
     _boundary_points,
     _domain_of,
@@ -26,6 +28,7 @@ from dfindex.cli import (
     cmd_worm_bench,
     load_config,
     _report_text,
+    build_parser,
     main,
     write_report,
 )
@@ -321,36 +324,95 @@ def test_only_check_and_worm_bench_take_an_eta_flag(tmp_path, capsys):
         assert "unrecognized arguments: --eta 0.3" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
     # every flag lands in the config under its own name
-    argv = ["--domain", f"worm({math.pi!r})", "--metric", "worm_kahler", "--samples", "3", "--seed", "4",
-            "--special-samples", "5", "--eta", "0.3", "--format", "csv"]
-    for command in ("check", "worm-bench"):
-        assert run_cli([command, *argv, "--out", str(tmp_path / command)]) == 0
+    given = {"domain": f"worm({math.pi!r})", "samples": 3, "seed": 4, "eta": 0.3, "metric": "worm_kahler",
+             "special_samples": 5}
+    for command, fields in (("check", list(given)), ("worm-bench", ["domain", "samples", "seed", "eta"])):
+        argv = [arg for field in fields for arg in ("--" + field.replace("_", "-"), str(given[field]))]
+        assert run_cli([command, *argv, "--format", "csv", "--out", str(tmp_path / command)]) == 0
         report = json.loads((tmp_path / command / f"{command}.json").read_text())
-        config = {k: report["config"][k] for k in ("domain", "metric", "samples", "seed",
-                                                    "special_samples", "eta")}
-        assert config == {"domain": f"worm({math.pi!r})", "metric": "worm_kahler", "samples": 3,
-                          "seed": 4, "special_samples": 5, "eta": 0.3}
+        assert {field: report["config"][field] for field in fields} == {field: given[field] for field in fields}
         assert (tmp_path / command / f"{command}.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [[], ["--metric", "euclidean"]], ids=["default", "euclidean-flag"])
-def test_worm_bench_report_names_the_metric_it_ran(tmp_path, flags):
+SAMPLING_FLAGS = {"--seed", "--domain", "--metric", "--samples", "--special-samples"}
+FLAGS = {"forms": SAMPLING_FLAGS, "levi": SAMPLING_FLAGS, "check": SAMPLING_FLAGS | {"--eta"},
+         "estimate": SAMPLING_FLAGS, "worm-bench": {"--seed", "--domain", "--samples", "--eta"},
+         "selftest": {"--seed"}}
+
+
+def test_each_subcommand_offers_the_flags_of_the_settings_it_reads(tmp_path, capsys):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(FLAGS)
+    for command, flags in FLAGS.items():
+        offered = {o for a in subparsers[command]._actions for o in a.option_strings}
+        assert offered == {"-h", "--help", "--config", "--out", "--format", *flags}, command
+    for argv in (["selftest", "--samples", "3"], ["worm-bench", "--special-samples", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_worm_bench_report_names_the_metric_it_ran(tmp_path):
     # the bench always runs the worm's Kaehler metric, and its report says so
     out = tmp_path / "wb"
-    assert run_cli(["worm-bench", "--domain", f"worm({math.pi!r})", "--samples", "3", *flags,
-                    "--out", str(out)]) == 0
+    assert run_cli(["worm-bench", "--domain", f"worm({math.pi!r})", "--samples", "3", "--out", str(out)]) == 0
     report = json.loads((out / "worm-bench.json").read_text())
     assert report["config"]["metric"] == "worm_kahler"
     assert report["summary"]["s"] == 8.0     # the Kaehler fiber scale at the default t
 
 
+def test_worm_bench_refuses_a_metric(tmp_path, capsys):
+    # worm-bench runs the Kaehler metric whatever it is given, so it takes no metric setting
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["worm-bench", "--metric", "euclidean", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --metric euclidean" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": f"worm({math.pi!r})", "metric": "worm_kahler"}))
+    assert run_cli(["worm-bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("config error: worm-bench reads no metric, got worm_kahler; "
+                                       "only forms and levi and check and estimate do\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["forms", "levi", "estimate", "selftest"])
 def test_a_command_that_reads_no_eta_refuses_one_in_its_config(tmp_path, capsys, command):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"domain": "ball", "samples": 3, "eta": 0.3}))
+    cfg_path.write_text(json.dumps({"eta": 0.3}))
     assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: {command} reads no eta, got 0.3; only check and worm-bench do\n"
+    assert not (tmp_path / "out").exists()
+
+
+# a value other than the default for each setting, valid for every command that reads it
+OTHER_VALUE = {"seed": 3, "domain": "ellipsoid(1,2)", "domain_params": {"signed": True},
+               "metric": "worm_kahler", "samples": 3, "special_samples": 5, "eps_null": 1e-6,
+               "tol_eta": 0.02, "c_floor": 1e-3, "eta": 0.3, "eta_cap": 0.9, "basis": "poly",
+               "basis_degree": 4, "basis_spread": 0.95, "box_radius": 10.0}
+UNREAD = [(command, field) for command, (_, _, reads) in _COMMANDS.items()
+          for field in OTHER_VALUE if field not in reads]
+
+
+def test_the_table_accepts_49_of_the_90_command_setting_pairs():
+    assert set(OTHER_VALUE) == {f.name for f in dataclasses.fields(RunConfig)} - {"out", "format"}
+    assert len(_COMMANDS) * len(OTHER_VALUE) - len(UNREAD) == 49
+    assert [c for c, f in UNREAD if f == "eta"] == ["forms", "levi", "estimate", "selftest"]
+
+
+# the eta refusals are the test above
+@pytest.mark.parametrize("command, field", [(c, f) for c, f in UNREAD if f != "eta"],
+                         ids=[f"{c}-{f}" for c, f in UNREAD if f != "eta"])
+def test_a_command_refuses_a_setting_it_does_not_read(tmp_path, capsys, command, field):
+    readers = " and ".join(c for c, (_, _, reads) in _COMMANDS.items() if field in reads)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: OTHER_VALUE[field]}))
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {command} reads no {field}, got {OTHER_VALUE[field]}; only {readers} do\n"
     assert not (tmp_path / "out").exists()
 
 

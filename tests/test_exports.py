@@ -1,6 +1,8 @@
 """Public names: every export must resolve, so a deletion cannot leave a stale one."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -161,6 +163,18 @@ def test_generic_modules_read_no_worm_parameter():
              for node in _worm_reads(ast.parse((Path(dfindex.__file__).parent / f"{name}.py").read_text()),
                                      exempt={"cmd_worm_bench"})]
     assert not reads, f"generic code reads the worm: {reads}"
+
+
+def test_every_run_setting_is_read_by_some_command_and_every_flag_sets_one():
+    # the _COMMANDS table is the one record of which settings a command reads
+    from dfindex import cli
+
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert {field for _, _, reads in cli._COMMANDS.values() for field in reads} == fields - {"out", "format"}
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in subparsers.choices.values() for a in p._actions} - {"help", "config"}
+    assert dests <= fields
+    assert not hasattr(cli, "_READS_ETA")
 
 
 COLD_START = """
