@@ -3,9 +3,10 @@
 Usage: ``python3 scripts/report_digests.py`` (no options).  Every command
 runs in process through ``dfindex.cli.main`` in a temporary directory, and
 one ``label sha256`` line is printed per report, plus one ``label.csv
-sha256`` line per CSV mirror.  A last ``suites`` line hashes the records of
-the random-instance invariant suites at the sample counts and seeds of the
-tests, which the selftest report does not run.  Reports are deterministic,
+sha256`` line per CSV mirror.  The last lines hash the records of invariant
+suites at sample counts and seeds the selftest report does not run:
+``suites`` those of the tests' random-instance suites, ``suites-worm`` the
+boundary and worm suites at larger counts.  Reports are deterministic,
 so two checkouts produce the same lines exactly when every report (and every
 suite residual) is byte-identical: run the script in both and diff the
 output.
@@ -51,6 +52,8 @@ RUNS = [
     ("estimate-spread", "estimate", {"domain": WORM_PI, "samples": 10, "basis_degree": 12,
                                      "basis_spread": 0.95}),
     ("worm-bench", "worm-bench", {"domain": WORM_PI, "samples": 10}),
+    ("worm-bench-2pi", "worm-bench", {"domain": f"worm({2 * math.pi!r})", "domain_params": {"t": 6.0},
+                                      "samples": 12, "eta": 0.2}),
     ("selftest", "selftest", {}),
     # off the worm: a domain without a basis or sampler of its own
     ("check-ellipsoid", "check", {"domain": "ellipsoid(1,2)", "samples": 10, "eta": 0.4}),
@@ -61,18 +64,26 @@ RUNS = [
                                                "interior": [[0.0, 0.0], [0.0, 0.0]]}}),
 ]
 
-# (suite, arguments): the configurations of tests/test_diagnostics.py, test_geometry.py and
-# test_acceptance.py::test_04
-SUITES = [
-    ("jets_suite", {"count": 20, "seed": 3}),
-    ("h3_identity_suite", {"count": 30, "seed": 7}),
-    ("h3_identity_suite", {"count": 200, "seed": 17}),
-    ("structural_suite", {"count": 10, "seed": 9}),
-]
+# label -> (suite, arguments): first the configurations of tests/test_diagnostics.py,
+# test_geometry.py and test_acceptance.py::test_04, then the boundary and worm suites at counts
+# that neither the tests nor selftest run
+SUITES = {
+    "suites": [
+        ("jets_suite", {"count": 20, "seed": 3}),
+        ("h3_identity_suite", {"count": 30, "seed": 7}),
+        ("h3_identity_suite", {"count": 200, "seed": 17}),
+        ("structural_suite", {"count": 10, "seed": 9}),
+    ],
+    "suites-worm": [
+        ("boundary_suite", {"samples": 6}),
+        ("worm_reference_suite", {"count": 50}),
+        ("margin_equivalence_suite", {"count": 40}),
+    ],
+}
 
 
-def suites_digest():
-    rows = [record.row() for name, kwargs in SUITES for record in getattr(diagnostics, name)(**kwargs)]
+def suites_digest(calls):
+    rows = [record.row() for name, kwargs in calls for record in getattr(diagnostics, name)(**kwargs)]
     return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
 
 
@@ -92,7 +103,8 @@ def main():
                 files.append((f"{label}.csv", f"{command}.csv"))
             for name, file in files:
                 print(f"{name} {hashlib.sha256((out / file).read_bytes()).hexdigest()}")
-    print(f"suites {suites_digest()}")
+    for label, calls in SUITES.items():
+        print(f"{label} {suites_digest(calls)}")
 
 
 if __name__ == "__main__":

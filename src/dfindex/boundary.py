@@ -45,8 +45,8 @@ from .geometry import (
     _abs_sq,
     _dot,
     _hermitian_matrix,
-    _lead,
     _pair,
+    _w1_rows,
     chern_frame,
     h3_op,
     h3_tensor,
@@ -385,8 +385,7 @@ class NormalFrame:
     @cached_property
     def L_w1(self):
         """First Wirtinger derivatives of the coefficients of L: array (n, 2n) per point."""
-        w1 = np.array([wirtinger_table(j, self.n).w1 for j in self.L_jets])
-        return np.ascontiguousarray(_lead(w1, 2))
+        return _w1_rows(self.L_jets, self.n)
 
     # -- evaluators ----------------------------------------------------
     def dr(self, v):

@@ -63,6 +63,9 @@ class RunConfig:
     format: str = "json"
 
     def validate(self):
+        for name in ("domain", "out"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         for name in ("eps_null", "tol_eta", "c_floor", "eta", "eta_cap", "box_radius", "basis_spread"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -398,24 +401,13 @@ def cmd_worm_bench(cfg):
     except ConfigError as err:
         raise ConfigError(f"worm-bench runs on worm(gamma) with its Kaehler metric: {err}") from err
     wp = domain.params["worm"]
-    points = worm.sgamma_points(wp, cfg.samples, spread=0.9)
-    fr = normal_frame(domain, points)
-    zvec = worm.sgamma_fiber(len(points))
-    records, errors = [], []
-    for p, a_val, margin in zip(points, forms.alpha(fr, zvec).tolist(),
-                                geometric_margin(fr, zvec, cfg.eta).tolist()):
-        ref = worm.s_gamma_reference(wp, p.z[1])
-        errors.append(abs(a_val - ref.alpha) / (1 + abs(ref.alpha)))
-        errors.append(abs(margin - ref.margin(cfg.eta)) / (1 + abs(ref.margin(cfg.eta))))
-        records.append({
-            "z2": complex(p.z[1]),
-            "x": ref.x,
-            "alpha_engine": a_val,
-            "alpha_reference": ref.alpha,
-            "margin_engine": margin,
-            "margin_reference": ref.margin(cfg.eta),
-        })
-    records.sort(key=lambda r: r["x"])
+    fr, zvec, refs = worm.sgamma_comparison(domain, cfg.samples)
+    alphas, margins = forms.alpha(fr, zvec).tolist(), geometric_margin(fr, zvec, cfg.eta).tolist()
+    records = sorted(({"z2": ref.z2, "x": ref.x, "alpha_engine": a, "alpha_reference": ref.alpha,
+                       "margin_engine": m, "margin_reference": ref.margin(cfg.eta)}
+                      for ref, a, m in zip(refs, alphas, margins)), key=lambda r: r["x"])
+    errors = [abs(r[f"{k}_engine"] - r[f"{k}_reference"]) / (1 + abs(r[f"{k}_reference"]))
+              for r in records for k in ("alpha", "margin")]
     thresholds = {f"{g:.6f}": worm.riccati_threshold(g) for g in worm.RICCATI_GAMMAS}
     summary = {
         "gamma": wp.gamma,
@@ -462,7 +454,7 @@ _COMMANDS = {
     "estimate": (cmd_estimate, "eta-bisection estimate of the index with per-eta certificates",
                  (*_CERTIFYING, "tol_eta", "eta_cap")),
     "worm-bench": (cmd_worm_bench, "closed-form worm reference comparison and Riccati thresholds",
-                   ("seed", "domain", "domain_params", "samples", "eta")),
+                   ("domain", "domain_params", "samples", "eta")),
     "selftest": (cmd_selftest, "run all invariant suites (reduced counts)", ("seed",)),
 }
 # the settings that have a flag; a subcommand offers the flag of each setting it reads

@@ -31,6 +31,7 @@ from .fields import ScalarField, complex_point, real_coords, wirtinger_table
 from .geometry import (
     CTVector,
     _abs,
+    _abs_sq,
     _dot,
     _lead,
     _pair,
@@ -50,7 +51,7 @@ from .geometry import (
     torsion,
     torsion_from_fields,
 )
-from .worm import (RICCATI_GAMMAS, WormParams, riccati_threshold, s_gamma_reference, sgamma_fiber,
+from .worm import (RICCATI_GAMMAS, WormParams, riccati_threshold, sgamma_comparison, sgamma_fiber,
                    sgamma_patch_tangent, sgamma_points, worm_domain)
 
 __all__ = [
@@ -87,13 +88,6 @@ class CheckRecord:
             "tol": self.tol,
             "detail": self.detail,
         }
-
-
-def _worst(*values):
-    """The largest residual, or NaN if any is NaN (``max`` drops a NaN after its first item)."""
-    if any(math.isnan(v) for v in values):
-        return math.nan
-    return max(values)
 
 
 def _rec(suite, name, residual, tol, detail=""):
@@ -246,8 +240,8 @@ def _apply_vec(v, table):
 
 
 def _worst_of(values):
-    """The largest of a batch of residuals, or NaN if any is NaN."""
-    return _worst(0.0, *values.tolist())
+    """The largest of a batch of residuals (of any shape), 0 for none, or NaN if any is NaN."""
+    return float(np.max(values, initial=0.0))
 
 
 # ----------------------------------------------------------------------
@@ -260,13 +254,12 @@ def jets_suite(count=200, seed=0):
     out = []
     params, z = _draw(count, lambda: (_field_params(n, rng, 4), _random_point(n, rng)))
     jet = _field(n, params).jet(z, 3)
-    h_asym = float(np.max(np.abs(jet.hess - np.swapaxes(jet.hess, 0, 1))))
     t = jet.third
-    t_asym = _worst(*(float(np.max(np.abs(t - np.transpose(t, p + (3,)))))
-                      for p in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))))
-    out.append(_rec("jets", "mixed_partial_symmetry_exact", _worst(0.0, h_asym, t_asym), 0.0))
+    asym = [jet.hess - np.swapaxes(jet.hess, 0, 1),
+            *(t - np.transpose(t, p + (3,)) for p in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))]
+    out.append(_rec("jets", "mixed_partial_symmetry_exact", _worst_of([_worst_of(np.abs(a)) for a in asym]),
+                    0.0))
 
-    worst_g, worst_h = 0.0, 0.0
     draws = [(_field_params(n, rng, 4), _random_point(n, rng)) for _ in range(10)]
     params, z = _stack(draws)
     jet = _field(n, params).jet(z, 2)
@@ -275,14 +268,11 @@ def jets_suite(count=200, seed=0):
     e = (h * np.eye(2 * n))[:, None]
     shifted = np.concatenate([x0[None], x0 + e, x0 - e]).reshape(-1, 2 * n)
     nine = _field(n, _stack([p for p, _ in draws] * 9))
-    f0, fps, fms = np.split(nine(complex_point(shifted)).reshape(9, len(draws)), [1, 1 + 2 * n])
-    for i in range(2 * n):
-        for b, (fp, fm, f_0) in enumerate(zip(fps[i].tolist(), fms[i].tolist(), f0[0].tolist())):
-            fd = (fp - fm) / (2 * h)
-            scale = 1.0 + abs(jet.grad[i, b])
-            worst_g = _worst(worst_g, abs(fd - jet.grad[i, b]) / scale)
-            fd2 = (fp - 2 * f_0 + fm) / h**2
-            worst_h = _worst(worst_h, abs(fd2 - jet.hess[i, i, b]) / (1.0 + abs(jet.hess[i, i, b])))
+    # the fields are real: real quotients round as one-point ones (NumPy's complex quotient may not)
+    f0, fp, fm = np.split(np.real(nine(complex_point(shifted))).reshape(9, len(draws)), [1, 1 + 2 * n])
+    grad, hess = np.real(jet.grad), np.real(jet.hess[np.arange(2 * n), np.arange(2 * n)])
+    worst_g = _worst_of(np.abs((fp - fm) / (2 * h) - grad) / (1.0 + np.abs(grad)))
+    worst_h = _worst_of(np.abs((fp - 2 * f0 + fm) / h**2 - hess) / (1.0 + np.abs(hess)))
     out.append(_rec("jets", "finite_difference_gradient", worst_g, 1e-8))
     out.append(_rec("jets", "finite_difference_hessian", worst_h, 1e-5))
 
@@ -292,7 +282,7 @@ def jets_suite(count=200, seed=0):
     field = ScalarField(n, lambda zs: f.fn(zs) + 1j * g.fn(zs))
     jet = field.jet(z, 3)
     ta, tb = wirtinger_table(jet, n), wirtinger_table(jet.conj(), n)
-    worst = _worst(0.0, float(np.max(np.abs(tb.w2 - np.roll(ta.w2.conj(), n, axis=(0, 1))))))
+    worst = _worst_of(np.abs(tb.w2 - np.roll(ta.w2.conj(), n, axis=(0, 1))))
     out.append(_rec("jets", "conjugation_swaps_wirtinger_indices", worst, 1e-13))
     return out
 
@@ -336,21 +326,15 @@ def structural_suite(count=50, seed=2):
     fr = chern_frame(metric, z, order=2)
     table = wirtinger_table(_field(n, fparams).jet(z, 3), n)
     zvec, wvec = CTVector.holo(zh), CTVector.holo(wh)
-    out = []
 
     tv = torsion(fr, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()))
-    worst_t = _worst(0.0, float(np.max(np.abs(tv.coeffs))))
 
     hc = hess_tensor(table, fr)
     lhs = hess_op(hc, zvec, wvec) - hess_op(hc, wvec, zvec)
     tzw = torsion(fr, zvec, wvec)
-    worst_hsym = _worst_of(_abs(lhs + _apply_vec(tzw, table)))
 
     mixed = hess_op(hc, CTVector.holo(zvec.h), CTVector.anti(wvec.h.conj()))
     direct = _pair(zvec.h, np.ascontiguousarray(_lead(table.mixed_hessian, 2)), wvec.h.conj())
-    worst_ch = _worst_of(_abs(mixed - direct))
-
-    worst_compat = _worst_of(metric_compat_residual(metric, z))
 
     hf = _vector_field(n, hparams)
     sf = _field(n, sparams)
@@ -361,24 +345,23 @@ def structural_suite(count=50, seed=2):
     stab = wirtinger_table(sf.jet(z, 1), n)
     xs = _dot(direction.coeffs, _w1(stab))
     rhsv = covariant_derivative(fr, direction, hf) * _col(stab.value) + hf.value(z) * _col(xs)
-    worst_leib = _worst(0.0, float(np.max(np.abs((lhsv - rhsv).coeffs))))
 
     xfield, yfield = _vector_field(n, xparams), _vector_field(n, yparams)
     tdef = torsion_from_fields(fr, xfield, yfield)
     tten = torsion(fr, xfield.value(z), yfield.value(z))
-    worst_tdef = _worst(0.0, float(np.max(np.abs((tdef - tten).coeffs))))
 
     # <R(Z, Zbar)W, W> is real by Hermitian symmetry
     val = inner(fr.g, curvature(fr, zvec, CTVector.anti(zvec.h.conj()), wvec), wvec)
-    worst_curv_im = _worst_of(np.abs(val.imag) / (1.0 + np.abs(val.real)))
-    out.append(_rec("structural", "torsion_mixed_type_vanishes", worst_t, 1e-10))
-    out.append(_rec("structural", "hessian_antisymmetry_is_torsion", worst_hsym, 1e-9))
-    out.append(_rec("structural", "complex_hessians_equal", worst_ch, 1e-10))
-    out.append(_rec("structural", "metric_compatibility", worst_compat, 1e-9))
-    out.append(_rec("structural", "covariant_derivative_leibniz", worst_leib, 1e-9))
-    out.append(_rec("structural", "torsion_definition_vs_tensor", worst_tdef, 1e-9))
-    out.append(_rec("structural", "curvature_contraction_real", worst_curv_im, 1e-9))
-    return out
+    checks = (
+        ("torsion_mixed_type_vanishes", np.abs(tv.coeffs), 1e-10),
+        ("hessian_antisymmetry_is_torsion", _abs(lhs + _apply_vec(tzw, table)), 1e-9),
+        ("complex_hessians_equal", _abs(mixed - direct), 1e-10),
+        ("metric_compatibility", metric_compat_residual(metric, z), 1e-9),
+        ("covariant_derivative_leibniz", np.abs((lhsv - rhsv).coeffs), 1e-9),
+        ("torsion_definition_vs_tensor", np.abs((tdef - tten).coeffs), 1e-9),
+        ("curvature_contraction_real", np.abs(val.imag) / (1.0 + np.abs(val.real)), 1e-9),
+    )
+    return [_rec("structural", name, _worst_of(v), tol) for name, v, tol in checks]
 
 
 def boundary_suite(samples=20):
@@ -387,16 +370,15 @@ def boundary_suite(samples=20):
     ball = ball_domain()
     worm_e = worm_domain(WormParams(gamma=math.pi), metric="euclidean")
     rng = np.random.default_rng(seed)
-    worst_frame, worst_null, worst_levi_neg, null_pairs = 0.0, 0.0, 0.0, 0
+    frame, levi_neg, null, null_pairs = [], [], [], 0
     for domain, special in ((ball, []), (worm_e, sgamma_points(worm_e.params["worm"], samples, 0.97))):
         # the random sample has no null direction, so the null-space identity also runs
         # at the worm's S_gamma points; the frame and pseudoconvexity checks keep the sample
         fr = normal_frame(domain, sample_boundary(domain, samples, seed) + special)
-        for dr_l, l2, dbar in zip(fr.dr(fr.L)[:samples].tolist(), fr.norm2(fr.L)[:samples].tolist(),
-                                  fr.dbar_norm[:samples].tolist()):
-            worst_frame = _worst(worst_frame, abs(dr_l - 1.0), abs(math.sqrt(l2) - 1.0 / dbar))
+        frame += [_abs(fr.dr(fr.L)[:samples] - 1.0),
+                  np.abs(np.sqrt(fr.norm2(fr.L)[:samples]) - 1.0 / fr.dbar_norm[:samples])]
         ld = levi_data(fr)
-        worst_levi_neg = _worst(worst_levi_neg, 0.0, *(-ld.eigenvalues[:samples, 0]).tolist())
+        levi_neg.append(-ld.eigenvalues[:samples, 0])
         at, zvec = ld.pairs(ld.null)
         if len(at):
             # each null (point, direction) pair against 20 random W, all on one frame
@@ -406,12 +388,12 @@ def boundary_suite(samples=20):
             pf = NormalFrame(domain, fr.z[at[rows]], r_order=2)
             resid = _abs(pf.levi(zv.h, w.h) - _vmul(forms.alpha(pf, zv), np.conj(_dot(pf.u, w.h))))
             scale = np.sqrt(pf.norm2(zv)) * np.sqrt(pf.norm2(w))
-            worst_null = _worst(worst_null, *(resid / np.maximum(scale, 1e-12)).tolist())
+            null.append(resid / np.maximum(scale, 1e-12))
             null_pairs += len(at)
-    out.append(_rec("boundary", "frame_identities", worst_frame, 1e-10))
-    out.append(_rec("boundary", "null_space_identity", worst_null, 1e-6,
+    out.append(_rec("boundary", "frame_identities", _worst_of(frame), 1e-10))
+    out.append(_rec("boundary", "null_space_identity", _worst_of(np.concatenate(null)), 1e-6,
                     detail=f"null pairs checked: {null_pairs}"))
-    out.append(_rec("boundary", "pseudoconvexity_monitor", worst_levi_neg, 1e-7))
+    out.append(_rec("boundary", "pseudoconvexity_monitor", _worst_of(levi_neg), 1e-7))
 
     base = normal_frame(ball, sample_boundary(ball, 1, seed)[0])
     path = transport_along_normal(base, levi_data(base).basis[0], 0.1, steps=16)
@@ -422,51 +404,39 @@ def boundary_suite(samples=20):
 
 
 def forms_suite():
-    out = []
     seed = 4
     params = WormParams(gamma=math.pi)
     worm_e = worm_domain(params, metric="euclidean")
     worm_k = worm_domain(params, metric="worm_kahler")
     rng = np.random.default_rng(seed)
 
-    worst_inv_a, worst_inv_b, worst_real, worst_cross_a = 0.0, 0.0, 0.0, 0.0
-    worst_nullf, worst_unm, worst_geo = 0.0, 0.0, 0.0
     points = sgamma_points(params, 12, spread=0.85)
     fe, fk = normal_frame(worm_e, points), normal_frame(worm_k, points)
     zf = sgamma_fiber(len(points))
-    values = (forms.alpha(fe, zf), forms.alpha(fk, zf), forms.beta_mixed(fe, zf, zf),
-              forms.beta_mixed(fk, zf, zf), forms.alpha(fe, zf.conj()), forms.alpha_geometric(fe, zf),
-              forms.beta_mixed_nullspace(fe, zf, zf), forms.beta_unmixed(fe, zf, zf),
-              forms.beta_geometric(fk, zf))
-    for a_e, a_k, b_e, b_k, a_e_bar, a_geo, b_null, b_unm, b_geo in zip(*(v.tolist() for v in values)):
-        worst_inv_a = _worst(worst_inv_a, abs(a_e - a_k))
-        worst_inv_b = _worst(worst_inv_b, abs((1j * b_e).real - (1j * b_k).real))
-        worst_real = _worst(worst_real, abs((1j * b_e).imag), abs(a_e_bar - np.conj(a_e)))
-        worst_cross_a = _worst(worst_cross_a, abs(a_e - a_geo))
-        worst_nullf = _worst(worst_nullf, abs(b_e - b_null))
-        worst_unm = _worst(worst_unm, abs(b_unm))
-        worst_geo = _worst(worst_geo, abs(b_geo - (-1j * b_k).real))
+    a_e, a_k = forms.alpha(fe, zf), forms.alpha(fk, zf)
+    b_e, b_k = forms.beta_mixed(fe, zf, zf), forms.beta_mixed(fk, zf, zf)
+    checks = (
+        ("alpha_metric_invariance", _abs(a_e - a_k), 1e-6),
+        ("beta_metric_invariance", np.abs((1j * b_e).real - (1j * b_k).real), 1e-6),
+        ("reality", [np.abs((1j * b_e).imag), _abs(forms.alpha(fe, zf.conj()) - np.conj(a_e))], 1e-10),
+        ("alpha_vs_alpha_geometric", _abs(a_e - forms.alpha_geometric(fe, zf)), 1e-8),
+        ("beta_mixed_vs_nullspace_formula", _abs(b_e - forms.beta_mixed_nullspace(fe, zf, zf)), 1e-8),
+        ("beta_unmixed_null_pairs", _abs(forms.beta_unmixed(fe, zf, zf)), 1e-8),
+        ("beta_geometric_vs_mixed", np.abs(forms.beta_geometric(fk, zf) - (-1j * b_k).real), 1e-7),
+    )
+    out = [_rec("forms", name, _worst_of(v), tol) for name, v, tol in checks]
     rng.standard_normal((len(points), 4))  # unused draws that fix the random stream of the checks below
-    out.append(_rec("forms", "alpha_metric_invariance", worst_inv_a, 1e-6))
-    out.append(_rec("forms", "beta_metric_invariance", worst_inv_b, 1e-6))
-    out.append(_rec("forms", "reality", worst_real, 1e-10))
-    out.append(_rec("forms", "alpha_vs_alpha_geometric", worst_cross_a, 1e-8))
-    out.append(_rec("forms", "beta_mixed_vs_nullspace_formula", worst_nullf, 1e-8))
-    out.append(_rec("forms", "beta_unmixed_null_pairs", worst_unm, 1e-8))
-    out.append(_rec("forms", "beta_geometric_vs_mixed", worst_geo, 1e-7))
 
     ball = ball_domain()
-    worst_weak = 0.0
+    weak = []
     for p in sample_boundary(ball, 3, seed):
         fb = normal_frame(ball, p)
         wv = CTVector.holo(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        ru, rm = forms.beta_weak_residual(fb, levi_data(fb).basis[0], wv)
-        worst_weak = _worst(worst_weak, ru, rm)
+        weak.append(forms.beta_weak_residual(fb, levi_data(fb).basis[0], wv))
     zv = CTVector.holo(np.array([0.0, 1.0], dtype=complex))
-    for p in sgamma_points(params, 2, spread=0.5):
-        ru, rm = forms.beta_weak_residual(normal_frame(worm_e, p), zv, zv)
-        worst_weak = _worst(worst_weak, ru, rm)
-    out.append(_rec("forms", "weak_identity_beta_vs_grid_dalpha", worst_weak, 1e-5))
+    weak += [forms.beta_weak_residual(normal_frame(worm_e, p), zv, zv)
+             for p in sgamma_points(params, 2, spread=0.5)]
+    out.append(_rec("forms", "weak_identity_beta_vs_grid_dalpha", _worst_of(weak), 1e-5))
 
     patch = sgamma_patch_tangent(worm_e)
     resid = forms.pullback_alpha_dclosed(patch)
@@ -489,45 +459,36 @@ def _annulus_points(params, count, seed):
     return np.stack([r1 * np.exp(1j * a1), np.exp(xs / 2.0) * np.exp(1j * a2)], axis=1)
 
 
-def _kahler_worm_fiber(count):
-    """On the Kaehler worm(pi) at t = 1.2: its parameters, ``count`` S_gamma points, one frame over
-    them and the fiber direction at each."""
-    domain = worm_domain(WormParams(gamma=math.pi, t=1.2), metric="worm_kahler")
-    wp = domain.params["worm"]
-    points = sgamma_points(wp, count, spread=0.9)
-    return wp, points, normal_frame(domain, points), sgamma_fiber(len(points))
+# the worm on whose annulus the worm and margin suites compare, with its Kaehler metric
+_KAHLER_WORM = WormParams(gamma=math.pi, t=1.2)
 
 
 def worm_reference_suite(count=50):
-    wp, points, fr, zvec = _kahler_worm_fiber(count)
-    worst = dict(alpha=0.0, curvature=0.0, sff_j=0.0, sff_zz=0.0, margin=0.0,
-                 nabla=0.0, nabla_bar=0.0)
+    fr, zvec, refs = sgamma_comparison(worm_domain(_KAHLER_WORM, metric="worm_kahler"), count)
     eta = 0.4
-    values = (forms.alpha(fr, zvec), curvature_contraction(fr.chern, zvec, fr.nu_C),
-              fr.hess_r(zvec, fr.nu_R.J()), fr.hess_r(zvec, zvec), fr.norm2(fr.X),
-              geometric_margin(fr, zvec, eta))
-    nb, nl = fr.nabla_L(CTVector.anti(zvec.h)).h, fr.nabla_L(zvec).h
-    rel = lambda a, b: abs(a - b) / (1.0 + abs(b))
-    for k, (p, a, curv, h_j, h_zz, x2, margin) in enumerate(zip(points, *(v.tolist() for v in values))):
-        ref = s_gamma_reference(wp, p.z[1])
-        worst["alpha"] = _worst(worst["alpha"], rel(a, ref.alpha))
-        worst["curvature"] = _worst(worst["curvature"], rel(curv, ref.curvature))
-        worst["sff_j"] = _worst(worst["sff_j"], rel(abs(h_j) ** 2 * x2, ref.sff_JnuR_sq))
-        worst["sff_zz"] = _worst(worst["sff_zz"], abs(h_zz) * x2)
-        worst["margin"] = _worst(worst["margin"], rel(margin, ref.margin(eta)))
-        worst["nabla_bar"] = _worst(worst["nabla_bar"],
-                                    rel(nb[k, 0] / fr.L.h[k, 0], ref.nabla_bar_factor))
-        worst["nabla"] = _worst(worst["nabla"], rel(nl[k, 0] / fr.L.h[k, 0], ref.nabla_factor))
-    return [_rec("worm_reference", k, v, 1e-6) for k, v in worst.items()]
+    ref = {name: np.array([getattr(r, name) for r in refs])
+           for name in ("alpha", "curvature", "sff_JnuR_sq", "nabla_factor", "nabla_bar_factor")}
+    x2 = fr.norm2(fr.X)
+
+    def rel(a, b):
+        return _abs(a - b) / (1.0 + _abs(b))
+
+    checks = dict(
+        alpha=rel(forms.alpha(fr, zvec), ref["alpha"]),
+        curvature=rel(curvature_contraction(fr.chern, zvec, fr.nu_C), ref["curvature"]),
+        sff_j=rel(_abs_sq(fr.hess_r(zvec, fr.nu_R.J())) * x2, ref["sff_JnuR_sq"]),
+        sff_zz=_abs(fr.hess_r(zvec, zvec)) * x2,
+        margin=rel(geometric_margin(fr, zvec, eta), np.array([r.margin(eta) for r in refs])),
+        nabla=rel(fr.nabla_L(zvec).h[:, 0] / fr.L.h[:, 0], ref["nabla_factor"]),
+        nabla_bar=rel(fr.nabla_L(CTVector.anti(zvec.h)).h[:, 0] / fr.L.h[:, 0], ref["nabla_bar_factor"]),
+    )
+    return [_rec("worm_reference", k, _worst_of(v), 1e-6) for k, v in checks.items()]
 
 
 def margin_equivalence_suite(count=30):
-    _, _, fr, zvec = _kahler_worm_fiber(count)
-    worst = 0.0
-    for eta in (0.0, 0.25, 0.4):
-        diff = geometric_margin(fr, zvec, eta) - vectorfield_margin(fr, zvec, eta)
-        worst = _worst(worst, *np.abs(diff).tolist())
-    return [_rec("margins", "geometric_equals_vectorfield", worst, 1e-8)]
+    fr, zvec, _ = sgamma_comparison(worm_domain(_KAHLER_WORM, metric="worm_kahler"), count)
+    diffs = [geometric_margin(fr, zvec, eta) - vectorfield_margin(fr, zvec, eta) for eta in (0.0, 0.25, 0.4)]
+    return [_rec("margins", "geometric_equals_vectorfield", _worst_of(np.abs(diffs)), 1e-8)]
 
 
 def riccati_suite():

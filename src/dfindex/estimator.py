@@ -43,7 +43,8 @@ from .boundary import (
 )
 from .fields import ScalarField, seed_coordinate_jets, wirtinger_table
 from .forms import NO_CONSTRAINT, _null_points, _null_site_terms, alpha, beta_mixed
-from .geometry import CTVector, _abs_sq, _dot, _lead, _pair, _per_point, curvature_contraction, norm2
+from .geometry import (CTVector, _abs_sq, _dot, _lead, _pair, _per_point, _w1_rows, curvature_contraction,
+                       norm2)
 
 __all__ = [
     "HBasis",
@@ -264,8 +265,7 @@ def vectorfield_margin(fr, zvec, eta):
     len2 = sum((mjets[j][k] * l_jets[j] * l_jets[k].conj() for j in range(n) for k in range(n)),
                jets.Jet.constant(0.0, 2 * n, 2)).real()
     scale = jets.power(len2, -0.5)
-    w1 = np.array([wirtinger_table(l_jets[i] * scale, n).w1 for i in range(n)])
-    w1 = np.ascontiguousarray(_lead(w1, 2))
+    w1 = _w1_rows([j * scale for j in l_jets], n)
     # nabla_{Zbar} nu_C, plain derivative
     d_nu = CTVector.holo((w1[..., n:] @ zvec.h.conj()[..., None])[..., 0])
     proj = fr.inner(d_nu, fr.nu_C)

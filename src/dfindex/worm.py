@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import jets
-from .boundary import BoundaryPoint, DomainSpec, _rk45
-from .estimator import HBasis
+from .boundary import BoundaryPoint, DomainSpec, _rk45, normal_frame
+from .estimator import HBasis, _weight
 from .fields import ChartDomainError, ScalarField
 from .forms import SubmanifoldPatch
 from .geometry import CTVector, MetricError, MetricField, resolve_metric
@@ -33,6 +33,7 @@ __all__ = [
     "s_gamma_reference",
     "sgamma_points",
     "sgamma_fiber",
+    "sgamma_comparison",
     "sgamma_patch_tangent",
     "RiccatiResult",
     "riccati_feasibility",
@@ -312,7 +313,7 @@ class SGammaReference:
     sff_ZZ: float                  # sff(Z, Z) (vanishes)
 
     def margin(self, eta):
-        return (1.0 / self.t - eta / (1.0 - eta)) * self.sff_JnuR_sq
+        return (1.0 / self.t - _weight(eta)) * self.sff_JnuR_sq
 
 
 def s_gamma_reference(params, z2):
@@ -356,6 +357,15 @@ def sgamma_points(params, count, spread):
 def sgamma_fiber(count):
     """The fiber direction d/dz_2 at each of ``count`` points, the null direction on S_gamma."""
     return CTVector.holo(np.broadcast_to([0.0, 1.0 + 0.0j], (count, 2)))
+
+
+def sgamma_comparison(domain, count):
+    """What the engine is compared with on S_gamma of a worm ``domain``: one frame over ``count``
+    S_gamma points at spread 0.9, the fiber direction at each and each point's
+    :class:`SGammaReference`."""
+    wp = domain.params["worm"]
+    points = sgamma_points(wp, count, spread=0.9)
+    return normal_frame(domain, points), sgamma_fiber(count), [s_gamma_reference(wp, p.z[1]) for p in points]
 
 
 def sgamma_patch_tangent(domain):
@@ -409,13 +419,11 @@ def riccati_feasibility(gamma, eta):
     """
     if gamma <= math.pi / 2:
         raise ValueError("gamma must exceed pi/2")
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    k = _weight(eta)
     threshold = math.pi / (2.0 * gamma)
     if abs(eta - threshold) < 1e-6:
         return RiccatiResult(gamma=gamma, eta=eta, feasible=None, status="indeterminate")
     a = gamma - math.pi / 2
-    k = eta / (1.0 - eta)
     if k == 0.0:
         xs = np.linspace(0.0, a, 33)
         return RiccatiResult(gamma, eta, True, "feasible", None, xs, np.zeros_like(xs))

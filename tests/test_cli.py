@@ -71,6 +71,7 @@ def test_config_loading_and_overrides(tmp_path):
     ("c_floor", "1e-4", "c_floor must be a number"),
     ("seed", 1.5, "seed must be an integer >= 0"),
     ("domain_params", [1], "domain_params must be an object"),
+    ("domain", ["ball"], "domain must be a string"),
     ("basis_degree", -5, "basis_degree must be an integer >= 0"),
     ("basis_degree", 2.5, "basis_degree must be an integer >= 0"),
     ("basis_degree", "x", "basis_degree must be an integer >= 0"),
@@ -84,6 +85,17 @@ def test_estimate_rejects_a_value_that_would_crash_or_mislead_it(tmp_path, capsy
     assert run_cli(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "config error: " + field in capsys.readouterr().err
     assert not (tmp_path / "estimate.json").exists()
+
+
+def test_an_out_that_is_no_string_exits_2(tmp_path, capsys, monkeypatch):
+    # no --out flag, so the config's own out stands
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": 5}))
+    with pytest.raises(ConfigError, match="out must be a string, got 5"):
+        load_config("cfg.json")
+    assert run_cli(["levi", "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == "config error: out must be a string, got 5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_unknown_override_key_is_rejected():
@@ -326,7 +338,7 @@ def test_only_check_and_worm_bench_take_an_eta_flag(tmp_path, capsys):
     # every flag lands in the config under its own name
     given = {"domain": f"worm({math.pi!r})", "samples": 3, "seed": 4, "eta": 0.3, "metric": "worm_kahler",
              "special_samples": 5}
-    for command, fields in (("check", list(given)), ("worm-bench", ["domain", "samples", "seed", "eta"])):
+    for command, fields in (("check", list(given)), ("worm-bench", ["domain", "samples", "eta"])):
         argv = [arg for field in fields for arg in ("--" + field.replace("_", "-"), str(given[field]))]
         assert run_cli([command, *argv, "--format", "csv", "--out", str(tmp_path / command)]) == 0
         report = json.loads((tmp_path / command / f"{command}.json").read_text())
@@ -336,7 +348,7 @@ def test_only_check_and_worm_bench_take_an_eta_flag(tmp_path, capsys):
 
 SAMPLING_FLAGS = {"--seed", "--domain", "--metric", "--samples", "--special-samples"}
 FLAGS = {"forms": SAMPLING_FLAGS, "levi": SAMPLING_FLAGS, "check": SAMPLING_FLAGS | {"--eta"},
-         "estimate": SAMPLING_FLAGS, "worm-bench": {"--seed", "--domain", "--samples", "--eta"},
+         "estimate": SAMPLING_FLAGS, "worm-bench": {"--domain", "--samples", "--eta"},
          "selftest": {"--seed"}}
 
 
@@ -397,9 +409,9 @@ UNREAD = [(command, field) for command, (_, _, reads) in _COMMANDS.items()
           for field in OTHER_VALUE if field not in reads]
 
 
-def test_the_table_accepts_49_of_the_90_command_setting_pairs():
+def test_the_table_accepts_48_of_the_90_command_setting_pairs():
     assert set(OTHER_VALUE) == {f.name for f in dataclasses.fields(RunConfig)} - {"out", "format"}
-    assert len(_COMMANDS) * len(OTHER_VALUE) - len(UNREAD) == 49
+    assert len(_COMMANDS) * len(OTHER_VALUE) - len(UNREAD) == 48
     assert [c for c, f in UNREAD if f == "eta"] == ["forms", "levi", "estimate", "selftest"]
 
 

@@ -177,6 +177,19 @@ def test_every_run_setting_is_read_by_some_command_and_every_flag_sets_one():
     assert not hasattr(cli, "_READS_ETA")
 
 
+# eta / (1 - eta), spelled with 1 or 1.0
+ETA_WEIGHT = {ast.dump(ast.parse(f"eta / ({one} - eta)", mode="eval").body) for one in ("1", "1.0")}
+
+
+def test_only_estimator_weight_computes_eta_over_one_minus_eta():
+    # estimator._weight owns k = eta/(1 - eta) and its range check
+    package = Path(dfindex.__file__).parent
+    hits = [(path.stem, node.lineno) for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text())) if ast.dump(node) in ETA_WEIGHT]
+    lines, first = inspect.getsourcelines(dfindex.estimator._weight)
+    assert len(hits) == 1 and hits[0][0] == "estimator" and first <= hits[0][1] < first + len(lines), hits
+
+
 COLD_START = """
 import json, math, sys
 import dfindex, dfindex.cli

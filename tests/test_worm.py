@@ -92,6 +92,8 @@ def test_s_gamma_reference_values():
     assert ref.sff_JnuR_sq == pytest.approx(1.0)
     assert ref.margin(0.4) == pytest.approx(1.0 / 1.2 - 0.4 / 0.6)
     assert ref.margin(1.0 / (wp.t + 1.0)) == pytest.approx(0.0, abs=1e-14)
+    with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\), got 1.0"):
+        ref.margin(1.0)
     with pytest.raises(ValueError, match="off the degenerate annulus"):
         s_gamma_reference(wp, np.exp(0.9))     # |log|z2|^2| = 1.8 > pi/2
 
