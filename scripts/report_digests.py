@@ -48,6 +48,9 @@ RUNS = [
     ("levi", "levi", {"domain": "ellipsoid(1,2)", "samples": 20, "format": "csv"}),
     ("check", "check", {"domain": WORM_PI, "samples": 10, "basis_degree": 8, "eta": 0.4}),
     ("estimate", "estimate", {"domain": WORM_PI, "samples": 10, "basis_degree": 8}),
+    # the one estimate under a metric other than the Euclidean one
+    ("estimate-kahler", "estimate", {"domain": WORM_PI, "metric": "worm_kahler", "samples": 10,
+                                     "basis_degree": 8}),
     # one basis_spread places both the S_gamma sites and the basis
     ("estimate-spread", "estimate", {"domain": WORM_PI, "samples": 10, "basis_degree": 12,
                                      "basis_spread": 0.95}),

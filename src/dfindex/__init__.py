@@ -33,6 +33,7 @@ from .estimator import (
     DFEstimate,
     EtaCertificate,
     HBasis,
+    Problem,
     boundary_margin,
     collect_sites,
     dual_bound,

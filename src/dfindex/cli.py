@@ -24,6 +24,7 @@ from . import __version__, forms, worm
 from .boundary import NormalFrame, levi_data, normal_frame, sample_boundary
 from .domains import REGISTRY_KEYS, make_domain
 from .estimator import (
+    Problem,
     collect_sites,
     estimate_index,
     feasibility_search,
@@ -81,6 +82,9 @@ class RunConfig:
             raise ConfigError(f"eta must lie in [0, 1), got {self.eta}")
         if not 0.0 < self.eta_cap < 1.0:
             raise ConfigError(f"eta_cap must lie in (0, 1), got {self.eta_cap}")
+        if self.basis not in ("auto", "poly"):
+            raise ConfigError(f"unknown basis {self.basis!r}: auto (the domain's own basis, "
+                              "else poly(deg=2)) or poly")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if not isinstance(self.domain_params, dict):
@@ -129,28 +133,25 @@ def _domain_of(cfg):
         raise ConfigError(str(err)) from err
 
 
-def _basis_of(cfg, domain):
-    """The domain's own basis (``auto``), else ``poly(deg=2)`` (``auto``, ``poly``)."""
-    if cfg.basis not in ("auto", "poly"):
-        raise ConfigError(f"unknown basis {cfg.basis!r}: auto (the domain's own basis, "
-                          "else poly(deg=2)) or poly")
-    if cfg.basis == "poly" or domain.h_basis is None:
-        return poly_basis(domain.n, degree=2)
-    return domain.h_basis(cfg.basis_degree, cfg.basis_spread)
-
-
-def _boundary_points(cfg, domain, basis=None):
-    """Random boundary sample plus the domain's degenerate-set sample, at ``basis_spread``.
-
-    For margin constraints (``basis`` given) the feasibility program needs
-    enough sites to pin down the basis: at least 8 degenerate-set points per
-    basis coefficient are drawn regardless of the configured special count.
-    """
+def _boundary_points(cfg, domain, count):
+    """The random boundary sample and ``count`` degenerate-set points at ``basis_spread``."""
     points = sample_boundary(domain, cfg.samples, cfg.seed)
-    count = cfg.special_samples if basis is None else max(cfg.special_samples, 8 * basis.m)
     if count > 0 and domain.special_sampler is not None:
         points += list(domain.special_sampler(count, cfg.seed + 1, cfg.basis_spread))
     return points
+
+
+def problem_of(cfg, guard_ring=False):
+    """The run's :class:`~dfindex.estimator.Problem`: the domain's basis (``auto``) else ``poly(deg=2)``,
+    8 or more degenerate-set points per coefficient, and ``check``'s ``guard_ring`` at spread 0.999."""
+    domain = _domain_of(cfg)
+    basis = (poly_basis(domain.n, degree=2) if cfg.basis == "poly" or domain.h_basis is None
+             else domain.h_basis(cfg.basis_degree, cfg.basis_spread))
+    points = _boundary_points(cfg, domain, max(cfg.special_samples, 8 * basis.m))
+    if guard_ring and domain.special_sampler is not None:
+        points += list(domain.special_sampler(max(64, basis.m), cfg.seed + 2, spread=0.999))
+    sites, min_pc = collect_sites(domain, points, basis, eps_null=cfg.eps_null)
+    return Problem(domain, sites, min_pc, cfg.box_radius, cfg.c_floor)
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +304,7 @@ def write_report(report, out_dir, fmt="json"):
 
 def cmd_forms(cfg, eigen_only=False):
     domain = _domain_of(cfg)
-    points = _boundary_points(cfg, domain)
+    points = _boundary_points(cfg, domain, cfg.special_samples)
     ld = levi_data(normal_frame(domain, points, r_order=2), eps_null=cfg.eps_null)
     fr = ld.frame
     null_dim = ld.null.sum(axis=-1)
@@ -346,48 +347,37 @@ def cmd_levi(cfg):
 
 
 def cmd_check(cfg):
-    domain = _domain_of(cfg)
-    basis = _basis_of(cfg, domain)
-    points = _boundary_points(cfg, domain, basis)
-    if domain.special_sampler is not None:
-        # guard ring over the full degenerate range so the certified h is
-        # controlled wherever the interior verification can look
-        points += list(domain.special_sampler(max(64, basis.m), cfg.seed + 2, spread=0.999))
-    sites, min_pc = collect_sites(domain, points, basis, eps_null=cfg.eps_null)
-    cert = feasibility_search(domain, cfg.eta, basis, sites, C_floor=cfg.c_floor,
-                              box_radius=cfg.box_radius)
+    problem = problem_of(cfg, guard_ring=True)
+    domain, sites = problem.domain, problem.sites
+    cert = feasibility_search(domain, cfg.eta, sites.basis, sites, C_floor=problem.C_floor,
+                              box_radius=problem.box_radius)
     records = [cert.to_json_dict(seed=cfg.seed)]
     summary = {
         "eta": cfg.eta,
         "feasible": cert.feasible,
         "status": cert.status,
-        "n_sites": cert.n_sites,
-        "min_strictly_pc_eigenvalue": None if min_pc == math.inf else min_pc,
+        "n_sites": len(sites),
+        "min_strictly_pc_eigenvalue": None if problem.min_pc == math.inf else problem.min_pc,
     }
-    if cert.feasible and cert.n_sites > 0:
-        h_field = basis.h_field(cert.coeffs)
+    if cert.feasible and len(sites) > 0:
+        h_field = sites.basis.h_field(cert.coeffs)
         interior = interior_check(domain, h_field, cfg.eta, sample_boundary(domain, 6, cfg.seed), C=0.0)
-        summary["interior_min_eig"] = interior["min_eig"]
-        summary["interior_positive"] = interior["positive"]
+        summary.update(interior_min_eig=interior["min_eig"], interior_positive=interior["positive"])
         records.extend({"depth": r["depth"], "min_eig": r["min_eig"]} for r in interior["rows"])
     return make_report("check", cfg, records, summary)
 
 
 def cmd_estimate(cfg):
-    domain = _domain_of(cfg)
-    basis = _basis_of(cfg, domain)
-    points = _boundary_points(cfg, domain, basis)
-    sites, min_pc = collect_sites(domain, points, basis, eps_null=cfg.eps_null)
-    est = estimate_index(domain, basis, sites=sites, eta_cap=cfg.eta_cap, tol_eta=cfg.tol_eta,
-                         C_floor=cfg.c_floor, box_radius=cfg.box_radius)
+    problem = problem_of(cfg)
+    est = estimate_index(problem, eta_cap=cfg.eta_cap, tol_eta=cfg.tol_eta)
     records = sorted(est.records, key=lambda r: r["eta"])
     summary = {
         "eta_lo": est.eta_lo,
         "eta_hi": est.eta_hi,
         "summary": est.summary(),
-        "n_sites": len(sites),
+        "n_sites": len(problem.sites),
         "warnings": est.warnings,
-        "min_strictly_pc_eigenvalue": None if min_pc == math.inf else min_pc,
+        "min_strictly_pc_eigenvalue": None if problem.min_pc == math.inf else problem.min_pc,
         "certificates": {f"{k:.6f}": c.to_json_dict(seed=cfg.seed)
                          for k, c in sorted(est.certificates.items())},
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import replace
 
@@ -109,12 +110,28 @@ def parse_domain_key(key):
     return name, args
 
 
-# the params each key reads; the one its parenthesized numbers give, with the key so written;
-# and how many numbers it reads there (ellipsoid reads any count)
-_PARAMS = {"ball": ("signed",), "ellipsoid": (), "worm": ("t", "s", "lam_c", "lam_p"),
-           "user": ("n", "r", "box", "interior")}
+_REAL = "a finite real number"
+# the params each key reads, each with the kind of value it takes (a user domain checks its own);
+# the one its parenthesized numbers give, with the key so written; and how many numbers it reads
+# there (ellipsoid reads any count)
+_PARAMS = {"ball": {"signed": "a bool"}, "ellipsoid": {},
+           "worm": {"t": _REAL, "s": _REAL, "lam_c": _REAL, "lam_p": "an integer"},
+           "user": dict.fromkeys(("n", "r", "box", "interior"))}
 _KEY_NUMBERS = {"ball": ("n", "ball(n)", 1), "ellipsoid": ("axes", "ellipsoid(a1,..,an)", None),
                 "worm": ("gamma", "worm(gamma)", 1), "user": (None, "user", 0)}
+
+
+def _is_kind(value, kind):
+    """Whether ``value`` is of a param kind of ``_PARAMS`` (None: any value); a bool is no number."""
+    if kind is None:
+        return True
+    if kind == "a bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind == "an integer":
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def make_domain(key, metric="euclidean", **params):
@@ -141,15 +158,17 @@ def make_domain(key, metric="euclidean", **params):
     if count is not None and len(args) > count:
         raise ValueError(f"{key!r} gives too many numbers: {name} reads {count or 'none'} "
                          f"in parentheses (known keys: {REGISTRY_KEYS})")
+    for param, value in params.items():
+        if not _is_kind(value, _PARAMS[name][param]):
+            raise ValueError(f"{name} domain param {param} must be {_PARAMS[name][param]}, got {value!r}")
     if name == "ball":
-        return ball_domain(n=args[0] if args else 2, signed=bool(params.get("signed", False)),
-                           metric=metric)
+        return ball_domain(n=args[0] if args else 2, signed=params.get("signed", False), metric=metric)
     if name == "user":
         return _user_domain(params, metric)
     if not args:
         raise ValueError(f"{name} needs {gives}: {written}")
     if name == "ellipsoid":
         return ellipsoid_domain(args, metric=metric)
-    lam = {k: params[k] for k in ("lam_c", "lam_p") if params.get(k) is not None}
+    lam = {k: params[k] for k in ("lam_c", "lam_p") if k in params}
     wp = WormParams(gamma=args[0], t=params.get("t"), s=params.get("s"), **lam)
     return worm_domain(wp, metric=metric)

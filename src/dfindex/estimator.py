@@ -51,6 +51,7 @@ __all__ = [
     "poly_basis",
     "SiteSet",
     "collect_sites",
+    "Problem",
     "boundary_margin",
     "geometric_margin",
     "vectorfield_margin",
@@ -218,6 +219,18 @@ def collect_sites(domain, points, basis, eps_null=1e-7):
         return SiteSet.empty(basis), min_pc_eig
     zvec = zvec * (1.0 / np.sqrt(norm2(ld.frame.G[at], zvec)))[:, None]
     return make_site(NormalFrame(domain, ld.frame.z[at]), zvec, basis), min_pc_eig
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One configuration's sites (their ``basis`` is the problem's), the smallest strictly pseudoconvex
+    Levi eigenvalue of their points (inf if there is none), and each search's box and floor."""
+
+    domain: object
+    sites: SiteSet
+    min_pc: float
+    box_radius: float
+    C_floor: float
 
 
 # ----------------------------------------------------------------------
@@ -545,36 +558,32 @@ def _two_decimals(x, side):
     return f"{cents / 100:.2f}"
 
 
-def estimate_index(domain, basis, sites, *, box_radius, eta_cap=0.99, tol_eta=0.01, C_floor=1e-4):
-    """Bisection over eta with per-eta feasibility certificates.
+def estimate_index(problem, *, eta_cap=0.99, tol_eta=0.01):
+    """Bisection over eta on ``problem``, one :func:`feasibility_search` per stage.
 
-    ``sites`` come from :func:`collect_sites`.  Feasibility at each eta is
-    decided by :func:`feasibility_search`.  Each stage keeps the coefficients
-    of the last feasible certificate as its incumbent.  The cap and eta = 0
-    stages start their Newton steps at c = 0; every midpoint starts from the
-    last centred point of the stage at the bracket's upper end (the cap stage
-    until a midpoint is certified infeasible), or at c = 0 if that stage
-    never centred.  Without sites the cap stage is feasible
-    (``no_null_sites``) and ends the estimate.  A stage that ends neither
-    feasible nor certified infeasible (iteration cap, Newton failure) is
-    recorded with a warning and ends the bisection without moving the
-    bracket; the monotonicity scan reads only the decided stages.
+    Each stage keeps the coefficients of the last feasible certificate as its
+    incumbent.  The cap and eta = 0 stages start their Newton steps at c = 0;
+    every midpoint starts from the last centred point of the stage at the
+    bracket's upper end (the cap stage until a midpoint is certified
+    infeasible), or at c = 0 if that stage never centred.  Without sites the
+    cap stage is feasible (``no_null_sites``) and ends the estimate.  A stage
+    that ends neither feasible nor certified infeasible (iteration cap, Newton
+    failure) is recorded with a warning and ends the bisection without moving
+    the bracket; the monotonicity scan reads only the decided stages.
     """
     certificates, warnings = {}, []
 
     def run(eta, c_seed, start):
-        cert = feasibility_search(domain, eta, basis, sites, C_floor=C_floor,
-                                  c0=c_seed, box_radius=box_radius, start=start)
+        cert = feasibility_search(problem.domain, eta, problem.sites.basis, problem.sites, c0=c_seed,
+                                  start=start, C_floor=problem.C_floor, box_radius=problem.box_radius)
         certificates[float(eta)] = cert
         if not cert.decided:
-            warnings.append(f"eta = {eta} undecided ({cert.status}); it moves neither end "
-                            "of the bracket")
+            warnings.append(f"eta = {eta} undecided ({cert.status}); it moves neither end of the bracket")
         return cert
 
     cert_hi = run(eta_cap, None, None)
     if cert_hi.feasible:
-        return DFEstimate(eta_lo=eta_cap, eta_hi=1.0, certificates=certificates,
-                          warnings=warnings)
+        return DFEstimate(eta_lo=eta_cap, eta_hi=1.0, certificates=certificates, warnings=warnings)
     lo, hi = 0.0, eta_cap
     cert_lo = run(0.0, None, None)
     c_seed = cert_lo.coeffs if cert_lo.feasible else None

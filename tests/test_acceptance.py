@@ -24,6 +24,7 @@ from dfindex.diagnostics import (
     worm_reference_suite,
 )
 from dfindex.estimator import (
+    Problem,
     boundary_margin,
     collect_sites,
     estimate_index,
@@ -52,8 +53,7 @@ def _worm_estimate(gamma):
     wp = domain.params["worm"]
     basis = worm_reduction_basis(gamma=gamma, degree=40, spread=0.99)
     points = sample_boundary(domain, 20, 0) + sgamma_points(wp, 360, spread=0.99)
-    sites, _ = collect_sites(domain, points, basis)
-    return estimate_index(domain, basis, sites=sites, box_radius=50.0)
+    return estimate_index(Problem(domain, *collect_sites(domain, points, basis), 50.0, 1e-4))
 
 
 def test_01_worm_index_reproduction():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfindex.estimator import HBasis, SiteSet, dual_bound, estimate_index, feasibility_search
+from dfindex.estimator import HBasis, Problem, SiteSet, dual_bound, estimate_index, feasibility_search
 
 C_FLOOR = 1e-4
 BOX = 5.0
@@ -177,7 +177,7 @@ def test_a_bound_that_closes_on_the_margin_just_below_the_floor_decides_only_pas
 
 def test_a_converged_stage_moves_no_bracket_end():
     basis, sites = _constant_sites(C_FLOOR - 5e-7)
-    est = estimate_index(None, basis, sites, box_radius=BOX, C_floor=C_FLOOR)
+    est = estimate_index(Problem(None, sites, math.inf, BOX, C_FLOOR))
     assert [r["status"] for r in est.records] == ["converged"] * 3
     assert (est.eta_lo, est.eta_hi) == (0.0, 0.99)
     assert est.warnings == [f"eta = {eta} undecided (converged); it moves neither end of the bracket"

@@ -16,7 +16,6 @@ from dfindex.cli import (
     ConfigError,
     RunConfig,
     _COMMANDS,
-    _basis_of,
     _boundary_points,
     _domain_of,
     _jsonify,
@@ -30,9 +29,11 @@ from dfindex.cli import (
     _report_text,
     build_parser,
     main,
+    problem_of,
     write_report,
 )
 from dfindex.domains import make_domain
+from dfindex.estimator import collect_sites
 from dfindex.geometry import CTVector
 
 
@@ -301,6 +302,37 @@ def test_make_domain_takes_the_params_its_key_reads():
     assert (wp.gamma, wp.t, wp.s, wp.lam_c, wp.lam_p) == (math.pi, 1.2, 2.0, 10.0, 4)
 
 
+@pytest.mark.parametrize("key, params, message", [
+    ("ball", {"signed": "no"}, "ball domain param signed must be a bool, got 'no'"),
+    ("ball", {"signed": 1}, "ball domain param signed must be a bool, got 1"),
+    ("worm(3.14159)", {"t": "2"}, "worm domain param t must be a finite real number, got '2'"),
+    ("worm(3.14159)", {"t": True}, "worm domain param t must be a finite real number, got True"),
+    ("worm(3.14159)", {"s": float("nan")}, "worm domain param s must be a finite real number, got nan"),
+    ("worm(3.14159)", {"lam_c": None}, "worm domain param lam_c must be a finite real number, got None"),
+    ("worm(3.14159)", {"lam_p": 3.0}, "worm domain param lam_p must be an integer, got 3.0"),
+], ids=["signed-str", "signed-int", "t-str", "t-bool", "s-nan", "lam_c-none", "lam_p-float"])
+def test_make_domain_rejects_a_param_of_the_wrong_kind(key, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_domain(key, **params)
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # a string t once reached WormParams and exited 1 with a TypeError
+    ("worm-bench", {"domain": f"worm({math.pi!r})", "domain_params": {"t": "2"}},
+     "worm domain param t must be a finite real number, got '2'"),
+    # a string signed once went through bool() and built the signed-distance ball
+    ("levi", {"domain": "ball", "domain_params": {"signed": "no"}},
+     "ball domain param signed must be a bool, got 'no'"),
+], ids=["worm-bench-t", "levi-signed"])
+def test_a_domain_param_of_the_wrong_kind_exits_2(tmp_path, capsys, command, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(config, samples=3)))
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 def test_a_domain_param_the_key_does_not_read_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"domain": "ball", "domain_params": {"radius": 3}, "samples": 3}))
@@ -459,8 +491,7 @@ def test_basis_spread_places_the_null_sites_and_the_basis_together(tmp_path, gam
     config = {"domain": f"worm({gamma!r})", "basis_spread": 0.95, "basis_degree": 12, "samples": 10}
     cfg = load_config(None, config)
     domain = _domain_of(cfg)
-    basis = _basis_of(cfg, domain)
-    special = _boundary_points(cfg, domain, basis)[cfg.samples:]
+    special = _boundary_points(cfg, domain, 8 * problem_of(cfg).sites.basis.m)[cfg.samples:]
     reach = max(abs(math.log(abs(p.z[1]) ** 2)) for p in special)
     assert 0.949 * domain.params["worm"].a < reach <= 0.95 * domain.params["worm"].a
     cfg_path = tmp_path / "cfg.json"
@@ -470,6 +501,42 @@ def test_basis_spread_places_the_null_sites_and_the_basis_together(tmp_path, gam
     assert summary["warnings"] == []
     for end in (summary["eta_lo"], summary["eta_hi"]):
         assert abs(end - math.pi / (2 * gamma)) <= 0.05
+
+
+def test_the_guard_ring_appends_its_sites_after_those_of_estimate():
+    cfg = load_config(None, {"domain": f"worm({math.pi!r})", "samples": 6, "basis_degree": 4})
+    plain, ringed = problem_of(cfg), problem_of(cfg, guard_ring=True)
+    domain, basis, n = plain.domain, plain.sites.basis, len(plain.sites)
+    ring, _ = collect_sites(domain, domain.special_sampler(max(64, basis.m), cfg.seed + 2, spread=0.999),
+                            basis, eps_null=cfg.eps_null)
+    assert n > 0 and len(ring) > 0 and len(ringed.sites) == n + len(ring)
+    for name in ("B", "A", "E", "D"):
+        rows = getattr(ringed.sites, name)
+        assert rows[:n].tobytes() == getattr(plain.sites, name).tobytes(), name
+        assert rows[n:].tobytes() == getattr(ring, name).tobytes(), name
+    assert (ringed.box_radius, ringed.C_floor) == (plain.box_radius, plain.C_floor) == (50.0, 1e-4)
+
+
+@pytest.mark.parametrize("config", [
+    {"domain": f"worm({math.pi!r})", "samples": 6, "basis_degree": 4, "eta": 0.3},
+    {"domain": "ellipsoid(1,2)", "samples": 6, "eta": 0.3},
+], ids=["worm", "ellipsoid"])
+def test_reports_count_the_sites_of_the_builder(config):
+    check = load_config(None, config)
+    estimate = load_config(None, {k: v for k, v in config.items() if k != "eta"})
+    assert cmd_check(check)["summary"]["n_sites"] == len(problem_of(check, guard_ring=True).sites)
+    assert cmd_estimate(estimate)["summary"]["n_sites"] == len(problem_of(estimate).sites)
+
+
+def test_a_stage_starts_from_the_incumbent_of_the_last_feasible_one():
+    # on the worm's Kaehler metric the incumbent of the 0.2475 stage already certifies 0.37125:
+    # that stage exits on its first iteration, before any centring gives a bound
+    cfg = load_config(None, {"domain": f"worm({math.pi!r})", "metric": "worm_kahler", "samples": 10,
+                             "basis_degree": 8})
+    summary = cmd_estimate(cfg)["summary"]
+    stage = summary["certificates"]["0.371250"]
+    assert (stage["status"], stage["iterations"], stage["upper_bound"]) == ("feasible_early_exit", 1, None)
+    assert summary["summary"] == "DF in [0.43, 0.45]"
 
 
 def _csv_cell(record, column):

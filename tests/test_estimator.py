@@ -12,6 +12,7 @@ from dfindex.estimator import (
     DFEstimate,
     EtaCertificate,
     HBasis,
+    Problem,
     SiteSet,
     boundary_margin,
     collect_sites,
@@ -231,7 +232,7 @@ def test_summary_rounds_each_end_outward(lo, hi, text):
 
 def test_summary_of_a_grid_cap_says_whether_a_site_constrains_it(ball):
     basis = poly_basis(2, degree=2)
-    est = estimate_index(ball, basis, SiteSet.empty(basis), box_radius=100.0)
+    est = estimate_index(Problem(ball, SiteSet.empty(basis), math.inf, 100.0, 1e-4))
     assert est.summary() == "DF >= 0.99 (grid cap; no null site constrains the estimate)"
     # a cap certified feasible on sites keeps the plain wording; 0.99 is not floored to 0.98
     cert = EtaCertificate(eta=0.99, basis_id=basis.name, coeffs=np.zeros(basis.m), min_margin=1.0,
@@ -348,7 +349,7 @@ def test_undecided_stage_moves_no_bracket_end(worm_euclid, monkeypatch):
     search = estimator.feasibility_search
     monkeypatch.setattr(estimator, "feasibility_search",
                         lambda *args, **kwargs: search(*args, max_iter=1, **kwargs))
-    est = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99, box_radius=100.0)
+    est = estimator.estimate_index(Problem(worm_euclid, sites, math.inf, 100.0, 1e-4), eta_cap=0.99)
     assert (est.eta_lo, est.eta_hi) == (0.0, 0.99)
     # cap, eta = 0, then the first midpoint, which ends the bisection
     assert [r["eta"] for r in est.records] == [0.99, 0.0, 0.495]
@@ -363,7 +364,7 @@ def test_an_undecided_eta_zero_stage_below_a_feasible_one_is_not_non_monotone(wo
     monkeypatch.setattr(estimator, "feasibility_search",
                         lambda domain, eta, *args, **kwargs:
                         search(domain, eta, *args, max_iter=1 if eta == 0.0 else 400, **kwargs))
-    est = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99, box_radius=100.0)
+    est = estimator.estimate_index(Problem(worm_euclid, sites, math.inf, 100.0, 1e-4), eta_cap=0.99)
     assert est.certificates[0.0].status == "iteration_cap" and not est.certificates[0.0].decided
     assert est.certificates[0.2475].feasible
     # no stage was certified infeasible below a feasible one: the only warning is the undecided stage
@@ -373,11 +374,11 @@ def test_an_undecided_eta_zero_stage_below_a_feasible_one_is_not_non_monotone(wo
 def test_stages_started_on_the_upper_stage_path_take_fewer_steps(worm_euclid, monkeypatch):
     basis = worm_reduction_basis(gamma=math.pi, degree=12, spread=0.95)
     sites = small_worm_sites(worm_euclid, basis, count=40)
-    warm = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99, box_radius=100.0)
+    warm = estimator.estimate_index(Problem(worm_euclid, sites, math.inf, 100.0, 1e-4), eta_cap=0.99)
     search = estimator.feasibility_search
     monkeypatch.setattr(estimator, "feasibility_search",
                         lambda *args, start=None, **kwargs: search(*args, **kwargs))
-    cold = estimator.estimate_index(worm_euclid, basis, sites, eta_cap=0.99, box_radius=100.0)
+    cold = estimator.estimate_index(Problem(worm_euclid, sites, math.inf, 100.0, 1e-4), eta_cap=0.99)
     assert (warm.eta_lo, warm.eta_hi) == (cold.eta_lo, cold.eta_hi)
     assert [(r["eta"], r["status"]) for r in warm.records] == \
         [(r["eta"], r["status"]) for r in cold.records]

@@ -177,6 +177,18 @@ def test_every_run_setting_is_read_by_some_command_and_every_flag_sets_one():
     assert not hasattr(cli, "_READS_ETA")
 
 
+def test_cli_builds_sites_in_problem_of_only():
+    # one builder turns a run config into the constraint sites of check and estimate
+    from dfindex import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and _called_name(node.func) == "collect_sites"]
+    assert callers == ["problem_of"]
+    assert not hasattr(cli, "_basis_of")
+
+
 # eta / (1 - eta), spelled with 1 or 1.0
 ETA_WEIGHT = {ast.dump(ast.parse(f"eta / ({one} - eta)", mode="eval").body) for one in ("1", "1.0")}
 
