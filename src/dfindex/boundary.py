@@ -15,8 +15,8 @@ candidates per batch, :func:`project_to_boundary` and :func:`point_at_depth`
 are its batch-of-one callers, and a row that fails is rejected alone.
 
 :func:`transport_along_normal` (and the collar checks built on it)
-integrates an ODE with SciPy's RK45 through ``_rk45``, which imports SciPy
-on its first call: importing this module loads NumPy and nothing heavier.
+integrates an ODE with SciPy's RK45, which it imports on its first call:
+importing this module loads NumPy and nothing heavier.
 
 Everything here is pure given ``(domain, seed)``.
 """
@@ -536,18 +536,6 @@ def second_fundamental_form(frame, x, y):
 # normal transport
 # ----------------------------------------------------------------------
 
-def _rk45(rhs, span, y0, rtol, atol, **options):
-    """SciPy's ``solve_ivp`` with ``method="RK45"``, the other arguments passed through.
-
-    SciPy is imported here, on the first integration, not with the package:
-    ``scipy.integrate`` takes most of a cold ``import dfindex``, and only the
-    normal transport and the Riccati shooting integrate an ODE.
-    """
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(rhs, span, y0, method="RK45", rtol=rtol, atol=atol, **options)
-
-
 @dataclass
 class CollarPath:
     base: NormalFrame
@@ -572,6 +560,8 @@ def transport_along_normal(base, z0_vec, delta, steps=24):
     no step taken.  Nothing predicts the collapse: a path that ends at a
     critical point of r is integrated until |d r| has shrunk that far.
     """
+    from scipy.integrate import solve_ivp    # most of a cold ``import dfindex``, so loaded here only
+
     domain, n = base.domain, base.n
     z0 = np.asarray(z0_vec.h if isinstance(z0_vec, CTVector) else z0_vec, dtype=complex)
     if abs(complex(base.u @ z0)) > 1e-8 * (1.0 + np.max(np.abs(z0))) * base.dbar_norm:
@@ -595,7 +585,8 @@ def transport_along_normal(base, z0_vec, delta, steps=24):
 
     y0 = np.concatenate([real_coords(base.z), z0.real, z0.imag])
     t_eval = np.linspace(0.0, -delta, steps + 1)
-    sol = _rk45(rhs, (0.0, -delta), y0, _TRANSPORT_RTOL, _TRANSPORT_ATOL, t_eval=t_eval)
+    sol = solve_ivp(rhs, (0.0, -delta), y0, method="RK45", rtol=_TRANSPORT_RTOL, atol=_TRANSPORT_ATOL,
+                    t_eval=t_eval)
     if not sol.success:
         raise ProjectionError(f"normal transport failed: {sol.message}")
 

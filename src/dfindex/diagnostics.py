@@ -26,7 +26,7 @@ from .boundary import (
     transport_along_normal,
 )
 from .domains import ball_domain
-from .estimator import geometric_margin, vectorfield_margin
+from .estimator import HBasis, _weight, geometric_margin, make_site, vectorfield_margin
 from .fields import ScalarField, complex_point, real_coords, wirtinger_table
 from .geometry import (
     CTVector,
@@ -51,8 +51,8 @@ from .geometry import (
     torsion,
     torsion_from_fields,
 )
-from .worm import (RICCATI_GAMMAS, WormParams, riccati_threshold, sgamma_comparison, sgamma_fiber,
-                   sgamma_patch_tangent, sgamma_points, worm_domain)
+from .worm import (RICCATI_GAMMAS, WormParams, sgamma_comparison, sgamma_fiber, sgamma_patch_tangent,
+                   sgamma_points, worm_domain)
 
 __all__ = [
     "CheckRecord",
@@ -65,6 +65,7 @@ __all__ = [
     "forms_suite",
     "worm_reference_suite",
     "margin_equivalence_suite",
+    "tan_profile_basis",
     "riccati_suite",
     "run_all",
 ]
@@ -491,12 +492,27 @@ def margin_equivalence_suite(count=30):
     return [_rec("margins", "geometric_equals_vectorfield", _worst_of(np.abs(diffs)), 1e-8)]
 
 
+def tan_profile_basis(*ks):
+    """The extremal Riccati profiles h = -log cos(k x)/k in x = log|z_2|^2, one field per k."""
+    rows = lambda zs: [(-1.0 / k) * jets.log(jets.cos(jets.log(jets.abs2(zs[1])) * k)) for k in ks]
+    return HBasis(n=2, m=len(ks), name="tan-profile", rows=rows)
+
+
 def riccati_suite():
+    """The engine's margin of the extremal Riccati profile vanishes along the fiber, for k just below k*.
+
+    The points lie at |x| <= 0.9 a(0.6 pi), where lambda vanishes for every
+    reference winding, so each worm(gamma) has the same r jets and one frame.
+    """
+    wp, count = WormParams(gamma=min(RICCATI_GAMMAS)), 6
+    fr = normal_frame(worm_domain(wp), sgamma_points(wp, count, spread=0.9))
+    etas = [(1.0 - 1e-3) * math.pi / (2.0 * g) for g in RICCATI_GAMMAS]
+    sites = make_site(fr, sgamma_fiber(count), tan_profile_basis(*map(_weight, etas)))
     out = []
-    for g in RICCATI_GAMMAS:
-        th = riccati_threshold(g)
-        out.append(_rec("riccati", f"threshold_gamma_{g:.4f}", abs(th - math.pi / (2 * g)), 1e-3,
-                        detail=f"threshold={th:.6f}"))
+    for g, eta, c in zip(RICCATI_GAMMAS, etas, np.eye(len(etas))):
+        resid = np.abs(sites.margins(c, eta)) / (1.0 + np.abs(sites.B))
+        out.append(_rec("riccati", f"extremal_profile_gamma_{g:.4f}", _worst_of(resid), 1e-8,
+                        detail=f"eta={eta:.6f}"))
     return out
 
 

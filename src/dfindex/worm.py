@@ -5,8 +5,6 @@ curvature, and margin quantity has a closed form on the Levi-degenerate
 annulus ``S = {z_1 = 0, |log|z_2|^2| < gamma - pi/2}``, and the 1-D Riccati
 reduction of the boundary inequality reproduces the known index pi/(2 gamma).
 A worm's domain spec carries its S-sampler and its h-basis in x = log|z_2|^2.
-Its Riccati shooting integrates through ``boundary._rk45``, so SciPy loads
-on the first shooting, not with this module.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import jets
-from .boundary import BoundaryPoint, DomainSpec, _rk45, normal_frame
+from .boundary import BoundaryPoint, DomainSpec, normal_frame
 from .estimator import HBasis, _weight
 from .fields import ChartDomainError, ScalarField
 from .forms import SubmanifoldPatch
@@ -41,7 +39,6 @@ __all__ = [
     "RICCATI_GAMMAS",
 ]
 
-_U_MAX = 1e8
 _POSITIVITY_FLOOR = 1e-3    # smallest sampled eigenvalue a worm Kaehler metric must reach
 _SAMPLE_SEED, _SAMPLE_COUNT = 1234, 300   # the sample of that positivity scan
 _DOUBLINGS = 30             # doublings of s the scan tries
@@ -247,7 +244,46 @@ def worm_metric(params):
     is unset it is chosen by doubling from 1 until the smallest eigenvalue
     sampled over a neighborhood of the closed domain clears
     ``_POSITIVITY_FLOOR``; an explicit too-small ``s`` raises with the
-    minimal passing value found by doubling from it.
+    minimal passing value found by doubling from it.  A ``t`` at which no
+    doubling passes raises with the smallest t on the grid k/20 above it
+    that passes.
+    """
+    # neighborhood of the closed domain: |z1| <= 2.05, log|z2|^2 within
+    # the reach of lambda < 1 plus padding
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    xs = rng.uniform(-params.x_max - 0.05, params.x_max + 0.05, size=_SAMPLE_COUNT)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(_SAMPLE_COUNT, 2))
+    radii = 2.05 * np.sqrt(rng.random(_SAMPLE_COUNT))
+    sample = np.stack([radii * np.exp(1j * angles[:, 0]),
+                       np.exp(xs / 2.0) * np.exp(1j * angles[:, 1])], axis=1)
+
+    s_try, m, indefinite = _doubling_scan(params, 1.0 if params.s is None else params.s, sample)
+    if m is None:
+        k0 = math.floor(20 * params.t)
+        hint = f"no t = k/20 up to {(k0 + 400) / 20:g} passes either"
+        for k in range(k0 + 1, k0 + 401):
+            s_ok, passing, _ = _doubling_scan(replace(params, t=k / 20), 1.0, sample)
+            if passing is not None:
+                hint = (f"raise t (domain_params.t) to {k / 20:g}, the smallest t = k/20 above it "
+                        f"that passes (s = {s_ok:g})")
+                break
+        raise ValueError(f"no positive-definite s found by doubling at t = {params.t:g}; {hint}")
+    if params.s is None:
+        params.s = s_try
+    elif indefinite:
+        raise ValueError(
+            f"s = {params.s} leaves the worm metric indefinite "
+            f"(min eigenvalue {indefinite[0]:.3e}); minimal passing s found by doubling: {s_try}"
+        )
+    return m
+
+
+def _doubling_scan(params, s, sample):
+    """Trials of s at ``params.t``: ``s`` itself, then doublings of max(s, 1).
+
+    Returns the first s whose metric's smallest eigenvalue over ``sample``
+    clears ``_POSITIVITY_FLOOR``, that metric and the minima of the trials
+    before it; (None, None, minima) if no trial clears it.
     """
     def entries_for(s_value):
         def fn(zs):
@@ -259,39 +295,22 @@ def worm_metric(params):
 
         return fn
 
-    # neighborhood of the closed domain: |z1| <= 2.05, log|z2|^2 within
-    # the reach of lambda < 1 plus padding
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    xs = rng.uniform(-params.x_max - 0.05, params.x_max + 0.05, size=_SAMPLE_COUNT)
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=(_SAMPLE_COUNT, 2))
-    radii = 2.05 * np.sqrt(rng.random(_SAMPLE_COUNT))
-    sample = np.stack([radii * np.exp(1j * angles[:, 0]),
-                       np.exp(xs / 2.0) * np.exp(1j * angles[:, 1])], axis=1)
-
-    # one scan: s itself (1 when unset), then doublings of max(s, 1)
-    s_try = 1.0 if params.s is None else params.s
     indefinite = []
     for _ in range(_DOUBLINGS + 1):
-        m = MetricField(2, entries_for(s_try), name=f"omega_worm(s={s_try:g})")
+        m = MetricField(2, entries_for(s), name=f"omega_worm(s={s:g})")
         try:    # one batch over the sample
-            worst = float(np.min(np.linalg.eigvalsh(m.matrix(sample))[:, 0]))
+            g = m.matrix(sample)
+            worst = float(np.min(np.linalg.eigvalsh(g)[:, 0]))
         except MetricError:     # a NaN entry: the trial fails like an indefinite one
-            worst = math.nan
+            g, worst = None, math.nan
         if worst >= _POSITIVITY_FLOOR:
-            break
+            return s, m, indefinite
         indefinite.append(worst)
-        s_try = 2.0 * max(s_try, 1.0)
-    else:
-        raise ValueError(f"no positive-definite s found by doubling at t = {params.t:g}; "
-                         "raise t (domain_params.t)")
-    if params.s is None:
-        params.s = s_try
-    elif indefinite:
-        raise ValueError(
-            f"s = {params.s} leaves the worm metric indefinite "
-            f"(min eigenvalue {indefinite[0]:.3e}); minimal passing s found by doubling: {s_try}"
-        )
-    return m
+        # g_11 = f bounds the smallest eigenvalue and does not depend on s: no doubling can pass
+        if g is not None and np.min(g[:, 0, 0].real) < _POSITIVITY_FLOOR:
+            break
+        s = 2.0 * max(s, 1.0)
+    return None, None, indefinite
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +329,6 @@ class SGammaReference:
     nabla_factor: complex          # nabla_Z L = factor * L (worm metric)
     curvature: float               # <R(Z, Zbar) nu_C, nu_C>
     sff_JnuR_sq: float             # |sff(Z, J nu_R)|^2
-    sff_ZZ: float                  # sff(Z, Z) (vanishes)
 
     def margin(self, eta):
         return (1.0 / self.t - _weight(eta)) * self.sff_JnuR_sq
@@ -333,7 +351,6 @@ def s_gamma_reference(params, z2):
         nabla_factor=(-2.0 * math.tan(x / t) + 1j) / z2,
         curvature=2.0 / t * sec2 / r2,
         sff_JnuR_sq=sec2 / r2,
-        sff_ZZ=0.0,
     )
 
 
@@ -410,60 +427,26 @@ class RiccatiResult:
 
 
 def riccati_feasibility(gamma, eta):
-    """Shooting test for the reduced boundary inequality h'' >= k (1 + h'^2).
+    """Closed-form feasibility of the reduced boundary inequality h'' >= k (1 + h'^2).
 
     On the annulus the inequality for h = h(log|z_2|^2) reduces to a Riccati
-    bound with k = eta/(1-eta) on |x| < gamma - pi/2; the symmetric extremal
-    profile u = h' solves u' = k (1 + u^2), u(0) = 0, and feasibility is
-    exactly finiteness of u on the open interval.
+    bound with k = eta/(1-eta) on |x| < a = gamma - pi/2.  Its extremal profile
+    h' = tan(k x) stays finite there exactly when k a < pi/2; otherwise it blows
+    up at x = pi/(2k).
     """
-    if gamma <= math.pi / 2:
-        raise ValueError("gamma must exceed pi/2")
+    threshold = riccati_threshold(gamma)
     k = _weight(eta)
-    threshold = math.pi / (2.0 * gamma)
     if abs(eta - threshold) < 1e-6:
         return RiccatiResult(gamma=gamma, eta=eta, feasible=None, status="indeterminate")
     a = gamma - math.pi / 2
-    if k == 0.0:
-        xs = np.linspace(0.0, a, 33)
-        return RiccatiResult(gamma, eta, True, "feasible", None, xs, np.zeros_like(xs))
-    sol = _shoot(k, a)
-    if sol.t_events[0].size:
-        return RiccatiResult(gamma, eta, False, "infeasible", float(sol.t_events[0][0]))
+    if k * a >= math.pi / 2:
+        return RiccatiResult(gamma, eta, False, "infeasible", math.pi / (2.0 * k))
     xs = np.linspace(0.0, a, 65)
-    return RiccatiResult(gamma, eta, True, "feasible", None, xs, sol.sol(xs)[0])
-
-
-def _shoot(k, a):
-    """Solve u' = k (1 + u^2), u(0) = 0 on [0, a], stopping where u reaches _U_MAX."""
-
-    def rhs(_, u):
-        return [k * (1.0 + u[0] ** 2)]
-
-    def blow_up(_, u):
-        return u[0] - _U_MAX
-
-    blow_up.terminal = True
-    blow_up.direction = 1.0
-    return _rk45(rhs, (0.0, a), [0.0], 1e-10, 1e-12,
-                 events=blow_up, dense_output=True, max_step=a / 50.0)
-
-
-@functools.cache
-def _blow_up_point():
-    """Where v' = 1 + v^2, v(0) = 0 reaches _U_MAX, by one shooting."""
-    return float(_shoot(1.0, math.pi).t_events[0][0])
+    return RiccatiResult(gamma, eta, True, "feasible", None, xs, np.tan(k * xs))
 
 
 def riccati_threshold(gamma):
-    """Feasibility threshold in eta of the Riccati reduction, from one shooting.
-
-    The extremal profile is u(x; k) = v(k x) with v' = 1 + v^2, v(0) = 0, so
-    u stays finite on [0, a], a = gamma - pi/2, exactly when k < X / a, where
-    X is the blow-up point of v; the threshold is eta* = k*/(1 + k*) with
-    k* = X / a.
-    """
+    """Feasibility threshold in eta of the Riccati reduction: k* = pi/(2a) gives eta* = pi/(2 gamma)."""
     if gamma <= math.pi / 2:
         raise ValueError("gamma must exceed pi/2")
-    k_star = _blow_up_point() / (gamma - math.pi / 2)
-    return k_star / (1.0 + k_star)
+    return math.pi / (2.0 * gamma)

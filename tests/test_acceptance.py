@@ -72,13 +72,28 @@ def test_01_worm_index_reproduction():
             f"gamma=2pi: [{est_2pi.eta_lo:.4f}, {est_2pi.eta_hi:.4f}] in {t_2pi:.0f}s")
 
 
+def _shot_riccati_threshold(gamma):
+    """The threshold k*/(1 + k*) with k* = X/a, where X is the blow-up point of v' = 1 + v^2,
+    v(0) = 0, found by integrating until v reaches 1e8: a reference that is not the closed form."""
+    from scipy.integrate import solve_ivp
+
+    def blow_up(_, v):
+        return v[0] - 1e8
+
+    blow_up.terminal = True
+    sol = solve_ivp(lambda _, v: [1.0 + v[0] ** 2], (0.0, math.pi), [0.0], method="RK45",
+                    rtol=1e-10, atol=1e-12, events=blow_up, max_step=math.pi / 50.0)
+    k_star = sol.t_events[0][0] / (gamma - math.pi / 2)
+    return k_star / (1.0 + k_star)
+
+
 def test_02_riccati_threshold():
     start = time.time()
     worst = 0.0
     details = []
     for gamma in (0.6 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi):
         th = riccati_threshold(gamma)
-        err = abs(th - math.pi / (2.0 * gamma))
+        err = abs(th - _shot_riccati_threshold(gamma))
         worst = max(worst, err)
         details.append(f"{gamma:.3f}:{th:.5f}")
     elapsed = time.time() - start

@@ -239,6 +239,12 @@ def test_worm_bench_without_kahler_metric_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err and "raise t" in err
     assert not (tmp_path / "worm-bench.json").exists()
+    # the message names the smallest t = k/20 that passes the positivity scan, and that t builds
+    t = float(re.search(r"raise t \(domain_params\.t\) to ([0-9.]+),", err).group(1))
+    assert t == 4.4
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domain": f"worm({2 * math.pi!r})", "domain_params": {"t": t}, "samples": 3}))
+    assert run_cli(["worm-bench", "--config", str(config), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("config", [

@@ -7,6 +7,7 @@ import pytest
 
 from dfindex import estimator, jets
 from dfindex.boundary import normal_frame, sample_boundary
+from dfindex.diagnostics import tan_profile_basis
 from dfindex.estimator import (
     NO_CONSTRAINT,
     DFEstimate,
@@ -28,12 +29,6 @@ from dfindex.geometry import CTVector
 from dfindex.worm import sgamma_points, worm_reduction_basis
 
 Z_FIBER = CTVector.holo([0.0, 1.0])
-
-
-def tan_profile_basis(k):
-    """Single-field basis holding the extremal profile h with h' = tan(k x)."""
-    rows = lambda zs: [(-1.0 / k) * jets.log(jets.cos(jets.log(jets.abs2(zs[1])) * k))]
-    return HBasis(n=2, m=1, name="tan-profile", rows=rows)
 
 
 def test_reduction_basis_rows_match_chebyshev_and_harmonics():

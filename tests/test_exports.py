@@ -106,6 +106,19 @@ def test_no_module_imports_scipy_on_import():
     assert not eager, f"module-level SciPy imports: {eager}"
 
 
+def test_only_the_normal_transport_imports_scipy():
+    # the normal transport is the one ODE the package integrates, and nothing else needs SciPy
+    def importers(tree, where):
+        for node in ast.iter_child_nodes(tree):
+            inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if any(name.split(".")[0] == "scipy" for _, name in _absolute_imports([node])):
+                yield inner
+            yield from importers(node, inner)
+
+    found = {f"{path.name}:{fn}" for path in SOURCES for fn in importers(ast.parse(path.read_text()), "<module>")}
+    assert found == {"boundary.py:transport_along_normal"}
+
+
 def _called_name(func):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
@@ -211,8 +224,16 @@ after_estimate = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 diagnostics = "dfindex.diagnostics" in sys.modules
 from dfindex.worm import riccati_threshold
 eta = riccati_threshold(math.pi)
+after_riccati = "scipy.integrate" in sys.modules
+bench = dfindex.cli.main(["worm-bench", "--domain", f"worm({math.pi!r})", "--samples", "4", "--out", out])
+after_bench = "scipy.integrate" in sys.modules
+from dfindex.boundary import levi_data, normal_frame, sample_boundary, transport_along_normal
+from dfindex.domains import ball_domain
+base = normal_frame(ball_domain(), sample_boundary(ball_domain(), 1, 0)[0])
+transport_along_normal(base, levi_data(base).basis[0], 0.1, steps=4)
 print(json.dumps({"code": code, "after_estimate": after_estimate, "diagnostics": diagnostics, "eta": eta,
-                  "after_riccati": "scipy.integrate" in sys.modules}))
+                  "after_riccati": after_riccati, "bench": bench, "after_bench": after_bench,
+                  "after_transport": "scipy.integrate" in sys.modules}))
 """
 
 
@@ -230,7 +251,10 @@ def test_cold_estimate_loads_no_scipy_until_an_ode_is_integrated(tmp_path):
     # the invariant suites load with selftest only
     assert not facts["diagnostics"]
     assert facts["eta"] == pytest.approx(0.5, abs=1e-6)
-    assert facts["after_riccati"]
+    # the Riccati threshold and worm-bench are closed forms; SciPy loads with the first normal transport
+    assert not facts["after_riccati"]
+    assert facts["bench"] == 0 and not facts["after_bench"]
+    assert facts["after_transport"]
 
 
 def _defaulted_params(tree, module):

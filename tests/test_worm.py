@@ -6,6 +6,7 @@ import pytest
 
 from dfindex import worm
 from dfindex.boundary import levi_data, normal_frame, sample_boundary
+from dfindex.estimator import Problem, collect_sites, estimate_index
 from dfindex.fields import seed_coordinate_jets
 from dfindex.geometry import CTVector, curvature_contraction
 from dfindex.worm import (
@@ -139,11 +140,11 @@ def test_riccati_thresholds_match_index_formula():
         assert riccati_threshold(gamma) == pytest.approx(math.pi / (2 * gamma), abs=1e-3)
 
 
-def test_riccati_threshold_from_one_shooting_is_pi_over_two_gamma():
+def test_riccati_threshold_is_pi_over_two_gamma_and_splits_feasibility():
     for gamma in (0.6 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi):
         th = riccati_threshold(gamma)
         assert abs(th - math.pi / (2 * gamma)) <= 1e-6
-        # the shooter of the feasibility test agrees on both sides
+        # the feasibility test agrees on both sides
         assert riccati_feasibility(gamma, th - 1e-3).status == "feasible"
         assert riccati_feasibility(gamma, th + 1e-3).status == "infeasible"
     with pytest.raises(ValueError):
@@ -155,6 +156,41 @@ def test_riccati_witness_profile_is_tan():
     assert isinstance(res, RiccatiResult)
     k = 0.4 / 0.6
     np.testing.assert_allclose(res.profile, np.tan(k * res.xs), atol=1e-7)
+
+
+def test_sgamma_thresholds_rise_with_the_degree_up_to_the_sampled_riccati_threshold(worm_euclid):
+    # an independent reference for the closed form: S_gamma sites on |x| <= s a ask tan(k x) to
+    # stay finite on [0, s a] only, so the sampled problem's threshold is pi/(2 s a + pi),
+    # and a finite degree pulls it down
+    wp, spread = worm_euclid.params["worm"], 0.99
+    sampled = math.pi / (2 * spread * wp.a + math.pi)
+    brackets = []
+    for degree in (20, 40):
+        basis = worm_euclid.h_basis(degree, spread)
+        sites, min_pc = collect_sites(worm_euclid, sgamma_points(wp, 8 * basis.m, spread), basis)
+        est = estimate_index(Problem(worm_euclid, sites, min_pc, box_radius=50.0, C_floor=1e-4), tol_eta=1e-4)
+        brackets.append((est.eta_lo, est.eta_hi))
+    (lo20, hi20), (lo40, hi40) = brackets
+    assert hi20 < lo40
+    assert max(hi20, hi40) <= sampled + 1e-4
+    # measured 4.85e-3 below it: degree 40 is within 5e-3
+    assert sampled - lo40 <= 5e-3
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "worm_kahler"])
+def test_site_margins_do_not_depend_on_the_angle_of_z2(metric):
+    # the worm, both metrics and the basis are invariant under z2 -> e^{i theta} z2
+    domain = worm_domain(WormParams(gamma=math.pi), metric=metric)
+    basis = domain.h_basis(12, 0.99)
+    xs = np.linspace(-0.9, 0.9, 5) * domain.params["worm"].a
+    thetas = 0.3 + np.arange(4) * math.pi / 2
+    z2 = np.exp(xs[:, None] / 2.0 + 1j * thetas[None, :]).ravel()
+    sites, _ = collect_sites(domain, np.stack([np.zeros_like(z2), z2], axis=1), basis)
+    assert len(sites) == len(z2)
+    c = np.random.default_rng(8).standard_normal(basis.m)
+    margins = sites.margins(c, 0.4).reshape(len(xs), len(thetas))
+    spread = np.max(margins, axis=1) - np.min(margins, axis=1)
+    assert np.max(spread) <= 1e-12 * (1.0 + np.max(np.abs(margins)))
 
 
 def test_worm_domain_supplies_its_basis_and_sampler():
