@@ -57,6 +57,10 @@ RUNS = [
     ("worm-bench", "worm-bench", {"domain": WORM_PI, "samples": 10}),
     ("worm-bench-2pi", "worm-bench", {"domain": f"worm({2 * math.pi!r})", "domain_params": {"t": 6.0},
                                       "samples": 12, "eta": 0.2}),
+    # fiber scales the runs above do not reach: s = 4 at worm(1.5 pi), and an explicit s that passes
+    ("worm-bench-1.5pi", "worm-bench", {"domain": f"worm({1.5 * math.pi!r})", "domain_params": {"t": 2.5},
+                                        "samples": 8}),
+    ("worm-bench-s16", "worm-bench", {"domain": WORM_PI, "domain_params": {"s": 16.0}, "samples": 8}),
     ("selftest", "selftest", {}),
     # off the worm: a domain without a basis or sampler of its own
     ("check-ellipsoid", "check", {"domain": "ellipsoid(1,2)", "samples": 10, "eta": 0.4}),

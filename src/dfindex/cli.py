@@ -74,6 +74,8 @@ class RunConfig:
         for name in ("eps_null", "tol_eta", "c_floor", "box_radius", "basis_spread"):
             if not getattr(self, name) > 0:   # a NaN fails
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.basis_spread > 1.0:     # a fraction of the annulus |x| < gamma - pi/2 on a worm
+            raise ConfigError(f"basis_spread must be at most 1, got {self.basis_spread}")
         for name, least in (("samples", 1), ("special_samples", 0), ("seed", 0), ("basis_degree", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:

@@ -18,9 +18,9 @@ import numpy as np
 from . import jets
 from .boundary import BoundaryPoint, DomainSpec, normal_frame
 from .estimator import HBasis, _weight
-from .fields import ChartDomainError, ScalarField
+from .fields import ChartDomainError, ScalarField, seed_coordinate_jets
 from .forms import SubmanifoldPatch
-from .geometry import CTVector, MetricError, MetricField, resolve_metric
+from .geometry import CTVector, MetricField, resolve_metric
 
 __all__ = [
     "WormParams",
@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 _POSITIVITY_FLOOR = 1e-3    # smallest sampled eigenvalue a worm Kaehler metric must reach
-_SAMPLE_SEED, _SAMPLE_COUNT = 1234, 300   # the sample of that positivity scan
-_DOUBLINGS = 30             # doublings of s the scan tries
+_SAMPLE_SEED, _SAMPLE_COUNT = 1234, 300   # the sample of that positivity check
+_DOUBLINGS = 30             # doublings of s tried before a t is refused
 RICCATI_GAMMAS = (0.6 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi)   # the reference windings
 
 
@@ -52,10 +52,10 @@ class WormParams:
     ``gamma`` sets the winding length (> pi/2).  ``t`` controls the metric
     profile f(x) = cos(x/t)^(2t) and must exceed 2*gamma/pi - 1; pairing the
     metric with an exponent eta additionally needs t < 1/eta - 1.  ``s``
-    scales the fiber direction of the metric (chosen by doubling until the
-    sampled metric is positive definite when left unset).  ``lam`` is the
-    convex smoothing (c, p) in lambda(x) = c * max(0, x^2 - a^2)^p with
-    a = gamma - pi/2.
+    scales the fiber direction of the metric (when left unset, the first of
+    1, 2, 4, ... whose sampled metric is positive definite; see
+    :func:`worm_metric`).  ``lam`` is the convex smoothing (c, p) in
+    lambda(x) = c * max(0, x^2 - a^2)^p with a = gamma - pi/2.
     """
 
     gamma: float
@@ -193,7 +193,7 @@ def worm_domain(params, metric="euclidean"):
 
     The worm's own metric name is "worm_kahler" (:func:`worm_metric`).
     The domain works on its own copy of ``params``, its ``params["worm"]``:
-    the fiber scale s that :func:`worm_metric` finds lands there, never in
+    the fiber scale s that :func:`worm_metric` picks lands there, never in
     the caller's parameters.  ``special_sampler(count, seed, spread)`` and
     ``h_basis(degree, spread)`` both reach |x| <= spread * a on the annulus
     S_gamma; the CLI passes its ``basis_spread`` to both.
@@ -240,77 +240,73 @@ def worm_metric(params):
     """Kaehler metric of the worm family with entries per the expanded form.
 
     g_11 = f(x), g_21 = (z1/z2) f'(x), g_12 = conj, and
-    g_22 = |z1|^2/|z2|^2 f''(x) + s/|z2|^2 with x = log|z_2|^2.  When ``s``
-    is unset it is chosen by doubling from 1 until the smallest eigenvalue
-    sampled over a neighborhood of the closed domain clears
-    ``_POSITIVITY_FLOOR``; an explicit too-small ``s`` raises with the
-    minimal passing value found by doubling from it.  A ``t`` at which no
-    doubling passes raises with the smallest t on the grid k/20 above it
-    that passes.
+    g_22 = |z1|^2/|z2|^2 f''(x) + s/|z2|^2 with x = log|z_2|^2.  Its smallest
+    eigenvalue at a point reaches ``_POSITIVITY_FLOOR`` exactly when f > floor
+    and s >= floor |z2|^2 + |z1|^2 (f'^2/(f - floor) - f''), and s must meet
+    this over a sample of a neighborhood of the closed domain.  When ``s`` is
+    unset it is the first of 1, 2, 4, ... that does; an explicit too-small
+    ``s`` raises with the first of 2 max(s, 1), 4 max(s, 1), ... that does.
+    A ``t`` at which none does raises with the smallest t on the grid k/20
+    above it at which one does.
     """
-    # neighborhood of the closed domain: |z1| <= 2.05, log|z2|^2 within
-    # the reach of lambda < 1 plus padding
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    xs = rng.uniform(-params.x_max - 0.05, params.x_max + 0.05, size=_SAMPLE_COUNT)
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=(_SAMPLE_COUNT, 2))
-    radii = 2.05 * np.sqrt(rng.random(_SAMPLE_COUNT))
-    sample = np.stack([radii * np.exp(1j * angles[:, 0]),
-                       np.exp(xs / 2.0) * np.exp(1j * angles[:, 1])], axis=1)
-
-    s_try, m, indefinite = _doubling_scan(params, 1.0 if params.s is None else params.s, sample)
-    if m is None:
+    sample = _positivity_sample(params)
+    s = _fiber_scale(params, 1.0 if params.s is None else params.s, sample)
+    if s is None:
         k0 = math.floor(20 * params.t)
         hint = f"no t = k/20 up to {(k0 + 400) / 20:g} passes either"
         for k in range(k0 + 1, k0 + 401):
-            s_ok, passing, _ = _doubling_scan(replace(params, t=k / 20), 1.0, sample)
-            if passing is not None:
+            s_ok = _fiber_scale(replace(params, t=k / 20), 1.0, sample)
+            if s_ok is not None:
                 hint = (f"raise t (domain_params.t) to {k / 20:g}, the smallest t = k/20 above it "
                         f"that passes (s = {s_ok:g})")
                 break
         raise ValueError(f"no positive-definite s found by doubling at t = {params.t:g}; {hint}")
     if params.s is None:
-        params.s = s_try
-    elif indefinite:
-        raise ValueError(
-            f"s = {params.s} leaves the worm metric indefinite "
-            f"(min eigenvalue {indefinite[0]:.3e}); minimal passing s found by doubling: {s_try}"
-        )
-    return m
+        params.s = s
+    elif s != params.s:     # the explicit s itself fails
+        g = MetricField(2, _entries(params, params.s)).matrix(sample)
+        raise ValueError(f"s = {params.s} leaves the worm metric indefinite (min eigenvalue "
+                         f"{np.min(np.linalg.eigvalsh(g)[:, 0]):.3e}); minimal passing s found by doubling: {s}")
+    return MetricField(2, _entries(params, s), name=f"omega_worm(s={s:g})")
 
 
-def _doubling_scan(params, s, sample):
-    """Trials of s at ``params.t``: ``s`` itself, then doublings of max(s, 1).
+def _positivity_sample(params):
+    """Points of a neighborhood of the closed domain: |z1| <= 2.05, and log|z2|^2 within the
+    reach of lambda < 1 plus padding."""
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    xs = rng.uniform(-params.x_max - 0.05, params.x_max + 0.05, size=_SAMPLE_COUNT)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(_SAMPLE_COUNT, 2))
+    radii = 2.05 * np.sqrt(rng.random(_SAMPLE_COUNT))
+    return np.stack([radii * np.exp(1j * angles[:, 0]),
+                     np.exp(xs / 2.0) * np.exp(1j * angles[:, 1])], axis=1)
 
-    Returns the first s whose metric's smallest eigenvalue over ``sample``
-    clears ``_POSITIVITY_FLOOR``, that metric and the minima of the trials
-    before it; (None, None, minima) if no trial clears it.
-    """
-    def entries_for(s_value):
-        def fn(zs):
-            z1, z2 = zs
-            f, f1, f2 = _f_jets(_log_abs2(z2), params)
-            inv = jets.abs2(z2).reciprocal()
-            return [[f, (z1.conj() / z2.conj()) * f1],
-                    [(z1 / z2) * f1, jets.abs2(z1) * inv * f2 + s_value * inv]]
 
-        return fn
-
-    indefinite = []
+def _fiber_scale(params, s, sample):
+    """The first of ``s``, 2 max(s, 1), 4 max(s, 1), ... up to ``_DOUBLINGS`` doublings that meets
+    :func:`worm_metric`'s condition at ``params.t`` over ``sample``; None if none does (or on a NaN)."""
+    z2 = seed_coordinate_jets(sample, 0)[1]
+    f, f1, f2 = (np.real(j.value) for j in _f_jets(_log_abs2(z2), params))
+    if not np.min(f) > _POSITIVITY_FLOOR:     # g_11 = f bounds the smallest eigenvalue
+        return None
+    bound = np.max(_POSITIVITY_FLOOR * np.abs(sample[:, 1]) ** 2
+                   + np.abs(sample[:, 0]) ** 2 * (f1 * f1 / (f - _POSITIVITY_FLOOR) - f2))
     for _ in range(_DOUBLINGS + 1):
-        m = MetricField(2, entries_for(s), name=f"omega_worm(s={s:g})")
-        try:    # one batch over the sample
-            g = m.matrix(sample)
-            worst = float(np.min(np.linalg.eigvalsh(g)[:, 0]))
-        except MetricError:     # a NaN entry: the trial fails like an indefinite one
-            g, worst = None, math.nan
-        if worst >= _POSITIVITY_FLOOR:
-            return s, m, indefinite
-        indefinite.append(worst)
-        # g_11 = f bounds the smallest eigenvalue and does not depend on s: no doubling can pass
-        if g is not None and np.min(g[:, 0, 0].real) < _POSITIVITY_FLOOR:
-            break
+        if s >= bound:
+            return s
         s = 2.0 * max(s, 1.0)
-    return None, None, indefinite
+    return None
+
+
+def _entries(params, s):
+    """The entry evaluator of :func:`worm_metric` at fiber scale ``s``."""
+    def fn(zs):
+        z1, z2 = zs
+        f, f1, f2 = _f_jets(_log_abs2(z2), params)
+        inv = jets.abs2(z2).reciprocal()
+        return [[f, (z1.conj() / z2.conj()) * f1],
+                [(z1 / z2) * f1, jets.abs2(z1) * inv * f2 + s * inv]]
+
+    return fn
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +356,10 @@ def sgamma_points(params, count, spread):
     Log-moduli sweep |x| <= spread * a, clustered toward the ends of the
     interval (Chebyshev nodes) where the reduced inequality is binding;
     angles advance by the golden angle so the points are pairwise distinct.
+    A ``spread`` outside (0, 1] raises: past 1 the points leave the annulus.
     """
+    if not 0.0 < spread <= 1.0:
+        raise ValueError(f"spread must lie in (0, 1], got {spread}")
     half = spread * params.a
     xs = half * np.cos(np.pi * (2.0 * np.arange(count) + 1.0) / (2.0 * count))
     golden = math.pi * (3.0 - math.sqrt(5.0))

@@ -76,6 +76,8 @@ def test_config_loading_and_overrides(tmp_path):
     ("basis_degree", -5, "basis_degree must be an integer >= 0"),
     ("basis_degree", 2.5, "basis_degree must be an integer >= 0"),
     ("basis_degree", "x", "basis_degree must be an integer >= 0"),
+    ("basis_spread", 1.02, "basis_spread must be at most 1, got 1.02"),
+    ("basis_spread", 1.5, "basis_spread must be at most 1, got 1.5"),
 ])
 def test_estimate_rejects_a_value_that_would_crash_or_mislead_it(tmp_path, capsys, field, value,
                                                                    message):
@@ -86,6 +88,24 @@ def test_estimate_rejects_a_value_that_would_crash_or_mislead_it(tmp_path, capsy
     assert run_cli(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "config error: " + field in capsys.readouterr().err
     assert not (tmp_path / "estimate.json").exists()
+
+
+def test_forms_rejects_a_basis_spread_past_the_annulus(tmp_path, capsys):
+    # the spread is a fraction of the annulus: past 1 its sites leave S_gamma and the boundary
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": f"worm({math.pi!r})", "basis_spread": 1.02}))
+    assert run_cli(["forms", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: basis_spread must be at most 1, got 1.02\n"
+    assert not (tmp_path / "forms.json").exists()
+
+
+def test_estimate_runs_at_basis_spread_1(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": f"worm({math.pi!r})", "samples": 4, "basis_degree": 4,
+                                    "basis_spread": 1.0}))
+    assert run_cli(["estimate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "estimate.json").read_text())["summary"]
+    assert summary["summary"] == "DF in [0.40, 0.41]"
 
 
 def test_an_out_that_is_no_string_exits_2(tmp_path, capsys, monkeypatch):
@@ -239,7 +259,7 @@ def test_worm_bench_without_kahler_metric_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err and "raise t" in err
     assert not (tmp_path / "worm-bench.json").exists()
-    # the message names the smallest t = k/20 that passes the positivity scan, and that t builds
+    # the message names the smallest t = k/20 that passes the positivity check, and that t builds
     t = float(re.search(r"raise t \(domain_params\.t\) to ([0-9.]+),", err).group(1))
     assert t == 4.4
     config = tmp_path / "config.json"

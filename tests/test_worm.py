@@ -4,11 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from dfindex import worm
+from dfindex import jets, worm
 from dfindex.boundary import levi_data, normal_frame, sample_boundary
 from dfindex.estimator import Problem, collect_sites, estimate_index
 from dfindex.fields import seed_coordinate_jets
-from dfindex.geometry import CTVector, curvature_contraction
+from dfindex.geometry import CTVector, MetricField, curvature_contraction
 from dfindex.worm import (
     RiccatiResult,
     WormParams,
@@ -60,23 +60,87 @@ def test_metric_profile_derivative_identity(worm_kahler):
 
 
 def test_metric_positivity_error_reports_minimal_s():
-    with pytest.raises(ValueError, match="minimal passing s"):
+    message = ("s = 0.25 leaves the worm metric indefinite (min eigenvalue -7.542e+00); "
+               "minimal passing s found by doubling: 8.0")
+    with pytest.raises(ValueError, match=re.escape(message)):
         worm_metric(WormParams(gamma=math.pi, t=1.2, s=0.25))
 
 
-def test_metric_positivity_scan_fails_a_nan_trial_and_doubles_s(monkeypatch):
-    real, calls = worm._f_jets, []
+def _scanned_fiber_scale(params, s):
+    """The fiber scale by building the metric: the first of s, 2 max(s, 1), 4 max(s, 1), ...
+    whose smallest eigenvalue over ``worm_metric``'s sample reaches the floor; None if none does."""
+    sample = worm._positivity_sample(params)
+    for _ in range(worm._DOUBLINGS + 1):
+        g = MetricField(2, worm._entries(params, s)).matrix(sample)
+        if np.min(np.linalg.eigvalsh(g)[:, 0]) >= worm._POSITIVITY_FLOOR:
+            return s
+        s = 2.0 * max(s, 1.0)
+    return None
 
-    def nan_once(x, params):
-        calls.append(1)
+
+@pytest.mark.parametrize("gamma, t, s", [
+    (1.0, 1.2, 8.0), (0.6, None, 64.0), (1.195, None, 8.0), (1.2, 1.65, 8.0), (1.5, 2.5, 4.0),
+    (2.0, 4.4, 2.0), (2.0, 6.0, 2.0),
+])
+def test_metric_fiber_scale_matches_the_eigenvalue_scan(gamma, t, s):
+    params = WormParams(gamma=gamma * math.pi, t=t)
+    metric = worm_metric(params)
+    assert params.s == _scanned_fiber_scale(params, 1.0) == s
+    assert metric.name == f"omega_worm(s={s:g})"
+
+
+@pytest.mark.parametrize("s, found", [(0.25, 8.0), (8.0, 8.0), (16.0, 16.0)])
+def test_metric_explicit_fiber_scale_matches_the_eigenvalue_scan(s, found):
+    params = WormParams(gamma=math.pi, t=1.2, s=s)
+    assert _scanned_fiber_scale(params, s) == found
+    if found == s:
+        assert worm_metric(params).name == f"omega_worm(s={s:g})" and params.s == s
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"minimal passing s found by doubling: {found}")):
+            worm_metric(params)
+
+
+@pytest.mark.parametrize("gamma, t, s", [(1.2, 1.65, 8), (1.5, 2.5, 4), (2.0, 4.4, 2)])
+def test_metric_refusal_names_the_smallest_passing_t(gamma, t, s):
+    params = WormParams(gamma=gamma * math.pi)
+    assert _scanned_fiber_scale(params, 1.0) is None
+    with pytest.raises(ValueError, match=re.escape(f"raise t (domain_params.t) to {t:g}, the smallest "
+                                                   f"t = k/20 above it that passes (s = {s})")):
+        worm_metric(params)
+    assert _scanned_fiber_scale(WormParams(gamma=gamma * math.pi, t=t), 1.0) == s
+
+
+def test_metric_build_constructs_only_the_metric_it_returns(monkeypatch):
+    count = []
+
+    class Counting(MetricField):
+        def __init__(self, *args, **kwargs):
+            count.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(worm, "MetricField", Counting)
+    worm_metric(WormParams(gamma=math.pi))
+    assert len(count) == 1
+    # the refused worm(2 pi) default, and each t its hint tries, builds none
+    with pytest.raises(ValueError, match="raise t"):
+        worm_metric(WormParams(gamma=2 * math.pi))
+    assert len(count) == 1
+
+
+def test_metric_positivity_check_refuses_a_t_with_a_nan_on_the_sample(monkeypatch):
+    real = worm._f_jets
+
+    def nan_first(x, params):
         f, f1, f2 = real(x, params)
-        return (f * math.nan if len(calls) == 1 else f), f1, f2
+        first = np.arange(f.value.size) == 0     # one NaN, at the first sample point
+        return jets.branch(first, lambda f: f * math.nan, lambda f: f, f), f1, f2
 
-    monkeypatch.setattr(worm, "_f_jets", nan_once)
-    message = re.escape("(min eigenvalue nan); minimal passing s found by doubling: 16.0")
-    with pytest.raises(ValueError, match=message):
-        worm_metric(WormParams(gamma=math.pi, t=1.2, s=8.0))
-    assert len(calls) == 2
+    monkeypatch.setattr(worm, "_f_jets", nan_first)
+    message = re.escape("no positive-definite s found by doubling at t = 1.2; "
+                        "no t = k/20 up to 21.2 passes either")
+    for s in (None, 8.0):
+        with pytest.raises(ValueError, match=message):
+            worm_metric(WormParams(gamma=math.pi, t=1.2, s=s))
 
 
 def test_pseudoconvexity_monitor(worm_euclid):
@@ -212,10 +276,19 @@ def test_worm_domain_supplies_its_basis_and_sampler():
         [p.z.tolist() for p in sgamma_points(params, 7, spread=0.99)]
 
 
+def test_sgamma_points_stay_on_the_annulus():
+    params = WormParams(gamma=math.pi)
+    for spread in (0.0, 1.02, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"spread must lie in (0, 1], got {spread}")):
+            sgamma_points(params, 4, spread)
+    xs = [math.log(abs(p.z[1]) ** 2) for p in sgamma_points(params, 4, 1.0)]
+    assert max(map(abs, xs)) < params.a
+
+
 def test_worm_domain_keeps_the_callers_params():
     params = WormParams(gamma=math.pi)
     domain = worm_domain(params, metric="worm_kahler")
-    # the fiber scale the positivity scan finds lands in the domain's own copy
+    # the fiber scale worm_metric picks lands in the domain's own copy
     assert params.s is None
     found = WormParams(gamma=math.pi)
     worm_metric(found)
