@@ -40,6 +40,12 @@ USER_R = {"op": "add", "args": [
     {"op": "const", "value": -1.0},
 ]}
 
+# g = I + a (x) conj(a) with a = (z2/2, z2/2), a metric that is not Kaehler: g_11 = g_22 = 1 + Q and
+# g_12 = g_21 = Q, where Q = |z2|^2 / 4
+_Q = {"op": "mul", "args": [{"op": "const", "value": 0.25}, {"op": "abs2", "arg": {"op": "coord", "index": 1}}]}
+_D = {"op": "add", "args": [{"op": "const", "value": 1.0}, _Q]}
+NONKAHLER = {"entries": [[_D, _Q], [_Q, _D]]}
+
 # (label, subcommand, config): small enough that the whole script takes seconds
 RUNS = [
     ("forms", "forms", {"domain": WORM_PI, "samples": 8, "special_samples": 10}),
@@ -61,6 +67,11 @@ RUNS = [
     ("worm-bench-1.5pi", "worm-bench", {"domain": f"worm({1.5 * math.pi!r})", "domain_params": {"t": 2.5},
                                         "samples": 8}),
     ("worm-bench-s16", "worm-bench", {"domain": WORM_PI, "domain_params": {"s": 16.0}, "samples": 8}),
+    # the {"entries": ...} metric path, on a metric that is not Kaehler
+    ("forms-nonkahler", "forms", {"domain": WORM_PI, "metric": NONKAHLER, "samples": 8,
+                                  "special_samples": 10}),
+    ("estimate-nonkahler", "estimate", {"domain": WORM_PI, "metric": NONKAHLER, "samples": 10,
+                                        "basis_degree": 8}),
     ("selftest", "selftest", {}),
     # off the worm: a domain without a basis or sampler of its own
     ("check-ellipsoid", "check", {"domain": "ellipsoid(1,2)", "samples": 10, "eta": 0.4}),

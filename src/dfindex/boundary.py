@@ -40,6 +40,7 @@ from .fields import (
 )
 from .geometry import (
     CTVector,
+    MetricError,
     MetricField,
     _abs,
     _abs_sq,
@@ -110,6 +111,14 @@ class DomainSpec:
         witness = self.r.jet(self.interior_point, 0).value
         if not np.real(witness) < 0:
             raise ValueError(f"interior witness {self.interior_point} has r = {witness} >= 0")
+        g = self.metric.matrix(self.interior_point)   # raises unless Hermitian
+        try:
+            # a Cholesky factor exists iff g is positive definite; the estimator already runs
+            # Cholesky, while a first eigvalsh call pages in about 0.4 MB more of LAPACK
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise MetricError(f"metric {self.metric.name!r} is not positive definite at the interior witness "
+                              f"{self.interior_point}: least eigenvalue {np.linalg.eigvalsh(g)[0]:.3e}") from None
 
     def in_chart(self, z):
         """Whether a point (n,) lies in the chart: a bool, or a (B,) bool array for a batch (B, n).

@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import functools
-import itertools
 import json
 import math
 import sys
@@ -204,81 +202,47 @@ def _flatten(record, prefix=""):
     return flat
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _leaf_encoder(level):
-    """The encoder of the items of a container at indent ``level`` whose items are all leaves.
-
-    With ``indent`` unset, ``json`` runs its C encoder; the item separator
-    carries the newline and indent that ``indent=1`` puts between the items.
-    """
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + " " * (level + 1), ": "))
-
-
-def _is_flat(value):
-    """A leaf (a scalar or an empty container) or a container of leaves."""
-    if not isinstance(value, _CONTAINERS) or not value:
-        return True
-    for item in value.values() if isinstance(value, dict) else value:
-        if isinstance(item, _CONTAINERS) and item:
-            return False
-    return True
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}   # float repr -> json's token
 
 
 def _report_text(tree):
     """``json.dumps(tree, sort_keys=True, indent=1)`` of a JSON-ready tree with str keys, byte for byte.
 
-    The containers that hold a container are walked here.  Every other
-    value is flat (:func:`_is_flat`), and the flat values at one indent
-    level are encoded together, as one list, by one :func:`_leaf_encoder`
-    call.  A leaf's encoding holds no raw newline, so that text split on
-    the item separator gives one piece per leaf and one per item of a flat
-    container, in order.  A flat container's pieces are joined again and
-    given the newlines after its opening and before its closing bracket.
+    One recursive walk appends one piece per leaf: the leaf's text with the
+    separator, indent and key (``lead``) in front of it.
     """
-    out, flat = [], {}    # the text in pieces; per level, the flat values and their places in ``out``
-    keys = {}             # each dict key's encoding, with its ": "
+    out = []
+    encode = json.encoder.encode_basestring_ascii
 
-    def walk(node, level):
-        encoder = _leaf_encoder(level)
-        where, values = flat.setdefault(level + 1, ([], []))
-        if isinstance(node, dict):
-            out.append("{\n" + " " * (level + 1))
-            items = sorted(node.items())
+    def walk(node, pad, lead):
+        if isinstance(node, float):
+            text = float.__repr__(node)
+            out.append(lead + (text if node - node == 0.0 else _NONFINITE[text]))   # 0 iff finite
+        elif isinstance(node, str):
+            out.append(lead + encode(node))
+        elif node is None or node is True or node is False:
+            out.append(lead + ("null" if node is None else "true" if node else "false"))
+        elif isinstance(node, int):
+            out.append(lead + int.__repr__(node))
+        elif not node:
+            out.append(lead + ("{}" if isinstance(node, dict) else "[]"))
         else:
-            out.append("[\n" + " " * (level + 1))
-            items = zip(itertools.repeat(None), node)    # list items have no key
-        for k, (key, value) in enumerate(items):
-            if k:
-                out.append(encoder.item_separator)
-            if key is not None:
-                if key not in keys:
-                    keys[key] = encoder.encode(key) + ": "
-                out.append(keys[key])
-            if _is_flat(value):
-                where.append(len(out))
-                values.append(value)
-                out.append(None)
+            inner = pad + " "
+            if isinstance(node, dict):
+                sep = "{\n"
+                for key, value in sorted(node.items()):
+                    walk(value, inner, lead + sep + inner + encode(key) + ": ")
+                    lead, sep = "", ",\n"
+                out.append("\n" + pad + "}")
             else:
-                walk(value, level + 1)
-        out.append("\n" + " " * level + ("}" if isinstance(node, dict) else "]"))
+                sep = "[\n"
+                for value in node:
+                    walk(value, inner, lead + sep + inner)
+                    lead, sep = "", ",\n"
+                out.append("\n" + pad + "]")
 
-    if _is_flat(tree):
-        flat[0], out = ([0], [tree]), [None]
-    else:
-        walk(tree, 0)
-    for level, (where, values) in flat.items():
-        encoder = _leaf_encoder(level)
-        sep, opening, closing = encoder.item_separator, "\n" + " " * (level + 1), "\n" + " " * level
-        pieces = iter(encoder.encode(values)[1:-1].split(sep))
-        for at, value in zip(where, values):
-            if isinstance(value, _CONTAINERS) and value:
-                text = sep.join(itertools.islice(pieces, len(value)))
-                out[at] = text[0] + opening + text[1:-1] + closing + text[-1]
-            else:
-                out[at] = next(pieces)
+    walk(tree, "", "")
+    del walk    # it holds itself through its closure: break that cycle so the pieces go with this call
     return "".join(out)
 
 

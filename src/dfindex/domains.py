@@ -83,10 +83,15 @@ def _user_domain(params, metric):
         n = _dimension(params["n"], "domain_params.n of a user domain")
         tree = params["r"]
         box = np.asarray(params["box"], dtype=float)
-        interior = np.asarray([complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                               for c in params["interior"]], dtype=complex)
+        interior = params["interior"]
     except KeyError as missing:
         raise ValueError(f"user domain requires field {missing.args[0]!r} (n, r, box, interior)")
+    try:
+        interior = np.asarray([complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
+                               for c in interior], dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"user domain interior must be {n} numbers or [re, im] pairs, "
+                         f"got {interior!r}") from None
     if box.shape != (2 * n, 2):
         raise ValueError(f"user chart box must have shape ({2 * n}, 2), got {box.shape}")
     r = expr.build_field(tree, n, name="user_r")

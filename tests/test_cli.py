@@ -328,6 +328,13 @@ def test_make_domain_takes_the_params_its_key_reads():
     assert (wp.gamma, wp.t, wp.s, wp.lam_c, wp.lam_p) == (math.pi, 1.2, 2.0, 10.0, 4)
 
 
+# a user domain's params: r = |z1|^2 + |z2|^2 - 1 as an expression tree
+_USER_BALL = {"n": 2, "box": [[-1.5, 1.5]] * 4, "interior": [[0.0, 0.0], [0.0, 0.0]],
+              "r": {"op": "add", "args": [{"op": "abs2", "arg": {"op": "coord", "index": 0}},
+                                          {"op": "abs2", "arg": {"op": "coord", "index": 1}},
+                                          {"op": "const", "value": -1.0}]}}
+
+
 @pytest.mark.parametrize("key, params, message", [
     ("ball", {"signed": "no"}, "ball domain param signed must be a bool, got 'no'"),
     ("ball", {"signed": 1}, "ball domain param signed must be a bool, got 1"),
@@ -336,7 +343,11 @@ def test_make_domain_takes_the_params_its_key_reads():
     ("worm(3.14159)", {"s": float("nan")}, "worm domain param s must be a finite real number, got nan"),
     ("worm(3.14159)", {"lam_c": None}, "worm domain param lam_c must be a finite real number, got None"),
     ("worm(3.14159)", {"lam_p": 3.0}, "worm domain param lam_p must be an integer, got 3.0"),
-], ids=["signed-str", "signed-int", "t-str", "t-bool", "s-nan", "lam_c-none", "lam_p-float"])
+    ("user", dict(_USER_BALL, interior=[[0, "x"], [0, 0]]),
+     "user domain interior must be 2 numbers or [re, im] pairs, got [[0, 'x'], [0, 0]]"),
+    ("user", dict(_USER_BALL, interior=5), "user domain interior must be 2 numbers or [re, im] pairs, got 5"),
+], ids=["signed-str", "signed-int", "t-str", "t-bool", "s-nan", "lam_c-none", "lam_p-float",
+        "interior-str", "interior-int"])
 def test_make_domain_rejects_a_param_of_the_wrong_kind(key, params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make_domain(key, **params)
@@ -349,7 +360,12 @@ def test_make_domain_rejects_a_param_of_the_wrong_kind(key, params, message):
     # a string signed once went through bool() and built the signed-distance ball
     ("levi", {"domain": "ball", "domain_params": {"signed": "no"}},
      "ball domain param signed must be a bool, got 'no'"),
-], ids=["worm-bench-t", "levi-signed"])
+    # a malformed interior once exited 1 with a TypeError from complex() or iter()
+    ("forms", {"domain": "user", "domain_params": dict(_USER_BALL, interior=[[0, "x"], [0, 0]])},
+     "user domain interior must be 2 numbers or [re, im] pairs, got [[0, 'x'], [0, 0]]"),
+    ("forms", {"domain": "user", "domain_params": dict(_USER_BALL, interior=5)},
+     "user domain interior must be 2 numbers or [re, im] pairs, got 5"),
+], ids=["worm-bench-t", "levi-signed", "forms-interior-str", "forms-interior-int"])
 def test_a_domain_param_of_the_wrong_kind_exits_2(tmp_path, capsys, command, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(config, samples=3)))
@@ -638,16 +654,6 @@ def test_basis_field_errors_exit_2(tmp_path, capsys, domain, basis, message):
     assert not (tmp_path / "estimate.json").exists()
 
 
-# r = |z1|^2 + |z2|^2 - 1 as a user expression tree
-BALL_TREE = {"op": "add", "args": [{"op": "abs2", "arg": {"op": "coord", "index": 0}},
-                                   {"op": "abs2", "arg": {"op": "coord", "index": 1}},
-                                   {"op": "const", "value": -1.0}]}
-
-
-def _user_params():
-    return {"n": 2, "r": BALL_TREE, "box": [[-1.5, 1.5]] * 4, "interior": [[0.0, 0.0], [0.0, 0.0]]}
-
-
 def _const(value):
     return {"op": "const", "value": value}
 
@@ -656,7 +662,7 @@ def test_user_domain_with_custom_metric(tmp_path, capsys):
     # an entries spec in the metric field works on every registry key, the user key included
     doubled = {"entries": [[_const(2.0), _const(0.0)], [_const(0.0), _const(2.0)]]}
     for domain in ("ball", "ellipsoid(1,2)", f"worm({math.pi!r})", "user"):
-        params = _user_params() if domain == "user" else {}
+        params = _USER_BALL if domain == "user" else {}
         eigs = {}
         for label, metric in (("euclidean", "euclidean"), ("doubled", doubled)):
             cfg_path = tmp_path / f"{label}.json"
@@ -682,7 +688,7 @@ def test_user_domain_with_custom_metric(tmp_path, capsys):
 ])
 def test_user_domain_with_bad_metric_exits_2(tmp_path, capsys, metric):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"domain": "user", "domain_params": _user_params(), "metric": metric}))
+    cfg_path.write_text(json.dumps({"domain": "user", "domain_params": _USER_BALL, "metric": metric}))
     assert run_cli(["levi", "--config", str(cfg_path), "--samples", "3", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "domain_params" not in err
@@ -690,10 +696,28 @@ def test_user_domain_with_bad_metric_exits_2(tmp_path, capsys, metric):
     assert "known keys" not in err and "registry keys" not in err
 
 
+@pytest.mark.parametrize("domain", ["ball", f"worm({math.pi!r})"], ids=["ball", "worm-pi"])
+@pytest.mark.parametrize("entries, message", [
+    # these once exited 1 with a MetricError, a Gram-Schmidt ValueError or ProjectionError,
+    # and a LinAlgError from the first frame built
+    ([[1.0, 0.5], [0.0, 1.0]], "metric 'user_metric' not Hermitian at"),
+    ([[-1.0, 0.0], [0.0, 1.0]], "metric 'user_metric' is not positive definite at the interior witness"),
+    ([[0.0, 0.0], [0.0, 1.0]], "metric 'user_metric' is not positive definite at the interior witness"),
+], ids=["not-hermitian", "indefinite", "singular"])
+def test_a_metric_bad_at_the_interior_witness_exits_2(tmp_path, capsys, domain, entries, message):
+    metric = {"entries": [[_const(v) for v in row] for row in entries]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": domain, "metric": metric, "samples": 4}))
+    assert run_cli(["forms", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "forms.json").exists()
+
+
 @pytest.mark.parametrize("domain", ["ball", "ellipsoid(1,2)", "user"])
 def test_unsupported_metric_name_exits_2(tmp_path, capsys, domain):
     cfg_path = tmp_path / "cfg.json"
-    params = _user_params() if domain == "user" else {}
+    params = _USER_BALL if domain == "user" else {}
     cfg_path.write_text(json.dumps({"domain": domain, "domain_params": params}))
     code = run_cli(["levi", "--config", str(cfg_path), "--metric", "worm_kahler",
                     "--samples", "3", "--out", str(tmp_path)])
@@ -719,7 +743,7 @@ DISC_TREE = {"op": "add", "args": [{"op": "abs2", "arg": {"op": "coord", "index"
     ({"domain": "user", "domain_params": {"n": 1, "r": DISC_TREE, "box": [[-1.5, 1.5]] * 2,
                                           "interior": [[0.0, 0.0]]}},
      "domain_params.n of a user domain), got 1"),
-    ({"domain": "user", "domain_params": dict(_user_params(), n=2.7)},
+    ({"domain": "user", "domain_params": dict(_USER_BALL, n=2.7)},
      "domain_params.n of a user domain), got 2.7"),
 ], ids=["ball-1", "signed-ball-1", "ball-0", "ball-2.5", "ellipsoid-1-axis", "user-1", "user-2.7"])
 def test_a_domain_dimension_that_is_not_an_integer_of_at_least_2_exits_2(tmp_path, capsys, command,
@@ -796,9 +820,11 @@ def test_report_text_is_json_dumps_with_indent_1(tree):
     (cmd_levi, {"domain": "ellipsoid(1,2)", "samples": 6}),
     (cmd_check, {"domain": f"worm({math.pi!r})", "samples": 6, "basis_degree": 4, "eta": 0.4}),
     (cmd_estimate, {"domain": "ellipsoid(1,2)", "samples": 6}),
+    # null sites: each certificate holds flat lists of multipliers
+    (cmd_estimate, {"domain": f"worm({math.pi!r})", "samples": 4, "basis_degree": 4}),
     (cmd_worm_bench, {"domain": f"worm({math.pi!r})", "samples": 4}),
     (cmd_selftest, {}),
-], ids=["forms", "levi", "check", "estimate", "worm-bench", "selftest"])
+], ids=["forms", "levi", "check", "estimate", "estimate-worm", "worm-bench", "selftest"])
 def test_write_report_writes_json_dumps_with_indent_1(tmp_path, command, config):
     report = command(load_config(None, config))
     path = write_report(report, tmp_path)[0]
