@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import re
@@ -78,6 +79,24 @@ def ellipsoid_domain(axes, metric="euclidean"):
     )
 
 
+def _interior_point(interior, n):
+    """A user domain's interior witness from n numbers or [re, im] pairs of real numbers."""
+    def coordinate(c):
+        if isinstance(c, (list, tuple)) and len(c) == 2 and all(_is_kind(x, _REAL) for x in c):
+            return complex(c[0], c[1])
+        if isinstance(c, numbers.Number) and not isinstance(c, bool) and cmath.isfinite(c):
+            return complex(c)
+        raise ValueError
+
+    try:
+        if len(interior) != n:
+            raise ValueError
+        return np.array([coordinate(c) for c in interior], dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"user domain interior must be {n} numbers or [re, im] pairs, "
+                         f"got {interior!r}") from None
+
+
 def _user_domain(params, metric):
     try:
         n = _dimension(params["n"], "domain_params.n of a user domain")
@@ -86,12 +105,7 @@ def _user_domain(params, metric):
         interior = params["interior"]
     except KeyError as missing:
         raise ValueError(f"user domain requires field {missing.args[0]!r} (n, r, box, interior)")
-    try:
-        interior = np.asarray([complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                               for c in interior], dtype=complex)
-    except (TypeError, ValueError):
-        raise ValueError(f"user domain interior must be {n} numbers or [re, im] pairs, "
-                         f"got {interior!r}") from None
+    interior = _interior_point(interior, n)
     if box.shape != (2 * n, 2):
         raise ValueError(f"user chart box must have shape ({2 * n}, 2), got {box.shape}")
     r = expr.build_field(tree, n, name="user_r")

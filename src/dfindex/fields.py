@@ -16,6 +16,9 @@ equal the one-point results bit for bit.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +171,80 @@ class WirtingerTable:
         return self.w2[: self.n, self.n :]
 
 
+_BLOCK_COLUMNS = 256   # batch columns per pass of _contract
+
+
+@functools.cache
+def _wirtinger_terms(n, order, dense):
+    """Each output entry's terms of the order-``order`` Wirtinger contraction, by term slot.
+
+    Returns ``(index, coef)``, each of shape (terms, outputs): the flat index
+    of the real-derivative entry of slot k of every (flat) output entry, and
+    its coefficient ``q[a, p] * q[b, q] (* q[c, r])`` formed left to right.
+    The terms are in lexicographic (p, q, r) order; ``dense`` keeps all
+    (2n)^order of them, zero coefficients included, otherwise only the
+    nonzero 2^order.
+    """
+    q = _wirtinger_matrix(n)
+    m = 2 * n
+    index, coef = [], []
+    for out in itertools.product(range(m), repeat=order):
+        terms = [t for t in itertools.product(range(m), repeat=order)
+                 if dense or all(q[a, p] != 0 for a, p in zip(out, t))]
+        index.append([np.ravel_multi_index(t, (m,) * order) for t in terms])
+        coef.append([math.prod(q[a, p] for a, p in zip(out, t)) for t in terms])
+    index, coef = np.array(index).T, np.array(coef).T
+    index.flags.writeable = coef.flags.writeable = False    # shared by every caller
+    return index, coef
+
+
+def _contract(table, n, order, dense):
+    """sum_{p,q(,r)} q[a,p] q[b,q] (q[c,r]) table[p,q(,r)], term by term in lexicographic order.
+
+    The sum starts from zeros and adds one term slot at a time over all
+    output entries, for a block of at most ``_BLOCK_COLUMNS`` batch columns
+    at a time, so the term buffer stays small however wide the batch; the
+    coefficient multiplies the table entry as a complex product, as the
+    dense sum casts a real table.
+    """
+    index, coef = _wirtinger_terms(n, order, dense)
+    m = 2 * n
+    batch = table.shape[order:]
+    # a one-point table is one column
+    flat = table.reshape(m**order, math.prod(batch)).astype(np.complex128, copy=False)
+    out = np.zeros(flat.shape, dtype=np.complex128)
+    for start in range(0, flat.shape[1], _BLOCK_COLUMNS):
+        cols = slice(start, start + _BLOCK_COLUMNS)
+        part, acc = flat[:, cols], out[:, cols]
+        term = np.empty_like(acc)
+        for k in range(len(index)):
+            np.take(part, index[k], axis=0, out=term, mode="clip")   # "raise" would buffer the copy
+            term *= coef[k][:, None]
+            acc += term
+    return out.reshape((m,) * order + batch)
+
+
+def _complexified(table, n, order):
+    """The Wirtinger table of order ``order`` from a real-derivative table (batch axes last).
+
+    It equals the dense contraction ``np.einsum("ap,bq,pq...->ab...", q, q, table)``
+    (and its order-3 form) on a C-ordered table, bit for bit: every entry of
+    Q (x) Q (x) Q is +-2^-k or +-i 2^-k, so each nonzero term is one exact
+    product, a zero term adds +-0, which leaves a nonzero partial sum as it
+    is, and a sum that starts from +0 never ends in -0.  So only the nonzero
+    terms are added, in the dense sum's lexicographic order.  The result does
+    not depend on the table's memory layout (the dense einsum on a
+    Fortran-ordered table sums in another order).  A column with a NaN or an
+    infinity takes every term, since 0 * inf and 0 * NaN spread a NaN over
+    the column there; a table with one takes the dense sum, which equals the
+    sparse one on its finite columns.
+    """
+    if np.isfinite(table).all():
+        return _contract(table, n, order, dense=False)
+    with np.errstate(invalid="ignore"):
+        return _contract(table, n, order, dense=True)
+
+
 def wirtinger_table(jet, n):
     if jet.m != 2 * n:
         raise ValueError("jet variable count does not match chart dimension")
@@ -179,9 +256,9 @@ def wirtinger_table(jet, n):
         # adding +0.0 turns -0.0 into +0.0 and leaves every other value as is
         w1 = q @ jet.grad + 0.0
     if jet.order >= 2:
-        w2 = np.einsum("ap,bq,pq...->ab...", q, q, jet.hess)
+        w2 = _complexified(jet.hess, n, 2)
     if jet.order >= 3:
-        w3 = np.einsum("ap,bq,cr,pqr...->abc...", q, q, q, jet.third)
+        w3 = _complexified(jet.third, n, 3)
     return WirtingerTable(n=n, order=jet.order, value=jet.value, w1=w1, w2=w2, w3=w3)
 
 

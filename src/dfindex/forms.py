@@ -42,6 +42,7 @@ NO_CONSTRAINT = np.inf    # what a null-site evaluator gives at a point without 
 _PATCH_GRID, _PATCH_TOL = 5, 1e-9   # parameter grid and |r| bound of SubmanifoldPatch.validate
 _LOOP_SEGMENTS = 96       # quadrature edges of loop_alpha_integral
 _CIRCULATION_GRID = (32, 32)   # cells along u and v of max_circulation_density
+_LINES_PER_CALL = 8            # grid lines per a_of call there (8 x 32 edges x 6 nodes)
 _FD_STEP = 1e-4           # central-difference step of beta_weak_residual
 
 
@@ -232,24 +233,33 @@ def _edge_integrals(a_of, u0, u1):
     return total
 
 
+def _line_integrals(a_of, u0, u1):
+    """:func:`_edge_integrals` over grid lines: row k of ``u0``, ``u1`` holds the edges of line k.
+
+    At most ``_LINES_PER_CALL`` lines go to one ``a_of`` call.
+    """
+    out = np.empty(u0.shape)
+    for k in range(0, len(u0), _LINES_PER_CALL):
+        lines = slice(k, k + _LINES_PER_CALL)
+        out[lines] = _edge_integrals(a_of, u0[lines].ravel(), u1[lines].ravel()).reshape(u0[lines].shape)
+    return out
+
+
 def max_circulation_density(a_of, patch):
     """Max per-cell Stokes circulation density of a pulled-back 1-form.
 
     ``a_of(u)`` is the (1,0) component of the form at an array of patch
     parameters; every cell of the ``_CIRCULATION_GRID`` is integrated with
-    Gauss-Legendre edge quadrature (each interior edge evaluated once, one
-    ``a_of`` call per grid line) and the largest |circulation| / area is
-    returned.  A NaN anywhere gives NaN.
+    Gauss-Legendre edge quadrature (each interior edge evaluated once, in
+    ``a_of`` calls of at most ``_LINES_PER_CALL`` grid lines) and the largest
+    |circulation| / area is returned.  A NaN anywhere gives NaN.
     """
     nu, nv = _CIRCULATION_GRID
     us = np.linspace(*patch.u_range, nu + 1)
     vs = np.linspace(*patch.v_range, nv + 1)
-    horiz = np.empty((nu, nv + 1))
-    vert = np.empty((nu + 1, nv))
-    for j in range(nv + 1):
-        horiz[:, j] = _edge_integrals(a_of, _complex(us[:-1], vs[j]), _complex(us[1:], vs[j]))
-    for i in range(nu + 1):
-        vert[i, :] = _edge_integrals(a_of, _complex(us[i], vs[:-1]), _complex(us[i], vs[1:]))
+    # the lines Im u = vs[j] (horiz[:, j]) and Re u = us[i] (vert[i, :])
+    horiz = _line_integrals(a_of, _complex(us[:-1], vs[:, None]), _complex(us[1:], vs[:, None])).T
+    vert = _line_integrals(a_of, _complex(us[:, None], vs[:-1]), _complex(us[:, None], vs[1:]))
     circ = horiz[:, :-1] + vert[1:, :] - horiz[:, 1:] - vert[:-1, :]
     area = np.diff(us)[:, None] * np.diff(vs)[None, :]
     return float(np.max(np.abs(circ) / area))

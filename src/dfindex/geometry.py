@@ -31,7 +31,7 @@ import numpy as np
 
 from . import expr
 from .fields import _points, dz_jet, seed_coordinate_jets, wirtinger_table
-from .jets import Jet, JetOrderError, _elementwise, branch, exp
+from .jets import Jet, JetOrderError, _mapped, branch, exp
 
 __all__ = [
     "CTVector",
@@ -151,7 +151,9 @@ def _abs(c):
 
 def _abs_sq(c):
     """|c|^2 per point, rounded as Python's ``abs(c) ** 2`` (a NumPy square may round otherwise)."""
-    return _per_point(_elementwise(lambda v: (abs(complex(v)) ** 2,), c)[0])
+    if not isinstance(c, np.ndarray):
+        c = complex(c)
+    return _per_point(_mapped(pow, _mapped(abs, c), 2))
 
 
 def inner(g, v, w):

@@ -35,6 +35,7 @@ so conjugation of a jet is conjugation of its arrays.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 
@@ -64,18 +65,33 @@ def _first(value, mask):
     return value[mask].flat[0] if isinstance(mask, np.ndarray) else value
 
 
-def _elementwise(fn, v):
-    """``fn(v)`` for a scalar; for a batch, ``fn`` on each element as a Python scalar.
+def _mapped(fn, v, *args):
+    """``fn(v, *args)`` for a scalar ``v``; for a batch, ``fn`` mapped over its elements.
 
-    ``fn`` returns a tuple; a batch gives a list of arrays of ``v``'s shape.
-    Kernels whose scalar functions (``math.log``, ``**``) differ from their
-    NumPy array versions in the last bit go through here, so a batch column
-    equals the one-point result.
+    The elements go to ``fn`` as Python scalars (``args`` repeat for each), so
+    kernels whose scalar functions (``math.log``, ``pow``, complex division)
+    differ from their NumPy array versions in the last bit give a batch
+    column equal to the one-point result.
     """
     if not isinstance(v, np.ndarray):
-        return fn(v)
-    rows = np.array([fn(x) for x in v.ravel().tolist()])
-    return [rows[:, k].reshape(v.shape) for k in range(rows.shape[1])]
+        return fn(v, *args)
+    return np.array(list(map(fn, v.ravel().tolist(), *map(itertools.repeat, args)))).reshape(v.shape)
+
+
+def _div(a, b):
+    """``a / b`` as Python divides scalars, for a batch ``b`` too.
+
+    A real batch divides as an array (IEEE division rounds alike) but raises
+    ``ZeroDivisionError`` on a zero divisor as Python does; a complex batch
+    goes through Python's own complex division, element by element.
+    """
+    if not isinstance(b, np.ndarray):
+        return a / b
+    if b.dtype == np.complex128:
+        return _mapped(complex.__rtruediv__, b, a)
+    if not b.all():
+        raise ZeroDivisionError("float division by zero")
+    return a / b
 
 
 def _vmul(x, y):
@@ -348,8 +364,8 @@ class Jet:
         zero = v == 0
         if _any(zero):
             raise ZeroDivisionError("reciprocal of a jet with zero value")
-        return self.compose(_elementwise(
-            lambda x: (1.0 / x, -1.0 / x**2, 2.0 / x**3, -6.0 / x**4), v))
+        return self.compose([_div(1.0, v), _div(-1.0, _mapped(pow, v, 2)), _div(2.0, _mapped(pow, v, 3)),
+                             _div(-6.0, _mapped(pow, v, 4))])
 
     # ------------------------------------------------------------------
     # composition with a univariate analytic kernel
@@ -443,8 +459,8 @@ def log(jet):
     bad = v <= 0
     if _any(bad):
         raise ValueError(f"log requires a positive value, got {_first(v, bad)}")
-    return jet.compose(_elementwise(
-        lambda x: (math.log(x), 1.0 / x, -1.0 / x**2, 2.0 / x**3), v))
+    return jet.compose([_mapped(math.log, v), _div(1.0, v), _div(-1.0, _mapped(pow, v, 2)),
+                        _div(2.0, _mapped(pow, v, 3))])
 
 
 def sin(jet):
@@ -473,9 +489,8 @@ def power(jet, p):
     bad = v <= 0
     if _any(bad):
         raise ValueError(f"real power requires a positive value, got {_first(v, bad)}")
-    return jet.compose(_elementwise(
-        lambda x: (x**p, p * x ** (p - 1), p * (p - 1) * x ** (p - 2),
-                   p * (p - 1) * (p - 2) * x ** (p - 3)), v))
+    return jet.compose([_mapped(pow, v, p), p * _mapped(pow, v, p - 1),
+                        p * (p - 1) * _mapped(pow, v, p - 2), p * (p - 1) * (p - 2) * _mapped(pow, v, p - 3)])
 
 
 def sqrt(jet):

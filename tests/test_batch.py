@@ -9,13 +9,14 @@ sides differ in type); it is widened before the comparison, which is exact.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dfindex import diagnostics, estimator, jets
+from dfindex import diagnostics, estimator, geometry, jets
 from dfindex.boundary import (
     TOL_GRAD,
     DomainSpec,
@@ -181,6 +182,55 @@ def test_kernel_guards_check_every_column():
         jets.power(z1.real(), 1.5)
     with pytest.raises(ValueError, match="real-valued"):
         jets.log(z1 + 1j)
+
+
+# kernels mapped over a batch's elements: (kernel, NumPy array version of one of its
+# scalar steps, that scalar step), the values drawn where the two disagree; every
+# kernel but _abs_sq takes a jet
+MAPPED = {
+    "log": (jets.log, np.log, math.log),
+    "power-0.5": (lambda x: jets.power(x, 0.5), lambda v: np.power(v, 0.5), lambda v: v**0.5),
+    "power-2.4": (lambda x: jets.power(x, 2.4), lambda v: np.power(v, 2.4), lambda v: v**2.4),
+    "power--1.5": (lambda x: jets.power(x, -1.5), lambda v: np.power(v, -1.5), lambda v: v**-1.5),
+    "reciprocal": (jets.Jet.reciprocal, lambda v: v * v, lambda v: v**2),
+    "reciprocal-complex": (jets.Jet.reciprocal, lambda v: 1.0 / v, lambda v: 1.0 / v),
+    "abs_sq": (geometry._abs_sq, lambda v: np.abs(v) ** 2, lambda v: abs(v) ** 2),
+}
+
+
+def _mapped_input(kernel, v):
+    return v if kernel is geometry._abs_sq else jets.Jet.variable(v, 0, 2, 3)
+
+
+@pytest.mark.parametrize("name", sorted(MAPPED))
+def test_mapped_kernels_match_one_point_where_numpy_and_libm_disagree(name):
+    kernel, array_step, scalar_step = MAPPED[name]
+    rng = np.random.default_rng(11)
+    xs = np.exp(rng.uniform(-4.0, 4.0, 100_000))
+    if name in ("reciprocal-complex", "abs_sq"):
+        xs = xs * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(xs)))
+    differs = xs[array_step(xs) != np.array([scalar_step(x) for x in xs.tolist()])]
+    assert len(differs) >= 20
+    values = np.concatenate([differs[:20], xs[:20]])
+    batch = kernel(_mapped_input(kernel, values))
+    singles = [kernel(_mapped_input(kernel, v)) for v in values.tolist()]
+    if kernel is geometry._abs_sq:
+        assert_rows(batch, singles)
+    else:
+        assert_jet_columns(batch, singles)
+
+
+@pytest.mark.parametrize("name, bad", [("log", 1e-200), ("log", 1e200), ("power-0.5", 1e-200),
+                                       ("power-2.4", 1e200), ("reciprocal", 1e-200),
+                                       ("reciprocal", 1e200), ("reciprocal-complex", 1e-200j),
+                                       ("reciprocal-complex", 1e200j), ("abs_sq", 1e200j)])
+def test_a_mapped_kernel_raises_on_a_bad_column_as_on_that_point(name, bad):
+    # x**2 underflows to 0 or x**p overflows: the batch raises what the point alone raises
+    kernel = MAPPED[name][0]
+    with pytest.raises(ArithmeticError) as one:
+        kernel(_mapped_input(kernel, bad))
+    with pytest.raises(type(one.value), match=f"^{re.escape(str(one.value))}$"):
+        kernel(_mapped_input(kernel, np.array([1.0, bad, 2.0])))
 
 
 def test_scalar_branch_on_a_batch_raises():

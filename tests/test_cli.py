@@ -346,8 +346,14 @@ _USER_BALL = {"n": 2, "box": [[-1.5, 1.5]] * 4, "interior": [[0.0, 0.0], [0.0, 0
     ("user", dict(_USER_BALL, interior=[[0, "x"], [0, 0]]),
      "user domain interior must be 2 numbers or [re, im] pairs, got [[0, 'x'], [0, 0]]"),
     ("user", dict(_USER_BALL, interior=5), "user domain interior must be 2 numbers or [re, im] pairs, got 5"),
+    ("user", dict(_USER_BALL, interior=[[0, 0, 7], [0, 0]]),
+     "user domain interior must be 2 numbers or [re, im] pairs, got [[0, 0, 7], [0, 0]]"),
+    ("user", dict(_USER_BALL, interior=[[0], [0, 0]]),
+     "user domain interior must be 2 numbers or [re, im] pairs, got [[0], [0, 0]]"),
+    ("user", dict(_USER_BALL, interior=[[0, 0]] * 3),
+     "user domain interior must be 2 numbers or [re, im] pairs, got [[0, 0], [0, 0], [0, 0]]"),
 ], ids=["signed-str", "signed-int", "t-str", "t-bool", "s-nan", "lam_c-none", "lam_p-float",
-        "interior-str", "interior-int"])
+        "interior-str", "interior-int", "interior-triple", "interior-single", "interior-3-entries"])
 def test_make_domain_rejects_a_param_of_the_wrong_kind(key, params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make_domain(key, **params)
@@ -365,7 +371,17 @@ def test_make_domain_rejects_a_param_of_the_wrong_kind(key, params, message):
      "user domain interior must be 2 numbers or [re, im] pairs, got [[0, 'x'], [0, 0]]"),
     ("forms", {"domain": "user", "domain_params": dict(_USER_BALL, interior=5)},
      "user domain interior must be 2 numbers or [re, im] pairs, got 5"),
-], ids=["worm-bench-t", "levi-signed", "forms-interior-str", "forms-interior-int"])
+    # an [re, im, extra] entry was once read as [re, im] and the extra number ignored
+    ("levi", {"domain": "user", "domain_params": dict(_USER_BALL, interior=[[0, 0, 7], [0, 0]])},
+     "user domain interior must be 2 numbers or [re, im] pairs, got [[0, 0, 7], [0, 0]]"),
+    # a one-number list once exited 1 with an IndexError
+    ("levi", {"domain": "user", "domain_params": dict(_USER_BALL, interior=[[0], [0, 0]])},
+     "user domain interior must be 2 numbers or [re, im] pairs, got [[0], [0, 0]]"),
+    # too many coordinates were once refused by the field, which named user_r and not interior
+    ("levi", {"domain": "user", "domain_params": dict(_USER_BALL, interior=[[0, 0]] * 3)},
+     "user domain interior must be 2 numbers or [re, im] pairs, got [[0, 0], [0, 0], [0, 0]]"),
+], ids=["worm-bench-t", "levi-signed", "forms-interior-str", "forms-interior-int", "levi-interior-triple",
+        "levi-interior-single", "levi-interior-3-entries"])
 def test_a_domain_param_of_the_wrong_kind_exits_2(tmp_path, capsys, command, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(config, samples=3)))

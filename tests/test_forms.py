@@ -193,6 +193,21 @@ def test_patch_validation_names_the_first_off_boundary_parameter(worm_euclid):
     assert patch.validate() is patch
 
 
+def test_blocked_stokes_grid_equals_one_call_per_grid_line(worm_euclid, monkeypatch):
+    # a batch column equals its point alone, so blocks of grid lines change no bit
+    patch = sgamma_patch_tangent(worm_euclid)
+    a_of = forms._alpha_on_patch(patch)
+    nu, nv = forms._CIRCULATION_GRID
+    us, vs = np.linspace(*patch.u_range, nu + 1), np.linspace(*patch.v_range, nv + 1)
+    u0, u1 = forms._complex(us[:-1], vs[:, None]), forms._complex(us[1:], vs[:, None])
+    per_line = np.array([forms._edge_integrals(a_of, row0, row1) for row0, row1 in zip(u0, u1)])
+    assert forms._line_integrals(a_of, u0, u1).tobytes() == per_line.tobytes()
+    blocked = forms.pullback_alpha_dclosed(patch)
+    monkeypatch.setattr(forms, "_LINES_PER_CALL", 1)
+    assert forms.pullback_alpha_dclosed(patch).hex() == blocked.hex()
+    assert 0.0 < blocked < 1e-13
+
+
 def test_one_nan_node_makes_the_circulation_density_nan(worm_euclid):
     patch = sgamma_patch_tangent(worm_euclid)
     batches = []
@@ -205,5 +220,6 @@ def test_one_nan_node_makes_the_circulation_density_nan(worm_euclid):
         return out
 
     assert math.isnan(forms.max_circulation_density(a_of, patch))
-    # one call per grid line, each edge's 6 nodes evaluated once
-    assert len(batches) == 33 + 33 and sum(batches) == 6 * 2 * 32 * 33
+    # one call per block of at most 8 grid lines (33 = 4 * 8 + 1 lines each way),
+    # each edge's 6 nodes evaluated once
+    assert len(batches) == 5 + 5 and sum(batches) == 6 * 2 * 32 * 33

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfindex import jets
+from dfindex import fields, jets
 from dfindex.fields import (
     ChartDomainError,
     ScalarField,
@@ -236,3 +236,57 @@ def test_wirtinger_table_symmetry():
     t = wirtinger_table(f.jet([0.1 + 0.2j, 0.5 - 0.3j], 3), 2)
     np.testing.assert_allclose(t.w2, t.w2.T, atol=0)
     np.testing.assert_allclose(t.w3, np.transpose(t.w3, (2, 1, 0)), atol=0)
+
+
+# ----------------------------------------------------------------------
+# Wirtinger tables from the nonzero terms of Q
+# ----------------------------------------------------------------------
+
+def _dense_wirtinger(table, n, order):
+    """The dense contraction over all (2n)^order terms, the reference of the sparse tables."""
+    q = fields._wirtinger_matrix(n)
+    if order == 2:
+        return np.einsum("ap,bq,pq...->ab...", q, q, table)
+    return np.einsum("ap,bq,cr,pqr...->abc...", q, q, q, table)
+
+
+def _bits(a):
+    """The bytes of the real and imaginary parts, every NaN made one NaN (signs of zero kept)."""
+    parts = np.stack([np.real(a), np.imag(a)])
+    return np.where(np.isnan(parts), np.nan, parts).tobytes()
+
+
+# the table layouts the package hands to wirtinger_table: a C-ordered batch, one point,
+# the columns a branch takes, a one-point jet broadcast over a batch, and a batch
+# built points-first and moved to the trailing axis
+TABLE_VIEWS = {
+    "batch": lambda t: t,
+    "one-point": lambda t: t[..., 1],
+    "take": lambda t: t[..., np.arange(t.shape[-1]) % 3 != 0],
+    "broadcast": lambda t: np.broadcast_to(t[..., 1:2], t.shape[:-1] + (5,)),
+    "moveaxis": lambda t: np.moveaxis(np.ascontiguousarray(np.moveaxis(t, -1, 0)), 0, -1),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), order=st.sampled_from([2, 3]),
+       is_complex=st.booleans(), view=st.sampled_from(sorted(TABLE_VIEWS)),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+def test_sparse_wirtinger_table_equals_the_dense_einsum(seed, n, order, is_complex, view, bad):
+    rng = np.random.default_rng(seed)
+    m = 2 * n
+    shape = (m,) * order + (7,)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    if is_complex:
+        table = table + 1j * rng.standard_normal(shape)
+    table[rng.random(shape) < 0.25] = 0.0
+    table[rng.random(shape) < 0.25] = -0.0
+    if bad is not None:
+        table[tuple(rng.integers(0, m, order)) + (1,)] = bad    # column 1 only
+    table = TABLE_VIEWS[view](table)
+    batch = table.shape[order:]
+    parts = [np.zeros(batch), np.zeros((m,) + batch), np.zeros((m, m) + batch), table]
+    jet = Jet(m, order, 0.0 if not batch else np.zeros(batch), *parts[1:order], table)
+    got = getattr(wirtinger_table(jet, n), f"w{order}")
+    assert got.shape == (m,) * order + batch
+    assert _bits(got) == _bits(_dense_wirtinger(table, n, order))
