@@ -3,7 +3,9 @@
 Usage: ``python3 scripts/report_digests.py`` (no options).  Every command
 runs in process through ``dfindex.cli.main`` in a temporary directory, and
 one ``label sha256`` line is printed per report, plus one ``label.csv
-sha256`` line per CSV mirror.  The last lines hash the records of invariant
+sha256`` line per CSV mirror, then a ``stdout sha256`` line over what the
+runs print, in ``RUNS`` order, with the temporary directory written as
+``<tmp>``.  The last lines hash the records of invariant
 suites at sample counts and seeds the selftest report does not run:
 ``suites`` those of the tests' random-instance suites, ``suites-worm`` the
 boundary and worm suites at larger counts.  Reports are deterministic,
@@ -106,21 +108,25 @@ def suites_digest(calls):
 
 
 def main():
+    stdout = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for label, command, config in RUNS:
             out = Path(tmp) / label
             out.mkdir()
             config_path = out / "config.json"
             config_path.write_text(json.dumps(config))
-            with contextlib.redirect_stdout(io.StringIO()):
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
                 code = cli.main([command, "--config", str(config_path), "--out", str(out)])
             if code != 0:
                 raise SystemExit(f"{label}: dfindex {command} exited {code}")
+            stdout.update(printed.getvalue().replace(tmp, "<tmp>").encode())
             files = [(label, f"{command}.json")]
             if config.get("format") == "csv":
                 files.append((f"{label}.csv", f"{command}.csv"))
             for name, file in files:
                 print(f"{name} {hashlib.sha256((out / file).read_bytes()).hexdigest()}")
+    print(f"stdout {stdout.hexdigest()}")
     for label, calls in SUITES.items():
         print(f"{label} {suites_digest(calls)}")
 

@@ -333,7 +333,12 @@ class NormalFrame:
         s = np.real(_dot(self.u.conj(), x))
         low = s <= TOL_GRAD**2
         if np.any(low):
-            at, val = self.z[low][0], np.asarray(s)[low][0]
+            at, val, g = self.z[low][0], np.asarray(s)[low][0], self.G[low][0]
+            try:
+                np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                raise MetricError(f"metric {domain.metric.name!r} is not positive definite at the boundary "
+                                  f"point {at}: least eigenvalue {np.linalg.eigvalsh(g)[0]:.3e}") from None
             raise ProjectionError(f"|d r| below tolerance at {at} (|dbar r|^2 = {val:.2e})")
         self.dbar_norm_sq = s
         self.dbar_norm = np.sqrt(s)            # |del r|

@@ -8,7 +8,6 @@ of the records; identical (config, seed, version) give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
 import math
@@ -30,6 +29,7 @@ from .estimator import (
     interior_check,
     poly_basis,
 )
+from .geometry import MetricError
 from .jets import _vmul
 
 SCHEMA = "dfindex/1"
@@ -158,32 +158,78 @@ def problem_of(cfg, guard_ring=False):
 # report plumbing
 # ----------------------------------------------------------------------
 
-def _jsonify(value):
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, complex):
-        if cmath.isfinite(value):
-            return {"re": value.real, "im": value.imag}
-        return {"re": _jsonify(float(value.real)), "im": _jsonify(float(value.imag))}
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
-        return repr(value)
-    return value
-
-
 def make_report(command, cfg, records, summary):
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "config": _jsonify(cfg.to_dict()),
-        "records": _jsonify(records),
-        "summary": _jsonify(summary),
-    }
+    """The report of one run; it holds the command's ``records`` and ``summary`` themselves, not copies."""
+    return dict(schema=SCHEMA, command=command, config=cfg.to_dict(), records=records, summary=summary)
+
+
+def _report_text(tree, indent=True):
+    """``json.dumps(plain, sort_keys=True, indent=1)`` (``json.dumps(plain)`` if not ``indent``) byte for byte.
+
+    ``plain`` is ``tree`` in JSON: its floats, ints, strs, bools, Nones, lists and dicts with str keys
+    as they are, NumPy scalars as ``.item()``, arrays as ``.tolist()``, tuples as lists, a complex x as
+    ``{"re": x.real, "im": x.imag}`` and a non-finite float as the string of its repr ("nan", "inf" or
+    "-inf").  One walk appends a piece per container: its leaves' text, with the separators, indents
+    and keys (``lead``) in front of each.
+    """
+    out, heads = [], {}
+    encode = json.encoder.encode_basestring_ascii
+    nl, step, comma = ("\n", " ", ",\n") if indent else ("", "", ", ")
+    containers = {dict, list, tuple, np.ndarray}
+
+    def leaf(x, t, pad):
+        """The JSON text of ``x``, which is no container, at indent ``pad``."""
+        if t is float:
+            text = float.__repr__(x)
+            return text if x - x == 0.0 else '"' + text + '"'    # x - x is 0.0 iff x is finite
+        if t is str:
+            return encode(x)
+        if t is int:
+            return int.__repr__(x)
+        if t is complex:
+            re, im, inner = leaf(x.real, float, pad), leaf(x.imag, float, pad), pad + step
+            return ("{\n" + inner + '"im": ' + im + ",\n" + inner + '"re": ' + re + "\n" + pad + "}" if indent
+                    else '{"re": ' + re + ', "im": ' + im + "}")
+        if x is None or t is bool:
+            return "null" if x is None else "true" if x else "false"
+        if isinstance(x, np.generic):
+            x = x.item()
+            return leaf(x, type(x), pad)
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    def walk(node, t, pad, lead):
+        """Append the text of the container ``node`` after ``lead`` to ``out``; return its last piece."""
+        if t is np.ndarray:
+            node = node.tolist()
+        if not node:
+            return lead + ("{}" if t is dict else "[]")
+        inner = pad + step
+        if t is dict:
+            shape = (pad, *node)        # each key in order, with the separator, indent and ": " before it
+            if shape not in heads:
+                keys = sorted(node) if indent else list(node)
+                heads[shape] = keys, [(comma if i else "{" + nl) + inner + encode(k) + ": "
+                                      for i, k in enumerate(keys)]
+            keys, texts = heads[shape]
+            pairs, close = zip(texts, map(node.__getitem__, keys)), "}"
+        elif not containers.isdisjoint(map(type, node)):
+            pairs, close = zip(["[" + nl + inner] + [comma + inner] * (len(node) - 1), node), "]"
+        else:                           # leaves only: one piece
+            texts = [leaf(v, type(v), inner) for v in node]
+            return lead + "[" + nl + inner + (comma + inner).join(texts) + nl + pad + "]"
+        for head, value in pairs:
+            vt = type(value)
+            if vt in containers:
+                out.append(walk(value, vt, inner, lead + head))
+                lead = ""
+            else:
+                lead += head + leaf(value, vt, inner)
+        return lead + nl + pad + close
+
+    t = type(tree)
+    out.append(walk(tree, t, "", "") if t in containers else leaf(tree, t, ""))
+    del walk, leaf      # each holds itself through its closure: break the cycles so the pieces go with this call
+    return "".join(out)
 
 
 def _flatten(record, prefix=""):
@@ -202,50 +248,6 @@ def _flatten(record, prefix=""):
     return flat
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}   # float repr -> json's token
-
-
-def _report_text(tree):
-    """``json.dumps(tree, sort_keys=True, indent=1)`` of a JSON-ready tree with str keys, byte for byte.
-
-    One recursive walk appends one piece per leaf: the leaf's text with the
-    separator, indent and key (``lead``) in front of it.
-    """
-    out = []
-    encode = json.encoder.encode_basestring_ascii
-
-    def walk(node, pad, lead):
-        if isinstance(node, float):
-            text = float.__repr__(node)
-            out.append(lead + (text if node - node == 0.0 else _NONFINITE[text]))   # 0 iff finite
-        elif isinstance(node, str):
-            out.append(lead + encode(node))
-        elif node is None or node is True or node is False:
-            out.append(lead + ("null" if node is None else "true" if node else "false"))
-        elif isinstance(node, int):
-            out.append(lead + int.__repr__(node))
-        elif not node:
-            out.append(lead + ("{}" if isinstance(node, dict) else "[]"))
-        else:
-            inner = pad + " "
-            if isinstance(node, dict):
-                sep = "{\n"
-                for key, value in sorted(node.items()):
-                    walk(value, inner, lead + sep + inner + encode(key) + ": ")
-                    lead, sep = "", ",\n"
-                out.append("\n" + pad + "}")
-            else:
-                sep = "[\n"
-                for value in node:
-                    walk(value, inner, lead + sep + inner)
-                    lead, sep = "", ",\n"
-                out.append("\n" + pad + "]")
-
-    walk(tree, "", "")
-    del walk    # it holds itself through its closure: break that cycle so the pieces go with this call
-    return "".join(out)
-
-
 def write_report(report, out_dir, fmt="json"):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -253,7 +255,8 @@ def write_report(report, out_dir, fmt="json"):
     json_path.write_text(_report_text(report) + "\n")
     paths = [json_path]
     if fmt == "csv" and report["records"]:
-        rows = [_flatten(r) for r in report["records"]]
+        # the cells hold the records' JSON form, as the report writes it
+        rows = [_flatten(r) for r in json.loads(_report_text(report["records"], indent=False))]
         cols = sorted({k for row in rows for k in row})
         csv_path = out / f"{report['command']}.csv"
         with csv_path.open("w", newline="") as handle:
@@ -273,7 +276,6 @@ def cmd_forms(cfg, eigen_only=False):
     points = _boundary_points(cfg, domain, cfg.special_samples)
     ld = levi_data(normal_frame(domain, points, r_order=2), eps_null=cfg.eps_null)
     fr = ld.frame
-    null_dim = ld.null.sum(axis=-1)
     alphas, betas = [[] for _ in points], [[] for _ in points]
     at, zvec = ld.pairs(ld.null)
     if not eigen_only and len(at):
@@ -284,21 +286,12 @@ def cmd_forms(cfg, eigen_only=False):
         for b, a_k, ib_k in zip(at.tolist(), a.tolist(), i_beta.tolist()):
             alphas[b].append(a_k)
             betas[b].append(ib_k)
-    records = []
-    columns = (fr.z.tolist(), fr.grad_norm.tolist(), ld.eigenvalues.tolist(), null_dim.tolist())
-    for b, (p, z, grad_norm, eigenvalues, dim) in enumerate(zip(points, *columns)):
-        rec = {
-            "z": z,
-            "r_residual": float(p.residual),
-            "grad_norm": grad_norm,
-            "levi_eigenvalues": eigenvalues,
-            "null_dim": dim,
-        }
-        if not eigen_only:
-            rec["alpha_null"] = alphas[b]
-            rec["i_beta_null"] = betas[b]
-        records.append(rec)
-    records.sort(key=lambda r: tuple((c.real, c.imag) for c in r["z"]))
+    columns = (fr.z.tolist(), fr.grad_norm.tolist(), ld.eigenvalues.tolist(), ld.null.sum(axis=-1).tolist())
+    records = [{"z": z, "r_residual": float(p.residual), "grad_norm": grad_norm, "levi_eigenvalues": eigs,
+                "null_dim": dim, **({} if eigen_only else {"alpha_null": alphas[b], "i_beta_null": betas[b]})}
+               for b, (p, z, grad_norm, eigs, dim) in enumerate(zip(points, *columns))]
+    flat_z = np.stack([fr.z.real, fr.z.imag], -1).reshape(len(points), -1).tolist()   # Re z_1, Im z_1, ...
+    records = [records[b] for b in sorted(range(len(points)), key=flat_z.__getitem__)]    # in the order of z
     summary = {
         "n_points": len(records),
         "note": "" if at.size else "strictly pseudoconvex sample (no null directions)",
@@ -449,7 +442,7 @@ def main(argv=None):
                 readers = " and ".join(c for c, row in _COMMANDS.items() if field in row[2])
                 raise ConfigError(f"{command} reads no {field}, got {value}; only {readers} do")
         report = _COMMANDS[command][0](cfg)
-    except ConfigError as err:
+    except (ConfigError, MetricError) as err:     # a metric also fails where it is first evaluated
         print(f"config error: {err}", file=sys.stderr)
         return 2
     paths = write_report(report, cfg.out, fmt=cfg.format)

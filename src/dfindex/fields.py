@@ -251,10 +251,11 @@ def wirtinger_table(jet, n):
     q = _wirtinger_matrix(n)
     w1 = w2 = w3 = None
     if jet.order >= 1:
-        # one point (matrix @ vector) and a batch (matrix @ matrix) run
-        # different BLAS kernels, which can disagree in the sign of a zero;
-        # adding +0.0 turns -0.0 into +0.0 and leaves every other value as is
-        w1 = q @ jet.grad + 0.0
+        # one point (matrix @ vector) and a batch (matrix @ matrix) run different BLAS kernels, which
+        # can disagree in the sign of a zero: + 0.0 turns -0.0 into +0.0 and leaves every other value
+        # as is.  matmul takes the last two axes as the matrix, so a batch of rank 2 or more goes flat
+        grad = jet.grad
+        w1 = q @ grad + 0.0 if grad.ndim <= 2 else (q @ grad.reshape(2 * n, -1)).reshape(grad.shape) + 0.0
     if jet.order >= 2:
         w2 = _complexified(jet.hess, n, 2)
     if jet.order >= 3:

@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import csv
 import dataclasses
 import json
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dfindex import forms
 from dfindex.boundary import levi_data, normal_frame
@@ -18,7 +20,6 @@ from dfindex.cli import (
     _COMMANDS,
     _boundary_points,
     _domain_of,
-    _jsonify,
     cmd_check,
     cmd_estimate,
     cmd_forms,
@@ -26,6 +27,7 @@ from dfindex.cli import (
     cmd_selftest,
     cmd_worm_bench,
     load_config,
+    make_report,
     _report_text,
     build_parser,
     main,
@@ -39,6 +41,30 @@ from dfindex.geometry import CTVector
 
 def run_cli(argv):
     return main(argv)
+
+
+def _jsonify(value):
+    """The JSON form of a report value, one rule per type: the reference of ``_report_text``."""
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, complex):
+        if cmath.isfinite(value):
+            return {"re": value.real, "im": value.imag}
+        return {"re": _jsonify(float(value.real)), "im": _jsonify(float(value.imag))}
+    if isinstance(value, np.ndarray):
+        return [_jsonify(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonify(v) for k, v in value.items()}
+    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
+        return repr(value)
+    return value
+
+
+def _written(report, out_dir):
+    """The report as its JSON file reads back."""
+    return json.loads(write_report(report, out_dir)[0].read_text())
 
 
 def test_config_loading_and_overrides(tmp_path):
@@ -143,6 +169,7 @@ def test_forms_command_on_ball(tmp_path):
     assert len(report["records"]) == 5
     assert "strictly pseudoconvex" in report["summary"]["note"]
     assert report["config"]["seed"] == 7
+    assert report["records"] == sorted(report["records"], key=lambda r: tuple((c.real, c.imag) for c in r["z"]))
     paths = write_report(report, tmp_path, fmt="csv")
     assert len(paths) == 2
     header = paths[1].read_text().splitlines()[0]
@@ -160,7 +187,7 @@ def test_report_config_holds_every_field_but_the_output_options(tmp_path):
 def test_forms_alpha_pattern_on_worm_fiber(tmp_path):
     cfg = load_config(None, {"domain": "worm(3.141592653589793)", "samples": 2, "seed": 1,
                              "special_samples": 10, "out": str(tmp_path)})
-    report = cmd_forms(cfg)
+    report = _written(cmd_forms(cfg), tmp_path)
     rows = [r for r in report["records"] if r["null_dim"] == 1]
     assert len(rows) >= 10
     for row in rows:
@@ -173,7 +200,7 @@ def test_forms_alpha_pattern_on_worm_fiber(tmp_path):
 def test_forms_null_values_match_a_one_point_loop(tmp_path, metric):
     cfg = load_config(None, {"domain": f"worm({math.pi!r})", "metric": metric, "samples": 4,
                              "special_samples": 10, "out": str(tmp_path)})
-    report = cmd_forms(cfg)
+    report = _written(cmd_forms(cfg), tmp_path)
     assert sum(r["null_dim"] for r in report["records"]) >= 10
     domain = _domain_of(cfg)
     for row in report["records"]:
@@ -730,6 +757,21 @@ def test_a_metric_bad_at_the_interior_witness_exits_2(tmp_path, capsys, domain, 
     assert not (tmp_path / "forms.json").exists()
 
 
+@pytest.mark.parametrize("command", ["forms", "estimate"])
+def test_a_metric_bad_at_a_boundary_point_exits_2(tmp_path, capsys, command):
+    # g_12 = 2 Re z1 passes at the witness 0 but is indefinite where |Re z1| > 1/2, and the first
+    # frame built there reads |dbar r|^2 = -1.28e+02
+    off = {"op": "mul", "args": [_const(2.0), {"op": "re", "arg": {"op": "coord", "index": 0}}]}
+    metric = {"entries": [[_const(1.0), off], [off, _const(1.0)]]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"domain": "ball", "metric": metric, "samples": 5}))
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: metric 'user_metric' is not positive definite at the boundary point [")
+    assert re.search(r"least eigenvalue -\d\.\d{3}e-\d\d\n$", err), err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 @pytest.mark.parametrize("domain", ["ball", "ellipsoid(1,2)", "user"])
 def test_unsupported_metric_name_exits_2(tmp_path, capsys, domain):
     cfg_path = tmp_path / "cfg.json"
@@ -785,7 +827,8 @@ def test_levi_minimum_keeps_a_nan_eigenvalue(tmp_path, monkeypatch):
         return ld
 
     monkeypatch.setattr(cli, "levi_data", nan_where_re_z1_positive)
-    report = cmd_levi(load_config(None, {"domain": "ball", "samples": 12, "out": str(tmp_path)}))
+    report = _written(cmd_levi(load_config(None, {"domain": "ball", "samples": 12, "out": str(tmp_path)})),
+                      tmp_path)
     firsts = [r["levi_eigenvalues"][0] for r in report["records"]]
     # records are sorted by z, so the first one (smallest Re z1) is finite
     assert firsts[0] != "nan" and "nan" in firsts
@@ -808,8 +851,8 @@ def _no_constant(name):
     ({"a": np.float64("nan"), "b": float("nan"), "c": [np.float64("inf")]}, {"a": "nan", "b": "nan", "c": ["inf"]}),
 ])
 def test_jsonify_writes_nan_and_inf_as_the_strings_a_python_float_gets(value, expected):
-    text = json.dumps(_jsonify(value))
-    assert json.loads(text, parse_constant=_no_constant) == expected
+    for text in (_report_text(value), _report_text(value, indent=False), json.dumps(_jsonify(value))):
+        assert json.loads(text, parse_constant=_no_constant) == expected
 
 
 # JSON-ready trees with str keys, as a report is: nesting, escapes, big ints and extreme floats
@@ -828,7 +871,43 @@ _TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
 @example({})
 @example(-0.0)
 def test_report_text_is_json_dumps_with_indent_1(tree):
-    assert _report_text(tree) == json.dumps(tree, sort_keys=True, indent=1)
+    # a non-finite float is written as the string of its repr, as _jsonify makes it
+    assert _report_text(tree) == json.dumps(_jsonify(tree), sort_keys=True, indent=1)
+    assert _report_text(tree, indent=False) == json.dumps(_jsonify(tree))
+
+
+# the values a command builds: complex numbers (NaN and infinite parts too), NumPy scalars,
+# real and complex arrays, tuples and nested dicts, over the JSON leaves above
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
+_ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.complex128]),
+                     hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3))
+_RAW_LEAVES = (_LEAVES | _FLOATS | st.builds(complex, _FLOATS, _FLOATS) | _FLOATS.map(np.float64)
+               | st.floats(width=32).map(np.float32) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+               | st.builds(complex, _FLOATS, _FLOATS).map(np.complex128) | _ARRAYS)
+_RAW_TREES = st.recursive(_RAW_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                          | st.lists(kids, max_size=4).map(tuple)
+                          | st.dictionaries(_STRINGS, kids, max_size=4), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW_TREES)
+@example({"z": [complex(math.nan, -math.inf), complex(-0.0, 5e-324)], "w": (np.float32(0.1), np.int64(-7)),
+          "a": np.array([[1.5, math.nan], [-math.inf, -0.0]]), "c": np.array([complex(math.inf, 1.0)]),
+          "e": np.zeros((2, 0)), "n": {"d": {"x": np.float64(math.inf)}, "t": ()}})
+@example(complex(1.0, -2.0))
+@example(np.array([]))
+def test_report_text_of_a_raw_tree_is_json_dumps_of_its_json_form(tree):
+    plain = _jsonify(tree)
+    assert _report_text(tree) == json.dumps(plain, sort_keys=True, indent=1)
+    assert _report_text(tree, indent=False) == json.dumps(plain)
+
+
+def test_make_report_keeps_the_command_values_themselves():
+    cfg = load_config(None, {})
+    records, summary = [{"z": [1j]}], {"n": np.float64(2.0)}
+    report = make_report("forms", cfg, records, summary)
+    assert report["records"] is records and report["summary"] is summary
+    assert report["config"] == cfg.to_dict()
 
 
 @pytest.mark.parametrize("command, config", [
@@ -844,4 +923,4 @@ def test_report_text_is_json_dumps_with_indent_1(tree):
 def test_write_report_writes_json_dumps_with_indent_1(tmp_path, command, config):
     report = command(load_config(None, config))
     path = write_report(report, tmp_path)[0]
-    assert path.read_text() == json.dumps(report, sort_keys=True, indent=1) + "\n"
+    assert path.read_text() == json.dumps(_jsonify(report), sort_keys=True, indent=1) + "\n"

@@ -290,3 +290,20 @@ def test_sparse_wirtinger_table_equals_the_dense_einsum(seed, n, order, is_compl
     got = getattr(wirtinger_table(jet, n), f"w{order}")
     assert got.shape == (m,) * order + batch
     assert _bits(got) == _bits(_dense_wirtinger(table, n, order))
+
+
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_wirtinger_table_of_a_rank_2_batch_equals_the_flattened_batch(order, is_complex):
+    # jets document a batch shape of any rank; the (3, 4) grid's table is the (12,) batch's, reshaped
+    rng = np.random.default_rng(order)
+    n, m = 2, 4
+    parts = [rng.standard_normal((m,) * k + (3, 4)) for k in range(order + 1)]
+    if is_complex:
+        parts = [p + 1j * rng.standard_normal(p.shape) for p in parts]
+    grid = wirtinger_table(Jet(m, order, *parts), n)
+    flat = wirtinger_table(Jet(m, order, *[p.reshape(p.shape[:-2] + (12,)) for p in parts]), n)
+    for k in range(1, order + 1):
+        got, want = getattr(grid, f"w{k}"), getattr(flat, f"w{k}")
+        assert got.shape == (m,) * k + (3, 4)
+        assert _bits(got) == _bits(want.reshape(got.shape))
