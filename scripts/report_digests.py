@@ -55,6 +55,8 @@ RUNS = [
                                "special_samples": 10}),
     ("levi", "levi", {"domain": "ellipsoid(1,2)", "samples": 20, "format": "csv"}),
     ("check", "check", {"domain": WORM_PI, "samples": 10, "basis_degree": 8, "eta": 0.4}),
+    ("check-2pi", "check", {"domain": f"worm({2 * math.pi!r})", "samples": 10, "basis_degree": 8,
+                            "eta": 0.2}),
     ("estimate", "estimate", {"domain": WORM_PI, "samples": 10, "basis_degree": 8}),
     # the one estimate under a metric other than the Euclidean one
     ("estimate-kahler", "estimate", {"domain": WORM_PI, "metric": "worm_kahler", "samples": 10,

@@ -112,13 +112,7 @@ class DomainSpec:
         if not np.real(witness) < 0:
             raise ValueError(f"interior witness {self.interior_point} has r = {witness} >= 0")
         g = self.metric.matrix(self.interior_point)   # raises unless Hermitian
-        try:
-            # a Cholesky factor exists iff g is positive definite; the estimator already runs
-            # Cholesky, while a first eigvalsh call pages in about 0.4 MB more of LAPACK
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise MetricError(f"metric {self.metric.name!r} is not positive definite at the interior witness "
-                              f"{self.interior_point}: least eigenvalue {np.linalg.eigvalsh(g)[0]:.3e}") from None
+        _require_positive_definite(self.metric, [self.interior_point], [g], "the interior witness")
 
     def in_chart(self, z):
         """Whether a point (n,) lies in the chart: a bool, or a (B,) bool array for a batch (B, n).
@@ -141,6 +135,22 @@ class DomainSpec:
 class BoundaryPoint:
     z: np.ndarray
     residual: float
+
+
+def _require_positive_definite(metric, points, gs, where):
+    """Refuse ``metric`` at the first of ``points`` whose matrix in ``gs`` is not positive definite.
+
+    ``where`` names the kind of point in the :class:`MetricError` ("the interior witness", "the
+    boundary point").  A Cholesky factor exists iff a matrix is positive definite; the estimator
+    already runs Cholesky, while a first eigvalsh call pages in about 0.4 MB more of LAPACK, so
+    only a refusal computes the least eigenvalue it names.
+    """
+    for at, g in zip(points, gs):
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise MetricError(f"metric {metric.name!r} is not positive definite at {where} {at}: "
+                              f"least eigenvalue {np.linalg.eigvalsh(g)[0]:.3e}") from None
 
 
 def _point_of(p):
@@ -333,12 +343,8 @@ class NormalFrame:
         s = np.real(_dot(self.u.conj(), x))
         low = s <= TOL_GRAD**2
         if np.any(low):
-            at, val, g = self.z[low][0], np.asarray(s)[low][0], self.G[low][0]
-            try:
-                np.linalg.cholesky(g)
-            except np.linalg.LinAlgError:
-                raise MetricError(f"metric {domain.metric.name!r} is not positive definite at the boundary "
-                                  f"point {at}: least eigenvalue {np.linalg.eigvalsh(g)[0]:.3e}") from None
+            _require_positive_definite(domain.metric, self.z[low], self.G[low], "the boundary point")
+            at, val = self.z[low][0], np.asarray(s)[low][0]
             raise ProjectionError(f"|d r| below tolerance at {at} (|dbar r|^2 = {val:.2e})")
         self.dbar_norm_sq = s
         self.dbar_norm = np.sqrt(s)            # |del r|
@@ -488,7 +494,9 @@ def levi_data(frame, eps_null=1e-7):
     ``frame`` is at one point or at a batch of points (B, n).  Over a
     batch, Gram-Schmidt keeps the vectors found at each point in slots and
     skips a degenerate raw vector at that point only, so every point follows
-    its own one-point sequence of operations.
+    its own one-point sequence of operations.  Where it finds fewer than
+    n - 1 vectors it raises: :class:`MetricError` if the metric has no
+    Cholesky factor at that point, else ``ValueError``.
     """
     n, G = frame.n, frame.G
     batch = frame.u.shape[:-1]
@@ -509,6 +517,7 @@ def levi_data(frame, eps_null=1e-7):
         found = found + keep
     bad = found != n - 1
     if np.any(bad):
+        _require_positive_definite(frame.domain.metric, frame.z[bad], G[bad], "the boundary point")
         at, count = frame.z[bad][0], found[bad][0]
         raise ValueError(
             f"tangent Gram-Schmidt produced {count} vectors (metric degenerate at {at})"

@@ -56,7 +56,7 @@ class RunConfig:
     eta_cap: float = 0.99
     basis: str = "auto"
     basis_degree: int = 40
-    basis_spread: float = 0.99
+    basis_spread: float = 1.0
     box_radius: float = 50.0
     out: str = "."
     format: str = "json"
@@ -141,15 +141,13 @@ def _boundary_points(cfg, domain, count):
     return points
 
 
-def problem_of(cfg, guard_ring=False):
+def problem_of(cfg):
     """The run's :class:`~dfindex.estimator.Problem`: the domain's basis (``auto``) else ``poly(deg=2)``,
-    8 or more degenerate-set points per coefficient, and ``check``'s ``guard_ring`` at spread 0.999."""
+    and 8 or more degenerate-set points per coefficient."""
     domain = _domain_of(cfg)
     basis = (poly_basis(domain.n, degree=2) if cfg.basis == "poly" or domain.h_basis is None
              else domain.h_basis(cfg.basis_degree, cfg.basis_spread))
     points = _boundary_points(cfg, domain, max(cfg.special_samples, 8 * basis.m))
-    if guard_ring and domain.special_sampler is not None:
-        points += list(domain.special_sampler(max(64, basis.m), cfg.seed + 2, spread=0.999))
     sites, min_pc = collect_sites(domain, points, basis, eps_null=cfg.eps_null)
     return Problem(domain, sites, min_pc, cfg.box_radius, cfg.c_floor)
 
@@ -306,7 +304,7 @@ def cmd_levi(cfg):
 
 
 def cmd_check(cfg):
-    problem = problem_of(cfg, guard_ring=True)
+    problem = problem_of(cfg)
     domain, sites = problem.domain, problem.sites
     cert = feasibility_search(domain, cfg.eta, sites.basis, sites, C_floor=problem.C_floor,
                               box_radius=problem.box_radius)
@@ -330,11 +328,16 @@ def cmd_estimate(cfg):
     problem = problem_of(cfg)
     est = estimate_index(problem, eta_cap=cfg.eta_cap, tol_eta=cfg.tol_eta)
     records = sorted(est.records, key=lambda r: r["eta"])
+    hi_status, sites = getattr(est.certificates.get(est.eta_hi), "status", None), problem.sites
     summary = {
         "eta_lo": est.eta_lo,
         "eta_hi": est.eta_hi,
+        # at a finite degree the upper end bounds the basis and these sites, not DF itself
+        "eta_hi_rests_on": None if hi_status != "infeasible_certified" else
+        (f"no h in {sites.basis.name} with |c_j| <= {problem.box_radius:g} reaches c_floor "
+         f"{problem.C_floor:g} on these {len(sites)} sites"),
         "summary": est.summary(),
-        "n_sites": len(problem.sites),
+        "n_sites": len(sites),
         "warnings": est.warnings,
         "min_strictly_pc_eigenvalue": None if problem.min_pc == math.inf else problem.min_pc,
         "certificates": {f"{k:.6f}": c.to_json_dict(seed=cfg.seed)

@@ -35,7 +35,6 @@ from dfindex.cli import (
     write_report,
 )
 from dfindex.domains import make_domain
-from dfindex.estimator import collect_sites
 from dfindex.geometry import CTVector
 
 
@@ -257,6 +256,7 @@ def test_estimate_command_on_ball(tmp_path):
     report = cmd_estimate(cfg)
     assert report["summary"]["eta_lo"] >= 0.95
     assert "grid cap" in report["summary"]["summary"]
+    assert report["summary"]["eta_hi_rests_on"] is None
     assert report["summary"]["min_strictly_pc_eigenvalue"] > 0
 
 
@@ -588,20 +588,6 @@ def test_basis_spread_places_the_null_sites_and_the_basis_together(tmp_path, gam
         assert abs(end - math.pi / (2 * gamma)) <= 0.05
 
 
-def test_the_guard_ring_appends_its_sites_after_those_of_estimate():
-    cfg = load_config(None, {"domain": f"worm({math.pi!r})", "samples": 6, "basis_degree": 4})
-    plain, ringed = problem_of(cfg), problem_of(cfg, guard_ring=True)
-    domain, basis, n = plain.domain, plain.sites.basis, len(plain.sites)
-    ring, _ = collect_sites(domain, domain.special_sampler(max(64, basis.m), cfg.seed + 2, spread=0.999),
-                            basis, eps_null=cfg.eps_null)
-    assert n > 0 and len(ring) > 0 and len(ringed.sites) == n + len(ring)
-    for name in ("B", "A", "E", "D"):
-        rows = getattr(ringed.sites, name)
-        assert rows[:n].tobytes() == getattr(plain.sites, name).tobytes(), name
-        assert rows[n:].tobytes() == getattr(ring, name).tobytes(), name
-    assert (ringed.box_radius, ringed.C_floor) == (plain.box_radius, plain.C_floor) == (50.0, 1e-4)
-
-
 @pytest.mark.parametrize("config", [
     {"domain": f"worm({math.pi!r})", "samples": 6, "basis_degree": 4, "eta": 0.3},
     {"domain": "ellipsoid(1,2)", "samples": 6, "eta": 0.3},
@@ -609,8 +595,31 @@ def test_the_guard_ring_appends_its_sites_after_those_of_estimate():
 def test_reports_count_the_sites_of_the_builder(config):
     check = load_config(None, config)
     estimate = load_config(None, {k: v for k, v in config.items() if k != "eta"})
-    assert cmd_check(check)["summary"]["n_sites"] == len(problem_of(check, guard_ring=True).sites)
+    assert cmd_check(check)["summary"]["n_sites"] == len(problem_of(check).sites)
     assert cmd_estimate(estimate)["summary"]["n_sites"] == len(problem_of(estimate).sites)
+
+
+@pytest.mark.parametrize("gamma", [math.pi, 2 * math.pi], ids=["pi", "2pi"])
+def test_check_is_the_estimate_stage_at_its_eta(gamma):
+    # the cold stages (eta = 0 and the cap) are check's search on the same sites, coefficients included;
+    # warm midpoints may find other coefficients, but not another status at the bracket's ends
+    config = {"domain": f"worm({gamma!r})", "samples": 10, "basis_degree": 8}
+    summary = cmd_estimate(load_config(None, config))["summary"]
+    certificates = summary["certificates"]
+
+    def check(eta):
+        report = cmd_check(load_config(None, dict(config, eta=eta)))
+        assert report["summary"]["n_sites"] == summary["n_sites"]
+        return report
+
+    cap = RunConfig().eta_cap
+    for eta in (0.0, cap):
+        assert check(eta)["records"][0] == certificates[f"{eta:.6f}"]
+    assert check(summary["eta_lo"])["summary"]["status"].startswith("feasible_")
+    assert check(summary["eta_hi"])["summary"]["status"] == "infeasible_certified"
+    basis = certificates[f"{summary['eta_hi']:.6f}"]["basis_id"]
+    assert summary["eta_hi_rests_on"] == (f"no h in {basis} with |c_j| <= 50 reaches c_floor 0.0001 "
+                                          f"on these {summary['n_sites']} sites")
 
 
 def test_a_stage_starts_from_the_incumbent_of_the_last_feasible_one():
@@ -770,6 +779,25 @@ def test_a_metric_bad_at_a_boundary_point_exits_2(tmp_path, capsys, command):
     assert err.startswith("config error: metric 'user_metric' is not positive definite at the boundary point [")
     assert re.search(r"least eigenvalue -\d\.\d{3}e-\d\d\n$", err), err
     assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_a_metric_indefinite_where_d_r_is_large_exits_2(tmp_path, capsys):
+    # g_22 = 1 - 1.5 |z1|^2 is indefinite where |z1|^2 > 2/3, but |dbar r|^2 can stay above tolerance
+    # there: at seeds 0, 18, 20, 26 and 28 the tangent Gram-Schmidt of levi_data is the first to fail
+    g22 = {"op": "add", "args": [_const(1.0), {"op": "mul", "args": [
+        _const(-1.5), {"op": "abs2", "arg": {"op": "coord", "index": 0}}]}]}
+    metric = {"entries": [[_const(1.0), _const(0.0)], [_const(0.0), g22]]}
+    cfg_path = tmp_path / "cfg.json"
+    codes = {}
+    for seed in range(40):
+        cfg_path.write_text(json.dumps({"domain": "ball", "metric": metric, "samples": 12, "seed": seed}))
+        codes[seed] = run_cli(["levi", "--config", str(cfg_path), "--out", str(tmp_path / str(seed))])
+        err = capsys.readouterr().err
+        if codes[seed] == 2:
+            assert err.startswith("config error: metric 'user_metric' is not positive definite at the "
+                                  "boundary point ["), err
+    assert set(codes.values()) <= {0, 2}
+    assert all(codes[seed] == 2 for seed in (0, 18, 20, 26, 28))
 
 
 @pytest.mark.parametrize("domain", ["ball", "ellipsoid(1,2)", "user"])
